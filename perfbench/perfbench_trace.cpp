@@ -20,6 +20,7 @@
 // Output is one JSON object on stdout; errors go to stderr with exit code 1
 // (bad flags or workload) or 3 (replay parity broken).
 #include <chrono>
+#include <ctime>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -152,12 +153,16 @@ int main(int argc, char** argv) {
     w.begin_array();
     for (std::int64_t rep = 0; more(rep); ++rep) {
       const auto rep_start = Clock::now();
+      // CPU seconds, not wall: this process is single-threaded, so they are
+      // its set-up work without the waits other tenants of a shared host
+      // impose.
+      const std::clock_t cpu_start = std::clock();
       LayerTimes times;
       perfbench::GroupMasters masters(plan);
       for (const Job& job : plan.jobs) {
         perfbench::setup_job(job, masters.get(job, &times), times);
       }
-      w.value(times.total());
+      w.value(static_cast<double>(std::clock() - cpu_start) / CLOCKS_PER_SEC);
       last = since(rep_start);
     }
     w.end_array();
