@@ -454,11 +454,22 @@ int main(int argc, char** argv) {
       spec.transmission_models.push_back(*model);
     }
   }
-  if (const auto seeds = static_cast<int>(flags.get_int("seeds")); seeds > 0) {
-    spec.seeds = seeds;
+  const std::int64_t seeds = flags.get_int("seeds");
+  if (seeds < 0) {
+    std::cerr << "bad --seeds value '" << seeds
+              << "' (want >= 0; 0 keeps the preset)\n";
+    return 1;
   }
+  if (seeds > 0) spec.seeds = static_cast<int>(seeds);
   spec.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  spec.base.coverage = flags.get_double("coverage");
+  // Checked here, not at the λ evaluation's assert: a CLI typo must be a
+  // clean error, not an abort mid-sweep. The negation also rejects NaN.
+  const double coverage = flags.get_double("coverage");
+  if (!(coverage > 0.0 && coverage <= 1.0)) {
+    std::cerr << "bad --coverage value '" << coverage << "' (want (0, 1])\n";
+    return 1;
+  }
+  spec.base.coverage = coverage;
   // Wall-clock A/B switch, not a grid axis: cell results and the JSON are
   // byte-identical at either setting.
   spec.base.incremental_csr = flags.get_bool("incremental-csr");

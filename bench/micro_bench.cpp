@@ -94,11 +94,10 @@ void BM_RelaxInnerLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_RelaxInnerLoop)->Arg(200)->Arg(1000)->Arg(4000);
 
-// The scale-path pair recorded in BENCH_scale.json: the parallel
+// The scale-path row recorded in BENCH_scale.json: the parallel
 // delta-stepping engine pinned to one worker (settled-once bucket
-// relaxation, byte-identical outputs) and the compact fixed-point engine
-// (u32 snapshot, integer bucket math), both against BM_BroadcastCsr's
-// heap relaxation above.
+// relaxation, byte-identical outputs) against BM_BroadcastCsr's heap
+// relaxation above.
 void BM_BroadcastParallelDelta(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -114,24 +113,6 @@ void BM_BroadcastParallelDelta(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BroadcastParallelDelta)->Arg(200)->Arg(1000)->Arg(4000);
-
-void BM_BroadcastCompact(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  const net::CsrTopology csr =
-      net::CsrTopology::build(f.topology, *f.network);
-  const net::CompactCsr compact = net::CompactCsr::build(csr);
-  sim::ParallelScratch scratch;
-  std::vector<std::uint64_t> arrival_q(compact.size());
-  net::NodeId miner = 0;
-  for (auto _ : state) {
-    sim::simulate_broadcast_compact(compact, miner, scratch,
-                                    arrival_q.data());
-    benchmark::DoNotOptimize(arrival_q.data());
-    miner = (miner + 1) % static_cast<net::NodeId>(compact.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BroadcastCompact)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The queuing-engine pair recorded in BENCH_queuing.json. The egress DES
 // (sim/egress.hpp) runs twice: in its ∞-rate parity corner, where it

@@ -1,9 +1,8 @@
 // Scale instrument behind BENCH_scale.json: one n = 10^5 (default) graph,
 // single-source broadcast timed through every engine that claims that scale
-// — the CSR reference heap, the parallel delta-stepping engine at worker
-// team sizes 1 and --jobs, and the compact fixed-point engine — plus the
-// snapshot/scratch footprints and the process peak RSS the soak test
-// budgets against.
+// — the CSR reference heap and the parallel delta-stepping engine at worker
+// team sizes 1 and --jobs — plus the snapshot/scratch footprints and the
+// process peak RSS the soak test budgets against.
 //
 // Byte parity is asserted inline (reference vs parallel arrivals memcmp
 // equal) so a timing run can never silently anchor numbers from an engine
@@ -73,7 +72,6 @@ int run(int argc, char** argv) {
   util::Rng rng(seed);
   topo::build_random(topology, rng);
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
-  const net::CompactCsr compact = net::CompactCsr::build(csr);
   const net::NodeId src = static_cast<net::NodeId>(n / 8);
 
   sim::BroadcastScratch ref_scratch;
@@ -91,14 +89,6 @@ int run(int argc, char** argv) {
   sim::BroadcastResult parallelN;
   const double parallelN_ms = time_ms(reps, [&] {
     sim::simulate_broadcast_parallel(csr, src, scratch, parallelN, &pool);
-  });
-
-  // Compact engine timed at team size 1: its jobs-invariance is exact, so
-  // the single-worker figure is the comparable one (and team overheads are
-  // already visible in the parallel-delta rows).
-  std::vector<std::uint64_t> arrival_q(n);
-  const double compact_ms = time_ms(reps, [&] {
-    sim::simulate_broadcast_compact(compact, src, scratch, arrival_q.data());
   });
 
   // The determinism contract, enforced on the very run being anchored.
@@ -121,9 +111,7 @@ int run(int argc, char** argv) {
             << "  reference heap      " << reference_ms << " ms\n"
             << "  parallel-delta x1   " << parallel1_ms << " ms\n"
             << "  parallel-delta x" << jobs << "   " << parallelN_ms << " ms\n"
-            << "  compact fixedpoint  " << compact_ms << " ms\n"
             << "  csr snapshot        " << csr.memory_bytes() << " bytes\n"
-            << "  compact snapshot    " << compact.memory_bytes() << " bytes\n"
             << "  parallel scratch    " << scratch.memory_bytes() << " bytes\n"
             << "  peak RSS            " << peak_kb << " KiB\n";
 
@@ -144,11 +132,8 @@ int run(int argc, char** argv) {
     w.field("reference_heap_ms", reference_ms);
     w.field("parallel_delta_x1_ms", parallel1_ms);
     w.field("parallel_delta_xjobs_ms", parallelN_ms);
-    w.field("compact_fixedpoint_ms", compact_ms);
     w.field("csr_snapshot_bytes",
             static_cast<std::int64_t>(csr.memory_bytes()));
-    w.field("compact_snapshot_bytes",
-            static_cast<std::int64_t>(compact.memory_bytes()));
     w.field("parallel_scratch_bytes",
             static_cast<std::int64_t>(scratch.memory_bytes()));
     w.field("peak_rss_kb", peak_kb);

@@ -17,8 +17,6 @@ across CI runners would be noise. Anchor pairs today:
                                                     BM_CsrChurnRefreshRebuild
   BENCH_scale.json           parallel_delta_speedup BM_BroadcastParallelDelta /
                                                     BM_BroadcastCsr
-  BENCH_scale.json           compact_speedup        BM_BroadcastCompact /
-                                                    BM_BroadcastCsr
   BENCH_queuing.json         egress_unlimited_speedup BM_BroadcastEgressUnlimited /
                                                     BM_BroadcastCsr
 

@@ -103,9 +103,9 @@ NOTES = {
         "broadcast from O(n) toward O(edges), which is why the congestion "
         "grid is sized at n=200. Measured on a 1-core container."),
     "scale": (
-        "Scale anchor for the parallel delta-stepping engine and the compact "
-        "fixed-point CSR. parallel_delta_speedup / compact_speedup are "
-        "items_per_second ratios vs BM_BroadcastCsr (the settled-heap CSR "
+        "Scale anchor for the parallel delta-stepping engine. "
+        "parallel_delta_speedup is the items_per_second ratio vs "
+        "BM_BroadcastCsr (the settled-heap CSR "
         "reference) at each micro_bench grid size; the soft gate bars on "
         "n1000. The `scale` block is one n=10^5 single-source broadcast "
         "(scale_broadcast --nodes 100000 --jobs 2 --reps 5, median "
@@ -157,8 +157,6 @@ MICRO_SLICES = {
         "BM_BroadcastCsr/200", "BM_BroadcastCsr/1000", "BM_BroadcastCsr/4000",
         "BM_BroadcastParallelDelta/200", "BM_BroadcastParallelDelta/1000",
         "BM_BroadcastParallelDelta/4000",
-        "BM_BroadcastCompact/200", "BM_BroadcastCompact/1000",
-        "BM_BroadcastCompact/4000",
     ],
 }
 
@@ -294,9 +292,7 @@ def scale_block(build_dir, scratch_dir):
     block = {k: data[k] for k in ("nodes", "seed", "jobs", "reps",
                                   "reference_heap_ms", "parallel_delta_x1_ms")}
     block[f"parallel_delta_x{jobs}_ms"] = data["parallel_delta_xjobs_ms"]
-    for k in ("compact_fixedpoint_ms", "csr_snapshot_bytes",
-              "compact_snapshot_bytes", "parallel_scratch_bytes",
-              "peak_rss_kb"):
+    for k in ("csr_snapshot_bytes", "parallel_scratch_bytes", "peak_rss_kb"):
         block[k] = data[k]
     block["peak_rss_budget_kb"] = 1048576  # soak test's 1 GiB ceiling
     return block
@@ -414,8 +410,6 @@ def main():
             "parallel_delta_speedup": speedup(
                 entries, "BM_BroadcastParallelDelta", "BM_BroadcastCsr",
                 (200, 1000, 4000)),
-            "compact_speedup": speedup(entries, "BM_BroadcastCompact",
-                                       "BM_BroadcastCsr", (200, 1000, 4000)),
             "scale": scale,
             "micro_bench": slice_entries(entries, "scale"),
         })

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "runner/thread_pool.hpp"
 #include "sim/batch.hpp"
@@ -41,6 +42,45 @@ double coverage_time(std::vector<std::pair<double, double>>& by_arrival,
   return coverage_time_sorted(by_arrival, total_power, coverage);
 }
 
+// The body both batched λ evaluations share; only `broadcast(sources,
+// sink)`, the engine behind the arrival stripes, differs. Hash powers (and
+// their sum, accumulated in NodeId order exactly as lambda_for_broadcast
+// does) are batch constants, extracted once instead of per source. Each
+// source's (arrival, power) pairs fill and sort in its lane's buffers, so
+// the evaluation is allocation-free per source.
+template <typename Arena, typename Broadcast>
+std::vector<double> lambda_all_sources(const net::Network& network,
+                                       double coverage, Arena& arena,
+                                       const Broadcast& broadcast) {
+  const std::size_t n = network.size();
+  std::vector<double> lambda(n);
+  std::vector<double> powers(n);
+  double total = 0;
+  for (net::NodeId v = 0; v < n; ++v) {
+    powers[v] = network.profile(v).hash_power;
+    total += powers[v];
+  }
+  std::vector<net::NodeId> sources(n);
+  std::iota(sources.begin(), sources.end(), net::NodeId{0});
+  broadcast(sources, [&](std::size_t lane, std::size_t s,
+                         std::span<const double> arrival,
+                         std::span<const double> /*ready*/) {
+    auto& buffers = arena.lane(lane);
+    auto& by_arrival = buffers.by_arrival;
+    by_arrival.resize(n);
+    const double* arr = arrival.data();
+    const double* pow = powers.data();
+    for (std::size_t v = 0; v < n; ++v) {
+      by_arrival[v] = {arr[v], pow[v]};
+    }
+    // Radix replaces std::sort but yields the identical sequence, so λ
+    // stays bit-equal to lambda_for_broadcast on the same arrival set.
+    util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
+    lambda[s] = coverage_time_sorted(by_arrival, total, coverage);
+  });
+  return lambda;
+}
+
 }  // namespace
 
 double lambda_for_broadcast(const sim::BroadcastResult& result,
@@ -70,42 +110,15 @@ std::vector<double> eval_all_sources(const net::CsrTopology& csr,
                                      sim::MultiSourceScratch* scratch,
                                      runner::ThreadPool* pool) {
   PERIGEE_ASSERT(csr.size() == network.size());
-  const std::size_t n = network.size();
-  std::vector<double> lambda(n);
-  // Hash powers (and their sum, accumulated in NodeId order exactly as
-  // lambda_for_broadcast does) are batch constants: extract them once
-  // instead of walking the profiles per source.
-  std::vector<double> powers(n);
-  double total = 0;
-  for (net::NodeId v = 0; v < n; ++v) {
-    powers[v] = network.profile(v).hash_power;
-    total += powers[v];
-  }
-  std::vector<net::NodeId> sources(n);
-  std::iota(sources.begin(), sources.end(), net::NodeId{0});
-
   sim::MultiSourceScratch local_scratch;
   sim::MultiSourceScratch& arena = scratch != nullptr ? *scratch
                                                       : local_scratch;
-  sim::for_each_source_broadcast(
-      csr, sources, arena,
-      [&](std::size_t lane, std::size_t s, std::span<const double> arrival,
-          std::span<const double> /*ready*/) {
-        auto& buffers = arena.lane(lane);
-        auto& by_arrival = buffers.by_arrival;
-        by_arrival.resize(n);
-        const double* arr = arrival.data();
-        const double* pow = powers.data();
-        for (std::size_t v = 0; v < n; ++v) {
-          by_arrival[v] = {arr[v], pow[v]};
-        }
-        // Radix replaces std::sort but yields the identical sequence, so λ
-        // stays bit-equal to lambda_for_broadcast on the same arrival set.
-        util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
-        lambda[s] = coverage_time_sorted(by_arrival, total, coverage);
-      },
-      pool, /*need_ready=*/false);
-  return lambda;
+  return lambda_all_sources(
+      network, coverage, arena,
+      [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
+        sim::for_each_source_broadcast(csr, sources, arena, sink, pool,
+                                       /*need_ready=*/false);
+      });
 }
 
 std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
@@ -116,38 +129,15 @@ std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
                                             sim::EgressScratch* scratch,
                                             runner::ThreadPool* pool) {
   PERIGEE_ASSERT(csr.size() == network.size());
-  const std::size_t n = network.size();
-  std::vector<double> lambda(n);
-  std::vector<double> powers(n);
-  double total = 0;
-  for (net::NodeId v = 0; v < n; ++v) {
-    powers[v] = network.profile(v).hash_power;
-    total += powers[v];
-  }
-  std::vector<net::NodeId> sources(n);
-  std::iota(sources.begin(), sources.end(), net::NodeId{0});
-
   sim::EgressScratch local_scratch;
   sim::EgressScratch& arena = scratch != nullptr ? *scratch : local_scratch;
-  // Same accumulation as the delay-only overload, lane buffers and radix
-  // sort included — only the engine behind the arrival stripes differs.
-  sim::for_each_source_broadcast_egress(
-      csr, config, plan, sources, arena,
-      [&](std::size_t lane, std::size_t s, std::span<const double> arrival,
-          std::span<const double> /*ready*/) {
-        auto& buffers = arena.lane(lane);
-        auto& by_arrival = buffers.by_arrival;
-        by_arrival.resize(n);
-        const double* arr = arrival.data();
-        const double* pow = powers.data();
-        for (std::size_t v = 0; v < n; ++v) {
-          by_arrival[v] = {arr[v], pow[v]};
-        }
-        util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
-        lambda[s] = coverage_time_sorted(by_arrival, total, coverage);
-      },
-      pool, /*need_ready=*/false);
-  return lambda;
+  return lambda_all_sources(
+      network, coverage, arena,
+      [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
+        sim::for_each_source_broadcast_egress(csr, config, plan, sources,
+                                              arena, sink, pool,
+                                              /*need_ready=*/false);
+      });
 }
 
 std::vector<double> eval_ideal(const net::Network& network, double coverage,

@@ -110,8 +110,8 @@ CsrTopology CsrTopology::build(const Topology& topology,
   csr.min_delay_ms_ = min_delay;
   csr.max_delay_ms_ = max_delay;
   csr.max_validation_ms_ = max_validation;
-  // High-water mark so a run's largest snapshot is visible next to the
-  // compact variant's footprint (scale-path memory budgeting).
+  // High-water mark so a run's largest snapshot is visible (scale-path
+  // memory budgeting).
   PERIGEE_GAUGE_MAX("mem.csr_bytes", csr.memory_bytes());
   return csr;
 }
@@ -269,69 +269,6 @@ void CsrTopology::refresh_bounds() {
           ? 0.0
           : *std::max_element(validation_ms_.begin(), validation_ms_.end());
   removals_since_refresh_ = 0;
-}
-
-CompactCsr CompactCsr::build(const CsrTopology& csr) {
-  const std::size_t n = csr.size();
-  CompactCsr out;
-  // One shared grid sized to the largest value it must hold: the largest
-  // block delay or validation delay, quantized into 31 bits. Any path sum
-  // of <= n such terms then stays below n * 2^31 << 2^63, so u64 arrival
-  // accumulation in the compact engine cannot overflow.
-  const double max_value =
-      std::max(csr.max_delay_ms(), csr.max_validation_ms());
-  out.scale_ = util::FixedPointScale::fit(max_value, 31);
-
-  out.offsets_.resize(n + 1);
-  out.validation_q_.resize(n);
-  out.forwards_.assign((n + 63) / 64, 0);
-  out.offsets_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    // Packed rows: slab slack from a Patchable source snapshot is dropped.
-    const std::size_t row = csr.peers(v).size();
-    const std::size_t end = out.offsets_[v] + row;
-    PERIGEE_ASSERT_MSG(end <= std::numeric_limits<std::uint32_t>::max(),
-                       "entry count exceeds 32-bit offsets");
-    out.offsets_[v + 1] = static_cast<std::uint32_t>(end);
-  }
-  const std::size_t entries = out.offsets_[n];
-  out.peer_.resize(entries);
-  out.delay_q_.resize(entries);
-
-  std::uint32_t min_q = std::numeric_limits<std::uint32_t>::max();
-  std::uint32_t max_q = 0;
-  std::uint32_t max_validation = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint64_t vq = out.scale_.quantize(csr.validation_ms(v));
-    out.validation_q_[v] = static_cast<std::uint32_t>(vq);
-    max_validation = std::max(max_validation, out.validation_q_[v]);
-    if (csr.forwards(v)) out.forwards_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    const auto peers = csr.peers(v);
-    const auto delays = csr.delays(v);
-    std::uint32_t e = out.offsets_[v];
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      out.peer_[e] = peers[i];
-      const std::uint64_t dq = out.scale_.quantize(delays[i]);
-      out.delay_q_[e] = static_cast<std::uint32_t>(dq);
-      min_q = std::min(min_q, out.delay_q_[e]);
-      max_q = std::max(max_q, out.delay_q_[e]);
-      ++e;
-    }
-  }
-  if (entries == 0) min_q = std::numeric_limits<std::uint32_t>::max();
-  out.min_delay_q_ = min_q;
-  out.max_delay_q_ = max_q;
-  out.max_validation_q_ = max_validation;
-  PERIGEE_GAUGE_MAX("mem.compact_csr_bytes", out.memory_bytes());
-  return out;
-}
-
-std::size_t CompactCsr::memory_bytes() const {
-  return offsets_.capacity() * sizeof(std::uint32_t) +
-         peer_.capacity() * sizeof(std::uint32_t) +
-         delay_q_.capacity() * sizeof(std::uint32_t) +
-         validation_q_.capacity() * sizeof(std::uint32_t) +
-         forwards_.capacity() * sizeof(std::uint64_t);
 }
 
 const CsrTopology& CsrCache::get(const Topology& topology,

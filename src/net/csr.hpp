@@ -39,7 +39,6 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "net/types.hpp"
-#include "util/fixedpoint.hpp"
 
 namespace perigee::net {
 
@@ -205,84 +204,6 @@ class CsrTopology {
   double max_delay_ms_ = 0.0;             ///< conservative max block δ
   double max_validation_ms_ = 0.0;        ///< conservative max Δv
   std::size_t removals_since_refresh_ = 0;  ///< staleness of the δ bounds
-};
-
-/// Memory-compact, fixed-point snapshot for large-n scale runs.
-///
-/// `CsrTopology` spends 8 bytes per offset and 8 + 8 bytes per entry on
-/// double block/control delays — the right trade for the paper-scale round
-/// loop, but ~2.5x more than a single-source capacity study at n >= 10^5
-/// needs to touch. `CompactCsr` repacks an existing snapshot for that path:
-///
-///  - 32-bit row offsets and 32-bit node ids (the entry count must fit u32,
-///    asserted at build);
-///  - per-edge block delays and per-node validation delays quantized to u32
-///    fixed-point keys on one shared power-of-two grid
-///    (`util::FixedPointScale::fit` targeting 31 bits for the largest
-///    value, so any path sum of n terms stays far below 2^63);
-///  - the forwards flags packed into a bitmap.
-///
-/// The fixed-point keys make the delta-stepping bucket index pure integer
-/// math (`key >> shift`, see util/fixedpoint.hpp) — no double compare, no
-/// clamp. Quantization is floor-directed, so compact arrivals are
-/// order-consistent lower approximations of the double engine's: each value
-/// underestimates by less than `scale().step()` per hop. The compact world
-/// has its own exact parity oracle instead of byte-parity with the double
-/// engines: `simulate_broadcast_compact` is invariant in the worker count,
-/// held by tests/sim_engine_diff_test.cpp, and its error against the double
-/// oracle is bounded by tests/sim_fixedpoint_test.cpp.
-///
-/// Rows are packed back to back with no slack; a compact snapshot is a
-/// one-shot compile for a fixed topology (no journal patching — scale runs
-/// recompile, the round loop keeps `CsrTopology`).
-class CompactCsr {
- public:
-  /// Repacks `csr` (pure array transcription + quantization; no
-  /// latency-model calls). Reports `memory_bytes()` through the
-  /// `mem.compact_csr_bytes` obs gauge.
-  static CompactCsr build(const CsrTopology& csr);
-
-  std::size_t size() const { return validation_q_.size(); }
-  std::size_t num_links() const {
-    return offsets_.empty() ? 0 : offsets_.back();
-  }
-
-  /// The shared quantization grid (block delays and validation delays).
-  const util::FixedPointScale& scale() const { return scale_; }
-
-  /// Exact quantized min/max block delay over all entries (min is
-  /// `UINT32_MAX` for an edgeless graph, max 0).
-  std::uint32_t min_delay_q() const { return min_delay_q_; }
-  std::uint32_t max_delay_q() const { return max_delay_q_; }
-  /// Exact quantized max per-node validation delay.
-  std::uint32_t max_validation_q() const { return max_validation_q_; }
-
-  bool forwards(NodeId v) const {
-    return (forwards_[v >> 6] >> (v & 63)) & 1;
-  }
-  std::uint32_t validation_q(NodeId v) const { return validation_q_[v]; }
-
-  /// Raw arrays for the engine hot loop: row `v` spans
-  /// `offsets()[v] .. offsets()[v + 1]` of `peer_data()` / `delay_data()`.
-  const std::uint32_t* offsets() const { return offsets_.data(); }
-  const std::uint32_t* peer_data() const { return peer_.data(); }
-  const std::uint32_t* delay_data() const { return delay_q_.data(); }
-
-  /// Heap bytes behind this snapshot.
-  std::size_t memory_bytes() const;
-
- private:
-  CompactCsr() = default;
-
-  util::FixedPointScale scale_;
-  std::vector<std::uint32_t> offsets_;       ///< n+1 packed row boundaries
-  std::vector<std::uint32_t> peer_;          ///< flattened adjacency
-  std::vector<std::uint32_t> delay_q_;       ///< quantized block δ per entry
-  std::vector<std::uint32_t> validation_q_;  ///< quantized Δv per node
-  std::vector<std::uint64_t> forwards_;      ///< relay-flag bitmap
-  std::uint32_t min_delay_q_ = 0;
-  std::uint32_t max_delay_q_ = 0;
-  std::uint32_t max_validation_q_ = 0;
 };
 
 /// Refresh-on-demand cache: hands out a `CsrTopology` snapshot current for

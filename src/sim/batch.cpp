@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -21,44 +22,23 @@ static_assert(alignof(MultiSourceScratch::Lane) >= 64,
 namespace {
 
 // Per-batch relaxation plan, derived once from the snapshot's cached delay
-// bounds: bucket width w <= min δ / 2 gives every relaxation a >= 2w key
-// increase, so a candidate can never land in the bucket being drained even
-// after floating-point index rounding (see bucket_queue.hpp). Three tiers,
-// best first:
-//  - fixed-point buckets: u32 quantized keys, integer-only pop/push path;
-//  - double-width buckets: the replay oracle, for graphs whose key span
-//    overflows the u32 grid but still fits the ring;
-//  - 4-ary heap: degenerate delays (zero/non-finite) or an unbucketable
-//    span.
-struct BatchPlan {
-  bool use_buckets = false;
-  bool fixed = false;
-  double width = 0.0;                 // double-width mode
-  BucketQueue::FixedPlan fixed_plan;  // fixed-point mode
-};
+// bounds: the u32 fixed-point bucket grid (`BucketQueue::plan_fixed`), whose
+// width <= min δ / 2 gives every relaxation a >= 2w key increase, so a
+// candidate can never land in the bucket being drained (see
+// bucket_queue.hpp). nullopt — degenerate delays (zero/non-finite, an
+// edgeless graph) or a key span the u32 grid cannot hold — sends the batch
+// to the 4-ary heap.
+using BatchPlan = std::optional<BucketQueue::FixedPlan>;
 
 BatchPlan make_plan(const net::CsrTopology& csr) {
-  BatchPlan plan;
-  if (csr.num_links() == 0) return plan;
-  const double min_delay = csr.min_delay_ms();
+  if (csr.num_links() == 0) return std::nullopt;
   const double max_reach = csr.max_delay_ms() + csr.max_validation_ms();
   // Conservative key ceiling: a settled chain is at most n nodes deep and
   // each relaxation adds at most max_reach; doubled for slack (same bound
   // the parallel plan uses).
   const double max_key =
       (static_cast<double>(csr.size()) + 1.0) * max_reach * 2.0;
-  if (const auto fixed = BucketQueue::plan_fixed(min_delay, max_reach,
-                                                 max_key)) {
-    plan.use_buckets = true;
-    plan.fixed = true;
-    plan.fixed_plan = *fixed;
-    return plan;
-  }
-  if (BucketQueue::viable(min_delay, max_reach)) {
-    plan.use_buckets = true;
-    plan.width = BucketQueue::preferred_width(min_delay, max_reach);
-  }
-  return plan;
+  return BucketQueue::plan_fixed(csr.min_delay_ms(), max_reach, max_key);
 }
 
 // Branchless settled/stale gate: a pop is live iff its key still equals the
@@ -71,9 +51,9 @@ inline bool pop_is_fresh(double t, double arrival_u) {
          std::bit_cast<std::uint64_t>(arrival_u);
 }
 
-// One source's Dijkstra relaxation into caller-provided stripes. The inner
-// loop matches the single-source CSR engine except for three proven-equal
-// transformations:
+// One source's bucket-queue Dijkstra relaxation into a caller-provided
+// arrival stripe. The inner loop matches the single-source CSR engine
+// except for three proven-equal transformations:
 //  - the per-edge `settled[v]` skip is dropped — a settled v has
 //    arrival <= the key being drained, so `cand < arrival[v]` is already
 //    false;
@@ -82,20 +62,17 @@ inline bool pop_is_fresh(double t, double arrival_u) {
 //    so an entry is the settling one iff its key equals the node's current
 //    arrival, and no later entry can match again (post-settle relaxations
 //    never improve a settled node);
-//  - ready is filled in one pass afterwards (skipped when the caller only
-//    consumes arrival): the last per-edge store the reference engine makes
-//    is exactly final-arrival + Δv, and +inf + Δv == +inf keeps unreached
-//    nodes exact.
+//  - ready is filled in one pass afterwards (`fill_ready`).
 // The Release-mode micro-pass adds three more, all order-preserving (no
 // comparison outcome and no store sequence changes, so the byte-parity
 // argument is untouched): the stale/forwards gate is evaluated branchlessly
 // by collapsing the row to empty, the next pop's row metadata is software-
-// prefetched during the current row scan, and the queue itself buckets by
-// u32 fixed-point keys when the plan admits it (pop order is still exact
-// (key, node) order — see bucket_queue.hpp).
-void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
-               MultiSourceScratch::Lane& lane, net::NodeId src,
-               double* arrival, double* ready) {
+// prefetched during the current row scan, and the queue buckets by u32
+// fixed-point keys (pop order is still exact (key, node) order — see
+// bucket_queue.hpp).
+void relax_buckets(const net::CsrTopology& csr,
+                   const BucketQueue::FixedPlan& plan, BucketQueue& queue,
+                   net::NodeId src, double* arrival) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   std::fill_n(arrival, n, util::kInf);
@@ -112,89 +89,58 @@ void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
 
-  if (plan.use_buckets) {
-    BucketQueue& queue = lane.queue;
-    if (plan.fixed) {
-      queue.reset(plan.fixed_plan);
-    } else {
-      queue.reset(plan.width);
-    }
-    queue.push(0.0, src);
-    while (!queue.empty()) {
-      const BucketQueue::Entry top = queue.pop();
-      const double t = top.key;
-      const net::NodeId u = top.node;
-      // Overlap the next pop's data-dependent loads (its row bounds and
-      // arrival slot) with this row's scan; on a bucket boundary peek_next
-      // degrades to re-hinting u, which costs nothing.
-      const net::NodeId nxt = queue.peek_next(u);
-      PERIGEE_PREFETCH(&offsets[nxt]);
-      PERIGEE_PREFETCH(&arrival[nxt]);
-      PERIGEE_TELEMETRY_ONLY(++tally_pops;)
-      // Branchless settle: stale or non-forwarding pops scan an empty row
-      // (row_end collapsed onto row_begin) instead of taking a branch the
-      // predictor can't learn.
-      const bool fresh = pop_is_fresh(t, arrival[u]);
-      const bool live = fresh & (csr.forwards(u) | (u == src));
-      PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
-      const std::size_t row_begin = offsets[u];
-      const std::size_t row_end = live ? row_ends[u] : row_begin;
-      const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
-      for (std::size_t e = row_begin; e < row_end; ++e) {
-        if (e + util::kEdgePrefetchDistance < row_end) {
-          PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
-        }
-        const net::NodeId v = peers[e];
-        const double cand = ready_u + delays[e];
-        if (cand < arrival[v]) {
-          arrival[v] = cand;
-          queue.push(cand, v);
-        }
+  queue.reset(plan);
+  queue.push(0.0, src);
+  while (!queue.empty()) {
+    const BucketQueue::Entry top = queue.pop();
+    const double t = top.key;
+    const net::NodeId u = top.node;
+    // Overlap the next pop's data-dependent loads (its row bounds and
+    // arrival slot) with this row's scan; on a bucket boundary peek_next
+    // degrades to re-hinting u, which costs nothing.
+    const net::NodeId nxt = queue.peek_next(u);
+    PERIGEE_PREFETCH(&offsets[nxt]);
+    PERIGEE_PREFETCH(&arrival[nxt]);
+    PERIGEE_TELEMETRY_ONLY(++tally_pops;)
+    // Branchless settle: stale or non-forwarding pops scan an empty row
+    // (row_end collapsed onto row_begin) instead of taking a branch the
+    // predictor can't learn.
+    const bool fresh = pop_is_fresh(t, arrival[u]);
+    const bool live = fresh & (csr.forwards(u) | (u == src));
+    PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
+    const std::size_t row_begin = offsets[u];
+    const std::size_t row_end = live ? row_ends[u] : row_begin;
+    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
+    for (std::size_t e = row_begin; e < row_end; ++e) {
+      if (e + util::kEdgePrefetchDistance < row_end) {
+        PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
+      }
+      const net::NodeId v = peers[e];
+      const double cand = ready_u + delays[e];
+      if (cand < arrival[v]) {
+        arrival[v] = cand;
+        queue.push(cand, v);
       }
     }
-    PERIGEE_COUNTER_ADD("engine.bucket.sources", 1);
-    PERIGEE_COUNTER_ADD("engine.bucket.fixed_sources", plan.fixed ? 1 : 0);
-    PERIGEE_COUNTER_ADD("engine.bucket.pops", tally_pops);
-    PERIGEE_COUNTER_ADD("engine.bucket.stale_pops", tally_stale);
-    PERIGEE_COUNTER_ADD("engine.bucket.empty_skips", queue.empty_skips());
-  } else {
-    std::vector<HeapItem>& heap = lane.heap;
-    heap.clear();
-    heap_push(heap, {0.0, src});
-    while (!heap.empty()) {
-      const auto [t, u] = heap_pop(heap);
-      PERIGEE_TELEMETRY_ONLY(++tally_pops;)
-      const bool fresh = pop_is_fresh(t, arrival[u]);
-      const bool live = fresh & (csr.forwards(u) | (u == src));
-      PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
-      const std::size_t row_begin = offsets[u];
-      const std::size_t row_end = live ? row_ends[u] : row_begin;
-      const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
-      for (std::size_t e = row_begin; e < row_end; ++e) {
-        if (e + util::kEdgePrefetchDistance < row_end) {
-          PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
-        }
-        const net::NodeId v = peers[e];
-        const double cand = ready_u + delays[e];
-        if (cand < arrival[v]) {
-          arrival[v] = cand;
-          heap_push(heap, {cand, v});
-        }
-      }
-    }
-    // Heap sources = both bucket plans failed for this snapshot (degenerate
-    // delays or too wide a key span).
-    PERIGEE_COUNTER_ADD("engine.heap.sources", 1);
-    PERIGEE_COUNTER_ADD("engine.heap.pops", tally_pops);
-    PERIGEE_COUNTER_ADD("engine.heap.stale_pops", tally_stale);
   }
+  PERIGEE_COUNTER_ADD("engine.bucket.sources", 1);
+  PERIGEE_COUNTER_ADD("engine.bucket.pops", tally_pops);
+  PERIGEE_COUNTER_ADD("engine.bucket.stale_pops", tally_stale);
+  PERIGEE_COUNTER_ADD("engine.bucket.empty_skips", queue.empty_skips());
+}
 
-  if (ready != nullptr) {
-    for (std::size_t v = 0; v < n; ++v) {
-      ready[v] = arrival[v] + csr.validation_ms(static_cast<net::NodeId>(v));
-    }
-    ready[src] = 0.0;  // the miner does not validate its own block
+// One source into caller-provided stripes: the bucket relaxation when the
+// batch has a plan, the heap fallback otherwise, then the ready fill
+// (skipped when the caller only consumes arrival).
+void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
+               MultiSourceScratch::Lane& lane, net::NodeId src,
+               double* arrival, double* ready) {
+  if (plan.has_value()) {
+    relax_buckets(csr, *plan, lane.queue, src, arrival);
+  } else {
+    relax_heap(csr, src, lane.heap, arrival);
   }
+  if (ready != nullptr) fill_ready(csr, src, arrival, ready);
 }
 
 // Fans `count` sources across the pool as contiguous per-worker ranges;
@@ -231,6 +177,56 @@ void dispatch(std::size_t count, MultiSourceScratch& scratch,
 }
 
 }  // namespace
+
+void relax_heap(const net::CsrTopology& csr, net::NodeId src,
+                std::vector<HeapItem>& heap, double* arrival) {
+  const std::size_t n = csr.size();
+  PERIGEE_ASSERT(src < n);
+  std::fill_n(arrival, n, util::kInf);
+  arrival[src] = 0.0;
+  const std::size_t* offsets = csr.offsets();
+  const std::size_t* row_ends = csr.row_ends();
+  const net::NodeId* peers = csr.peer_data();
+  const double* delays = csr.delay_data();
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
+  heap.clear();
+  heap_push(heap, {0.0, src});
+  while (!heap.empty()) {
+    const auto [t, u] = heap_pop(heap);
+    PERIGEE_TELEMETRY_ONLY(++tally_pops;)
+    // Same branchless settle as the bucket path in solve_one.
+    const bool fresh = pop_is_fresh(t, arrival[u]);
+    const bool live = fresh & (csr.forwards(u) | (u == src));
+    PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
+    const std::size_t row_begin = offsets[u];
+    const std::size_t row_end = live ? row_ends[u] : row_begin;
+    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
+    for (std::size_t e = row_begin; e < row_end; ++e) {
+      if (e + util::kEdgePrefetchDistance < row_end) {
+        PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
+      }
+      const net::NodeId v = peers[e];
+      const double cand = ready_u + delays[e];
+      if (cand < arrival[v]) {
+        arrival[v] = cand;
+        heap_push(heap, {cand, v});
+      }
+    }
+  }
+  PERIGEE_COUNTER_ADD("engine.heap.sources", 1);
+  PERIGEE_COUNTER_ADD("engine.heap.pops", tally_pops);
+  PERIGEE_COUNTER_ADD("engine.heap.stale_pops", tally_stale);
+}
+
+void fill_ready(const net::CsrTopology& csr, net::NodeId src,
+                const double* arrival, double* ready) {
+  const std::size_t n = csr.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    ready[v] = arrival[v] + csr.validation_ms(static_cast<net::NodeId>(v));
+  }
+  ready[src] = 0.0;  // the miner does not validate its own block
+}
 
 void MultiSourceResult::extract(std::size_t s, BroadcastResult& out) const {
   PERIGEE_ASSERT(s < sources.size());

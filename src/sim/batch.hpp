@@ -12,9 +12,11 @@
 ///    stripe of an arena each (`MultiSourceResult`), so a batch performs two
 ///    allocations total instead of 2·|sources|;
 ///  - the per-source relaxation replaces the 4-ary heap with a monotone
-///    `BucketQueue` whose width derives from the snapshot's minimum edge
-///    delay (graphs where that is degenerate — a zero-latency infra edge, an
-///    edgeless topology — fall back to the shared `dary_heap.hpp` path);
+///    `BucketQueue` over u32 fixed-point keys, its grid derived from the
+///    snapshot's delay bounds (`BucketQueue::plan_fixed`); snapshots no
+///    grid fits — a zero-latency infra edge, an edgeless topology, a key
+///    span too wide for u32 — take the batch to `relax_heap`, the one
+///    heap fallback both this engine and the parallel engine share;
 ///  - the ready vector is filled in one vectorizable pass after the
 ///    relaxation (`ready[v] = arrival[v] + Δv`), which is bit-identical to
 ///    the reference engines' per-relaxation stores because the last value
@@ -150,6 +152,20 @@ struct alignas(64) MultiSourceScratch::Lane {
   /// Ping-pong buffer for the radix sort of `by_arrival`.
   std::vector<std::pair<double, double>> sort_scratch;
 };
+
+/// Heap relaxation of one source into `arrival` (`csr.size()` doubles):
+/// the fallback for snapshots no fixed-point bucket plan admits, shared by
+/// this engine and the parallel engine (sim/parallel.hpp) so their fallback
+/// bytes agree by construction. `heap` is reusable lane storage.
+void relax_heap(const net::CsrTopology& csr, net::NodeId src,
+                std::vector<HeapItem>& heap, double* arrival);
+
+/// Fills `ready` from final arrivals in one pass: `ready[v] = arrival[v] +
+/// Δv`, `ready[src] = 0`. Bit-identical to the reference engines'
+/// per-relaxation stores, because the last value they store is exactly
+/// final-arrival + Δv (and +inf + Δv == +inf keeps unreached nodes exact).
+void fill_ready(const net::CsrTopology& csr, net::NodeId src,
+                const double* arrival, double* ready);
 
 /// Simulates a broadcast from every entry of `sources` over one compiled
 /// snapshot, materializing all stripes (the round loop's shape: |B| miners,

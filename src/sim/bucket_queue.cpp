@@ -8,25 +8,6 @@
 
 namespace perigee::sim {
 
-bool BucketQueue::viable(double min_delay, double max_reach) {
-  if (!(min_delay > 0.0) || !std::isfinite(min_delay)) return false;
-  if (!(max_reach >= 0.0) || !std::isfinite(max_reach)) return false;
-  // The widest correct width is min_delay / 2; the ring must hold every
-  // pending bucket, and pending keys span at most one relaxation reach
-  // past the current bucket.
-  return max_reach / (min_delay * 0.5) + 4.0 <
-         static_cast<double>(kPreferredBuckets);
-}
-
-double BucketQueue::preferred_width(double min_delay, double max_reach) {
-  double width = min_delay / kOccupancyDivisor;
-  const double floor = max_reach / static_cast<double>(kPreferredBuckets);
-  if (width < floor) width = floor;
-  // Never above the correctness ceiling (viable() guarantees the floor
-  // itself is below it).
-  return std::min(width, min_delay * 0.5);
-}
-
 std::optional<BucketQueue::FixedPlan> BucketQueue::plan_fixed(
     double min_delay, double max_reach, double max_key) {
   if (!(min_delay > 0.0) || !std::isfinite(min_delay)) return std::nullopt;
@@ -48,13 +29,13 @@ std::optional<BucketQueue::FixedPlan> BucketQueue::plan_fixed(
   const std::uint64_t min_q = grid.quantize(min_delay);
   const std::optional<int> ceiling = util::bucket_width_shift(min_q);
   if (!ceiling.has_value()) return std::nullopt;
-  // Start from the occupancy sweet spot double mode runs at — the widest
-  // power-of-two width not above min-delay / kOccupancyDivisor, i.e. 3
-  // shifts under the delta-stepping ceiling (<= min-delay / 2). Thin
-  // buckets keep the active-bucket insertion sort near-free; starting at
-  // the ceiling measurably slows the batched all-sources eval. Then widen
-  // until one relaxation reach of pending buckets fits the same ring
-  // budget double mode steers to. Wider buckets stay order-correct here:
+  // Start from the occupancy sweet spot — the widest power-of-two width
+  // not above min-delay / 16, i.e. 3 shifts under the delta-stepping
+  // ceiling (<= min-delay / 2). Thin buckets keep the active-bucket
+  // insertion sort near-free; starting at the ceiling measurably slows the
+  // batched all-sources eval. Then widen until one relaxation reach of
+  // pending buckets fits the kPreferredBuckets ring budget. Wider buckets
+  // stay order-correct here:
   // the sequential queue drains its active bucket sorted, so width only
   // trades scan cost against in-bucket insert cost.
   int shift = *ceiling >= 3 ? *ceiling - 3 : 0;
@@ -88,18 +69,9 @@ void BucketQueue::clear_and_rewind() {
   if (ring_.empty()) grow(0);  // keeps the ring check out of push()
 }
 
-void BucketQueue::reset(double width) {
-  PERIGEE_ASSERT(width > 0.0 && std::isfinite(width));
-  clear_and_rewind();
-  fixed_ = false;
-  width_ = width;
-  inv_width_ = 1.0 / width;
-}
-
 void BucketQueue::reset(const FixedPlan& plan) {
   PERIGEE_ASSERT(plan.grid.scale > 0.0 && plan.shift >= 0);
   clear_and_rewind();
-  fixed_ = true;
   scale_ = plan.grid.scale;
   shift_ = plan.shift;
   width_ = plan.width();
@@ -120,15 +92,16 @@ void BucketQueue::grow(std::uint64_t span_needed) {
   while (capacity <= span_needed) capacity *= 2;
   PERIGEE_ASSERT_MSG(capacity <= kMaxBuckets,
                      "bucket queue span exceeds kMaxBuckets; the caller "
-                     "should have used BucketQueue::viable");
+                     "should have used BucketQueue::plan_fixed");
   std::vector<std::vector<Entry>> fresh(capacity);
   const std::uint64_t new_mask = capacity - 1;
   // Remap live buckets: every entry of a slot shares one absolute bucket
-  // index (pending keys span < old capacity), recoverable from any entry
-  // via the mode-aware bucket_of_entry.
+  // index (pending keys span < old capacity), recoverable from any entry's
+  // qkey.
   for (auto& bucket : ring_) {
     if (bucket.empty()) continue;
-    const std::uint64_t abs_bucket = bucket_of_entry(bucket.front());
+    const std::uint64_t abs_bucket =
+        std::uint64_t{bucket.front().qkey} >> shift_;
     fresh[abs_bucket & new_mask] = std::move(bucket);
   }
   ring_ = std::move(fresh);

@@ -21,26 +21,16 @@
 /// directly, and the batched engine therefore settles nodes in exactly the
 /// reference engine's sequence.
 ///
-/// Two bucketing modes share the ring (selected per `reset` overload):
-///
-///  - **u32 fixed-point** (the engine's hot path): keys are quantized onto a
-///    power-of-two grid (`util::FixedPointScale`, exact floor) at push time
-///    and the bucket index is `qkey >> shift` — pure integer math. The exact
-///    floor is monotone, so a push can never land below the bucket being
-///    drained and the double-rounding clamp disappears from `push`; the
-///    active-bucket sort compares the stored u32 qkey first and only breaks
-///    qkey ties through the key's IEEE bit pattern (for finite nonnegative
-///    doubles, unsigned bit-pattern order *is* numeric order), so the hot
-///    pop/sort path performs no double compares at all. `plan_fixed` derives
-///    a grid whose largest conceivable key fits u32.
-///  - **double width** (the replay oracle): the original `floor(key *
-///    inv_width)` indexing, kept for graphs whose key span overflows the u32
-///    grid and as the independently-verified oracle the fixed-point mode is
-///    property-tested against.
-///
-/// Pop order is identical in both modes — the mode only decides how entries
-/// are *grouped*, never how they compare — which is what lets the engines
-/// switch modes per snapshot without breaking the byte-parity bar.
+/// Keys are bucketed on a u32 fixed-point grid: each key is quantized onto
+/// a power-of-two grid (`util::FixedPointScale`, exact floor) at push time
+/// and the bucket index is `qkey >> shift` — pure integer math. The exact
+/// floor is monotone, so a push can never land below the bucket being
+/// drained and `push` needs no rounding clamp; the active-bucket sort
+/// compares the stored u32 qkey first and only breaks qkey ties through the
+/// key's IEEE bit pattern (for finite nonnegative doubles, unsigned
+/// bit-pattern order *is* numeric order), so the hot pop/sort path performs
+/// no double compares at all. `plan_fixed` derives a grid whose largest
+/// conceivable key fits u32; graphs it rejects go to the 4-ary heap.
 ///
 /// The bucket array is a power-of-two ring over *absolute* bucket indices
 /// (slot = index & mask), valid because pending keys span less than the ring
@@ -65,9 +55,7 @@ namespace perigee::sim {
 class BucketQueue {
  public:
   /// One queued element: (arrival-time key, fixed-point image, node). `qkey`
-  /// is `floor(key * scale)` in fixed-point mode and 0 in double mode; it is
-  /// the primary sort key either way (all-zero qkeys defer to the exact
-  /// bit-pattern compare, so double mode orders identically).
+  /// is `floor(key * scale)`, the primary sort key.
   struct Entry {
     double key;
     std::uint32_t qkey;
@@ -77,25 +65,8 @@ class BucketQueue {
 
   /// Hard ring-size ceiling enforced by `grow`.
   static constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 20;
-  /// Ring size `preferred_width`/`plan_fixed` steer towards (memory/scan
-  /// sweet spot).
+  /// Ring size `plan_fixed` steers towards (memory/scan sweet spot).
   static constexpr std::uint64_t kPreferredBuckets = std::uint64_t{1} << 16;
-  /// Denominator of the default width min_delay / 16: several buckets per
-  /// smallest edge delay keeps buckets thin (~1–3 entries), so the active-
-  /// bucket sort stays negligible even when edge delays cluster.
-  static constexpr double kOccupancyDivisor = 16.0;
-
-  /// True when a graph with smallest edge delay `min_delay` and largest
-  /// single-relaxation key increase `max_reach` (max edge delay + max
-  /// validation) admits a correct width (<= min_delay / 2) whose ring stays
-  /// within `kPreferredBuckets`. False for zero/negative/non-finite delays —
-  /// those graphs use the heap path.
-  static bool viable(double min_delay, double max_reach);
-
-  /// The width the engine should run a `viable` graph at: min_delay / 16,
-  /// floored so the ring holds at most `kPreferredBuckets` buckets, capped
-  /// at the min_delay / 2 correctness ceiling.
-  static double preferred_width(double min_delay, double max_reach);
 
   /// A fixed-point bucketing plan: the quantization grid plus the power-of-
   /// two bucket width (`2^shift` grid units).
@@ -112,32 +83,24 @@ class BucketQueue {
   /// slack): the finest power-of-two grid that resolves `min_delay` to ~2^9
   /// units, coarsened until `max_key` quantizes below 2^32 so every qkey
   /// fits u32; the bucket width starts at the occupancy sweet spot
-  /// (<= min_delay / kOccupancyDivisor, matching double mode's preferred
-  /// width) and widens until one relaxation reach fits the
-  /// `kPreferredBuckets` ring budget. nullopt when no grid works —
+  /// (<= min_delay / 16: several buckets per smallest edge delay keep
+  /// buckets thin, ~1–3 entries) and widens until one relaxation reach fits
+  /// the `kPreferredBuckets` ring budget. nullopt when no grid works —
   /// degenerate delays, or a key span over ~2^31x the min delay, where the
   /// u32 image cannot both hold `max_key` and resolve `min_delay` to the
-  /// >= 2 units a bucket width needs — and callers fall back to the
-  /// double-width mode or the heap.
+  /// >= 2 units a bucket width needs — and callers fall back to the heap.
   static std::optional<FixedPlan> plan_fixed(double min_delay,
                                              double max_reach, double max_key);
 
-  /// Empties the queue and selects **double-width mode**. Keeps previously
-  /// grown storage. `width` must be > 0 and finite; pair it with `viable` so
-  /// the span of keys reachable from one relaxation fits `kMaxBuckets`.
-  void reset(double width);
-
-  /// Empties the queue and selects **fixed-point mode** with `plan` (from
-  /// `plan_fixed`). Keeps previously grown storage.
+  /// Empties the queue and installs `plan` (from `plan_fixed`). Keeps
+  /// previously grown storage.
   void reset(const FixedPlan& plan);
 
   /// Pending entries (including not-yet-skipped duplicates).
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// The bucket width the last `reset` installed (exact in both modes).
+  /// The bucket width the last `reset` installed (exact).
   double width() const { return width_; }
-  /// True when the last `reset` selected fixed-point mode.
-  bool fixed_point() const { return fixed_; }
 
   /// Empty buckets skipped by `advance_to_nonempty` since the last `reset`.
   /// Telemetry only (flushed into the obs registry per source by the batch
@@ -162,27 +125,16 @@ class BucketQueue {
   /// Inserts an entry. Contract (unchecked in the hot path): `reset` was
   /// called at least once, and `key` is finite, >= 0 (never -0.0 — its bit
   /// pattern would sort above every positive key), and >= the key of the
-  /// last `pop` (the Dijkstra monotonicity this queue is built for). In
-  /// fixed-point mode the caller's plan additionally bounds `key * scale`
-  /// below 2^32 (`plan_fixed` guarantees it for in-plan graphs).
+  /// last `pop` (the Dijkstra monotonicity this queue is built for). The
+  /// caller's plan additionally bounds `key * scale` below 2^32
+  /// (`plan_fixed` guarantees it for in-plan graphs).
   /// Inline: a sparse relaxation pushes a few thousand times per source, so
   /// the O(1) body must not cost a call.
   void push(double key, net::NodeId node) {
-    std::uint32_t qkey = 0;
-    std::uint64_t bucket;
-    if (fixed_) {
-      // Exact floor onto the grid (scale is a power of two); monotone, so
-      // the bucket can never fall below cur_ — no clamp.
-      qkey = static_cast<std::uint32_t>(key * scale_);
-      bucket = qkey >> shift_;
-    } else {
-      bucket = static_cast<std::uint64_t>(key * inv_width_);
-      // Monotone contract gives bucket >= cur_ up to a sub-ulp rounding of
-      // key * inv_width_, which can map an equal key one bucket low;
-      // clamping preserves exact pop order (the key belongs among the
-      // current bucket's remainder either way).
-      if (bucket < cur_) bucket = cur_;
-    }
+    // Exact floor onto the grid (scale is a power of two); monotone, so the
+    // bucket can never fall below cur_ — no clamp.
+    const auto qkey = static_cast<std::uint32_t>(key * scale_);
+    const std::uint64_t bucket = qkey >> shift_;
     if (bucket - cur_ >= mask_ + 1) grow(bucket - cur_);
     std::vector<Entry>& vec = slot(bucket);
     if (vec.empty()) mark_occupied(bucket);
@@ -250,7 +202,7 @@ class BucketQueue {
 
  private:
   /// Descending (key, node) order — the drain-from-back sort order. The u32
-  /// qkey image decides first (0 for every entry in double mode); a qkey tie
+  /// qkey image decides first; a qkey tie
   /// falls through to the exact key via its IEEE bit pattern — for finite
   /// nonnegative doubles the unsigned bit-pattern order equals the numeric
   /// order, so ties and 1-ulp-apart keys resolve exactly, with no double
@@ -260,14 +212,6 @@ class BucketQueue {
     const std::uint64_t ab = std::bit_cast<std::uint64_t>(a.key);
     const std::uint64_t bb = std::bit_cast<std::uint64_t>(b.key);
     return ab != bb ? ab > bb : a.node > b.node;
-  }
-  /// Mode-aware recompute of an entry's absolute bucket (grow's remap).
-  std::uint64_t bucket_of_entry(const Entry& e) const {
-    if (fixed_) return std::uint64_t{e.qkey} >> shift_;
-    // The max with cur_ restores the slot a clamped fp-slop entry in the
-    // active bucket was actually stored in.
-    const auto bucket = static_cast<std::uint64_t>(e.key * inv_width_);
-    return bucket < cur_ ? cur_ : bucket;
   }
   std::vector<Entry>& slot(std::uint64_t bucket) {
     return ring_[bucket & mask_];
@@ -287,10 +231,8 @@ class BucketQueue {
   void advance_to_nonempty();
 
   double width_ = 1.0;
-  double inv_width_ = 1.0;   ///< double mode only
-  double scale_ = 1.0;       ///< fixed-point mode: the grid's 2^exponent
-  int shift_ = 0;            ///< fixed-point mode: log2 bucket width (units)
-  bool fixed_ = false;       ///< mode selected by the last reset
+  double scale_ = 1.0;       ///< the grid's 2^exponent
+  int shift_ = 0;            ///< log2 bucket width (grid units)
   std::uint64_t cur_ = 0;    ///< absolute index of the bucket being drained
   bool cur_sorted_ = false;  ///< true once `cur_`'s slot was sorted
   std::size_t size_ = 0;

@@ -1,6 +1,6 @@
 /// \file
-/// \brief 4-ary min-heap over (key, node) pairs, shared by the single-source
-/// CSR engine and the batched engine's fallback path.
+/// \brief 4-ary min-heap, shared by the single-source CSR engine, the
+/// delay engines' heap fallback (`relax_heap`) and the egress event queue.
 ///
 /// Ordered lexicographically — the same total order
 /// `std::priority_queue<pair, greater<>>` pops in, so every engine built on
@@ -21,10 +21,9 @@ namespace perigee::sim {
 
 inline constexpr std::size_t kHeapArity = 4;
 
-/// One heap element: (arrival-time key, node). The functions below are
-/// templated so the compact fixed-point engine can reuse them with
-/// integer-keyed items; lexicographic `operator<` defines the order either
-/// way.
+/// One delay-relaxation element: (arrival-time key, node). The functions
+/// below are templated over the item type so the egress engine can queue
+/// its own event records; the item's `operator<` defines the order.
 using HeapItem = std::pair<double, net::NodeId>;
 
 /// Sift-up insertion. The item parameter is a non-deduced context so braced

@@ -8,7 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runner/thread_pool.hpp"
-#include "sim/dary_heap.hpp"
+#include "sim/batch.hpp"
 #include "util/assert.hpp"
 #include "util/fixedpoint.hpp"
 #include "util/prefetch.hpp"
@@ -32,12 +32,10 @@ constexpr std::uint64_t kMaxRingBuckets = std::uint64_t{1} << 20;
 /// every bucket round; starting each lane on its own cache line keeps that
 /// traffic private (same guard as MultiSourceScratch::Lane).
 struct alignas(64) ParallelScratch::Lane {
-  /// A buffered remote relaxation: the target node and the candidate key's
-  /// bit pattern (doubles are carried through std::bit_cast so one buffer
-  /// type serves both the double and the u64 fixed-point world).
+  /// A buffered remote relaxation: the target node and its candidate key.
   struct Candidate {
     std::uint32_t node;
-    std::uint64_t key_bits;
+    double key;
   };
 
   std::vector<std::vector<std::uint32_t>> ring;  ///< bucket slots (node ids)
@@ -46,8 +44,7 @@ struct alignas(64) ParallelScratch::Lane {
   std::size_t pending = 0;
   std::vector<std::vector<Candidate>> outbox;  ///< per target worker
   std::vector<std::uint8_t> settled;           ///< per owned node
-  std::vector<HeapItem> heap;                  ///< double fallback storage
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> heap_q;  ///< compact
+  std::vector<HeapItem> heap;                  ///< heap fallback storage
 
   void ensure_ring(std::uint64_t cap) {
     if (!ring.empty() && mask + 1 >= cap) return;
@@ -99,8 +96,7 @@ struct alignas(64) ParallelScratch::Lane {
                         occupied.capacity() * sizeof(std::uint64_t) +
                         settled.capacity() +
                         outbox.capacity() * sizeof(outbox[0]) +
-                        heap.capacity() * sizeof(HeapItem) +
-                        heap_q.capacity() * sizeof(heap_q[0]);
+                        heap.capacity() * sizeof(HeapItem);
     for (const auto& slot : ring) {
       bytes += slot.capacity() * sizeof(std::uint32_t);
     }
@@ -204,65 +200,6 @@ ParallelPlan make_parallel_plan(const net::CsrTopology& csr) {
   return plan;
 }
 
-/// The two instantiations of the bucket-synchronous core. A world bundles
-/// the graph arrays and the key arithmetic; `Key` is double (bit-parity
-/// world) or u64 (compact fixed-point world).
-struct DoubleWorld {
-  using Key = double;
-  const net::CsrTopology* csr;
-  double scale;
-  int shift;
-  std::size_t n;
-  const std::size_t* offsets;
-  const std::size_t* row_ends;
-  const net::NodeId* peers;
-  const double* delays;
-
-  static constexpr Key unreached() { return util::kInf; }
-  std::size_t row_begin(std::uint32_t u) const { return offsets[u]; }
-  std::size_t row_end(std::uint32_t u) const { return row_ends[u]; }
-  std::uint32_t peer(std::size_t e) const { return peers[e]; }
-  bool forwards(std::uint32_t u) const { return csr->forwards(u); }
-  Key ready_of(Key t, std::uint32_t u) const {
-    return t + csr->validation_ms(u);
-  }
-  Key cand_of(Key ready, std::size_t e) const { return ready + delays[e]; }
-  /// Exact: key * scale is an exponent shift (scale is a power of two), the
-  /// cast truncation is the true floor.
-  std::uint64_t bucket_of(Key key) const {
-    return static_cast<std::uint64_t>(key * scale) >> shift;
-  }
-  static std::uint64_t to_bits(Key key) {
-    return std::bit_cast<std::uint64_t>(key);
-  }
-  static Key from_bits(std::uint64_t bits) {
-    return std::bit_cast<Key>(bits);
-  }
-};
-
-struct CompactWorld {
-  using Key = std::uint64_t;
-  const net::CompactCsr* csr;
-  int shift;
-  std::size_t n;
-  const std::uint32_t* offsets;
-  const std::uint32_t* peers;
-  const std::uint32_t* delays;
-
-  static constexpr Key unreached() { return kUnreachedQ; }
-  std::size_t row_begin(std::uint32_t u) const { return offsets[u]; }
-  std::size_t row_end(std::uint32_t u) const { return offsets[u + 1]; }
-  std::uint32_t peer(std::size_t e) const { return peers[e]; }
-  bool forwards(std::uint32_t u) const { return csr->forwards(u); }
-  Key ready_of(Key t, std::uint32_t u) const {
-    return t + csr->validation_q(u);
-  }
-  Key cand_of(Key ready, std::size_t e) const { return ready + delays[e]; }
-  std::uint64_t bucket_of(Key key) const { return key >> shift; }
-  static std::uint64_t to_bits(Key key) { return key; }
-  static Key from_bits(std::uint64_t bits) { return bits; }
-};
-
 /// The bucket-synchronous team. Every member owns the contiguous node range
 /// [member * chunk, ...): it is the only writer of those arrival entries and
 /// of its own lane. Each non-empty bucket costs two barrier phases:
@@ -277,13 +214,20 @@ struct CompactWorld {
 ///
 /// Settled-once (see parallel.hpp) makes any relax interleaving produce the
 /// same bytes, so worker count never shows in the output.
-template <typename World>
-void delta_step_team(const World& world, std::uint32_t src,
-                     ParallelScratch& scratch, unsigned members,
-                     std::uint64_t ring_cap, typename World::Key* arrival,
+void delta_step_team(const net::CsrTopology& csr, const ParallelPlan& plan,
+                     std::uint32_t src, ParallelScratch& scratch,
+                     unsigned members, double* arrival,
                      runner::ThreadPool* pool) {
-  using Key = typename World::Key;
-  const std::size_t n = world.n;
+  const std::size_t n = csr.size();
+  const std::size_t* offsets = csr.offsets();
+  const std::size_t* row_ends = csr.row_ends();
+  const net::NodeId* peers = csr.peer_data();
+  const double* delays = csr.delay_data();
+  // Exact: key * scale is an exponent shift (scale is a power of two), the
+  // cast truncation is the true floor.
+  auto bucket_of = [&plan](double key) {
+    return static_cast<std::uint64_t>(key * plan.scale) >> plan.shift;
+  };
   const std::size_t chunk = (n + members - 1) / members;
 
   struct Shared {
@@ -309,12 +253,12 @@ void delta_step_team(const World& world, std::uint32_t src,
         static_cast<std::uint32_t>(std::min(w * chunk, n));
     const std::uint32_t hi =
         static_cast<std::uint32_t>(std::min(lo + chunk, n));
-    lane.ensure_ring(ring_cap);
+    lane.ensure_ring(plan.ring_cap);
     lane.outbox.resize(members);
     lane.settled.assign(hi - lo, 0);
-    std::fill(arrival + lo, arrival + hi, World::unreached());
+    std::fill(arrival + lo, arrival + hi, util::kInf);
     if (src >= lo && src < hi) {
-      arrival[src] = Key{};
+      arrival[src] = 0.0;
       lane.insert(0, src);
     }
     PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_relaxed = 0);
@@ -340,26 +284,26 @@ void delta_step_team(const World& world, std::uint32_t src,
         const std::uint8_t was_settled = lane.settled[u - lo];
         lane.settled[u - lo] = 1;
         const bool live =
-            (was_settled == 0) & (world.forwards(u) | (u == src));
-        const Key t = arrival[u];
-        const Key ready_u = u == src ? Key{} : world.ready_of(t, u);
-        const std::size_t row_begin = world.row_begin(u);
-        const std::size_t row_end = live ? world.row_end(u) : row_begin;
+            (was_settled == 0) & (csr.forwards(u) | (u == src));
+        const double t = arrival[u];
+        const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
+        const std::size_t row_begin = offsets[u];
+        const std::size_t row_end = live ? row_ends[u] : row_begin;
         PERIGEE_TELEMETRY_ONLY(tally_relaxed += live ? 1 : 0;)
         for (std::size_t e = row_begin; e < row_end; ++e) {
-          const std::uint32_t v = world.peer(e);
-          const Key cand = world.cand_of(ready_u, e);
+          const std::uint32_t v = peers[e];
+          const double cand = ready_u + delays[e];
           if (v >= lo && v < hi) {
             if (cand < arrival[v]) {
               arrival[v] = cand;
               // The exact-grid argument puts every candidate in a bucket
               // > cur already; the max is belt-and-braces, not a rounding
               // repair.
-              lane.insert(std::max(world.bucket_of(cand), cur + 1), v);
+              lane.insert(std::max(bucket_of(cand), cur + 1), v);
             }
           } else {
             PERIGEE_TELEMETRY_ONLY(++tally_remote;)
-            lane.outbox[v / chunk].push_back({v, World::to_bits(cand)});
+            lane.outbox[v / chunk].push_back({v, cand});
           }
         }
       }
@@ -369,10 +313,9 @@ void delta_step_team(const World& world, std::uint32_t src,
       // settled-once means any order would yield the same bytes.
       for (unsigned w2 = 0; w2 < members; ++w2) {
         for (const auto& c : scratch.lane(w2).outbox[w]) {
-          const Key cand = World::from_bits(c.key_bits);
-          if (cand < arrival[c.node]) {
-            arrival[c.node] = cand;
-            lane.insert(std::max(world.bucket_of(cand), cur + 1), c.node);
+          if (c.key < arrival[c.node]) {
+            arrival[c.node] = c.key;
+            lane.insert(std::max(bucket_of(c.key), cur + 1), c.node);
           }
         }
       }
@@ -392,71 +335,6 @@ void delta_step_team(const World& world, std::uint32_t src,
   } else {
     runner::run_team(*pool, members, member);
   }
-}
-
-/// Sequential heap fallback for the double world — the same relaxation the
-/// batched engine runs on non-viable graphs, so the bytes agree with it by
-/// construction (identical operation sequence), not just by the fixed-point
-/// argument.
-void solve_heap(const net::CsrTopology& csr, net::NodeId src,
-                std::vector<HeapItem>& heap, double* arrival) {
-  const std::size_t n = csr.size();
-  std::fill_n(arrival, n, util::kInf);
-  arrival[src] = 0.0;
-  const std::size_t* offsets = csr.offsets();
-  const std::size_t* row_ends = csr.row_ends();
-  const net::NodeId* peers = csr.peer_data();
-  const double* delays = csr.delay_data();
-  heap.clear();
-  heap_push(heap, {0.0, src});
-  while (!heap.empty()) {
-    const auto [t, u] = heap_pop(heap);
-    if (t != arrival[u]) continue;  // stale: u settled at a smaller key
-    if (!csr.forwards(u) && u != src) continue;
-    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
-    const std::size_t row_end = row_ends[u];
-    for (std::size_t e = offsets[u]; e < row_end; ++e) {
-      const net::NodeId v = peers[e];
-      const double cand = ready_u + delays[e];
-      if (cand < arrival[v]) {
-        arrival[v] = cand;
-        heap_push(heap, {cand, v});
-      }
-    }
-  }
-  PERIGEE_COUNTER_ADD("engine.parallel.heap_sources", 1);
-}
-
-/// Integer-key analogue for the compact world's degenerate graphs (a delay
-/// that quantizes to 0 or 1 admits no correct bucket width).
-void solve_heap_compact(const net::CompactCsr& csr, net::NodeId src,
-                        std::vector<std::pair<std::uint64_t, std::uint32_t>>&
-                            heap,
-                        std::uint64_t* arrival) {
-  const std::size_t n = csr.size();
-  std::fill_n(arrival, n, kUnreachedQ);
-  arrival[src] = 0;
-  const std::uint32_t* offsets = csr.offsets();
-  const std::uint32_t* peers = csr.peer_data();
-  const std::uint32_t* delays = csr.delay_data();
-  heap.clear();
-  heap_push(heap, {std::uint64_t{0}, src});
-  while (!heap.empty()) {
-    const auto [t, u] = heap_pop(heap);
-    if (t != arrival[u]) continue;
-    if (!csr.forwards(u) && u != src) continue;
-    const std::uint64_t ready_u = u == src ? 0 : t + csr.validation_q(u);
-    const std::uint32_t row_end = offsets[u + 1];
-    for (std::uint32_t e = offsets[u]; e < row_end; ++e) {
-      const std::uint32_t v = peers[e];
-      const std::uint64_t cand = ready_u + delays[e];
-      if (cand < arrival[v]) {
-        arrival[v] = cand;
-        heap_push(heap, {cand, v});
-      }
-    }
-  }
-  PERIGEE_COUNTER_ADD("engine.parallel.heap_sources", 1);
 }
 
 unsigned team_size(runner::ThreadPool* pool, std::size_t n) {
@@ -479,24 +357,15 @@ void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
   const unsigned members = plan.use_buckets ? team_size(pool, n) : 1;
   scratch.ensure_lanes(members);
   if (plan.use_buckets) {
-    DoubleWorld world{&csr,          plan.scale,      plan.shift,
-                      n,             csr.offsets(),   csr.row_ends(),
-                      csr.peer_data(), csr.delay_data()};
-    delta_step_team(world, src, scratch, members, plan.ring_cap, arrival,
-                    pool);
+    delta_step_team(csr, plan, src, scratch, members, arrival, pool);
     PERIGEE_COUNTER_ADD("engine.parallel.sources", 1);
     PERIGEE_HISTOGRAM_OBSERVE("engine.parallel.workers", members);
   } else {
-    solve_heap(csr, src, scratch.lane(0).heap, arrival);
+    // The batched engine's heap fallback: identical operation sequence,
+    // so the bytes agree with it by construction.
+    relax_heap(csr, src, scratch.lane(0).heap, arrival);
   }
-  if (ready != nullptr) {
-    // Same one-pass fill as the batched engine: the last value the
-    // reference engines store per node is exactly final-arrival + Δv.
-    for (std::size_t v = 0; v < n; ++v) {
-      ready[v] = arrival[v] + csr.validation_ms(static_cast<net::NodeId>(v));
-    }
-    ready[src] = 0.0;  // the miner does not validate its own block
-  }
+  if (ready != nullptr) fill_ready(csr, src, arrival, ready);
   PERIGEE_GAUGE_MAX("mem.parallel_scratch_bytes", scratch.memory_bytes());
 }
 
@@ -509,41 +378,6 @@ void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
   out.ready.resize(csr.size());
   simulate_broadcast_parallel(csr, src, scratch, out.arrival.data(),
                               out.ready.data(), pool);
-}
-
-void simulate_broadcast_compact(const net::CompactCsr& csr, net::NodeId src,
-                                ParallelScratch& scratch,
-                                std::uint64_t* arrival_q,
-                                runner::ThreadPool* pool) {
-  const std::size_t n = csr.size();
-  PERIGEE_ASSERT(src < n);
-  const std::uint32_t min_q = csr.min_delay_q();
-  const std::optional<int> shift =
-      csr.num_links() > 0 ? util::bucket_width_shift(min_q) : std::nullopt;
-  std::uint64_t ring_cap = 0;
-  if (shift.has_value()) {
-    // Key sums are exact u64 arithmetic; the only sizing concern is the
-    // ring window of one relaxation's reach.
-    const std::uint64_t reach =
-        (static_cast<std::uint64_t>(csr.max_delay_q()) +
-         csr.max_validation_q()) >>
-        *shift;
-    ring_cap = std::bit_ceil(std::max<std::uint64_t>(reach + 4, 64));
-  }
-  const bool use_buckets =
-      shift.has_value() && ring_cap <= kMaxRingBuckets;
-  const unsigned members = use_buckets ? team_size(pool, n) : 1;
-  scratch.ensure_lanes(members);
-  if (use_buckets) {
-    CompactWorld world{&csr, *shift,          n,
-                       csr.offsets(), csr.peer_data(), csr.delay_data()};
-    delta_step_team(world, src, scratch, members, ring_cap, arrival_q, pool);
-    PERIGEE_COUNTER_ADD("engine.compact.sources", 1);
-    PERIGEE_HISTOGRAM_OBSERVE("engine.parallel.workers", members);
-  } else {
-    solve_heap_compact(csr, src, scratch.lane(0).heap_q, arrival_q);
-  }
-  PERIGEE_GAUGE_MAX("mem.parallel_scratch_bytes", scratch.memory_bytes());
 }
 
 }  // namespace perigee::sim

@@ -37,21 +37,12 @@
 ///    {1, 2, 4}.
 ///
 /// Graphs the exact bucketing cannot serve (a zero/degenerate minimum
-/// delay, a key range the guards reject) fall back to the sequential heap
-/// relaxation — byte-identical to the batched engine's own fallback — so
-/// the engine is total over every regime the tests throw at it.
-///
-/// The same templated core instantiates over `net::CompactCsr` with u64
-/// fixed-point arrivals (`simulate_broadcast_compact`): there the bucket
-/// math is pure integer arithmetic and the invariants above hold trivially.
-/// Compact arrivals are *not* byte-comparable to the double engines
-/// (floor-quantized inputs); their oracle is the compact engine itself at
-/// worker count 1, plus the error bound in tests/sim_fixedpoint_test.cpp.
+/// delay, a key range the guards reject) fall back to `relax_heap`, the
+/// batched engine's own heap fallback (sim/batch.hpp), so the engine is
+/// total over every regime the tests throw at it.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -83,11 +74,6 @@ const char* relax_engine_name(RelaxEngine engine);
 /// Inverse of `relax_engine_name`; nullopt for unknown spellings.
 std::optional<RelaxEngine> relax_engine_from_name(std::string_view name);
 
-/// Sentinel for unreached nodes in compact (u64 fixed-point) arrival
-/// arrays — the integer analogue of util::kInf.
-inline constexpr std::uint64_t kUnreachedQ =
-    std::numeric_limits<std::uint64_t>::max();
-
 /// Reusable per-worker scratch for the parallel engine: bucket rings,
 /// remote-candidate outboxes, settled bitmap, heap-fallback storage. Grown
 /// on demand and reused across broadcasts (steady state allocates
@@ -114,7 +100,7 @@ class ParallelScratch {
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
-/// Single-source broadcast over the double-delay snapshot, byte-identical
+/// Single-source broadcast over the compiled snapshot, byte-identical
 /// to `simulate_broadcast` / `simulate_broadcast_batch` at any worker
 /// count. `arrival`/`ready` are caller-provided stripes of `csr.size()`
 /// doubles; `ready` may be null to skip the ready fill. With a null pool
@@ -129,14 +115,5 @@ void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
                                  ParallelScratch& scratch,
                                  BroadcastResult& out,
                                  runner::ThreadPool* pool = nullptr);
-
-/// Single-source broadcast over the compact fixed-point snapshot.
-/// `arrival_q` receives `csr.size()` quantized arrival keys (`kUnreachedQ`
-/// for unreached nodes); dequantize through `csr.scale()`. Invariant in
-/// the worker count (exact integer arithmetic end to end).
-void simulate_broadcast_compact(const net::CompactCsr& csr, net::NodeId src,
-                                ParallelScratch& scratch,
-                                std::uint64_t* arrival_q,
-                                runner::ThreadPool* pool = nullptr);
 
 }  // namespace perigee::sim

@@ -3,9 +3,8 @@
 ///
 /// The delta-stepping engines place Dijkstra keys into uniform-width buckets.
 /// Doing that with a double multiply (`key * inv_width`) rounds: an equal key
-/// can land one bucket low, which the sequential `BucketQueue` papers over
-/// with a clamp. Quantizing keys onto a fixed-point grid whose scale is a
-/// power of two removes the problem at the root:
+/// can land one bucket low. Quantizing keys onto a fixed-point grid whose
+/// scale is a power of two removes the problem at the root:
 ///
 ///  - `q(x) = floor(x * 2^e)` is computed *exactly* for any double in range —
 ///    multiplying by a power of two only shifts the exponent, so the cast

@@ -23,13 +23,25 @@ namespace {
 using Item = std::pair<double, net::NodeId>;
 using MinHeap = std::priority_queue<Item, std::vector<Item>, std::greater<>>;
 
+// The fixed-point plan for a workload whose steps stay under `max_step` and
+// whose keys stay under `max_key`. plan_fixed starts from the widest
+// power-of-two width <= min_delay / 16, so min_delay = 16 * width yields a
+// bucket width of at most `width` (exactly `width` for powers of two).
+sim::BucketQueue::FixedPlan plan_for(double width, double max_step,
+                                     double max_key) {
+  return sim::BucketQueue::plan_fixed(16.0 * width, max_step, max_key)
+      .value();
+}
+
 // Drives the queue and the reference heap through one random monotone
 // workload: pushes stay >= the last popped key, interleaving is random.
 // Fills `popped` with the popped sequence; asserts pq equivalence along the
 // way (void so gtest fatal assertions are usable).
-void run_mirrored(sim::BucketQueue& queue, util::Rng& rng, double width,
-                  int ops, double max_step, std::vector<Item>& popped) {
-  queue.reset(width);
+void run_mirrored(sim::BucketQueue& queue, util::Rng& rng,
+                  const sim::BucketQueue::FixedPlan& plan, int ops,
+                  double max_step, std::vector<Item>& popped) {
+  queue.reset(plan);
+  const double width = plan.width();
   popped.clear();
   MinHeap reference;
   double last_pop = 0.0;
@@ -75,8 +87,10 @@ TEST(BucketQueue, EquivalentToPriorityQueueOnRandomMonotoneWorkloads) {
   sim::BucketQueue queue;  // deliberately reused across widths and seeds
   std::vector<Item> popped;
   for (const double width : {0.5, 1.0, 3.0, 0.01}) {
+    // Keys grow by at most one step per pop: 400 ops stay under 400 steps.
+    const auto plan = plan_for(width, width * 40.0, width * 40.0 * 800.0);
     for (int round = 0; round < 8; ++round) {
-      run_mirrored(queue, rng, width, 400, width * 40.0, popped);
+      run_mirrored(queue, rng, plan, 400, width * 40.0, popped);
     }
   }
 }
@@ -85,7 +99,8 @@ TEST(BucketQueue, PopsAreMonotoneNonDecreasing) {
   util::Rng rng(2);
   sim::BucketQueue queue;
   std::vector<Item> popped;
-  run_mirrored(queue, rng, 2.0, 1200, 25.0, popped);
+  run_mirrored(queue, rng, plan_for(2.0, 25.0, 25.0 * 2400.0), 1200, 25.0,
+               popped);
   ASSERT_FALSE(popped.empty());
   for (std::size_t i = 1; i < popped.size(); ++i) {
     // Keys never decrease: the monotone contract. (Node ids may — a push
@@ -97,7 +112,7 @@ TEST(BucketQueue, PopsAreMonotoneNonDecreasing) {
 TEST(BucketQueue, NoEntryLostOrDuplicated) {
   util::Rng rng(3);
   sim::BucketQueue queue;
-  queue.reset(1.0);
+  queue.reset(plan_for(1.0, 10.0, 10.0 * 6000.0));
   std::map<std::pair<double, net::NodeId>, int> pushed;
   double frontier = 0.0;
   for (int i = 0; i < 3000; ++i) {
@@ -125,7 +140,7 @@ TEST(BucketQueue, RingGrowthPreservesOrder) {
   // Push a burst, then a key far enough ahead to force several doublings of
   // the ring while earlier entries are still pending.
   sim::BucketQueue queue;
-  queue.reset(1.0);
+  queue.reset(plan_for(1.0, 30.0, 1e6));
   util::Rng rng(4);
   MinHeap reference;
   for (int i = 0; i < 50; ++i) {
@@ -149,12 +164,12 @@ TEST(BucketQueue, RingGrowthPreservesOrder) {
 
 TEST(BucketQueue, ResetDiscardsPendingEntries) {
   sim::BucketQueue queue;
-  queue.reset(1.0);
+  queue.reset(plan_for(1.0, 1.0, 200.0));
   for (int i = 0; i < 100; ++i) {
     queue.push(static_cast<double>(i) * 0.7, static_cast<net::NodeId>(i));
   }
   EXPECT_EQ(queue.size(), 100u);
-  queue.reset(0.25);
+  queue.reset(plan_for(0.25, 1.0, 200.0));
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.width(), 0.25);
   queue.push(3.0, 7);
@@ -163,31 +178,21 @@ TEST(BucketQueue, ResetDiscardsPendingEntries) {
   EXPECT_EQ(e.node, 7u);
 }
 
-// ---- fixed-point mode (ISSUE 10 micro-pass) ------------------------------
+// ---- ties and 1-ulp neighbors ------------------------------------------
 //
-// The engines run the queue with u32 quantized keys when plan_fixed admits
-// the delay range. The bar is identical to double mode: the pop sequence is
-// *exactly* std::priority_queue<pair<double, NodeId>, greater<>> order —
-// quantization may only coarsen the bucket index, never reorder pops,
-// because qkey ties fall through to the exact double key.
+// Quantization may only coarsen the bucket index, never reorder pops:
+// qkey ties fall through to the exact double key, so the pop sequence is
+// still *exactly* std::priority_queue<pair<double, NodeId>, greater<>>
+// order.
 
 // Same harness as run_mirrored but with tie and 1-ulp-apart keys mixed in:
 // those collide to one qkey, so ordering must come from the exact double
-// compare behind it. With `plan` non-null the queue runs in fixed-point
-// mode; with null it runs double-keyed at `gen_width` — the workload stream
-// is a pure function of `rng` and `gen_width` either way, so one seed
-// replays byte-identically through both modes.
+// compare behind it.
 void run_mirrored_fixed(sim::BucketQueue& queue, util::Rng& rng,
-                        const sim::BucketQueue::FixedPlan* plan,
-                        double gen_width, int ops, double max_step,
-                        std::vector<Item>& popped) {
-  if (plan != nullptr) {
-    queue.reset(*plan);
-    ASSERT_TRUE(queue.fixed_point());
-  } else {
-    queue.reset(gen_width);
-    ASSERT_FALSE(queue.fixed_point());
-  }
+                        const sim::BucketQueue::FixedPlan& plan, int ops,
+                        double max_step, std::vector<Item>& popped) {
+  queue.reset(plan);
+  const double gen_width = plan.width();
   popped.clear();
   MinHeap reference;
   double last_pop = 0.0;
@@ -253,44 +258,24 @@ TEST(BucketQueueFixed, MatchesPriorityQueueOnRandomMonotoneWorkloads) {
         sim::BucketQueue::plan_fixed(min_delay, reach, reach * 2.0);
     ASSERT_TRUE(plan.has_value()) << "min_delay " << min_delay;
     for (int round = 0; round < 6; ++round) {
-      run_mirrored_fixed(queue, rng, &*plan, plan->width(), 500,
-                         min_delay * 30.0, popped);
+      run_mirrored_fixed(queue, rng, *plan, 500, min_delay * 30.0, popped);
       ASSERT_FALSE(popped.empty());
     }
   }
 }
 
-TEST(BucketQueueFixed, PopOrderIdenticalToDoubleModeOnSameWorkload) {
-  // The strongest parity statement at the queue level: replay one recorded
-  // workload through both modes and require the identical pop sequence.
-  util::Rng rng_a(22);
-  sim::BucketQueue queue;
-  const auto plan = sim::BucketQueue::plan_fixed(0.5, 20000.0, 40000.0);
-  ASSERT_TRUE(plan.has_value());
-  std::vector<Item> popped_fixed;
-  run_mirrored_fixed(queue, rng_a, &*plan, plan->width(), 800, 15.0,
-                     popped_fixed);
-  // Identical rng seed => identical workload; double mode at the plan's own
-  // bucket width must pop the same (key, node) sequence byte for byte.
-  util::Rng rng_b(22);
-  std::vector<Item> popped_double;
-  run_mirrored_fixed(queue, rng_b, nullptr, plan->width(), 800, 15.0,
-                     popped_double);
-  ASSERT_EQ(popped_fixed.size(), popped_double.size());
-  for (std::size_t i = 0; i < popped_fixed.size(); ++i) {
-    EXPECT_EQ(popped_fixed[i], popped_double[i]) << "pop " << i;
-  }
-}
-
 TEST(BucketQueueFixed, PlanRejectsDegenerateRanges) {
   // min-δ = 0 quantizes to 0 -> no power-of-two bucket width exists -> the
-  // engine must fall back to the d-ary heap (batch.cpp's three-tier plan).
+  // engine must fall back to the d-ary heap (batch.cpp's plan).
   EXPECT_FALSE(sim::BucketQueue::plan_fixed(0.0, 100.0, 200.0).has_value());
   EXPECT_FALSE(sim::BucketQueue::plan_fixed(-1.0, 100.0, 200.0).has_value());
   EXPECT_FALSE(
       sim::BucketQueue::plan_fixed(std::numeric_limits<double>::infinity(),
                                    100.0, 200.0)
           .has_value());
+  EXPECT_FALSE(sim::BucketQueue::plan_fixed(
+                   1.0, std::numeric_limits<double>::infinity(), 200.0)
+                   .has_value());
   // A key span over ~2^31x the min delay cannot both hold max_key in the
   // u32 image and resolve min_delay to the >= 2 grid units a power-of-two
   // width needs.
@@ -300,47 +285,12 @@ TEST(BucketQueueFixed, PlanRejectsDegenerateRanges) {
   EXPECT_TRUE(sim::BucketQueue::plan_fixed(1e-6, 1e3, 2e3).has_value());
   // Ordinary simulation scales are in, and when no widening is needed the
   // derived width brackets min_delay into [16*width, 32*width) — the
-  // occupancy sweet spot (kOccupancyDivisor) double mode's preferred
-  // width also targets, well under the delta-stepping ceiling, so thin
+  // occupancy sweet spot, well under the delta-stepping ceiling, so thin
   // buckets keep the active-bucket sort near-free.
   const auto plan = sim::BucketQueue::plan_fixed(6.0, 2000.0, 4000.0);
   ASSERT_TRUE(plan.has_value());
   EXPECT_LE(plan->width() * 16.0, 6.0);
   EXPECT_GT(plan->width() * 32.0, 6.0);
-}
-
-TEST(BucketQueueFixed, ResetSwitchesModesCleanly) {
-  sim::BucketQueue queue;
-  const auto plan = sim::BucketQueue::plan_fixed(1.0, 1000.0, 2000.0);
-  ASSERT_TRUE(plan.has_value());
-  queue.reset(*plan);
-  EXPECT_TRUE(queue.fixed_point());
-  for (int i = 0; i < 50; ++i) {
-    queue.push(static_cast<double>(i) * 1.3, static_cast<net::NodeId>(i));
-  }
-  EXPECT_EQ(queue.size(), 50u);
-  queue.reset(0.5);  // back to double-keyed oracle mode, pending work gone
-  EXPECT_FALSE(queue.fixed_point());
-  EXPECT_TRUE(queue.empty());
-  queue.push(3.0, 7);
-  const auto e = queue.pop();
-  EXPECT_EQ(e.key, 3.0);
-  EXPECT_EQ(e.node, 7u);
-}
-
-TEST(BucketQueue, ViabilityGuard) {
-  // Degenerate widths must be rejected so the engine falls back to the heap.
-  EXPECT_FALSE(sim::BucketQueue::viable(0.0, 100.0));
-  EXPECT_FALSE(sim::BucketQueue::viable(-1.0, 100.0));
-  EXPECT_FALSE(
-      sim::BucketQueue::viable(std::numeric_limits<double>::infinity(), 1.0));
-  EXPECT_FALSE(sim::BucketQueue::viable(
-      1.0, std::numeric_limits<double>::infinity()));
-  // A span needing more than kMaxBuckets buckets is out.
-  EXPECT_FALSE(sim::BucketQueue::viable(1e-9, 1e6));
-  // Ordinary simulation scales are comfortably in.
-  EXPECT_TRUE(sim::BucketQueue::viable(0.5, 5000.0));
-  EXPECT_TRUE(sim::BucketQueue::viable(6.0, 2000.0));
 }
 
 }  // namespace

@@ -16,8 +16,7 @@
 // through a ThreadPool to pin the any-worker-count determinism contract.
 // The parallel delta-stepping engine runs at worker counts 1, 2, and 4 in
 // every regime (including the zero-δ heap-fallback, disconnected, and
-// churn-patched shapes), and the compact fixed-point engine is held to its
-// own oracle: exact u64 arrival equality across the same worker counts.
+// churn-patched shapes).
 // The egress queuing engine (sim/egress.hpp) joins at infinite rate and
 // zero message size, where docs/TRANSMISSION_MODEL.md claims it IS the
 // delay-only model: single-source and batched (inline + pooled), both held
@@ -68,9 +67,8 @@ namespace {
 }
 
 // One differential case: all engines from a spread of miners, batched
-// engine both inline and across a 3-worker pool, the parallel
-// delta-stepping engine at worker counts 1/2/4, and the compact
-// fixed-point engine held jobs-invariant on exact u64 keys.
+// engine both inline and across a 3-worker pool, and the parallel
+// delta-stepping engine at worker counts 1/2/4.
 void expect_three_engine_parity(const net::Topology& topology,
                                 const net::Network& network,
                                 const char* regime, std::uint64_t seed) {
@@ -98,10 +96,8 @@ void expect_three_engine_parity(const net::Topology& topology,
     sim::simulate_broadcast_batch(csr, miners, scratch, pooled, &pool);
   }
 
-  const net::CompactCsr compact = net::CompactCsr::build(csr);
   sim::ParallelScratch parallel_scratch;
   sim::BroadcastResult par1, par2, par4;
-  std::vector<std::uint64_t> q1(n), q2(n), q4(n);
 
   // Egress queuing engine in its delay-only corner: unlimited rate + zero
   // message size. The documented contract (docs/TRANSMISSION_MODEL.md) is
@@ -163,22 +159,6 @@ void expect_three_engine_parity(const net::Topology& topology,
     EXPECT_TRUE(bytes_equal(par2.ready, legacy.ready));
     EXPECT_TRUE(bytes_equal(par4.arrival, legacy.arrival));
     EXPECT_TRUE(bytes_equal(par4.ready, legacy.ready));
-
-    // Compact fixed-point world: its own oracle is itself at one worker —
-    // exact u64 equality across worker counts (integer math end to end).
-    sim::simulate_broadcast_compact(compact, miners[s], parallel_scratch,
-                                    q1.data());
-    sim::simulate_broadcast_compact(compact, miners[s], parallel_scratch,
-                                    q2.data(), &pool2);
-    sim::simulate_broadcast_compact(compact, miners[s], parallel_scratch,
-                                    q4.data(), &pool4);
-    EXPECT_EQ(q1, q2);
-    EXPECT_EQ(q1, q4);
-    // And it must agree with the double world on reachability exactly.
-    for (net::NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(q1[v] == sim::kUnreachedQ, !std::isfinite(legacy.arrival[v]))
-          << "node " << v;
-    }
   }
 }
 

@@ -1,5 +1,5 @@
-// Property suite for the fixed-point delay grid (util/fixedpoint.hpp) and
-// the compact CSR snapshot built on it (net::CompactCsr):
+// Property suite for the fixed-point delay grid (util/fixedpoint.hpp) the
+// bucket queues key on:
 //
 //  - quantization is an exact floor (dequantize(q(x)) <= x < next cell) and
 //    therefore order-preserving — ties allowed, inversions never — over
@@ -8,11 +8,7 @@
 //  - `fit` puts the largest value in [2^(bits-1), 2^bits): maximal
 //    resolution that still fits the target width;
 //  - `bucket_width_shift` never violates the delta-stepping ceiling
-//    2 * width <= min-delay, as an exact integer inequality;
-//  - a CompactCsr transcribes its source snapshot faithfully (rows, flags,
-//    floor-quantized delays, exact min/max), costs less memory, and its
-//    engine's arrivals lower-approximate the double oracle within the
-//    per-hop error bound.
+//    2 * width <= min-delay, as an exact integer inequality.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/csr.hpp"
-#include "net/network.hpp"
-#include "net/topology.hpp"
-#include "sim/broadcast.hpp"
-#include "sim/parallel.hpp"
-#include "topo/builders.hpp"
 #include "util/fixedpoint.hpp"
 #include "util/rng.hpp"
 
@@ -113,87 +103,6 @@ TEST(FixedPoint, BucketWidthShiftNeverViolatesTheHalfMinDelayCeiling) {
     EXPECT_LE(2 * width, q) << q;
     // ... and the width is maximal: one doubling would break the ceiling.
     EXPECT_GT(4 * width, q) << q;
-  }
-}
-
-net::CsrTopology build_random_csr(std::size_t n, std::uint64_t seed) {
-  net::NetworkOptions options;
-  options.n = n;
-  options.seed = seed;
-  const net::Network network = net::Network::build(options);
-  net::Topology topology(n);
-  util::Rng rng(seed);
-  topo::build_random(topology, rng);
-  return net::CsrTopology::build(topology, network);
-}
-
-TEST(FixedPoint, CompactCsrTranscribesTheSnapshotExactly) {
-  const net::CsrTopology csr = build_random_csr(120, 17);
-  const net::CompactCsr compact = net::CompactCsr::build(csr);
-
-  ASSERT_EQ(compact.size(), csr.size());
-  ASSERT_EQ(compact.num_links(), csr.num_links());
-  const auto& scale = compact.scale();
-  std::uint32_t min_q = std::numeric_limits<std::uint32_t>::max();
-  std::uint32_t max_q = 0;
-  for (net::NodeId v = 0; v < csr.size(); ++v) {
-    EXPECT_EQ(compact.forwards(v), csr.forwards(v)) << v;
-    EXPECT_EQ(compact.validation_q(v), scale.quantize(csr.validation_ms(v)))
-        << v;
-    const auto peers = csr.peers(v);
-    const auto delays = csr.delays(v);
-    const std::uint32_t begin = compact.offsets()[v];
-    ASSERT_EQ(compact.offsets()[v + 1] - begin, peers.size()) << v;
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      EXPECT_EQ(compact.peer_data()[begin + i], peers[i]);
-      const std::uint32_t dq = compact.delay_data()[begin + i];
-      EXPECT_EQ(dq, scale.quantize(delays[i]));
-      min_q = std::min(min_q, dq);
-      max_q = std::max(max_q, dq);
-    }
-  }
-  EXPECT_EQ(compact.min_delay_q(), min_q);
-  EXPECT_EQ(compact.max_delay_q(), max_q);
-  // The point of the exercise: a strictly smaller snapshot (u32 ids + one
-  // u32 delay channel vs size_t offsets + two double channels + slack).
-  EXPECT_LT(compact.memory_bytes(), csr.memory_bytes());
-}
-
-TEST(FixedPoint, CompactArrivalsLowerApproximateTheDoubleOracle) {
-  for (const std::uint64_t seed : {3u, 29u, 71u}) {
-    const net::CsrTopology csr = build_random_csr(100, seed);
-    const net::CompactCsr compact = net::CompactCsr::build(csr);
-    const auto& scale = compact.scale();
-
-    sim::BroadcastScratch scratch;
-    sim::BroadcastResult oracle;
-    sim::ParallelScratch parallel_scratch;
-    std::vector<std::uint64_t> arrival_q(csr.size());
-    for (const net::NodeId src : {net::NodeId{0}, net::NodeId{41}}) {
-      sim::simulate_broadcast(csr, src, scratch, oracle);
-      sim::simulate_broadcast_compact(compact, src, parallel_scratch,
-                                      arrival_q.data());
-      // Every term of every path underestimates by < step(), and a path
-      // visits at most n nodes contributing a validation + an edge delay
-      // each: the dequantized arrival sits within 2n steps below the
-      // oracle. (A shorter bound would need per-path hop counts; this one
-      // is already ~10^-3 relative at n = 100 and 31-bit grids.)
-      const double bound =
-          2.0 * static_cast<double>(csr.size()) * scale.step();
-      // fl-vs-exact accumulation noise in the double oracle is orders of
-      // magnitude below step(); this slack covers it.
-      const double fl_slack = 1e-6;
-      for (net::NodeId v = 0; v < csr.size(); ++v) {
-        if (!std::isfinite(oracle.arrival[v])) {
-          EXPECT_EQ(arrival_q[v], sim::kUnreachedQ) << "node " << v;
-          continue;
-        }
-        ASSERT_NE(arrival_q[v], sim::kUnreachedQ) << "node " << v;
-        const double approx = scale.dequantize(arrival_q[v]);
-        EXPECT_LE(approx, oracle.arrival[v] + fl_slack) << "node " << v;
-        EXPECT_GE(approx, oracle.arrival[v] - bound) << "node " << v;
-      }
-    }
   }
 }
 

@@ -1,11 +1,12 @@
-// Scale soak (integration tier): one n = 10^5 single-source broadcast
-// through the parallel delta-stepping engine, held to
+// Scale soak (integration tier): n = 10^5 broadcasts through both
+// round-loop engines, held to
 //
 //  - completion: every BFS-reachable node gets a finite arrival, every
 //    unreachable node stays +inf (exact count equality, not a sample);
-//  - byte parity with the single-source CSR reference engine at this scale;
-//  - the compact fixed-point snapshot strictly undercuts the double
-//    snapshot's footprint and its engine agrees on reachability;
+//  - byte parity with the single-source CSR reference engine at this scale,
+//    for the parallel delta-stepping engine (one source, a 2-worker team)
+//    and for the batched engine (one 8-source round batch across a
+//    2-worker pool, every stripe);
 //  - the whole process stays under a declared peak-RSS budget
 //    (obs::peak_rss_kb, i.e. VmHWM — the same number BENCH_scale.json
 //    anchors), scaled up under sanitizer builds for shadow/redzone cost.
@@ -20,6 +21,7 @@
 #include "net/topology.hpp"
 #include "obs/meta.hpp"
 #include "runner/thread_pool.hpp"
+#include "sim/batch.hpp"
 #include "sim/broadcast.hpp"
 #include "sim/parallel.hpp"
 #include "topo/builders.hpp"
@@ -109,17 +111,23 @@ TEST(ScaleSoak, HundredThousandNodeBroadcastCompletesWithinBudget) {
                         kNodes * sizeof(double)),
             0);
 
-  // Compact world at scale: strictly smaller snapshot, same reachability.
-  const net::CompactCsr compact = net::CompactCsr::build(csr);
-  EXPECT_LT(compact.memory_bytes(), csr.memory_bytes());
-  std::vector<std::uint64_t> arrival_q(kNodes);
-  sim::simulate_broadcast_compact(compact, src, scratch, arrival_q.data(),
-                                  &pool);
-  std::size_t finite_q = 0;
-  for (const std::uint64_t q : arrival_q) {
-    finite_q += q != sim::kUnreachedQ ? 1 : 0;
+  // The production engine at scale: one round-shaped batch of 8 miners
+  // across the pool, every stripe byte-equal to the reference engine.
+  const std::vector<net::NodeId> miners = {src,   0,     1,     4242,
+                                           31337, 50000, 77777, kNodes - 1};
+  sim::MultiSourceScratch batch_scratch;
+  sim::MultiSourceResult batched;
+  sim::simulate_broadcast_batch(csr, miners, batch_scratch, batched, &pool);
+  for (std::size_t s = 0; s < miners.size(); ++s) {
+    SCOPED_TRACE(::testing::Message() << "miner=" << miners[s]);
+    sim::simulate_broadcast(csr, miners[s], ref_scratch, reference);
+    EXPECT_EQ(std::memcmp(batched.arrival_of(s).data(),
+                          reference.arrival.data(), kNodes * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(batched.ready_of(s).data(), reference.ready.data(),
+                          kNodes * sizeof(double)),
+              0);
   }
-  EXPECT_EQ(finite_q, reachable);
 
   // The budget BENCH_scale.json anchors, asserted on the live process.
   const std::int64_t peak_kb = obs::peak_rss_kb();
