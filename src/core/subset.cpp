@@ -34,6 +34,7 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   std::vector<double> best(blocks, util::kInf);
   std::vector<bool> taken(candidates.size(), false);
   std::vector<net::NodeId> keep;
+  // Refilled for every candidate, so it is scored in place.
   std::vector<double> merged(blocks);
   keep.reserve(keep_n);
 
@@ -45,7 +46,8 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
       for (std::size_t b = 0; b < blocks; ++b) {
         merged[b] = std::min(rows[c][b], best[b]);
       }
-      const double score = util::percentile(merged, params_.percentile);
+      const double score =
+          util::percentile_in_place(merged, params_.percentile);
       // Strict < keeps the lowest candidate index on ties: deterministic.
       if (score < best_score ||
           (best_idx == candidates.size() && std::isinf(score))) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "topo/builders.hpp"
 #include "util/assert.hpp"
@@ -11,16 +12,26 @@ namespace perigee::core {
 
 void UcbSelector::Arm::add(double value, std::size_t window) {
   PERIGEE_ASSERT(window > 0);
-  if (recent.size() == window) {
-    const double oldest = recent.front();
-    recent.pop_front();
-    const auto it =
-        std::lower_bound(sorted.begin(), sorted.end(), oldest);
-    PERIGEE_ASSERT(it != sorted.end());
-    sorted.erase(it);
+  if (ring.size() < window) {
+    ring.push_back(value);
+    sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), value),
+                  value);
+    return;
   }
-  recent.push_back(value);
-  sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), value), value);
+  const double evicted = std::exchange(ring[oldest], value);
+  oldest = oldest + 1 == window ? 0 : oldest + 1;
+  // Erasing the first sample equal to `evicted` and then inserting `value`
+  // after its equals is one shift of the span between the two positions.
+  const auto out = std::lower_bound(sorted.begin(), sorted.end(), evicted);
+  PERIGEE_ASSERT(out != sorted.end());
+  PERIGEE_ASSERT(*out == evicted);
+  const auto in = std::upper_bound(sorted.begin(), sorted.end(), value);
+  if (in > out) {
+    *std::move(out + 1, in, out) = value;
+  } else {
+    std::move_backward(in, out, out + 1);
+    *in = value;
+  }
 }
 
 UcbSelector::Bounds UcbSelector::compute_bounds(const Arm& arm) const {
@@ -44,9 +55,11 @@ UcbSelector::Bounds UcbSelector::compute_bounds(const Arm& arm) const {
 }
 
 UcbSelector::Bounds UcbSelector::bounds_for(net::NodeId neighbor) const {
-  auto it = arms_.find(neighbor);
+  const auto it = std::find_if(arms_.begin(), arms_.end(), [&](const Arm& arm) {
+    return arm.neighbor == neighbor;
+  });
   if (it == arms_.end()) return compute_bounds(Arm{});
-  return compute_bounds(it->second);
+  return compute_bounds(*it);
 }
 
 void UcbSelector::on_reset(net::NodeId) { arms_.clear(); }
@@ -55,47 +68,47 @@ void UcbSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   const auto& obs = ctx.obs;
   const auto window = static_cast<std::size_t>(params_.ucb_window);
 
-  // Fold this round's finite relative timestamps into each outgoing
-  // neighbor's window.
-  std::vector<net::NodeId> outgoing;
+  // Line the arms up with the outgoing neighbors in adjacency order and fold
+  // this round's finite relative timestamps into each one's window.
+  std::size_t live = 0;
   for (std::size_t i = 0; i < obs.neighbor_count(self); ++i) {
     if (!obs.is_outgoing(self, i)) continue;
     const net::NodeId u = obs.neighbors(self)[i];
-    outgoing.push_back(u);
-    Arm& arm = arms_[u];
+    auto it = std::find_if(arms_.begin() + static_cast<std::ptrdiff_t>(live),
+                           arms_.end(),
+                           [u](const Arm& arm) { return arm.neighbor == u; });
+    if (it == arms_.end()) {
+      arms_.emplace_back().neighbor = u;
+      it = arms_.end() - 1;
+    }
+    std::iter_swap(it, arms_.begin() + static_cast<std::ptrdiff_t>(live));
+    Arm& arm = arms_[live++];
     for (double t : obs.rel_times(self, i)) {
       if (std::isfinite(t)) arm.add(t, window);
     }
   }
   // Forget arms of neighbors no longer connected: if they are re-explored
   // later they start fresh, as the paper's per-connection history implies.
-  for (auto it = arms_.begin(); it != arms_.end();) {
-    if (std::find(outgoing.begin(), outgoing.end(), it->first) ==
-        outgoing.end()) {
-      it = arms_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (outgoing.size() < 2) return;
+  arms_.erase(arms_.begin() + static_cast<std::ptrdiff_t>(live), arms_.end());
+  if (arms_.size() < 2) return;
 
   // Disconnect rule: drop argmax lcb iff max lcb > min ucb.
-  net::NodeId worst = outgoing.front();
+  std::size_t worst = 0;
   double max_lcb = -util::kInf;
   double min_ucb = util::kInf;
-  for (net::NodeId u : outgoing) {
-    const Bounds b = compute_bounds(arms_[u]);
-    // First strictly-greater lcb wins; outgoing is in adjacency order, so
-    // ties resolve deterministically.
+  for (std::size_t k = 0; k < arms_.size(); ++k) {
+    const Bounds b = compute_bounds(arms_[k]);
+    // First strictly-greater lcb wins; arms are in adjacency order, so ties
+    // resolve deterministically.
     if (b.lcb > max_lcb) {
       max_lcb = b.lcb;
-      worst = u;
+      worst = k;
     }
     min_ucb = std::min(min_ucb, b.ucb);
   }
   if (max_lcb > min_ucb) {
-    ctx.topology.disconnect(self, worst);
-    arms_.erase(worst);
+    ctx.topology.disconnect(self, arms_[worst].neighbor);
+    arms_.erase(arms_.begin() + static_cast<std::ptrdiff_t>(worst));
     if (ctx.addrman != nullptr) {
       topo::dial_peers_from_book(ctx.topology, self, 1, *ctx.addrman,
                                  ctx.rng);

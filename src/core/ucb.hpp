@@ -8,14 +8,16 @@
 // Implementation note: the paper's multiset union over a neighbor's entire
 // connection lifetime grows without bound, making the per-round percentile
 // O(history · log history) and the whole run quadratic. We keep a sliding
-// window of the most recent `ucb_window` samples in incrementally-sorted
-// form: O(log W) per insert, O(1) percentile. Beyond a few hundred samples
-// the confidence interval is already narrow, and a bounded window also adapts
+// window of the most recent `ucb_window` (W) samples: a ring buffer in
+// arrival order that grows to W and then overwrites its oldest slot, plus a
+// sorted copy for O(1) percentiles. Once the window is full, an insert finds
+// the evicted and the new sample's positions by binary search and shifts
+// only the span between them by one slot: O(log W) compares and one move of
+// up to W doubles, no allocation. Beyond a few hundred samples the
+// confidence interval is already narrow, and a bounded window also adapts
 // faster when the network drifts.
 #pragma once
 
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "core/params.hpp"
@@ -46,16 +48,20 @@ class UcbSelector final : public sim::NeighborSelector {
 
  private:
   // Sliding window of the most recent finite relative delivery times of one
-  // connected neighbor, maintained both in arrival order (for eviction) and
-  // sorted (for O(1) percentiles).
+  // connected neighbor, kept both in arrival order (for eviction) and sorted
+  // (for O(1) percentiles).
   struct Arm {
-    std::deque<double> recent;
-    std::vector<double> sorted;
+    net::NodeId neighbor = 0;
+    std::vector<double> ring;    // arrival order; wraps once it holds W
+    std::size_t oldest = 0;      // ring slot the next eviction overwrites
+    std::vector<double> sorted;  // the ring's samples, ascending
 
     void add(double value, std::size_t window);
   };
 
-  std::map<net::NodeId, Arm> arms_;
+  // One arm per current outgoing neighbor (at most out_cap), in the
+  // adjacency order of the last round; looked up by linear search.
+  std::vector<Arm> arms_;
   PerigeeParams params_;
 
   Bounds compute_bounds(const Arm& arm) const;

@@ -12,10 +12,12 @@ void VanillaSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   // Score the outgoing neighbors captured at round start; v's own outgoing
   // set cannot have changed mid-round.
   std::vector<std::pair<double, net::NodeId>> scored;
+  std::vector<double> times;  // one neighbor's row, reordered by scoring
   for (std::size_t i = 0; i < obs.neighbor_count(self); ++i) {
     if (!obs.is_outgoing(self, i)) continue;
-    const double score = util::percentile(obs.rel_times(self, i),
-                                          params_.percentile);
+    const auto row = obs.rel_times(self, i);
+    times.assign(row.begin(), row.end());
+    const double score = util::percentile_in_place(times, params_.percentile);
     scored.emplace_back(score, obs.neighbors(self)[i]);
   }
   if (scored.empty()) {

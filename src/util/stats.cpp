@@ -8,16 +8,23 @@
 
 namespace perigee::util {
 
-double percentile_sorted(std::span<const double> sorted, double q) {
-  PERIGEE_ASSERT(q >= 0.0 && q <= 1.0);
-  if (sorted.empty()) return kInf;
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = q * static_cast<double>(sorted.size() - 1);
+namespace {
+
+// Position of the q-quantile among n >= 1 ascending order statistics: the
+// value interpolates between ranks lo and hi (lo <= hi <= lo + 1).
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+Rank rank_of(std::size_t n, double q) {
+  const double rank = q * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  const double a = sorted[lo];
-  const double b = sorted[hi];
+  return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+double interpolate(double a, double b, double frac) {
   if (std::isinf(a) || std::isinf(b)) {
     // Interpolating with +inf poisons the result; return the dominating end.
     return frac > 0.0 ? b : a;
@@ -25,10 +32,32 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   return a + (b - a) * frac;
 }
 
+}  // namespace
+
+double percentile_sorted(std::span<const double> sorted, double q) {
+  PERIGEE_ASSERT(q >= 0.0 && q <= 1.0);
+  if (sorted.empty()) return kInf;
+  if (sorted.size() == 1) return sorted.front();
+  const Rank r = rank_of(sorted.size(), q);
+  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
+}
+
+double percentile_in_place(std::span<double> sample, double q) {
+  PERIGEE_ASSERT(q >= 0.0 && q <= 1.0);
+  if (sample.empty()) return kInf;
+  if (sample.size() == 1) return sample.front();
+  const Rank r = rank_of(sample.size(), q);
+  const auto lo = sample.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(sample.begin(), lo, sample.end());
+  // Everything after lo is >= *lo, so the next order statistic is the
+  // smallest of that tail.
+  const double b = r.hi == r.lo ? *lo : *std::min_element(lo + 1, sample.end());
+  return interpolate(*lo, b, r.frac);
+}
+
 double percentile(std::span<const double> sample, double q) {
   std::vector<double> copy(sample.begin(), sample.end());
-  std::sort(copy.begin(), copy.end());
-  return percentile_sorted(copy, q);
+  return percentile_in_place(copy, q);
 }
 
 double mean(std::span<const double> sample) {

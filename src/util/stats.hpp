@@ -18,11 +18,16 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 // Percentile q in [0,1] of an unsorted sample, nearest-rank with linear
 // interpolation between order statistics (the "linear" / type-7 estimator).
 // An empty sample yields +inf (matches "no observations => worst score").
+// Selects the two order statistics it needs from a copy instead of sorting.
 double percentile(std::span<const double> sample, double q);
 
 // Same, but the caller guarantees `sorted` is ascending. +inf entries are
 // permitted and sort last.
 double percentile_sorted(std::span<const double> sorted, double q);
+
+// Same estimator, computed in place: reorders `sample` (partially) instead
+// of copying it. For callers that own a scratch buffer they refill anyway.
+double percentile_in_place(std::span<double> sample, double q);
 
 double mean(std::span<const double> sample);
 double stddev(std::span<const double> sample);  // sample stddev (n-1)

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
@@ -171,18 +173,102 @@ TEST(Ucb, SingleNeighborNeverDisconnected) {
   EXPECT_TRUE(t.has_out(0, 1));
 }
 
+// Wraps a UcbSelector and keeps a test-local oracle of one neighbor's
+// window: a deque of its finite relative times, trimmed to the window.
+struct WindowOracle final : sim::NeighborSelector {
+  WindowOracle(PerigeeParams params, net::NodeId watched)
+      : ucb(params),
+        watched(watched),
+        window(static_cast<std::size_t>(params.ucb_window)) {}
+
+  void on_round_end(net::NodeId self, sim::RoundContext& ctx) override {
+    for (std::size_t i = 0; i < ctx.obs.neighbor_count(self); ++i) {
+      if (ctx.obs.neighbors(self)[i] != watched) continue;
+      for (double t : ctx.obs.rel_times(self, i)) {
+        if (!std::isfinite(t)) continue;
+        history.push_back(t);
+        recent.push_back(t);
+        if (recent.size() > window) recent.pop_front();
+      }
+    }
+    ucb.on_round_end(self, ctx);
+  }
+  const char* name() const override { return "ucb-window-oracle"; }
+
+  double expected_estimate(double q) const {
+    std::vector<double> sorted(recent.begin(), recent.end());
+    std::sort(sorted.begin(), sorted.end());
+    return util::percentile_sorted(sorted, q);
+  }
+
+  UcbSelector ucb;
+  net::NodeId watched;
+  std::size_t window;
+  std::deque<double> recent;    // the oracle window
+  std::vector<double> history;  // every sample fed, in order
+};
+
 TEST(UcbArmWindow, EvictsOldestAndStaysSorted) {
-  // The c = 0 estimate equals the exact windowed percentile; feed values in
-  // adversarial order through bounds_for's code path indirectly: here we
-  // exercise the selector's public behavior only, so craft alternating
-  // deliveries via two sources.
-  PerigeeParams params;
-  params.ucb_window = 4;
-  params.ucb_c = 0.0;
-  UcbSelector selector(params);
-  // No samples -> inf; covered above. (Window mechanics are further covered
-  // by the integration tests that run UCB for thousands of rounds.)
-  EXPECT_TRUE(std::isinf(selector.bounds_for(0).estimate));
+  // Node 0's only outgoing neighbor is 1 (so it is never disconnected); 2
+  // is an incoming neighbor. Eight miners at distinct points feed both, so
+  // neighbor 1's relative time takes a few values per miner, in random
+  // order and with many repeats.
+  const std::vector<std::pair<double, double>> points = {
+      {0, 0},    {10, 0},   {-10, 0}, {40, 30}, {-35, 20}, {5, -60},
+      {-80, -5}, {70, -40}, {0, 90},  {-20, -45}, {25, 15}};
+  for (int window : {1, 4, 256}) {
+    net::NetworkOptions options;
+    options.n = points.size();
+    options.latency = net::NetworkOptions::LatencyKind::Euclidean;
+    options.embed_dim = 2;
+    options.embed_scale_ms = 1.0;
+    options.handshake_factor = 1.0;
+    options.validation_mean_ms = 0.0;
+    options.validation_spread = 0.0;
+    net::Network network = net::Network::build(options);
+    auto& profiles = network.mutable_profiles();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      profiles[i].coords = {points[i].first, points[i].second, 0, 0, 0};
+      profiles[i].hash_power = i >= 3 ? 1.0 : 0.0;
+    }
+    net::Topology t(points.size(), {.out_cap = 2, .in_cap = 20});
+    ASSERT_TRUE(t.connect(0, 1));
+    ASSERT_TRUE(t.connect(2, 0));
+    for (net::NodeId m = 3; m < points.size(); ++m) {
+      ASSERT_TRUE(t.connect(m, 1));
+      ASSERT_TRUE(t.connect(m, 2));
+    }
+
+    PerigeeParams params;
+    params.ucb_window = window;
+    params.ucb_c = 0.0;
+    auto* oracle = new WindowOracle(params, 1);
+    std::vector<std::unique_ptr<sim::NeighborSelector>> selectors;
+    selectors.emplace_back(oracle);
+    for (std::size_t i = 1; i < points.size(); ++i) {
+      selectors.push_back(std::make_unique<sim::StaticSelector>());
+    }
+    sim::RoundRunner runner(network, t, std::move(selectors), 1, 11);
+    for (int round = 0; round < 300; ++round) {
+      runner.run_round();
+      ASSERT_TRUE(t.has_out(0, 1));
+      const auto b = oracle->ucb.bounds_for(1);
+      ASSERT_EQ(b.samples, oracle->recent.size())
+          << "window " << window << " round " << round;
+      ASSERT_EQ(b.estimate, oracle->expected_estimate(params.percentile))
+          << "window " << window << " round " << round;
+    }
+    // The feed really overflowed the window with repeats and decreases.
+    const auto& h = oracle->history;
+    EXPECT_GT(h.size(), static_cast<std::size_t>(window));
+    std::vector<double> distinct = h;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    EXPECT_GE(distinct.size(), 3u);
+    EXPECT_LT(distinct.size(), h.size());
+    EXPECT_FALSE(std::is_sorted(h.begin(), h.end()));
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -12,6 +14,7 @@ namespace {
 
 TEST(Percentile, EmptySampleIsInfinite) {
   EXPECT_TRUE(std::isinf(percentile({}, 0.9)));
+  EXPECT_EQ(percentile_in_place({}, 0.9), kInf);
 }
 
 TEST(Percentile, SingleElement) {
@@ -45,8 +48,7 @@ TEST(Percentile, InfEntriesSortLast) {
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
   EXPECT_TRUE(std::isinf(percentile(v, 1.0)));
   // 0.5 -> rank 1.5, interpolates between 2.0 and inf -> dominated by inf.
-  EXPECT_TRUE(std::isinf(percentile(v, 0.5)) ||
-              percentile(v, 0.5) == 2.0);  // boundary handling
+  EXPECT_EQ(percentile(v, 0.5), kInf);
 }
 
 TEST(Percentile, AllInfIsInf) {
@@ -69,6 +71,47 @@ TEST(Percentile, MatchesNaiveOnRandomData) {
       const double expect =
           sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo);
       EXPECT_NEAR(percentile(v, q), expect, 1e-9);
+    }
+  }
+}
+
+// Reference: the copy-and-sort estimator, bit for bit.
+double sorted_reference(std::span<const double> sample, double q) {
+  std::vector<double> copy(sample.begin(), sample.end());
+  std::sort(copy.begin(), copy.end());
+  return percentile_sorted(copy, q);
+}
+
+TEST(Percentile, SelectionMatchesSortBitForBit) {
+  Rng rng(2024);
+  for (std::size_t n = 1; n <= 257; ++n) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<double> v;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Variant 0: distinct values; 1: few repeated values; 2: repeated
+        // values with one or more +inf entries.
+        const double x = variant == 0
+                             ? rng.uniform(0, 100)
+                             : static_cast<double>(rng.uniform_index(5)) * 2.5;
+        v.push_back(x);
+      }
+      if (variant == 2) {
+        const std::size_t infs = 1 + rng.uniform_index(n);
+        for (std::size_t k = 0; k < infs; ++k) v[rng.uniform_index(n)] = kInf;
+      }
+      for (double q : {0.0, 0.1, 0.5, 0.9, 0.95, 1.0}) {
+        const double expect = sorted_reference(v, q);
+        EXPECT_EQ(percentile(v, q), expect)
+            << "n=" << n << " variant=" << variant << " q=" << q;
+        std::vector<double> scratch = v;
+        EXPECT_EQ(percentile_in_place(scratch, q), expect)
+            << "n=" << n << " variant=" << variant << " q=" << q;
+        // In place only reorders: the multiset is unchanged.
+        std::sort(scratch.begin(), scratch.end());
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(scratch, sorted);
+      }
     }
   }
 }
