@@ -18,7 +18,7 @@
 //   perigee_sweep --figure fig4a --resume               # pick up where left
 //   perigee_sweep --figure fig4a --shard 0/2            # process A
 //   perigee_sweep --figure fig4a --shard 1/2            # process B
-//   perigee_sweep --figure fig4a \
+//   perigee_sweep --figure fig4a
 //       --merge BENCH_fig4a.shard0of2.json,BENCH_fig4a.shard1of2.json
 //
 // Results are bit-identical at any --jobs value, resumed or not, sharded or

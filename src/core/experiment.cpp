@@ -53,15 +53,18 @@ struct EvalEngine {
     }
   }
 
-  std::vector<double> lambda(const net::CsrTopology& csr,
-                             const net::Network& network, double coverage,
-                             runner::ThreadPool* pool) {
+  // One broadcast pass per source serves every coverage; returns one λ
+  // vector per coverage, in input order.
+  std::vector<std::vector<double>> lambda(
+      const net::CsrTopology& csr, const net::Network& network,
+      const std::vector<double>& coverages, runner::ThreadPool* pool) {
     if (egress.has_value()) {
-      return metrics::eval_all_sources_egress(
-          csr, network, *egress, plans.get(network, *egress), coverage,
+      return metrics::eval_all_sources_egress_multi(
+          csr, network, *egress, plans.get(network, *egress), coverages,
           &egress_scratch, pool);
     }
-    return metrics::eval_all_sources(csr, network, coverage, &scratch, pool);
+    return metrics::eval_all_sources_multi(csr, network, coverages, &scratch,
+                                           pool);
   }
 };
 
@@ -77,7 +80,8 @@ Checkpoint make_checkpoint(std::size_t blocks_mined,
   PERIGEE_TRACE_SPAN_ARGS(
       checkpoint_span, "checkpoint_eval",
       obs::TraceArgs().arg("blocks_mined", blocks_mined).json());
-  const auto lambda = eval.lambda(csr, network, coverage, pool);
+  const auto lambda = std::move(eval.lambda(csr, network, {coverage}, pool)
+                                    .front());
   cp.mean_lambda = util::mean(lambda);
   cp.median_lambda = util::percentile(lambda, 0.5);
   return cp;
@@ -199,10 +203,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   EvalEngine eval(config);
   const auto eval_both = [&](const net::CsrTopology& csr) {
     PERIGEE_TRACE_SPAN(final_eval_span, "final_eval");
-    result.lambda = eval.lambda(csr, scenario.network, config.coverage,
-                                engine_pool.get());
-    result.lambda50 =
-        eval.lambda(csr, scenario.network, 0.50, engine_pool.get());
+    auto lambdas = eval.lambda(csr, scenario.network,
+                               {config.coverage, 0.50}, engine_pool.get());
+    result.lambda = std::move(lambdas[0]);
+    result.lambda50 = std::move(lambdas[1]);
   };
 
   // Static baselines normally skip the round loop (their selectors never
@@ -294,11 +298,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
             engine_pool.get()));
       }
     }
-    // Both final coverage evaluations ride on the runner's cached compile.
+    // The final evaluation (one pass, both coverages) rides on the runner's
+    // cached compile.
     eval_both(runner.current_csr());
   } else {
-    // No round loop ran: one flat-graph compile serves both coverage
-    // evaluations of the static topology.
+    // No round loop ran: one flat-graph compile serves the final
+    // evaluation of the static topology.
     eval_both(net::CsrTopology::build(scenario.topology, scenario.network));
   }
 
@@ -461,8 +466,10 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
 
   // The final evaluation reuses the runner's cached compile of the final
   // topology instead of building a second snapshot.
-  const auto lambda = eval.lambda(runner.current_csr(), scenario.network,
-                                  config.coverage, engine_pool.get());
+  const auto lambda =
+      std::move(eval.lambda(runner.current_csr(), scenario.network,
+                            {config.coverage}, engine_pool.get())
+                    .front());
   IncrementalResult result;
   for (std::size_t v = 0; v < n; ++v) {
     (adopter[v] ? result.lambda_adopters : result.lambda_others)

@@ -34,26 +34,34 @@ double coverage_time_sorted(
   return util::kInf;
 }
 
-// Shared accumulation: given (arrival, hash power) pairs, the earliest time
-// at which cumulative power reaches coverage * total_power.
-double coverage_time(std::vector<std::pair<double, double>>& by_arrival,
-                     double total_power, double coverage) {
-  std::sort(by_arrival.begin(), by_arrival.end());
-  return coverage_time_sorted(by_arrival, total_power, coverage);
+// Every requested threshold read off one sorted array: out[k][slot] is the
+// coverage time at coverages[k]. The sort stays the caller's one expensive
+// step per source; each threshold is a linear scan that usually stops early.
+void coverage_times_sorted(
+    const std::vector<std::pair<double, double>>& by_arrival,
+    double total_power, const std::vector<double>& coverages,
+    std::vector<std::vector<double>>& out, std::size_t slot) {
+  for (std::size_t k = 0; k < coverages.size(); ++k) {
+    out[k][slot] = coverage_time_sorted(by_arrival, total_power, coverages[k]);
+  }
 }
 
 // The body both batched λ evaluations share; only `broadcast(sources,
 // sink)`, the engine behind the arrival stripes, differs. Hash powers (and
 // their sum, accumulated in NodeId order exactly as lambda_for_broadcast
 // does) are batch constants, extracted once instead of per source. Each
-// source's (arrival, power) pairs fill and sort in its lane's buffers, so
-// the evaluation is allocation-free per source.
+// source is simulated once: its (arrival, power) pairs fill and sort in its
+// lane's buffers, and every coverage reads its threshold from that one
+// sorted array, so the evaluation is allocation-free per source. Returns one
+// λ vector per coverage, in input order.
 template <typename Arena, typename Broadcast>
-std::vector<double> lambda_all_sources(const net::Network& network,
-                                       double coverage, Arena& arena,
-                                       const Broadcast& broadcast) {
+std::vector<std::vector<double>> lambda_all_sources(
+    const net::Network& network, const std::vector<double>& coverages,
+    Arena& arena, const Broadcast& broadcast) {
+  PERIGEE_ASSERT(!coverages.empty());
   const std::size_t n = network.size();
-  std::vector<double> lambda(n);
+  std::vector<std::vector<double>> lambda(coverages.size(),
+                                          std::vector<double>(n));
   std::vector<double> powers(n);
   double total = 0;
   for (net::NodeId v = 0; v < n; ++v) {
@@ -76,7 +84,7 @@ std::vector<double> lambda_all_sources(const net::Network& network,
     // Radix replaces std::sort but yields the identical sequence, so λ
     // stays bit-equal to lambda_for_broadcast on the same arrival set.
     util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
-    lambda[s] = coverage_time_sorted(by_arrival, total, coverage);
+    coverage_times_sorted(by_arrival, total, coverages, lambda, s);
   });
   return lambda;
 }
@@ -94,7 +102,8 @@ double lambda_for_broadcast(const sim::BroadcastResult& result,
     total += power;
     by_arrival.emplace_back(result.arrival[v], power);
   }
-  return coverage_time(by_arrival, total, coverage);
+  std::sort(by_arrival.begin(), by_arrival.end());
+  return coverage_time_sorted(by_arrival, total, coverage);
 }
 
 std::vector<double> eval_all_sources(const net::Topology& topology,
@@ -109,12 +118,20 @@ std::vector<double> eval_all_sources(const net::CsrTopology& csr,
                                      double coverage,
                                      sim::MultiSourceScratch* scratch,
                                      runner::ThreadPool* pool) {
+  return std::move(
+      eval_all_sources_multi(csr, network, {coverage}, scratch, pool).front());
+}
+
+std::vector<std::vector<double>> eval_all_sources_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const std::vector<double>& coverages, sim::MultiSourceScratch* scratch,
+    runner::ThreadPool* pool) {
   PERIGEE_ASSERT(csr.size() == network.size());
   sim::MultiSourceScratch local_scratch;
   sim::MultiSourceScratch& arena = scratch != nullptr ? *scratch
                                                       : local_scratch;
   return lambda_all_sources(
-      network, coverage, arena,
+      network, coverages, arena,
       [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
         sim::for_each_source_broadcast(csr, sources, arena, sink, pool,
                                        /*need_ready=*/false);
@@ -128,11 +145,21 @@ std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
                                             double coverage,
                                             sim::EgressScratch* scratch,
                                             runner::ThreadPool* pool) {
+  return std::move(eval_all_sources_egress_multi(csr, network, config, plan,
+                                                 {coverage}, scratch, pool)
+                       .front());
+}
+
+std::vector<std::vector<double>> eval_all_sources_egress_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const sim::EgressConfig& config, const sim::EgressPlan& plan,
+    const std::vector<double>& coverages, sim::EgressScratch* scratch,
+    runner::ThreadPool* pool) {
   PERIGEE_ASSERT(csr.size() == network.size());
   sim::EgressScratch local_scratch;
   sim::EgressScratch& arena = scratch != nullptr ? *scratch : local_scratch;
   return lambda_all_sources(
-      network, coverage, arena,
+      network, coverages, arena,
       [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
         sim::for_each_source_broadcast_egress(csr, config, plan, sources,
                                               arena, sink, pool,
@@ -217,11 +244,11 @@ std::vector<std::vector<double>> eval_ideal_multi(
       total += power;
       by_arrival.emplace_back(arrival[u], power);
     }
-    // coverage_time sorts in place; subsequent calls re-sort a sorted
-    // vector, so the Dijkstra pass above stays the only expensive step.
-    for (std::size_t k = 0; k < coverages.size(); ++k) {
-      lambda[k][src] = coverage_time(by_arrival, total, coverages[k]);
-    }
+    // One sort serves every coverage, as in the all-sources evaluation.
+    // Pairs that compare equal are equal values, so std::sort's instability
+    // cannot change which threshold is read.
+    std::sort(by_arrival.begin(), by_arrival.end());
+    coverage_times_sorted(by_arrival, total, coverages, lambda, src);
   }
   return lambda;
 }

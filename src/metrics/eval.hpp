@@ -42,39 +42,60 @@ std::vector<double> eval_all_sources(const net::Topology& topology,
 
 /// Batched evaluation over a snapshot the caller already compiled — the
 /// batch entry point the compile and scratch acquisition are hoisted to.
-/// `network` supplies the hash powers for the coverage accumulation and
-/// must be the one the snapshot was built over. `scratch` (optional) reuses
-/// the caller's engine arena across evaluations; `pool` (optional) fans
-/// sources across workers — λ output is byte-identical at any worker count.
+/// Single-coverage wrapper over eval_all_sources_multi.
 std::vector<double> eval_all_sources(
     const net::CsrTopology& csr, const net::Network& network,
     double coverage = 0.90, sim::MultiSourceScratch* scratch = nullptr,
     runner::ThreadPool* pool = nullptr);
 
-/// Batched λ evaluation under the queued-transmission model: identical
-/// coverage accumulation, but every broadcast runs through the egress
-/// engine (sim/egress.hpp) so λ reflects serialization + queue wait. With
-/// `config.unlimited_rate` the result is byte-identical to the delay-only
-/// overload above — the equivalence the diff harness enforces. `plan` must
-/// be built from `network`'s current profiles (`sim::EgressPlanCache`).
+/// λv for every source at several coverages from one broadcast pass per
+/// source: each source's arrivals are sorted once and every threshold is
+/// read off that sorted array, so each λ is bit-equal to the
+/// single-coverage call. Returns one λ vector per coverage, in input order.
+/// `network` supplies the hash powers for the coverage accumulation and
+/// must be the one the snapshot was built over. `scratch` (optional) reuses
+/// the caller's engine arena across evaluations; `pool` (optional) fans
+/// sources across workers — λ output is byte-identical at any worker count.
+std::vector<std::vector<double>> eval_all_sources_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const std::vector<double>& coverages,
+    sim::MultiSourceScratch* scratch = nullptr,
+    runner::ThreadPool* pool = nullptr);
+
+/// Single-coverage wrapper over eval_all_sources_egress_multi.
 std::vector<double> eval_all_sources_egress(
     const net::CsrTopology& csr, const net::Network& network,
     const sim::EgressConfig& config, const sim::EgressPlan& plan,
     double coverage = 0.90, sim::EgressScratch* scratch = nullptr,
     runner::ThreadPool* pool = nullptr);
 
+/// Batched λ evaluation under the queued-transmission model: the same
+/// one-pass, many-coverage accumulation as eval_all_sources_multi, but every
+/// broadcast runs through the egress engine (sim/egress.hpp) so λ reflects
+/// serialization + queue wait. With `config.unlimited_rate` the result is
+/// byte-identical to the delay-only form — the equivalence the diff harness
+/// enforces. `plan` must be built from `network`'s current profiles
+/// (`sim::EgressPlanCache`).
+std::vector<std::vector<double>> eval_all_sources_egress_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const sim::EgressConfig& config, const sim::EgressPlan& plan,
+    const std::vector<double>& coverages,
+    sim::EgressScratch* scratch = nullptr,
+    runner::ThreadPool* pool = nullptr);
+
 /// λv on the fully-connected topology ("ideal" in Figure 3), computed as a
 /// dense per-source Dijkstra without materializing an O(n^2) Topology. When
 /// `infra` is given, its infrastructure links (e.g. the §5.4 relay tree) are
 /// overlaid on the complete graph so the bound stays a true lower bound for
-/// scenarios where the overlay exists.
+/// scenarios where the overlay exists. Single-coverage wrapper over
+/// eval_ideal_multi.
 std::vector<double> eval_ideal(const net::Network& network,
                                double coverage = 0.90,
                                const net::Topology* infra = nullptr);
 
-/// Same bound evaluated at several coverages from a single Dijkstra pass per
-/// source (the pass dominates; extra coverages are nearly free). Returns one
-/// λ vector per coverage, in input order.
+/// Same bound evaluated at several coverages from a single Dijkstra pass and
+/// a single sort per source (the pass dominates; extra coverages are nearly
+/// free). Returns one λ vector per coverage, in input order.
 std::vector<std::vector<double>> eval_ideal_multi(
     const net::Network& network, const std::vector<double>& coverages,
     const net::Topology* infra = nullptr);

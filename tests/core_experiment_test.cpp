@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "metrics/eval.hpp"
 #include "util/stats.hpp"
 
 namespace perigee::core {
@@ -61,6 +62,39 @@ TEST(Experiment, CheckpointsTrackLearning) {
   // Learning must not make things worse end-to-end.
   EXPECT_LE(result.checkpoints.back().mean_lambda,
             result.checkpoints.front().mean_lambda * 1.05);
+}
+
+// The final evaluation serves both coverages from one pass; pin which
+// vector lands where: λ at config.coverage and λ50 must be exactly what
+// the single-coverage evaluation gives on the same (static) topology.
+TEST(Experiment, FinalLambdasMatchSingleCoverageEvaluation) {
+  const auto config = small_config(Algorithm::Random);
+  const auto result = run_experiment(config);
+  Scenario scenario = build_scenario(config);
+  build_initial_topology(config, scenario);
+  EXPECT_EQ(result.lambda, metrics::eval_all_sources(scenario.topology,
+                                                     scenario.network, 0.9));
+  EXPECT_EQ(result.lambda50, metrics::eval_all_sources(scenario.topology,
+                                                       scenario.network, 0.5));
+}
+
+// With one checkpoint interval the last checkpoint evaluates the final
+// snapshot through the single-coverage path, so its mean must equal the
+// mean of the final λ exactly, under the delay and the queued engine.
+TEST(Experiment, LastCheckpointMatchesFinalLambda) {
+  for (const auto model : {scenario::TransmissionModel::Delay,
+                           scenario::TransmissionModel::Queue}) {
+    auto config = small_config(Algorithm::PerigeeSubset);
+    config.rounds = 3;
+    config.checkpoints = 1;
+    config.scenario.transmission.model = model;
+    config.scenario.hetero.profile = scenario::HeteroProfile::Bandwidth;
+    const auto result = run_experiment(config);
+    ASSERT_EQ(result.checkpoints.size(), 2u);
+    EXPECT_EQ(result.checkpoints.back().mean_lambda,
+              util::mean(result.lambda))
+        << scenario::transmission_model_name(model);
+  }
 }
 
 TEST(Experiment, StaticAlgorithmsSkipLearning) {

@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "net/csr.hpp"
+#include "runner/thread_pool.hpp"
+#include "sim/egress.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -81,6 +84,105 @@ TEST(EvalAllSources, MatchesPerSourceBroadcast) {
     EXPECT_DOUBLE_EQ(lambda[v], lambda_for_broadcast(result, network, 0.9));
   }
 }
+
+// The multi-coverage forms serve every coverage from one broadcast pass per
+// source; each of their vectors must be the single-coverage call, bit for
+// bit, in input order. The network withholds at a fifth of its nodes and
+// leaves one node isolated, so coverage 1.0 is +inf for every source and
+// some lower thresholds go unreachable too.
+class MultiCoverageParity : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr std::size_t kNodes = 70;
+
+  static net::Network make_network(bool bandwidth_tiers) {
+    net::NetworkOptions options;
+    options.n = kNodes;
+    options.seed = 31;
+    options.heterogeneous_bandwidth = bandwidth_tiers;
+    net::Network network = net::Network::build(options);
+    for (net::NodeId v = 0; v < kNodes; v += 5) {
+      network.mutable_profiles()[v].forwards = false;
+    }
+    return network;
+  }
+
+  static net::Topology make_topology() {
+    net::Topology t(kNodes);
+    util::Rng rng(31);
+    topo::build_random(t, rng);
+    t.disconnect_all(kNodes - 1);
+    return t;
+  }
+
+  static std::vector<std::vector<double>> coverage_orders() {
+    return {{0.9, 0.5, 1.0}, {1.0, 0.5, 0.9}};
+  }
+
+  // Checks `multi` against `single(coverage)` for every coverage, and that
+  // the +inf corner is really exercised.
+  template <typename Single>
+  static void expect_parity(const std::vector<double>& coverages,
+                            const std::vector<std::vector<double>>& multi,
+                            const Single& single) {
+    ASSERT_EQ(multi.size(), coverages.size());
+    for (std::size_t k = 0; k < coverages.size(); ++k) {
+      const auto expected = single(coverages[k]);
+      ASSERT_EQ(multi[k].size(), expected.size());
+      for (std::size_t v = 0; v < expected.size(); ++v) {
+        EXPECT_EQ(multi[k][v], expected[v])
+            << "coverage " << coverages[k] << " source " << v;
+      }
+      if (coverages[k] == 1.0) {
+        for (const double l : multi[k]) EXPECT_TRUE(std::isinf(l));
+      }
+    }
+  }
+};
+
+TEST_P(MultiCoverageParity, DelayEngineMatchesSingleCoverage) {
+  const bool pooled = GetParam();
+  const auto network = make_network(/*bandwidth_tiers=*/false);
+  const auto csr = net::CsrTopology::build(make_topology(), network);
+  runner::ThreadPool pool(3);
+  runner::ThreadPool* workers = pooled ? &pool : nullptr;
+  for (const auto& coverages : coverage_orders()) {
+    sim::MultiSourceScratch scratch;
+    const auto multi =
+        eval_all_sources_multi(csr, network, coverages, &scratch, workers);
+    expect_parity(coverages, multi, [&](double coverage) {
+      return eval_all_sources(csr, network, coverage, nullptr, workers);
+    });
+  }
+}
+
+TEST_P(MultiCoverageParity, EgressEngineMatchesSingleCoverage) {
+  const bool pooled = GetParam();
+  runner::ThreadPool pool(3);
+  runner::ThreadPool* workers = pooled ? &pool : nullptr;
+  for (const bool bandwidth_tiers : {false, true}) {
+    const auto network = make_network(bandwidth_tiers);
+    const auto csr = net::CsrTopology::build(make_topology(), network);
+    sim::EgressConfig config;
+    // Without tiers every rate is unlimited (the delay-engine corner); with
+    // them, serialization and queueing shape the arrivals.
+    config.unlimited_rate = !bandwidth_tiers;
+    const auto plan = sim::EgressPlan::build(network, config);
+    for (const auto& coverages : coverage_orders()) {
+      sim::EgressScratch scratch;
+      const auto multi = eval_all_sources_egress_multi(
+          csr, network, config, plan, coverages, &scratch, workers);
+      expect_parity(coverages, multi, [&](double coverage) {
+        return eval_all_sources_egress(csr, network, config, plan, coverage,
+                                       nullptr, workers);
+      });
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Pool, MultiCoverageParity, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "ThreeWorkers" : "NoPool";
+                         });
 
 TEST(EvalIdeal, MatchesMaterializedClique) {
   // The analytic ideal must equal an actually materialized fully-connected
