@@ -1,8 +1,9 @@
 // Unified sweep driver: runs any named figure or scenario grid (or a custom
 // cartesian grid over algorithm / n / rounds / hash model / validation scale
 // / relay / churn rate / heterogeneity profile / withholding fraction /
-// transmission model) end-to-end on the parallel SweepRunner and writes
-// BENCH_<name>.json.
+// transmission model) end-to-end on the parallel SweepRunner, writes
+// BENCH_<name>.json and prints the paper's tables (runner::print_tables).
+// It is the only front end for the paper's Figure 3 and 4 grids.
 //
 //   perigee_sweep --figure fig3a --jobs 8
 //   perigee_sweep --figure congestion --seeds 2 --jobs 0
@@ -29,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/curves.hpp"
 #include "obs/meta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -38,8 +38,6 @@
 #include "runner/sweep.hpp"
 #include "scenario/scenario.hpp"
 #include "util/flags.hpp"
-#include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -65,6 +63,29 @@ std::optional<double> parse_number(const std::string& text) {
   } catch (const std::exception&) {
     return std::nullopt;
   }
+}
+
+// Replaces `axis` with the items of the CSV flag `name` when it is set; an
+// unset flag keeps the preset. A set value with no items (",") is an error,
+// not a silent run of the base value. `parse` maps one item to a value or
+// reports its own error and returns nullopt.
+template <typename T, typename Parse>
+bool parse_axis(const util::Flags& flags, const std::string& name,
+                std::vector<T>& axis, Parse parse) {
+  const std::string& csv = flags.get_string(name);
+  if (csv.empty()) return true;
+  const std::vector<std::string> items = split_csv(csv);
+  if (items.empty()) {
+    std::cerr << "bad --" << name << " value '" << csv << "'\n";
+    return false;
+  }
+  axis.clear();
+  for (const std::string& item : items) {
+    const std::optional<T> value = parse(item);
+    if (!value) return false;
+    axis.push_back(*value);
+  }
+  return true;
 }
 
 struct Figure {
@@ -338,122 +359,106 @@ int main(int argc, char** argv) {
   spec.seeds = 2;
 
   // Axis overrides from flags.
-  if (const auto& names = flags.get_string("algorithms"); !names.empty()) {
-    spec.algorithms.clear();
-    for (const auto& name : split_csv(names)) {
-      const auto algorithm = core::algorithm_from_name(name);
-      if (!algorithm) {
-        std::cerr << "unknown algorithm '" << name << "'; known:";
-        for (const auto a : core::all_algorithms()) {
-          std::cerr << ' ' << core::algorithm_name(a);
-        }
-        std::cerr << "\n";
-        return 1;
-      }
-      spec.algorithms.push_back(*algorithm);
-    }
-  }
-  if (const auto& csv = flags.get_string("nodes"); !csv.empty()) {
-    spec.nodes.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto v = parse_number(item);
-      if (!v || *v < 2 || *v != static_cast<std::size_t>(*v)) {
-        std::cerr << "bad --nodes value '" << item << "'\n";
-        return 1;
-      }
-      spec.nodes.push_back(static_cast<std::size_t>(*v));
-    }
-  }
-  if (const auto& csv = flags.get_string("rounds"); !csv.empty()) {
-    spec.rounds.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto v = parse_number(item);
-      if (!v || *v < 0 || *v != static_cast<int>(*v)) {
-        std::cerr << "bad --rounds value '" << item << "'\n";
-        return 1;
-      }
-      spec.rounds.push_back(static_cast<int>(*v));
-    }
-  }
-  if (const auto& csv = flags.get_string("hash"); !csv.empty()) {
-    spec.hash_models.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto model = mining::hash_model_from_name(item);
-      if (!model) {
-        std::cerr << "unknown hash model '" << item
-                  << "' (uniform, exponential, pools)\n";
-        return 1;
-      }
-      spec.hash_models.push_back(*model);
-    }
-  }
-  if (const auto& csv = flags.get_string("vscales"); !csv.empty()) {
-    spec.validation_scales.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto v = parse_number(item);
-      if (!v || *v <= 0) {
-        std::cerr << "bad --vscales value '" << item << "'\n";
-        return 1;
-      }
-      spec.validation_scales.push_back(*v);
-    }
-  }
-  if (const auto& csv = flags.get_string("relay"); !csv.empty()) {
-    spec.relay.clear();
-    for (const auto& item : split_csv(csv)) {
-      if (item != "on" && item != "off") {
-        std::cerr << "relay axis values are 'on' and 'off'\n";
-        return 1;
-      }
-      spec.relay.push_back(item == "on");
-    }
-  }
-  if (const auto& csv = flags.get_string("churn"); !csv.empty()) {
-    spec.churn_rates.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto v = parse_number(item);
-      if (!v || *v < 0 || *v > 1) {
-        std::cerr << "bad --churn value '" << item << "' (want [0, 1])\n";
-        return 1;
-      }
-      spec.churn_rates.push_back(*v);
-    }
-  }
-  if (const auto& csv = flags.get_string("hetero"); !csv.empty()) {
-    spec.hetero_profiles.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto profile = scenario::hetero_profile_from_name(item);
-      if (!profile) {
-        std::cerr << "unknown hetero profile '" << item
-                  << "' (off, bandwidth, validation, datacenter)\n";
-        return 1;
-      }
-      spec.hetero_profiles.push_back(*profile);
-    }
-  }
-  if (const auto& csv = flags.get_string("withhold"); !csv.empty()) {
-    spec.withhold_fractions.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto v = parse_number(item);
-      if (!v || *v < 0 || *v >= 1) {
-        std::cerr << "bad --withhold value '" << item << "' (want [0, 1))\n";
-        return 1;
-      }
-      spec.withhold_fractions.push_back(*v);
-    }
-  }
-  if (const auto& csv = flags.get_string("transmission"); !csv.empty()) {
-    spec.transmission_models.clear();
-    for (const auto& item : split_csv(csv)) {
-      const auto model = scenario::transmission_model_from_name(item);
-      if (!model) {
-        std::cerr << "unknown transmission model '" << item
-                  << "' (delay, queue)\n";
-        return 1;
-      }
-      spec.transmission_models.push_back(*model);
-    }
-  }
+  const bool axes_ok =
+      parse_axis(flags, "algorithms", spec.algorithms,
+                 [](const std::string& item) {
+                   const auto algorithm = core::algorithm_from_name(item);
+                   if (!algorithm) {
+                     std::cerr << "unknown algorithm '" << item
+                               << "'; known:";
+                     for (const auto a : core::all_algorithms()) {
+                       std::cerr << ' ' << core::algorithm_name(a);
+                     }
+                     std::cerr << "\n";
+                   }
+                   return algorithm;
+                 }) &&
+      parse_axis(flags, "nodes", spec.nodes,
+                 [](const std::string& item) -> std::optional<std::size_t> {
+                   const auto v = parse_number(item);
+                   if (!v || *v < 2 || *v != static_cast<std::size_t>(*v)) {
+                     std::cerr << "bad --nodes value '" << item << "'\n";
+                     return std::nullopt;
+                   }
+                   return static_cast<std::size_t>(*v);
+                 }) &&
+      parse_axis(flags, "rounds", spec.rounds,
+                 [](const std::string& item) -> std::optional<int> {
+                   const auto v = parse_number(item);
+                   if (!v || *v < 0 || *v != static_cast<int>(*v)) {
+                     std::cerr << "bad --rounds value '" << item << "'\n";
+                     return std::nullopt;
+                   }
+                   return static_cast<int>(*v);
+                 }) &&
+      parse_axis(flags, "hash", spec.hash_models,
+                 [](const std::string& item) {
+                   const auto model = mining::hash_model_from_name(item);
+                   if (!model) {
+                     std::cerr << "unknown hash model '" << item
+                               << "' (uniform, exponential, pools)\n";
+                   }
+                   return model;
+                 }) &&
+      parse_axis(flags, "vscales", spec.validation_scales,
+                 [](const std::string& item) -> std::optional<double> {
+                   const auto v = parse_number(item);
+                   if (!v || *v <= 0) {
+                     std::cerr << "bad --vscales value '" << item << "'\n";
+                     return std::nullopt;
+                   }
+                   return v;
+                 }) &&
+      parse_axis(flags, "relay", spec.relay,
+                 [](const std::string& item) -> std::optional<bool> {
+                   if (item != "on" && item != "off") {
+                     std::cerr << "relay axis values are 'on' and 'off'\n";
+                     return std::nullopt;
+                   }
+                   return item == "on";
+                 }) &&
+      parse_axis(flags, "churn", spec.churn_rates,
+                 [](const std::string& item) -> std::optional<double> {
+                   const auto v = parse_number(item);
+                   if (!v || *v < 0 || *v > 1) {
+                     std::cerr << "bad --churn value '" << item
+                               << "' (want [0, 1])\n";
+                     return std::nullopt;
+                   }
+                   return v;
+                 }) &&
+      parse_axis(flags, "hetero", spec.hetero_profiles,
+                 [](const std::string& item) {
+                   const auto profile =
+                       scenario::hetero_profile_from_name(item);
+                   if (!profile) {
+                     std::cerr << "unknown hetero profile '" << item
+                               << "' (off, bandwidth, validation, "
+                                  "datacenter)\n";
+                   }
+                   return profile;
+                 }) &&
+      parse_axis(flags, "withhold", spec.withhold_fractions,
+                 [](const std::string& item) -> std::optional<double> {
+                   const auto v = parse_number(item);
+                   if (!v || *v < 0 || *v >= 1) {
+                     std::cerr << "bad --withhold value '" << item
+                               << "' (want [0, 1))\n";
+                     return std::nullopt;
+                   }
+                   return v;
+                 }) &&
+      parse_axis(flags, "transmission", spec.transmission_models,
+                 [](const std::string& item) {
+                   const auto model =
+                       scenario::transmission_model_from_name(item);
+                   if (!model) {
+                     std::cerr << "unknown transmission model '" << item
+                               << "' (delay, queue)\n";
+                   }
+                   return model;
+                 });
+  if (!axes_ok) return 1;
   const std::int64_t seeds = flags.get_int("seeds");
   if (seeds < 0) {
     std::cerr << "bad --seeds value '" << seeds
@@ -486,6 +491,19 @@ int main(int argc, char** argv) {
     spec.name = name;
   }
 
+  // The relay overlay picks its members from the network, so a cell whose
+  // overlay outgrows n would abort deep in the topology builder.
+  const std::vector<runner::SweepCell> cells = runner::expand_grid(spec);
+  for (const runner::SweepCell& cell : cells) {
+    const core::ExperimentConfig& config = cell.config;
+    if (config.relay && config.relay_config.members > config.net.n) {
+      std::cerr << "cell '" << cell.label << "': the relay overlay needs n >= "
+                << config.relay_config.members << " (got n=" << config.net.n
+                << ")\n";
+      return 1;
+    }
+  }
+
   // --merge: fold k shard outputs into the final file. No jobs run; the
   // merged JSON is byte-identical to a single-process run of the same grid.
   if (const auto& csv = flags.get_string("merge"); !csv.empty()) {
@@ -508,6 +526,7 @@ int main(int argc, char** argv) {
     }
     std::cerr << "merged " << shard_paths.size() << " shards into " << path
               << "\n";
+    runner::print_tables(std::cout, spec, merged);
     return 0;
   }
 
@@ -554,7 +573,7 @@ int main(int argc, char** argv) {
 
   const runner::SweepRunner sweep_runner(
       static_cast<int>(flags.get_int("jobs")));
-  const std::size_t cell_count = runner::expand_grid(spec).size();
+  const std::size_t cell_count = cells.size();
   std::cerr << "sweep '" << spec.name << "': " << cell_count << " cells x "
             << spec.seeds << " seeds on " << sweep_runner.workers()
             << " workers";
@@ -606,32 +625,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Terminal summary: sorted-λ means at the paper's error-bar indices.
-  if (!result.cells.empty()) {
-    const std::size_t n = result.cells.front().curve.mean.size();
-    std::vector<std::string> header = {"cell"};
-    for (const std::size_t idx : metrics::errorbar_indices(n)) {
-      header.push_back("node " + std::to_string(idx));
-    }
-    header.push_back("mean");
-    util::Table table(header);
-    for (const auto& cell : result.cells) {
-      std::vector<std::string> row = {cell.cell.label};
-      if (cell.curve.mean.size() == n) {
-        for (const std::size_t idx : metrics::errorbar_indices(n)) {
-          row.push_back(util::fmt(cell.curve.mean[idx]));
-        }
-      } else {
-        // Mixed-n grids: per-cell indices differ, show the mean only.
-        for (std::size_t i = 0; i < metrics::errorbar_indices(n).size(); ++i) {
-          row.push_back("-");
-        }
-      }
-      row.push_back(util::fmt(metrics::curve_mean(cell.curve)));
-      table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
+  runner::print_tables(std::cout, spec, result);
 
   // Provenance rides in a separate top-level `meta` member; the curve cells
   // above it stay byte-identical across telemetry settings and --jobs (CI

@@ -1,6 +1,7 @@
-// Shared plumbing for the figure-reproduction benches: flag handling,
-// multi-seed curve collection, and paper-style table printing (sorted λ
-// curves sampled at the paper's error-bar node indices).
+// Shared plumbing for the ablation and convergence benches: flag handling,
+// the --trace session and the --json curve dump. The paper's Figure 3 and 4
+// grids are not benches: `perigee_sweep --figure <name>` runs them and
+// prints their tables (runner::print_tables).
 #pragma once
 
 #include <fstream>
@@ -25,8 +26,8 @@ struct NamedCurve {
   metrics::Curve curve;
 };
 
-// Registers the flags shared by every figure bench, including the runner
-// plumbing: --jobs N fans multi-seed runs across a work-stealing pool
+// Registers the flags shared by every bench on this header, including the
+// runner plumbing: --jobs N fans multi-seed runs across a work-stealing pool
 // (results are bit-identical at any value), --json <path> dumps the curves.
 inline void add_common_flags(util::Flags& flags, int default_nodes,
                              int default_rounds, int default_seeds) {
@@ -84,25 +85,13 @@ inline core::ExperimentConfig config_from_flags(const util::Flags& flags) {
   return config;
 }
 
-// Ideal curve via run_ideal across seeds (parallel across seeds when
-// jobs != 1, same determinism contract as run_multi_seed).
-inline metrics::Curve ideal_curve(const core::ExperimentConfig& config,
-                                  int num_seeds, int jobs = 1) {
-  return core::run_ideal_multi_seed(config, num_seeds, jobs);
-}
-
-// Writes named curve sets as deterministic JSON when --json was given.
-// Each set is {"name": ..., "curves": [{"name", "mean", "stddev"}, ...]}.
-// Returns false when the file cannot be written, so benches can exit
-// nonzero instead of silently succeeding in a pipeline.
-struct CurveSet {
-  std::string name;
-  const std::vector<NamedCurve>* curves = nullptr;
-};
-
+// Writes the named curves as deterministic JSON when --json was given:
+// {"title", "meta", "curves": [{"name", "mean", "stddev"}, ...]}. Returns
+// false when the file cannot be written, so benches can exit nonzero
+// instead of silently succeeding in a pipeline.
 inline bool write_json_if_requested(const util::Flags& flags,
                                     const std::string& title,
-                                    const std::vector<CurveSet>& sets) {
+                                    const std::vector<NamedCurve>& curves) {
   const std::string& path = flags.get_string("json");
   if (path.empty()) return true;
   // Temp-and-rename via write_file_atomic: an interrupted bench never
@@ -118,18 +107,16 @@ inline bool write_json_if_requested(const util::Flags& flags,
     w.begin_object();
     obs::write_run_meta_fields(w, meta);
     w.end_object();
-    for (const CurveSet& set : sets) {
-      w.key(set.name);
-      w.begin_array();
-      for (const NamedCurve& c : *set.curves) {
-        w.begin_object();
-        w.field("name", c.name);
-        w.field("mean", c.curve.mean);
-        w.field("stddev", c.curve.stddev);
-        w.end_object();
-      }
-      w.end_array();
+    w.key("curves");
+    w.begin_array();
+    for (const NamedCurve& c : curves) {
+      w.begin_object();
+      w.field("name", c.name);
+      w.field("mean", c.curve.mean);
+      w.field("stddev", c.curve.stddev);
+      w.end_object();
     }
+    w.end_array();
     w.end_object();
     os << '\n';
   });
@@ -139,53 +126,6 @@ inline bool write_json_if_requested(const util::Flags& flags,
   }
   std::cerr << "wrote " << path << "\n";
   return true;
-}
-
-inline bool write_json_if_requested(const util::Flags& flags,
-                                    const std::string& title,
-                                    const std::vector<NamedCurve>& curves) {
-  return write_json_if_requested(flags, title, {{"curves", &curves}});
-}
-
-// Prints the sorted-λ curves sampled at the paper's error-bar indices
-// (nodes 100/300/500/700/900 scaled to n), one row per index, one column
-// per algorithm, "mean ±stddev" cells — the textual analogue of Figure 3.
-inline void print_curves(std::ostream& os, const std::string& title,
-                         const std::vector<NamedCurve>& curves) {
-  util::print_banner(os, title);
-  const std::size_t n = curves.front().curve.mean.size();
-  std::vector<std::string> header = {"node"};
-  for (const auto& c : curves) header.push_back(c.name);
-  util::Table table(header);
-  for (std::size_t idx : metrics::errorbar_indices(n)) {
-    std::vector<std::string> row = {std::to_string(idx)};
-    for (const auto& c : curves) {
-      row.push_back(util::fmt(c.curve.mean[idx]) + " ±" +
-                    util::fmt(c.curve.stddev[idx]));
-    }
-    table.add_row(std::move(row));
-  }
-  std::vector<std::string> mean_row = {"mean"};
-  for (const auto& c : curves) {
-    mean_row.push_back(util::fmt(metrics::curve_mean(c.curve)));
-  }
-  table.add_row(std::move(mean_row));
-  table.print(os);
-}
-
-// Improvement of each curve vs the first (baseline) at the median node.
-inline void print_improvements(std::ostream& os,
-                               const std::vector<NamedCurve>& curves) {
-  const auto& base = curves.front().curve;
-  const std::size_t mid = base.mean.size() / 2;
-  os << "improvement vs " << curves.front().name << " at node " << mid
-     << ":\n";
-  for (std::size_t i = 1; i < curves.size(); ++i) {
-    os << "  " << curves[i].name << ": "
-       << util::fmt(100.0 * metrics::improvement_at(curves[i].curve, base, mid),
-                    1)
-       << "%\n";
-  }
 }
 
 }  // namespace perigee::bench

@@ -398,19 +398,6 @@ MultiSeedResult run_multi_seed(ExperimentConfig config, int num_seeds,
                          metrics::aggregate_sorted_curves(std::move(runs50))};
 }
 
-metrics::Curve run_ideal_multi_seed(ExperimentConfig config, int num_seeds,
-                                    int jobs) {
-  PERIGEE_ASSERT(num_seeds >= 1);
-  std::vector<std::vector<double>> runs(static_cast<std::size_t>(num_seeds));
-  const std::uint64_t base_seed = config.seed;
-  for_each_seed(num_seeds, jobs, [&](std::size_t s) {
-    ExperimentConfig seeded = config;
-    seeded.seed = base_seed + static_cast<std::uint64_t>(s);
-    runs[s] = run_ideal(seeded);
-  });
-  return metrics::aggregate_sorted_curves(std::move(runs));
-}
-
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction) {
   PERIGEE_ASSERT(adopter_fraction >= 0.0 && adopter_fraction <= 1.0);

@@ -199,10 +199,6 @@ struct MultiSeedResult {
 MultiSeedResult run_multi_seed(ExperimentConfig config, int num_seeds,
                                int jobs = 1);
 
-// Per-seed ideal bounds (run_ideal) aggregated the same way.
-metrics::Curve run_ideal_multi_seed(ExperimentConfig config, int num_seeds,
-                                    int jobs = 1);
-
 // Incremental-deployment ablation (§1.2): `adopter_fraction` of nodes run
 // Perigee-Subset while the rest keep their random neighbors. λ is reported
 // separately for the two groups.

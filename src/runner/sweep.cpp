@@ -1,5 +1,6 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -17,6 +18,7 @@
 #include "runner/json.hpp"
 #include "runner/thread_pool.hpp"
 #include "util/assert.hpp"
+#include "util/table.hpp"
 
 namespace perigee::runner {
 namespace {
@@ -490,6 +492,109 @@ bool write_json_file(const std::string& path, const SweepSpec& spec,
 
 std::string default_json_path(const SweepSpec& spec) {
   return "BENCH_" + spec.name + ".json";
+}
+
+namespace {
+
+using CellGroup = std::vector<const CellResult*>;
+
+// A cell's label without its algorithm fragment. The algorithm is the
+// outermost axis, so when swept its fragment leads the label.
+std::string group_key(const std::string& label) {
+  if (label.rfind("algorithm=", 0) != 0) return label;
+  const std::size_t space = label.find(' ');
+  return space == std::string::npos ? std::string() : label.substr(space + 1);
+}
+
+std::string algorithm_of(const CellResult& cr) {
+  return std::string(core::algorithm_name(cr.cell.config.algorithm));
+}
+
+void print_curve_table(std::ostream& os, const std::string& title,
+                       const CellGroup& cells,
+                       metrics::Curve CellResult::*which) {
+  util::print_banner(os, title);
+  std::vector<std::string> header = {"node"};
+  for (const CellResult* cr : cells) header.push_back(algorithm_of(*cr));
+  util::Table table(std::move(header));
+  const std::size_t n = (cells.front()->*which).mean.size();
+  for (const std::size_t idx : metrics::errorbar_indices(n)) {
+    std::vector<std::string> row = {std::to_string(idx)};
+    for (const CellResult* cr : cells) {
+      const metrics::Curve& curve = cr->*which;
+      row.push_back(util::fmt(curve.mean[idx]) + " ±" +
+                    util::fmt(curve.stddev[idx]));
+    }
+    table.add_row(std::move(row));
+  }
+  std::vector<std::string> mean_row = {"mean"};
+  for (const CellResult* cr : cells) {
+    mean_row.push_back(util::fmt(metrics::curve_mean(cr->*which)));
+  }
+  table.add_row(std::move(mean_row));
+  table.print(os);
+}
+
+void print_comparisons(std::ostream& os, const CellGroup& cells) {
+  const metrics::Curve& base = cells.front()->curve;
+  const std::string base_name = algorithm_of(*cells.front());
+  const std::size_t mid = base.mean.size() / 2;
+  os << "improvement vs " << base_name << " at node " << mid << ":\n";
+  for (std::size_t i = 1; i < cells.size(); ++i) {
+    os << "  " << algorithm_of(*cells[i]) << ": ";
+    if (base.mean[mid] > 0) {
+      os << util::fmt(100.0 * metrics::improvement_at(cells[i]->curve, base,
+                                                      mid),
+                      1)
+         << "%\n";
+    } else {
+      os << "-\n";
+    }
+  }
+
+  const auto ideal = std::find_if(cells.begin() + 1, cells.end(), [](auto cr) {
+    return cr->cell.config.algorithm == core::Algorithm::Ideal;
+  });
+  if (ideal == cells.end()) return;
+  const double gap = base.mean[mid] - (*ideal)->curve.mean[mid];
+  os << '\n';
+  for (std::size_t i = 1; i < cells.size(); ++i) {
+    if (cells[i] == *ideal) continue;
+    os << "fraction of the " << base_name << "->ideal gap closed by "
+       << algorithm_of(*cells[i]) << " at the median node: ";
+    if (gap > 0) {
+      const double closed = (base.mean[mid] - cells[i]->curve.mean[mid]) / gap;
+      os << util::fmt(100.0 * closed, 1) << "%\n";
+    } else {
+      os << "-\n";
+    }
+  }
+}
+
+}  // namespace
+
+void print_tables(std::ostream& os, const SweepSpec& spec,
+                  const SweepResult& result) {
+  std::vector<std::pair<std::string, CellGroup>> groups;
+  for (const CellResult& cr : result.cells) {
+    std::string key = group_key(cr.cell.label);
+    auto group = std::find_if(groups.begin(), groups.end(),
+                              [&](const auto& g) { return g.first == key; });
+    if (group == groups.end()) {
+      group = groups.insert(groups.end(), {std::move(key), {}});
+    }
+    group->second.push_back(&cr);
+  }
+  for (const auto& [key, cells] : groups) {
+    const std::string title = key.empty() ? spec.name : spec.name + " " + key;
+    print_curve_table(os,
+                      title + ", " + util::fmt(100.0 * spec.base.coverage, 0) +
+                          "% coverage (ms)",
+                      cells, &CellResult::curve);
+    print_curve_table(os, title + ", 50% coverage (ms)", cells,
+                      &CellResult::curve50);
+    if (cells.size() > 1) print_comparisons(os, cells);
+  }
 }
 
 }  // namespace perigee::runner

@@ -218,4 +218,15 @@ bool write_json_file(const std::string& path, const SweepSpec& spec,
 
 std::string default_json_path(const SweepSpec& spec);
 
+// Prints the paper's tables for a sweep result. Cells are grouped by every
+// swept axis except the algorithm (groups in order of first appearance, so
+// fig4a yields one group per validation scale). Each group gets two tables
+// — sorted-λ "mean ±stddev" at the error-bar nodes plus a mean row, one
+// column per algorithm — at spec.base.coverage and at 50%, then the
+// improvement of every cell over the group's first at the median node and,
+// when the group has an ideal cell, the share of the first->ideal gap each
+// other cell closes. A ratio whose denominator is not positive prints "-".
+void print_tables(std::ostream& os, const SweepSpec& spec,
+                  const SweepResult& result);
+
 }  // namespace perigee::runner

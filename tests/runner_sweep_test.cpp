@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 #include "runner/json.hpp"
+#include "util/table.hpp"
 
 namespace perigee::runner {
 namespace {
@@ -85,15 +87,153 @@ TEST(SweepRunner, JobCountDoesNotChangeResults) {
 
 TEST(SweepRunner, MultiSeedMatchesCoreApi) {
   SweepSpec spec = small_spec();
-  spec.algorithms = {core::Algorithm::PerigeeSubset};
+  spec.algorithms = {core::Algorithm::PerigeeSubset, core::Algorithm::Ideal};
   const SweepResult result = SweepRunner(4).run(spec);
-  ASSERT_EQ(result.cells.size(), 1u);
+  ASSERT_EQ(result.cells.size(), 2u);
 
   core::ExperimentConfig config = spec.base;
   config.algorithm = core::Algorithm::PerigeeSubset;
   const auto reference = core::run_multi_seed(config, spec.seeds, 1);
   EXPECT_EQ(result.cells[0].curve.mean, reference.curve.mean);
   EXPECT_EQ(result.cells[0].curve50.mean, reference.curve50.mean);
+
+  // The ideal cell (one two-coverage pass over a shared scenario build) is
+  // the per-seed run_ideal bound, aggregated the same way, bit for bit.
+  std::vector<std::vector<double>> ideal, ideal50;
+  for (int s = 0; s < spec.seeds; ++s) {
+    core::ExperimentConfig seeded = spec.base;
+    seeded.algorithm = core::Algorithm::Ideal;
+    seeded.seed += static_cast<std::uint64_t>(s);
+    ideal.push_back(core::run_ideal(seeded));
+    seeded.coverage = 0.50;
+    ideal50.push_back(core::run_ideal(seeded));
+  }
+  const metrics::Curve ideal_ref = metrics::aggregate_sorted_curves(ideal);
+  const metrics::Curve ideal50_ref = metrics::aggregate_sorted_curves(ideal50);
+  EXPECT_EQ(result.cells[1].curve.mean, ideal_ref.mean);
+  EXPECT_EQ(result.cells[1].curve.stddev, ideal_ref.stddev);
+  EXPECT_EQ(result.cells[1].curve50.mean, ideal50_ref.mean);
+  EXPECT_EQ(result.cells[1].curve50.stddev, ideal50_ref.stddev);
+}
+
+// Splits a printed table row into its cells: columns are separated by at
+// least two spaces, while a "mean ±stddev" entry holds exactly one.
+std::vector<std::string> table_cells(const std::string& row) {
+  static const std::regex kColumnGap(" {2,}");
+  std::vector<std::string> cells;
+  const std::string trimmed = row.substr(row.find_first_not_of(' '));
+  std::sregex_token_iterator it(trimmed.begin(), trimmed.end(), kColumnGap,
+                                -1);
+  for (; it != std::sregex_token_iterator(); ++it) cells.push_back(*it);
+  return cells;
+}
+
+// The lines of the table printed under the banner "== <title> ==".
+std::vector<std::string> table_after(const std::string& text,
+                                     const std::string& title) {
+  std::istringstream in(text.substr(text.find("== " + title + " ==")));
+  std::vector<std::string> lines;
+  std::string line;
+  std::getline(in, line);  // the banner
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+    if (line.rfind("mean", 0) == 0) break;
+  }
+  return lines;
+}
+
+TEST(PrintTables, OneGroupPerScaleWithSpecOrderColumns) {
+  SweepSpec spec;
+  spec.name = "fig4a-small";
+  spec.base.net.n = 40;
+  spec.base.rounds = 1;
+  spec.base.blocks_per_round = 20;
+  spec.base.seed = 3;
+  spec.seeds = 2;
+  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeSubset,
+                     core::Algorithm::Ideal};
+  spec.validation_scales = {0.5, 2.0};
+  const SweepResult result = SweepRunner(2).run(spec);
+  ASSERT_EQ(result.cells.size(), 6u);
+
+  std::ostringstream os;
+  print_tables(os, spec, result);
+  const std::string text = os.str();
+
+  const std::vector<std::string> groups = {"vscale=0.5", "vscale=2"};
+  std::size_t previous = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::string title = spec.name + " " + groups[g];
+    const std::size_t at = text.find("== " + title + ", 90% coverage");
+    ASSERT_NE(at, std::string::npos) << groups[g];
+    EXPECT_GE(at, previous) << "groups out of order";
+    previous = at;
+
+    // Cells of group g, in spec (algorithm) order: algorithm is the
+    // outermost axis, so cell = a * scales + g.
+    std::vector<const CellResult*> cells;
+    for (std::size_t a = 0; a < spec.algorithms.size(); ++a) {
+      cells.push_back(&result.cells[a * groups.size() + g]);
+    }
+    for (const bool main_coverage : {true, false}) {
+      const std::vector<std::string> lines = table_after(
+          text, title + (main_coverage ? ", 90%" : ", 50%") +
+                    " coverage (ms)");
+      const std::vector<std::size_t> rows = metrics::errorbar_indices(40);
+      ASSERT_EQ(lines.size(), 2 + rows.size() + 1);
+      EXPECT_EQ(table_cells(lines[0]),
+                (std::vector<std::string>{"node", "random", "perigee-subset",
+                                          "ideal"}));
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const std::vector<std::string> row = table_cells(lines[2 + r]);
+        ASSERT_EQ(row.size(), 1 + cells.size());
+        EXPECT_EQ(row[0], std::to_string(rows[r]));
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+          const metrics::Curve& curve =
+              main_coverage ? cells[c]->curve : cells[c]->curve50;
+          EXPECT_EQ(row[1 + c], util::fmt(curve.mean[rows[r]]) + " ±" +
+                                    util::fmt(curve.stddev[rows[r]]));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(text.find("== " + spec.name + " vscale=0.5, 90%"),
+            text.find("== "));
+  std::size_t improvements = 0;
+  for (std::size_t at = text.find("improvement vs random at node 20:\n");
+       at != std::string::npos;
+       at = text.find("improvement vs random at node 20:\n", at + 1)) {
+    ++improvements;
+  }
+  EXPECT_EQ(improvements, groups.size());
+  EXPECT_NE(text.find("  perigee-subset: "), std::string::npos);
+  EXPECT_NE(text.find("  ideal: "), std::string::npos);
+  EXPECT_NE(text.find("fraction of the random->ideal gap closed by "
+                      "perigee-subset at the median node: "),
+            std::string::npos);
+}
+
+TEST(PrintTables, ZeroBaselinePrintsDashInsteadOfAborting) {
+  SweepSpec spec;
+  spec.base.net.n = 2;
+  spec.base.rounds = 1;
+  spec.base.blocks_per_round = 20;
+  spec.base.coverage = 0.5;
+  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeSubset,
+                     core::Algorithm::Ideal};
+  const SweepResult result = SweepRunner(1).run(spec);
+  for (const CellResult& cr : result.cells) {
+    for (const double v : cr.curve.mean) ASSERT_EQ(v, 0.0);
+  }
+
+  std::ostringstream os;
+  print_tables(os, spec, result);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("  perigee-subset: -\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  ideal: -\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("gap closed by perigee-subset at the median node: -\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(SweepRunner, ProgressReachesTotal) {
