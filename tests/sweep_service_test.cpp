@@ -70,6 +70,27 @@ TEST(GridFingerprint, StableAndSensitiveToResultAxes) {
   EXPECT_NE(grid_fingerprint(changed), fingerprint);
 }
 
+// Checkpoints and shard files written by earlier builds carry these hashes:
+// a refactor of how the axes are serialized must not change them.
+TEST(GridFingerprint, PinnedLiterals) {
+  EXPECT_EQ(grid_fingerprint(service_spec()), "a07056b51d4f7416");
+
+  SweepSpec all = service_spec();
+  all.nodes = {48, 64};
+  all.rounds = {1, 2};
+  all.hash_models = {mining::HashPowerModel::Uniform,
+                     mining::HashPowerModel::Exponential};
+  all.validation_scales = {0.5, 1.0};
+  all.relay = {false, true};
+  all.churn_rates = {0.0, 0.05};
+  all.hetero_profiles = {scenario::HeteroProfile::Off,
+                         scenario::HeteroProfile::Bandwidth};
+  all.withhold_fractions = {0.0, 0.1};
+  all.transmission_models = {scenario::TransmissionModel::Delay,
+                             scenario::TransmissionModel::Queue};
+  EXPECT_EQ(grid_fingerprint(all), "950b7662d594d53b");
+}
+
 TEST(GridFingerprint, IgnoresWallClockOnlyKnobs) {
   // A checkpoint taken under one engine must resume under another: these
   // switches are byte-parity-pinned elsewhere and not result axes.
