@@ -1,15 +1,16 @@
-// Unified sweep driver: runs any named figure or scenario grid (or a custom
-// cartesian grid over algorithm / n / rounds / hash model / validation scale
-// / relay / churn rate / heterogeneity profile / withholding fraction /
-// transmission model) end-to-end on the parallel SweepRunner, writes
-// BENCH_<name>.json and prints the paper's tables (runner::print_tables).
-// It is the only front end for the paper's Figure 3 and 4 grids.
+// Unified sweep driver: runs any named grid (--list: the paper's figures,
+// the scenario grids and the abl-* ablations) or a custom cartesian grid
+// over the axes of runner::sweep_axes() (one --<axis> CSV flag each)
+// end-to-end on the parallel SweepRunner, writes BENCH_<name>.json and
+// prints the paper's tables (runner::print_tables). It is the only front
+// end for the paper's Figure 3 and 4 grids and the λ-table ablations.
 //
 //   perigee_sweep --figure fig3a --jobs 8
 //   perigee_sweep --figure congestion --seeds 2 --jobs 0
 //   perigee_sweep --algorithms random,perigee-subset,ideal
 //       --nodes 200,400 --churn 0,0.05 --seeds 3 --jobs 4 --json grid.json
 //   perigee_sweep --transmission delay,queue --hetero off,bandwidth
+//   perigee_sweep --figure abl-explore --nodes 200 --explore 1,2
 //
 // The sweep runs as a crash-safe service: every completed (cell, seed) job
 // is checkpointed (disable with --checkpoint-dir none), an interrupted run
@@ -26,13 +27,13 @@
 // not; see src/runner/sweep.hpp.
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/meta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runner/axes.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/json.hpp"
 #include "runner/sweep.hpp"
@@ -43,69 +44,30 @@ namespace {
 
 using namespace perigee;
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-// stoull/stod abort the process on garbage; a CLI wants a clean error.
-std::optional<double> parse_number(const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    if (used != text.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-// Replaces `axis` with the items of the CSV flag `name` when it is set; an
-// unset flag keeps the preset. A set value with no items (",") is an error,
-// not a silent run of the base value. `parse` maps one item to a value or
-// reports its own error and returns nullopt.
-template <typename T, typename Parse>
-bool parse_axis(const util::Flags& flags, const std::string& name,
-                std::vector<T>& axis, Parse parse) {
-  const std::string& csv = flags.get_string(name);
-  if (csv.empty()) return true;
-  const std::vector<std::string> items = split_csv(csv);
-  if (items.empty()) {
-    std::cerr << "bad --" << name << " value '" << csv << "'\n";
-    return false;
-  }
-  axis.clear();
-  for (const std::string& item : items) {
-    const std::optional<T> value = parse(item);
-    if (!value) return false;
-    axis.push_back(*value);
-  }
-  return true;
-}
-
 struct Figure {
   const char* name;
   const char* what;
   runner::SweepSpec (*make)();
 };
 
-runner::SweepSpec fig3a() {
+using core::Algorithm;
+
+// A named grid over `algorithms` at network size n and `rounds` rounds.
+runner::SweepSpec grid(const char* name, std::size_t n, int rounds,
+                       std::vector<Algorithm> algorithms) {
   runner::SweepSpec spec;
-  spec.name = "fig3a";
-  spec.base.net.n = 1000;
-  spec.base.rounds = 50;
-  spec.algorithms = {
-      core::Algorithm::Random,         core::Algorithm::Geographic,
-      core::Algorithm::Kademlia,       core::Algorithm::PerigeeVanilla,
-      core::Algorithm::PerigeeUcb,     core::Algorithm::PerigeeSubset,
-      core::Algorithm::Ideal,
-  };
+  spec.name = name;
+  spec.base.net.n = n;
+  spec.base.rounds = rounds;
+  spec.algorithms = std::move(algorithms);
   return spec;
+}
+
+runner::SweepSpec fig3a() {
+  return grid("fig3a", 1000, 50,
+              {Algorithm::Random, Algorithm::Geographic, Algorithm::Kademlia,
+               Algorithm::PerigeeVanilla, Algorithm::PerigeeUcb,
+               Algorithm::PerigeeSubset, Algorithm::Ideal});
 }
 
 runner::SweepSpec fig3b() {
@@ -118,36 +80,29 @@ runner::SweepSpec fig3b() {
 }
 
 runner::SweepSpec fig4a() {
-  runner::SweepSpec spec;
-  spec.name = "fig4a";
-  spec.base.net.n = 600;
-  spec.base.rounds = 40;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeSubset,
-                     core::Algorithm::Ideal};
+  runner::SweepSpec spec = grid(
+      "fig4a", 600, 40,
+      {Algorithm::Random, Algorithm::PerigeeSubset, Algorithm::Ideal});
   spec.validation_scales = {0.1, 0.5, 1.0, 5.0, 10.0};
   return spec;
 }
 
 runner::SweepSpec fig4b() {
-  runner::SweepSpec spec;
-  spec.name = "fig4b";
-  spec.base.net.n = 600;
-  spec.base.rounds = 30;
+  runner::SweepSpec spec =
+      grid("fig4b", 600, 30,
+           {Algorithm::Random, Algorithm::Geographic, Algorithm::PerigeeSubset,
+            Algorithm::Ideal});
   spec.base.hash_model = mining::HashPowerModel::Pools;
   spec.base.pool_latency_scale = 0.1;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::Geographic,
-                     core::Algorithm::PerigeeSubset, core::Algorithm::Ideal};
   return spec;
 }
 
 runner::SweepSpec fig4c() {
-  runner::SweepSpec spec;
-  spec.name = "fig4c";
-  spec.base.net.n = 600;
-  spec.base.rounds = 30;
+  runner::SweepSpec spec =
+      grid("fig4c", 600, 30,
+           {Algorithm::Random, Algorithm::Geographic, Algorithm::PerigeeSubset,
+            Algorithm::Ideal});
   spec.base.relay = true;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::Geographic,
-                     core::Algorithm::PerigeeSubset, core::Algorithm::Ideal};
   return spec;
 }
 
@@ -159,12 +114,9 @@ runner::SweepSpec fig4c() {
 // Static baselines live through the same schedule but only rejoiners redial,
 // so the grid shows Perigee's exploration-driven self-healing.
 runner::SweepSpec churn_grid() {
-  runner::SweepSpec spec;
-  spec.name = "churn";
-  spec.base.net.n = 200;
-  spec.base.rounds = 12;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeSubset,
-                     core::Algorithm::Ideal};
+  runner::SweepSpec spec = grid(
+      "churn", 200, 12,
+      {Algorithm::Random, Algorithm::PerigeeSubset, Algorithm::Ideal});
   spec.churn_rates = {0.0, 0.02, 0.05};
   return spec;
 }
@@ -172,12 +124,9 @@ runner::SweepSpec churn_grid() {
 // Heterogeneous node capabilities (PODS-style tiers): bandwidth-only,
 // validation-only, and the full datacenter mix with concentrated hash power.
 runner::SweepSpec hetero_grid() {
-  runner::SweepSpec spec;
-  spec.name = "hetero";
-  spec.base.net.n = 200;
-  spec.base.rounds = 12;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeSubset,
-                     core::Algorithm::Ideal};
+  runner::SweepSpec spec = grid(
+      "hetero", 200, 12,
+      {Algorithm::Random, Algorithm::PerigeeSubset, Algorithm::Ideal});
   spec.hetero_profiles = {
       scenario::HeteroProfile::Off, scenario::HeteroProfile::Bandwidth,
       scenario::HeteroProfile::Validation, scenario::HeteroProfile::Datacenter};
@@ -188,11 +137,8 @@ runner::SweepSpec hetero_grid() {
 // Perigee's scoring disconnects them (§1 incentive compatibility); the
 // random baseline keeps relaying into dead ends.
 runner::SweepSpec adversary_grid() {
-  runner::SweepSpec spec;
-  spec.name = "adversary";
-  spec.base.net.n = 200;
-  spec.base.rounds = 12;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeSubset};
+  runner::SweepSpec spec = grid("adversary", 200, 12,
+                                {Algorithm::Random, Algorithm::PerigeeSubset});
   spec.withhold_fractions = {0.0, 0.05, 0.10, 0.20};
   return spec;
 }
@@ -204,11 +150,8 @@ runner::SweepSpec adversary_grid() {
 // per-hop block term stays off under queue — the engine owns transmission;
 // see docs/TRANSMISSION_MODEL.md).
 runner::SweepSpec congestion_grid() {
-  runner::SweepSpec spec;
-  spec.name = "congestion";
-  spec.base.net.n = 200;
-  spec.base.rounds = 12;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeSubset};
+  runner::SweepSpec spec = grid("congestion", 200, 12,
+                                {Algorithm::Random, Algorithm::PerigeeSubset});
   spec.transmission_models = {scenario::TransmissionModel::Delay,
                               scenario::TransmissionModel::Queue};
   spec.hetero_profiles = {scenario::HeteroProfile::Off,
@@ -218,13 +161,86 @@ runner::SweepSpec congestion_grid() {
 
 // CI-sized smoke grid: every adaptive variant on a small network.
 runner::SweepSpec baseline() {
-  runner::SweepSpec spec;
-  spec.name = "baseline";
-  spec.base.net.n = 200;
-  spec.base.rounds = 10;
-  spec.algorithms = {core::Algorithm::Random, core::Algorithm::PerigeeVanilla,
-                     core::Algorithm::PerigeeUcb, core::Algorithm::PerigeeSubset,
-                     core::Algorithm::Ideal};
+  return grid("baseline", 200, 10,
+              {Algorithm::Random, Algorithm::PerigeeVanilla,
+               Algorithm::PerigeeUcb, Algorithm::PerigeeSubset,
+               Algorithm::Ideal});
+}
+
+// Ablation grids (§4.2–4.3, §6): one knob per grid, swept through an
+// ablation axis. Random comes first where the knob is judged against the
+// random baseline, so every group prints "improvement vs random"; a
+// protocol knob leaves the static random cells unchanged.
+
+// UCB's confidence constant c (Eq. 3-4). Small c evicts neighbors on noise;
+// huge c never separates the confidence intervals and the topology stays
+// frozen at the random start. Expected shape: intermediate c wins;
+// c -> infinity degenerates to the (frozen) random topology.
+runner::SweepSpec abl_ucb_c() {
+  runner::SweepSpec spec = grid("abl-ucb-c", 500, 30,
+                                {Algorithm::Random, Algorithm::PerigeeUcb});
+  spec.ucb_cs = {30.0, 100.0, 300.0, 1000.0, 3000.0};
+  return spec;
+}
+
+// Exploration slots ev of Algorithm 1 with dout fixed at 8 (keep = 8 - ev).
+// ev = 0 is pure exploitation and can stay stuck with the initial random
+// peers; large ev keeps too much of the degree budget random. Expected
+// shape: a small positive ev (the paper uses 2) beats both extremes.
+runner::SweepSpec abl_explore() {
+  runner::SweepSpec spec = grid("abl-explore", 600, 40,
+                                {Algorithm::Random, Algorithm::PerigeeSubset});
+  spec.explore_slots = {0, 1, 2, 4};
+  return spec;
+}
+
+// Blocks per round |B| at a fixed budget of rounds x 100 blocks (§4.2.2's
+// noise-vs-convergence trade-off). Expected shape: very small |B| scores on
+// noisy percentiles and churns good neighbors; very large |B| converges in
+// too few updates. The paper's |B| = 100 sits near the sweet spot.
+runner::SweepSpec abl_round_size() {
+  runner::SweepSpec spec =
+      grid("abl-round-size", 600, 40,
+           {Algorithm::PerigeeVanilla, Algorithm::PerigeeSubset});
+  spec.blocks_per_round = {10, 50, 100, 200};
+  return spec;
+}
+
+// Footnote 3: Perigee-Subset trained on the fast engine's delivery times vs
+// on message-level gossip INV timestamps, both judged by the same metric.
+// Expected shape: both observation sources rank neighbors by the same
+// signal, so the learned improvements agree closely, validating the fast
+// abstraction the other grids use.
+runner::SweepSpec abl_learning() {
+  runner::SweepSpec spec = grid("abl-learning", 400, 25,
+                                {Algorithm::Random, Algorithm::PerigeeSubset});
+  spec.gossip_learning = {false, true};
+  return spec;
+}
+
+// Partial views (addrMan, §6): full knowledge vs bounded address books
+// bootstrapped with a few addresses and refreshed by per-round gossip.
+// Expected shape: even small address books recover the full-knowledge
+// advantage, because ADDR gossip keeps refreshing the candidate pool, so
+// the evaluation's "every node knows all IPs" assumption is harmless.
+runner::SweepSpec abl_discovery() {
+  runner::SweepSpec spec = grid("abl-discovery", 600, 40,
+                                {Algorithm::Random, Algorithm::PerigeeSubset});
+  spec.addrman_capacities = {std::nullopt, 10, 25, 50, 100, 200};
+  return spec;
+}
+
+// Bandwidth heterogeneity (§3.3; PODS-style capability spread): 1 MB blocks
+// over bandwidths log-uniform in [3, 186] Mbit/s, so the transmission term
+// dominates low-bandwidth links. Expected shape: the transmission term
+// compresses all gains, but Perigee, whose timestamps fold bandwidth in
+// with no explicit probing, keeps roughly twice the advantage of the
+// bandwidth-blind geographic policy.
+runner::SweepSpec abl_bandwidth() {
+  runner::SweepSpec spec = grid("abl-bandwidth", 600, 40,
+                                {Algorithm::Random, Algorithm::Geographic,
+                                 Algorithm::PerigeeSubset});
+  spec.bandwidth_spread = {false, true};
   return spec;
 }
 
@@ -239,6 +255,15 @@ constexpr Figure kFigures[] = {
     {"adversary", "withholding-fraction sweep (scenario)", adversary_grid},
     {"congestion", "delay vs queued egress engine (scenario)", congestion_grid},
     {"baseline", "CI-sized smoke grid (n=200)", baseline},
+    {"abl-ucb-c", "UCB confidence constant c (ablation)", abl_ucb_c},
+    {"abl-explore", "exploration slots ev, dout = 8 (ablation)", abl_explore},
+    {"abl-round-size", "blocks per round |B| at a fixed budget (ablation)",
+     abl_round_size},
+    {"abl-learning", "fast vs message-level learning (ablation)",
+     abl_learning},
+    {"abl-discovery", "bounded address books (ablation)", abl_discovery},
+    {"abl-bandwidth", "1 MB blocks over spread bandwidth (ablation)",
+     abl_bandwidth},
 };
 
 }  // namespace
@@ -248,22 +273,9 @@ int main(int argc, char** argv) {
   flags.add_string("figure", "", "named grid (see --list)");
   flags.add_bool("list", false, "list named figure grids and exit");
   flags.add_string("name", "", "override sweep name (output file stem)");
-  flags.add_string("algorithms", "",
-                   "CSV algorithm axis, e.g. random,perigee-subset,ideal");
-  flags.add_string("nodes", "", "CSV network-size axis");
-  flags.add_string("rounds", "", "CSV learning-round axis");
-  flags.add_string("hash", "", "CSV hash-model axis: uniform,exponential,pools");
-  flags.add_string("vscales", "", "CSV validation-scale axis");
-  flags.add_string("relay", "", "CSV relay axis: on,off");
-  flags.add_string("churn", "", "CSV per-round churn-rate axis, e.g. 0,0.02");
-  flags.add_string("hetero", "",
-                   "CSV heterogeneity axis: off,bandwidth,validation,"
-                   "datacenter");
-  flags.add_string("withhold", "",
-                   "CSV withholding-fraction axis, e.g. 0,0.1,0.2");
-  flags.add_string("transmission", "",
-                   "CSV transmission-model axis: delay (pure propagation) "
-                   "and/or queue (token-bucket egress engine)");
+  for (const runner::SweepAxis& axis : runner::sweep_axes()) {
+    flags.add_string(std::string(axis.flag), "", std::string(axis.help));
+  }
   flags.add_int("seeds", 0, "repetitions per cell (0 = keep preset/default)");
   flags.add_int("seed", 1, "base seed");
   flags.add_double("coverage", 0.90, "hash-power coverage for lambda");
@@ -286,11 +298,6 @@ int main(int argc, char** argv) {
                    "BENCH_<name>.json (runs no jobs; pass the same grid "
                    "flags as the shard runs — a fingerprint mismatch "
                    "aborts). Byte-identical to a single-process run");
-  flags.add_bool("reuse-builds", true,
-                 "build each distinct (topology axes, seed) scenario once "
-                 "and clone it across cells that differ only in policy "
-                 "axes (byte-identical either way; =false rebuilds per "
-                 "cell)");
   flags.add_string("trace", "",
                    "write a Chrome trace_event JSON (chrome://tracing, "
                    "Perfetto, scripts/summarize_trace.py) of the sweep to "
@@ -358,107 +365,15 @@ int main(int argc, char** argv) {
   // custom grids get multi-seed curves unless --seeds overrides.
   spec.seeds = 2;
 
-  // Axis overrides from flags.
-  const bool axes_ok =
-      parse_axis(flags, "algorithms", spec.algorithms,
-                 [](const std::string& item) {
-                   const auto algorithm = core::algorithm_from_name(item);
-                   if (!algorithm) {
-                     std::cerr << "unknown algorithm '" << item
-                               << "'; known:";
-                     for (const auto a : core::all_algorithms()) {
-                       std::cerr << ' ' << core::algorithm_name(a);
-                     }
-                     std::cerr << "\n";
-                   }
-                   return algorithm;
-                 }) &&
-      parse_axis(flags, "nodes", spec.nodes,
-                 [](const std::string& item) -> std::optional<std::size_t> {
-                   const auto v = parse_number(item);
-                   if (!v || *v < 2 || *v != static_cast<std::size_t>(*v)) {
-                     std::cerr << "bad --nodes value '" << item << "'\n";
-                     return std::nullopt;
-                   }
-                   return static_cast<std::size_t>(*v);
-                 }) &&
-      parse_axis(flags, "rounds", spec.rounds,
-                 [](const std::string& item) -> std::optional<int> {
-                   const auto v = parse_number(item);
-                   if (!v || *v < 0 || *v != static_cast<int>(*v)) {
-                     std::cerr << "bad --rounds value '" << item << "'\n";
-                     return std::nullopt;
-                   }
-                   return static_cast<int>(*v);
-                 }) &&
-      parse_axis(flags, "hash", spec.hash_models,
-                 [](const std::string& item) {
-                   const auto model = mining::hash_model_from_name(item);
-                   if (!model) {
-                     std::cerr << "unknown hash model '" << item
-                               << "' (uniform, exponential, pools)\n";
-                   }
-                   return model;
-                 }) &&
-      parse_axis(flags, "vscales", spec.validation_scales,
-                 [](const std::string& item) -> std::optional<double> {
-                   const auto v = parse_number(item);
-                   if (!v || *v <= 0) {
-                     std::cerr << "bad --vscales value '" << item << "'\n";
-                     return std::nullopt;
-                   }
-                   return v;
-                 }) &&
-      parse_axis(flags, "relay", spec.relay,
-                 [](const std::string& item) -> std::optional<bool> {
-                   if (item != "on" && item != "off") {
-                     std::cerr << "relay axis values are 'on' and 'off'\n";
-                     return std::nullopt;
-                   }
-                   return item == "on";
-                 }) &&
-      parse_axis(flags, "churn", spec.churn_rates,
-                 [](const std::string& item) -> std::optional<double> {
-                   const auto v = parse_number(item);
-                   if (!v || *v < 0 || *v > 1) {
-                     std::cerr << "bad --churn value '" << item
-                               << "' (want [0, 1])\n";
-                     return std::nullopt;
-                   }
-                   return v;
-                 }) &&
-      parse_axis(flags, "hetero", spec.hetero_profiles,
-                 [](const std::string& item) {
-                   const auto profile =
-                       scenario::hetero_profile_from_name(item);
-                   if (!profile) {
-                     std::cerr << "unknown hetero profile '" << item
-                               << "' (off, bandwidth, validation, "
-                                  "datacenter)\n";
-                   }
-                   return profile;
-                 }) &&
-      parse_axis(flags, "withhold", spec.withhold_fractions,
-                 [](const std::string& item) -> std::optional<double> {
-                   const auto v = parse_number(item);
-                   if (!v || *v < 0 || *v >= 1) {
-                     std::cerr << "bad --withhold value '" << item
-                               << "' (want [0, 1))\n";
-                     return std::nullopt;
-                   }
-                   return v;
-                 }) &&
-      parse_axis(flags, "transmission", spec.transmission_models,
-                 [](const std::string& item) {
-                   const auto model =
-                       scenario::transmission_model_from_name(item);
-                   if (!model) {
-                     std::cerr << "unknown transmission model '" << item
-                               << "' (delay, queue)\n";
-                   }
-                   return model;
-                 });
-  if (!axes_ok) return 1;
+  // Axis overrides from flags: a set flag replaces the preset's axis.
+  for (const runner::SweepAxis& axis : runner::sweep_axes()) {
+    const std::string& csv = flags.get_string(std::string(axis.flag));
+    if (csv.empty()) continue;
+    if (const std::string error = axis.parse(spec, csv); !error.empty()) {
+      std::cerr << error << "\n";
+      return 1;
+    }
+  }
   const std::int64_t seeds = flags.get_int("seeds");
   if (seeds < 0) {
     std::cerr << "bad --seeds value '" << seeds
@@ -491,8 +406,9 @@ int main(int argc, char** argv) {
     spec.name = name;
   }
 
-  // The relay overlay picks its members from the network, so a cell whose
-  // overlay outgrows n would abort deep in the topology builder.
+  // Cell combinations that would abort deep inside a job: the relay
+  // overlay picks its members from the network, and the message-level
+  // gossip engine has no egress queuing model.
   const std::vector<runner::SweepCell> cells = runner::expand_grid(spec);
   for (const runner::SweepCell& cell : cells) {
     const core::ExperimentConfig& config = cell.config;
@@ -502,12 +418,17 @@ int main(int argc, char** argv) {
                 << ")\n";
       return 1;
     }
+    if (config.message_level && config.scenario.transmission.enabled()) {
+      std::cerr << "cell '" << cell.label
+                << "': gossip learning does not support transmission=queue\n";
+      return 1;
+    }
   }
 
   // --merge: fold k shard outputs into the final file. No jobs run; the
   // merged JSON is byte-identical to a single-process run of the same grid.
   if (const auto& csv = flags.get_string("merge"); !csv.empty()) {
-    const std::vector<std::string> shard_paths = split_csv(csv);
+    const std::vector<std::string> shard_paths = runner::split_csv(csv);
     runner::SweepResult merged;
     try {
       merged = runner::merge_shards(spec, shard_paths);
@@ -536,10 +457,10 @@ int main(int argc, char** argv) {
     const std::size_t slash = text.find('/');
     const auto i = slash == std::string::npos
                        ? std::nullopt
-                       : parse_number(text.substr(0, slash));
+                       : runner::parse_number(text.substr(0, slash));
     const auto k = slash == std::string::npos
                        ? std::nullopt
-                       : parse_number(text.substr(slash + 1));
+                       : runner::parse_number(text.substr(slash + 1));
     if (!i || !k || *k < 1 || *i < 0 || *i >= *k ||
         *i != static_cast<int>(*i) || *k != static_cast<int>(*k)) {
       std::cerr << "bad --shard '" << text << "' (want i/k with 0 <= i < k)\n";
@@ -562,7 +483,6 @@ int main(int argc, char** argv) {
   options.shard_index = shard_index;
   options.shard_count = shard_count;
   options.resume = flags.get_bool("resume");
-  options.reuse_builds = flags.get_bool("reuse-builds");
   options.checkpoint_dir = flags.get_string("checkpoint-dir");
   if (options.checkpoint_dir.empty()) options.checkpoint_dir = path + ".ckpt";
   if (options.checkpoint_dir == "none") options.checkpoint_dir.clear();

@@ -8,10 +8,17 @@ int main(int argc, char** argv) {
   using namespace perigee;
 
   util::Flags flags;
-  bench::add_common_flags(flags, 600, 40, 1);
+  bench::add_common_flags(flags, 600, 40);
+  flags.add_int("seeds", 1, "independent repetitions");
   if (!flags.parse(argc, argv)) return 1;
+  const auto base = bench::config_from_flags(flags);
+  if (!base) return 1;
+  const std::int64_t seeds = flags.get_int("seeds");
+  if (seeds < 1) {
+    std::cerr << "bad --seeds value '" << seeds << "' (want >= 1)\n";
+    return 1;
+  }
   const bench::TraceSession trace_session(flags);
-  const int seeds = static_cast<int>(flags.get_int("seeds"));
   const int jobs = bench::jobs_from_flags(flags);
 
   util::print_banner(std::cout,
@@ -20,9 +27,8 @@ int main(int argc, char** argv) {
                      "holdout mean lambda90", "adopter advantage"});
   std::vector<bench::NamedCurve> json_curves;
   for (double fraction : {0.10, 0.25, 0.50, 0.75, 0.90}) {
-    core::ExperimentConfig config = bench::config_from_flags(flags);
-    const auto result =
-        core::run_incremental_multi_seed(config, fraction, seeds, jobs);
+    const auto result = core::run_incremental_multi_seed(
+        *base, fraction, static_cast<int>(seeds), jobs);
     const double adopters = metrics::curve_mean(result.adopters);
     const double holdouts = metrics::curve_mean(result.others);
     table.add_row({util::fmt(100.0 * fraction, 0) + "%", util::fmt(adopters),

@@ -1,11 +1,14 @@
-// Shared plumbing for the ablation and convergence benches: flag handling,
-// the --trace session and the --json curve dump. The paper's Figure 3 and 4
-// grids are not benches: `perigee_sweep --figure <name>` runs them and
-// prints their tables (runner::print_tables).
+// Shared plumbing for the benches whose output is not a λ table
+// (convergence traces, edge-latency histograms, incremental adoption):
+// flag handling, the --trace session and the --json curve dump. The paper's
+// Figure 3 and 4 grids and the λ-table ablations are not benches:
+// `perigee_sweep --figure <name>` runs them and prints their tables
+// (runner::print_tables).
 #pragma once
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,14 +30,14 @@ struct NamedCurve {
 };
 
 // Registers the flags shared by every bench on this header, including the
-// runner plumbing: --jobs N fans multi-seed runs across a work-stealing pool
-// (results are bit-identical at any value), --json <path> dumps the curves.
+// runner plumbing: --jobs N fans independent runs across a work-stealing
+// pool (results are bit-identical at any value), --json <path> dumps the
+// curves.
 inline void add_common_flags(util::Flags& flags, int default_nodes,
-                             int default_rounds, int default_seeds) {
+                             int default_rounds) {
   flags.add_int("nodes", default_nodes, "network size");
   flags.add_int("rounds", default_rounds,
                 "learning rounds (x100 blocks) for adaptive algorithms");
-  flags.add_int("seeds", default_seeds, "independent repetitions");
   flags.add_int("seed", 1, "base seed");
   flags.add_double("coverage", 0.90, "hash-power coverage for lambda");
   flags.add_int("jobs", 0, "worker threads (0 = all hardware threads)");
@@ -76,12 +79,32 @@ inline int jobs_from_flags(const util::Flags& flags) {
   return static_cast<int>(flags.get_int("jobs"));
 }
 
-inline core::ExperimentConfig config_from_flags(const util::Flags& flags) {
+// The experiment the shared flags describe. A value the experiment would
+// abort on deep inside a run prints "bad --<flag> value" and yields
+// nullopt, so the bench exits 1 before any work starts.
+inline std::optional<core::ExperimentConfig> config_from_flags(
+    const util::Flags& flags) {
+  const std::int64_t nodes = flags.get_int("nodes");
+  const std::int64_t rounds = flags.get_int("rounds");
+  const double coverage = flags.get_double("coverage");
+  if (nodes < 2) {
+    std::cerr << "bad --nodes value '" << nodes << "' (want >= 2)\n";
+    return std::nullopt;
+  }
+  if (rounds < 0) {
+    std::cerr << "bad --rounds value '" << rounds << "' (want >= 0)\n";
+    return std::nullopt;
+  }
+  // The negation also rejects NaN.
+  if (!(coverage > 0.0 && coverage <= 1.0)) {
+    std::cerr << "bad --coverage value '" << coverage << "' (want (0, 1])\n";
+    return std::nullopt;
+  }
   core::ExperimentConfig config;
-  config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
-  config.rounds = static_cast<int>(flags.get_int("rounds"));
+  config.net.n = static_cast<std::size_t>(nodes);
+  config.rounds = static_cast<int>(rounds);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.coverage = flags.get_double("coverage");
+  config.coverage = coverage;
   return config;
 }
 

@@ -14,18 +14,28 @@ int main(int argc, char** argv) {
   using namespace perigee;
 
   util::Flags flags;
-  bench::add_common_flags(flags, 600, 50, 1);
+  bench::add_common_flags(flags, 600, 50);
   flags.add_int("checkpoint_every", 10, "evaluate every N rounds");
   if (!flags.parse(argc, argv)) return 1;
+  const auto base = bench::config_from_flags(flags);
+  if (!base) return 1;
+  const std::int64_t every_flag = flags.get_int("checkpoint_every");
+  if (every_flag < 1) {
+    std::cerr << "bad --checkpoint_every value '" << every_flag
+              << "' (want >= 1)\n";
+    return 1;
+  }
+  const int every = static_cast<int>(every_flag);
   const bench::TraceSession trace_session(flags);
   const int jobs = bench::jobs_from_flags(flags);
-  const int every = static_cast<int>(flags.get_int("checkpoint_every"));
+  // Column names follow --coverage: "lambda90" at the default 0.90.
+  const std::string lambda_q = "lambda" + util::fmt(100.0 * base->coverage, 0);
 
   const std::array algorithms = {core::Algorithm::PerigeeVanilla,
                                  core::Algorithm::PerigeeSubset};
   struct Trace {
     std::vector<std::vector<std::string>> rows;
-    std::vector<double> mean90;  // one entry per checkpoint, for --json
+    std::vector<double> mean_q;  // one entry per checkpoint, for --json
   };
   std::array<Trace, algorithms.size()> traces;
 
@@ -33,7 +43,7 @@ int main(int argc, char** argv) {
       runner::resolve_jobs(jobs), static_cast<unsigned>(algorithms.size())));
   runner::parallel_for(pool, algorithms.size(), [&](std::size_t i) {
     const auto algorithm = algorithms[i];
-    core::ExperimentConfig config = bench::config_from_flags(flags);
+    core::ExperimentConfig config = *base;
     config.algorithm = algorithm;
 
     core::Scenario scenario = core::build_scenario(config);
@@ -49,14 +59,14 @@ int main(int argc, char** argv) {
       // One pass per source over the runner's cached compile serves both
       // coverages.
       const auto lambdas = metrics::eval_all_sources_multi(
-          runner.current_csr(), scenario.network, {0.9, 0.5});
-      const auto& l90 = lambdas[0];
+          runner.current_csr(), scenario.network, {config.coverage, 0.5});
+      const auto& lq = lambdas[0];
       const auto& l50 = lambdas[1];
       traces[i].rows.push_back({std::to_string(round),
-                                util::fmt(util::mean(l90)),
-                                util::fmt(util::percentile(l90, 0.5)),
+                                util::fmt(util::mean(lq)),
+                                util::fmt(util::percentile(lq, 0.5)),
                                 util::fmt(util::mean(l50))});
-      traces[i].mean90.push_back(util::mean(l90));
+      traces[i].mean_q.push_back(util::mean(lq));
     }
   });
 
@@ -65,17 +75,19 @@ int main(int argc, char** argv) {
     util::print_banner(std::cout,
                        std::string("convergence - ") +
                            std::string(core::algorithm_name(algorithms[i])));
-    util::Table table({"round", "mean lambda90", "median lambda90",
+    util::Table table({"round", "mean " + lambda_q, "median " + lambda_q,
                        "mean lambda50"});
     for (auto& row : traces[i].rows) table.add_row(std::move(row));
     table.print(std::cout);
-    // JSON: mean λ90 per checkpoint (the convergence trace itself).
+    // JSON: mean λ per checkpoint (the convergence trace itself).
     json_curves.push_back(
         {std::string(core::algorithm_name(algorithms[i])),
-         metrics::Curve{traces[i].mean90,
-                        std::vector<double>(traces[i].mean90.size(), 0.0)}});
+         metrics::Curve{traces[i].mean_q,
+                        std::vector<double>(traces[i].mean_q.size(), 0.0)}});
   }
-  if (!bench::write_json_if_requested(flags, "Convergence traces (mean lambda90)",
-                                 json_curves)) return 1;
+  if (!bench::write_json_if_requested(
+          flags, "Convergence traces (mean " + lambda_q + ")", json_curves)) {
+    return 1;
+  }
   return 0;
 }

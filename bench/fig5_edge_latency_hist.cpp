@@ -13,11 +13,13 @@ int main(int argc, char** argv) {
   using namespace perigee;
 
   util::Flags flags;
-  bench::add_common_flags(flags, 600, 30, 1);
+  bench::add_common_flags(flags, 600, 30);
   flags.add_int("bins", 24, "histogram bins");
   flags.add_double("mode_cut_ms", 50.0,
                    "latency separating the intra/inter-continent modes");
   if (!flags.parse(argc, argv)) return 1;
+  const auto base = bench::config_from_flags(flags);
+  if (!base) return 1;
   const bench::TraceSession trace_session(flags);
   const auto bins = static_cast<std::size_t>(flags.get_int("bins"));
   const double cut = flags.get_double("mode_cut_ms");
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
       std::min<unsigned>(runner::resolve_jobs(bench::jobs_from_flags(flags)),
                          static_cast<unsigned>(kAlgos)));
   runner::parallel_for(pool, kAlgos, [&](std::size_t i) {
-    core::ExperimentConfig config = bench::config_from_flags(flags);
+    core::ExperimentConfig config = *base;
     config.algorithm = algorithms[i].first;
     results[i] = core::run_experiment(config);
     std::cerr << "done: " << algorithms[i].second << "\n";

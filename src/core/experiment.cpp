@@ -362,10 +362,6 @@ void for_each_seed(int num_seeds, int jobs,
   runner::parallel_for(pool, n, fn);
 }
 
-}  // namespace
-
-namespace {
-
 // Workers beyond the seed count would idle in the seed pool; hand them to
 // each seed's engine instead (config.engine_jobs), where the batched
 // engine's any-worker-count determinism keeps results byte-identical.
@@ -379,24 +375,6 @@ void flow_leftover_jobs(ExperimentConfig& config, int num_seeds, int jobs) {
 }
 
 }  // namespace
-
-MultiSeedResult run_multi_seed(ExperimentConfig config, int num_seeds,
-                               int jobs) {
-  PERIGEE_ASSERT(num_seeds >= 1);
-  flow_leftover_jobs(config, num_seeds, jobs);
-  std::vector<std::vector<double>> runs(static_cast<std::size_t>(num_seeds));
-  std::vector<std::vector<double>> runs50(static_cast<std::size_t>(num_seeds));
-  const std::uint64_t base_seed = config.seed;
-  for_each_seed(num_seeds, jobs, [&](std::size_t s) {
-    ExperimentConfig seeded = config;
-    seeded.seed = base_seed + static_cast<std::uint64_t>(s);
-    ExperimentResult r = run_experiment(seeded);
-    runs[s] = std::move(r.lambda);
-    runs50[s] = std::move(r.lambda50);
-  });
-  return MultiSeedResult{metrics::aggregate_sorted_curves(std::move(runs)),
-                         metrics::aggregate_sorted_curves(std::move(runs50))};
-}
 
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction) {

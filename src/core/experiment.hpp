@@ -76,8 +76,8 @@ struct ExperimentConfig {
   // block batch and every λ evaluation across a runner::ThreadPool of this
   // many workers (0 = all hardware threads). Results are byte-identical at
   // any value — the batched engine writes per-source slots — so this only
-  // changes wall-clock. run_multi_seed raises it automatically when it has
-  // more workers than seeds.
+  // changes wall-clock. run_incremental_multi_seed raises it automatically
+  // when it has more workers than seeds.
   int engine_jobs = 1;
 
   // Incremental CSR maintenance across the round loop: the runner's snapshot
@@ -186,19 +186,6 @@ struct CellCurves {
 CellCurves run_cell_curves(const ExperimentConfig& config,
                            const Scenario* prebuilt = nullptr);
 
-// Repeats `run_experiment` with seeds seed, seed+1, ... and aggregates the
-// sorted per-node curves (paper: 3 independently sampled link latencies).
-// `jobs` > 1 fans the seeds out across a runner::ThreadPool; each seed is an
-// independent pure function of its config, and results land in per-seed
-// slots aggregated in seed order, so any jobs value gives bit-identical
-// curves (jobs <= 0 = all hardware threads).
-struct MultiSeedResult {
-  metrics::Curve curve;    // at config.coverage
-  metrics::Curve curve50;  // at 50% coverage
-};
-MultiSeedResult run_multi_seed(ExperimentConfig config, int num_seeds,
-                               int jobs = 1);
-
 // Incremental-deployment ablation (§1.2): `adopter_fraction` of nodes run
 // Perigee-Subset while the rest keep their random neighbors. λ is reported
 // separately for the two groups.
@@ -209,8 +196,11 @@ struct IncrementalResult {
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction);
 
-// Multi-seed aggregation of run_incremental with the same parallel/
-// deterministic contract as run_multi_seed.
+// Repeats run_incremental with seeds seed, seed+1, ... and aggregates the
+// sorted per-group curves. `jobs` > 1 fans the seeds out across a
+// runner::ThreadPool; each seed lands in a pre-assigned slot aggregated in
+// seed order, so any jobs value gives bit-identical curves (jobs <= 0 = all
+// hardware threads).
 struct IncrementalCurves {
   metrics::Curve adopters;  // sorted-λ curve over adopter nodes
   metrics::Curve others;    // sorted-λ curve over holdout nodes

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "runner/axes.hpp"
 #include "runner/json.hpp"
 
 namespace perigee::runner {
@@ -256,50 +257,11 @@ std::string grid_fingerprint(const SweepSpec& spec) {
   w.end_object();
   w.key("axes");
   w.begin_object();
-  w.key("algorithms");
-  w.begin_array();
-  for (const auto a : spec.algorithms) w.value(core::algorithm_name(a));
-  w.end_array();
-  w.key("nodes");
-  w.begin_array();
-  for (const auto n : spec.nodes) w.value(static_cast<std::int64_t>(n));
-  w.end_array();
-  w.key("rounds");
-  w.begin_array();
-  for (const auto r : spec.rounds) w.value(static_cast<std::int64_t>(r));
-  w.end_array();
-  w.key("hash_models");
-  w.begin_array();
-  for (const auto m : spec.hash_models) w.value(mining::hash_model_name(m));
-  w.end_array();
-  w.key("validation_scales");
-  w.begin_array();
-  for (const auto v : spec.validation_scales) w.value(v);
-  w.end_array();
-  w.key("relay");
-  w.begin_array();
-  for (const bool r : spec.relay) w.value(r);
-  w.end_array();
-  w.key("churn_rates");
-  w.begin_array();
-  for (const auto c : spec.churn_rates) w.value(c);
-  w.end_array();
-  w.key("hetero_profiles");
-  w.begin_array();
-  for (const auto h : spec.hetero_profiles) {
-    w.value(scenario::hetero_profile_name(h));
+  for (const SweepAxis& axis : sweep_axes()) {
+    if (!axis.written(spec)) continue;
+    w.key(axis.fingerprint_key);
+    axis.write_values(w, spec);
   }
-  w.end_array();
-  w.key("withhold_fractions");
-  w.begin_array();
-  for (const auto f : spec.withhold_fractions) w.value(f);
-  w.end_array();
-  w.key("transmission_models");
-  w.begin_array();
-  for (const auto t : spec.transmission_models) {
-    w.value(scenario::transmission_model_name(t));
-  }
-  w.end_array();
   w.end_object();
   w.end_object();
   return hex64(fnv1a(os.str()));

@@ -14,6 +14,7 @@
 #include "obs/meta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runner/axes.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/json.hpp"
 #include "runner/thread_pool.hpp"
@@ -23,37 +24,7 @@
 namespace perigee::runner {
 namespace {
 
-// One value of one expansion axis: how to stamp it into a cell config, and
-// its label fragment ("" when the axis is not swept).
-struct AxisOption {
-  std::function<void(core::ExperimentConfig&)> apply;
-  std::string label;
-};
-using Axis = std::vector<AxisOption>;
-
-// Builds one axis: the swept values (each labeled), or the unswept base
-// value with no label. Adding a sweep axis is one make_axis call in
-// expand_grid plus the SweepSpec field — nothing else.
-template <typename T, typename Setter, typename Labeler>
-Axis make_axis(const std::vector<T>& swept, const T& base, Setter set,
-               Labeler label) {
-  Axis axis;
-  if (swept.empty()) {
-    axis.push_back({[set, base](core::ExperimentConfig& c) { set(c, base); },
-                    std::string()});
-    return axis;
-  }
-  axis.reserve(swept.size());
-  for (const T& value : swept) {
-    axis.push_back(
-        {[set, value](core::ExperimentConfig& c) { set(c, value); },
-         label(value)});
-  }
-  return axis;
-}
-
 void append_label(std::string& label, std::string_view part) {
-  if (part.empty()) return;
   if (!label.empty()) label += ' ';
   label += part;
 }
@@ -61,78 +32,17 @@ void append_label(std::string& label, std::string_view part) {
 }  // namespace
 
 std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
-  // Axis declaration order == expansion nesting order (outermost first) ==
-  // label order. Every axis is either swept (labeled values) or pinned to
-  // the base config's value (single unlabeled option).
-  const std::vector<Axis> axes = {
-      make_axis(
-          spec.algorithms, spec.base.algorithm,
-          [](core::ExperimentConfig& c, core::Algorithm v) {
-            c.algorithm = v;
-          },
-          [](core::Algorithm v) {
-            return "algorithm=" + std::string(core::algorithm_name(v));
-          }),
-      make_axis(
-          spec.nodes, spec.base.net.n,
-          [](core::ExperimentConfig& c, std::size_t v) { c.net.n = v; },
-          [](std::size_t v) { return "n=" + std::to_string(v); }),
-      make_axis(
-          spec.rounds, spec.base.rounds,
-          [](core::ExperimentConfig& c, int v) { c.rounds = v; },
-          [](int v) { return "rounds=" + std::to_string(v); }),
-      make_axis(
-          spec.hash_models, spec.base.hash_model,
-          [](core::ExperimentConfig& c, mining::HashPowerModel v) {
-            c.hash_model = v;
-          },
-          [](mining::HashPowerModel v) {
-            return "hash=" + std::string(mining::hash_model_name(v));
-          }),
-      make_axis(
-          spec.validation_scales, spec.base.net.validation_scale,
-          [](core::ExperimentConfig& c, double v) {
-            c.net.validation_scale = v;
-          },
-          [](double v) { return "vscale=" + format_double(v); }),
-      make_axis(
-          spec.relay, spec.base.relay,
-          [](core::ExperimentConfig& c, bool v) { c.relay = v; },
-          [](bool v) { return std::string("relay=") + (v ? "on" : "off"); }),
-      make_axis(
-          spec.churn_rates, spec.base.scenario.churn.rate,
-          [](core::ExperimentConfig& c, double v) {
-            c.scenario.churn.rate = v;
-          },
-          [](double v) { return "churn=" + format_double(v); }),
-      make_axis(
-          spec.hetero_profiles, spec.base.scenario.hetero.profile,
-          [](core::ExperimentConfig& c, scenario::HeteroProfile v) {
-            c.scenario.hetero.profile = v;
-          },
-          [](scenario::HeteroProfile v) {
-            return "hetero=" + std::string(scenario::hetero_profile_name(v));
-          }),
-      make_axis(
-          spec.withhold_fractions,
-          spec.base.scenario.adversary.withhold_fraction,
-          [](core::ExperimentConfig& c, double v) {
-            c.scenario.adversary.withhold_fraction = v;
-          },
-          [](double v) { return "withhold=" + format_double(v); }),
-      make_axis(
-          spec.transmission_models, spec.base.scenario.transmission.model,
-          [](core::ExperimentConfig& c, scenario::TransmissionModel v) {
-            c.scenario.transmission.model = v;
-          },
-          [](scenario::TransmissionModel v) {
-            return "transmission=" +
-                   std::string(scenario::transmission_model_name(v));
-          }),
-  };
-
+  // Table order == expansion nesting order (outermost first) == label
+  // order. An unswept axis is one unlabeled option: the base value the cell
+  // config already holds.
+  const std::vector<SweepAxis>& axes = sweep_axes();
+  std::vector<std::size_t> sizes;
+  sizes.reserve(axes.size());
   std::size_t total = 1;
-  for (const Axis& axis : axes) total *= axis.size();
+  for (const SweepAxis& axis : axes) {
+    sizes.push_back(axis.size(spec));
+    total *= std::max<std::size_t>(sizes.back(), 1);
+  }
 
   // Mixed-radix decode of the cell index, first axis most significant —
   // exactly the order nested loops would visit.
@@ -144,12 +54,14 @@ std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
     cell.config = spec.base;
     std::size_t radix = total;
     std::size_t rest = i;
-    for (const Axis& axis : axes) {
-      radix /= axis.size();
-      const AxisOption& option = axis[rest / radix];
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      if (sizes[a] == 0) continue;
+      radix /= sizes[a];
+      const std::size_t value = rest / radix;
       rest %= radix;
-      option.apply(cell.config);
-      append_label(cell.label, option.label);
+      axes[a].apply(spec, value, cell.config);
+      append_label(cell.label, std::string(axes[a].label) + "=" +
+                                   axes[a].value_text(spec, value));
     }
     if (cell.label.empty()) cell.label = "base";
     cells.push_back(std::move(cell));
@@ -457,19 +369,11 @@ void write_json(std::ostream& os, const SweepSpec& spec,
     const core::ExperimentConfig& config = cr.cell.config;
     w.begin_object();
     w.field("label", cr.cell.label);
-    w.field("algorithm", core::algorithm_name(config.algorithm));
-    w.field("nodes", static_cast<std::int64_t>(config.net.n));
-    w.field("rounds", static_cast<std::int64_t>(config.rounds));
-    w.field("hash_model", mining::hash_model_name(config.hash_model));
-    w.field("validation_scale", config.net.validation_scale);
-    w.field("relay", config.relay);
-    w.field("churn", config.scenario.churn.rate);
-    w.field("hetero",
-            scenario::hetero_profile_name(config.scenario.hetero.profile));
-    w.field("withhold", config.scenario.adversary.withhold_fraction);
-    w.field("transmission",
-            scenario::transmission_model_name(
-                config.scenario.transmission.model));
+    for (const SweepAxis& axis : sweep_axes()) {
+      if (!axis.written(spec)) continue;
+      w.key(axis.json_key);
+      axis.write_cell(w, config);
+    }
     w.key("curve");
     write_curve(w, cr.curve);
     w.key("curve50");

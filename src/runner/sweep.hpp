@@ -1,14 +1,17 @@
 // Declarative experiment grids over ExperimentConfig, executed in parallel.
 //
 // A SweepSpec names the axes to sweep (algorithm, n, rounds, hash model,
-// validation scale, relay, and the scenario axes: churn rate, heterogeneity
-// profile, withholding fraction, transmission model); expand_grid() turns
-// it into the cartesian
-// list of cells in a fixed nesting order, and SweepRunner executes every
-// (cell, seed) pair as an independent job on a work-stealing ThreadPool.
-// Each job derives its seed as base seed + seed index and writes into a
-// pre-assigned slot, so the aggregated per-cell Curves are bit-identical at
-// any --jobs value — including --jobs 1, which is the sequential reference.
+// validation scale, relay; the scenario axes churn rate, heterogeneity
+// profile, withholding fraction and transmission model; the ablation axes
+// UCB c, exploration slots, blocks per round, learning engine, address
+// book and bandwidth spread). Each axis is one row of the table in
+// runner/axes.hpp, which expand_grid() walks to turn the spec into the
+// cartesian list of cells in a fixed nesting order. SweepRunner executes
+// every (cell, seed) pair as an independent job on a work-stealing
+// ThreadPool. Each job derives its seed as base seed + seed index and
+// writes into a pre-assigned slot, so the aggregated per-cell Curves are
+// bit-identical at any --jobs value — including --jobs 1, which is the
+// sequential reference.
 //
 // The same slot discipline is what makes the sweep a restartable service
 // rather than an all-or-nothing batch: a job's output is a pure function of
@@ -22,6 +25,7 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,9 +47,9 @@ struct SweepSpec {
   // (seed s of a cell runs with base.seed + s) and the λ coverage.
   core::ExperimentConfig base;
 
-  // Swept axes, outermost first in the expansion order. An empty axis means
-  // "not swept": the cell inherits the base value and the axis is left out
-  // of cell labels.
+  // Swept axes, outermost first in the expansion order (the row order of
+  // sweep_axes()). An empty axis means "not swept": the cell inherits the
+  // base value and the axis is left out of cell labels.
   std::vector<core::Algorithm> algorithms;
   std::vector<std::size_t> nodes;
   std::vector<int> rounds;
@@ -65,6 +69,23 @@ struct SweepSpec {
   // (docs/TRANSMISSION_MODEL.md). A result axis, echoed in cell JSON.
   std::vector<scenario::TransmissionModel> transmission_models;
 
+  // Ablation axes (the paper's §4.2–4.3 and §6 knobs). Unlike the axes
+  // above, each enters the fingerprint and the cell JSON only when swept.
+  std::vector<double> ucb_cs;  // params.ucb_c, Eq. (3)-(4)
+  // Exploration slots ev; keep = limits.out_cap - ev holds dout fixed.
+  std::vector<int> explore_slots;
+  // Blocks per round |B| at a fixed block budget: the cell runs
+  // rounds * blocks_per_round / |B| rounds.
+  std::vector<int> blocks_per_round;
+  // Learning observations: fast-engine deliveries (false) or message-level
+  // gossip INV timestamps (true; ExperimentConfig::message_level).
+  std::vector<bool> gossip_learning;
+  // Partial-view address-book capacity; nullopt is full knowledge.
+  std::vector<std::optional<std::size_t>> addrman_capacities;
+  // Uniform bandwidth (false), or 1 MB blocks over per-node bandwidths
+  // drawn log-uniform from the network options' range (true).
+  std::vector<bool> bandwidth_spread;
+
   // Independent repetitions per cell (aggregated into mean/stddev curves).
   int seeds = 1;
 };
@@ -77,6 +98,7 @@ struct SweepCell {
 
 // Cartesian expansion in the axis order declared above. Algorithm::Ideal is
 // a valid axis value: its cells are evaluated analytically via run_ideal.
+// Axes apply in that order too, so --blocks rescales the cell's rounds.
 std::vector<SweepCell> expand_grid(const SweepSpec& spec);
 
 struct CellResult {

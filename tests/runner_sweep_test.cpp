@@ -4,9 +4,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <regex>
 #include <sstream>
+#include <utility>
 
+#include "runner/axes.hpp"
+#include "runner/checkpoint.hpp"
 #include "runner/json.hpp"
 #include "util/table.hpp"
 
@@ -62,6 +66,148 @@ TEST(ExpandGrid, UnsweptSpecYieldsOneBaseCell) {
   EXPECT_EQ(cells[0].config.net.n, 50u);
 }
 
+// The cell JSON of a spec's grid with empty curves: enough to see its keys.
+std::string cell_json(const SweepSpec& spec) {
+  SweepResult result;
+  for (SweepCell& cell : expand_grid(spec)) {
+    result.cells.push_back({std::move(cell), {}, {}});
+  }
+  std::ostringstream os;
+  write_json(os, spec, result);
+  return os.str();
+}
+
+// An ablation axis enters the fingerprint and the cell JSON only when
+// swept: small_spec() leaves every ablation axis alone.
+void expect_key_only_when_swept(const SweepSpec& swept,
+                                const std::string& key) {
+  const std::string member = "\"" + key + "\":";
+  EXPECT_EQ(cell_json(small_spec()).find(member), std::string::npos);
+  EXPECT_NE(cell_json(swept).find(member), std::string::npos);
+  EXPECT_NE(grid_fingerprint(swept), grid_fingerprint(small_spec()));
+}
+
+TEST(AblationAxes, UcbCSetsTheConfidenceConstant) {
+  SweepSpec spec = small_spec();
+  spec.ucb_cs = {30.0, 3000.0};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 6u);
+  EXPECT_EQ(cells[0].label, "algorithm=random ucb_c=30");
+  EXPECT_EQ(cells[0].config.params.ucb_c, 30.0);
+  EXPECT_EQ(cells[1].config.params.ucb_c, 3000.0);
+  expect_key_only_when_swept(spec, "ucb_c");
+}
+
+TEST(AblationAxes, ExploreKeepsTheOutDegree) {
+  SweepSpec spec = small_spec();
+  spec.explore_slots = {0, 4};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 6u);
+  EXPECT_EQ(cells[1].label, "algorithm=random explore=4");
+  EXPECT_EQ(cells[0].config.params.explore, 0);
+  EXPECT_EQ(cells[0].config.params.keep, spec.base.limits.out_cap);
+  EXPECT_EQ(cells[1].config.params.explore, 4);
+  EXPECT_EQ(cells[1].config.params.keep, spec.base.limits.out_cap - 4);
+  expect_key_only_when_swept(spec, "explore");
+}
+
+TEST(AblationAxes, BlocksKeepTheBlockBudget) {
+  SweepSpec spec = small_spec();
+  spec.base.rounds = 4;  // 4 x 100 blocks
+  spec.blocks_per_round = {50, 200};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 6u);
+  EXPECT_EQ(cells[0].label, "algorithm=random blocks=50");
+  EXPECT_EQ(cells[0].config.blocks_per_round, 50);
+  EXPECT_EQ(cells[0].config.rounds, 8);
+  EXPECT_EQ(cells[1].config.blocks_per_round, 200);
+  EXPECT_EQ(cells[1].config.rounds, 2);
+  // The rounds axis comes first, so |B| rescales each swept round count.
+  spec.rounds = {2, 4};
+  spec.blocks_per_round = {50};
+  const auto rescaled = expand_grid(spec);
+  EXPECT_EQ(rescaled[0].label, "algorithm=random rounds=2 blocks=50");
+  EXPECT_EQ(rescaled[0].config.rounds, 4);
+  EXPECT_EQ(rescaled[1].config.rounds, 8);
+  expect_key_only_when_swept(spec, "blocks_per_round");
+}
+
+TEST(AblationAxes, LearningSelectsTheObservationEngine) {
+  SweepSpec spec = small_spec();
+  spec.gossip_learning = {false, true};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 6u);
+  EXPECT_EQ(cells[0].label, "algorithm=random learning=fast");
+  EXPECT_EQ(cells[1].label, "algorithm=random learning=gossip");
+  EXPECT_FALSE(cells[0].config.message_level);
+  EXPECT_TRUE(cells[1].config.message_level);
+  expect_key_only_when_swept(spec, "learning");
+  EXPECT_NE(cell_json(spec).find("\"learning\": \"gossip\""),
+            std::string::npos);
+}
+
+TEST(AblationAxes, AddrmanBoundsTheAddressBook) {
+  SweepSpec spec = small_spec();
+  spec.addrman_capacities = {std::nullopt, 10, 100};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 9u);
+  EXPECT_EQ(cells[0].label, "algorithm=random addrman=full");
+  EXPECT_EQ(cells[1].label, "algorithm=random addrman=10");
+  EXPECT_FALSE(cells[0].config.partial_view);
+  EXPECT_TRUE(cells[1].config.partial_view);
+  EXPECT_EQ(cells[1].config.addrman_capacity, 10u);
+  EXPECT_EQ(cells[1].config.addrman_bootstrap, 6u);   // 10 / 2 + 1
+  EXPECT_EQ(cells[2].config.addrman_capacity, 100u);
+  EXPECT_EQ(cells[2].config.addrman_bootstrap, 30u);  // capped
+  expect_key_only_when_swept(spec, "addrman");
+}
+
+TEST(AblationAxes, BandwidthSpreadUsesMegabyteBlocks) {
+  SweepSpec spec = small_spec();
+  spec.bandwidth_spread = {false, true};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 6u);
+  EXPECT_EQ(cells[1].label, "algorithm=random bandwidth=spread");
+  EXPECT_FALSE(cells[0].config.net.heterogeneous_bandwidth);
+  EXPECT_EQ(cells[0].config.net.block_size_kb, 0.0);
+  EXPECT_TRUE(cells[1].config.net.heterogeneous_bandwidth);
+  EXPECT_EQ(cells[1].config.net.block_size_kb, 1000.0);
+  expect_key_only_when_swept(spec, "bandwidth");
+}
+
+// The parse half of a table row, looked up by its flag.
+std::string parse_flag(SweepSpec& spec, std::string_view flag,
+                       const std::string& csv) {
+  for (const SweepAxis& axis : sweep_axes()) {
+    if (axis.flag == flag) return axis.parse(spec, csv);
+  }
+  ADD_FAILURE() << "no axis --" << flag;
+  return {};
+}
+
+TEST(AblationAxes, CsvParsersAcceptSpellingsAndRejectOutOfRange) {
+  SweepSpec spec = small_spec();
+  EXPECT_EQ(parse_flag(spec, "addrman", "full,25"), "");
+  ASSERT_EQ(spec.addrman_capacities.size(), 2u);
+  EXPECT_FALSE(spec.addrman_capacities[0].has_value());
+  EXPECT_EQ(spec.addrman_capacities[1], std::optional<std::size_t>(25));
+  EXPECT_EQ(parse_flag(spec, "learning", "gossip"), "");
+  EXPECT_EQ(spec.gossip_learning, std::vector<bool>{true});
+  EXPECT_EQ(parse_flag(spec, "explore", "0,8"), "");
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"explore", "9"}, {"blocks", "0"}, {"addrman", "0"},
+      {"ucb-c", "0"},   {"learning", "slow"}};
+  for (const auto& [flag, value] : bad) {
+    EXPECT_TRUE(parse_flag(spec, flag, value)
+                    .starts_with("bad --" + flag + " value '" + value + "'"))
+        << flag;
+  }
+  EXPECT_EQ(parse_flag(spec, "bandwidth", ","), "bad --bandwidth value ','");
+  // A rejected flag leaves the axis as it was.
+  EXPECT_EQ(spec.explore_slots, (std::vector<int>{0, 8}));
+}
+
 TEST(SweepRunner, JobCountDoesNotChangeResults) {
   const SweepSpec spec = small_spec();
   const SweepResult sequential = SweepRunner(1).run(spec);
@@ -91,11 +237,22 @@ TEST(SweepRunner, MultiSeedMatchesCoreApi) {
   const SweepResult result = SweepRunner(4).run(spec);
   ASSERT_EQ(result.cells.size(), 2u);
 
-  core::ExperimentConfig config = spec.base;
-  config.algorithm = core::Algorithm::PerigeeSubset;
-  const auto reference = core::run_multi_seed(config, spec.seeds, 1);
-  EXPECT_EQ(result.cells[0].curve.mean, reference.curve.mean);
-  EXPECT_EQ(result.cells[0].curve50.mean, reference.curve50.mean);
+  // The experiment cell is the per-seed run_experiment, aggregated in seed
+  // order, bit for bit.
+  std::vector<std::vector<double>> runs, runs50;
+  for (int s = 0; s < spec.seeds; ++s) {
+    core::ExperimentConfig seeded = spec.base;
+    seeded.algorithm = core::Algorithm::PerigeeSubset;
+    seeded.seed += static_cast<std::uint64_t>(s);
+    core::ExperimentResult run = core::run_experiment(seeded);
+    runs.push_back(std::move(run.lambda));
+    runs50.push_back(std::move(run.lambda50));
+  }
+  const metrics::Curve reference = metrics::aggregate_sorted_curves(runs);
+  const metrics::Curve reference50 = metrics::aggregate_sorted_curves(runs50);
+  EXPECT_EQ(result.cells[0].curve.mean, reference.mean);
+  EXPECT_EQ(result.cells[0].curve.stddev, reference.stddev);
+  EXPECT_EQ(result.cells[0].curve50.mean, reference50.mean);
 
   // The ideal cell (one two-coverage pass over a shared scenario build) is
   // the per-seed run_ideal bound, aggregated the same way, bit for bit.
