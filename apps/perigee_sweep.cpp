@@ -35,7 +35,6 @@
 #include "obs/trace.hpp"
 #include "runner/axes.hpp"
 #include "runner/checkpoint.hpp"
-#include "runner/json.hpp"
 #include "runner/sweep.hpp"
 #include "scenario/scenario.hpp"
 #include "util/flags.hpp"
@@ -305,9 +304,6 @@ int main(int argc, char** argv) {
   flags.add_bool("metrics", false,
                  "print the merged telemetry counter/histogram table to "
                  "stderr after the sweep");
-  flags.add_bool("print-meta", false,
-                 "print this binary's run metadata (build type, compiler, "
-                 "git sha, ...) as JSON and exit");
   flags.add_bool("incremental-csr", true,
                  "patch CSR snapshots from the topology mutation journal "
                  "between rounds (--incremental-csr=false forces full "
@@ -322,16 +318,6 @@ int main(int argc, char** argv) {
     for (const auto& figure : kFigures) {
       std::cout << figure.name << "\t" << figure.what << "\n";
     }
-    return 0;
-  }
-
-  if (flags.get_bool("print-meta")) {
-    const obs::RunMeta meta = obs::capture_run_meta();
-    runner::JsonWriter writer(std::cout);
-    writer.begin_object();
-    obs::write_run_meta_fields(writer, meta);
-    writer.end_object();
-    std::cout << "\n";
     return 0;
   }
 

@@ -19,6 +19,11 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 1, "seed");
   flags.add_int("sources", 25, "stretch-sample sources");
   if (!flags.parse(argc, argv)) return 1;
+  if (flags.get_int("nodes") < 2) {
+    std::cerr << "bad --nodes value '" << flags.get_int("nodes")
+              << "' (want >= 2)\n";
+    return 1;
+  }
 
   const auto n = static_cast<std::size_t>(flags.get_int("nodes"));
   net::NetworkOptions options;
@@ -29,22 +34,22 @@ int main(int argc, char** argv) {
   options.embed_scale_ms = 1.0;  // distances reported in unit-square units
   const auto network = net::Network::build(options);
 
-  // Corner pair: the nodes closest to (0,0) and (1,1).
-  net::NodeId a = 0, b = 0;
-  double best_a = 1e18, best_b = 1e18;
-  for (net::NodeId v = 0; v < n; ++v) {
-    const auto& c = network.profile(v).coords;
-    const double da = c[0] * c[0] + c[1] * c[1];
-    const double db = (1 - c[0]) * (1 - c[0]) + (1 - c[1]) * (1 - c[1]);
-    if (da < best_a) {
-      best_a = da;
-      a = v;
+  // Corner pair: the nodes closest to (0,0) and, among the others, (1,1).
+  auto closest_to = [&](double x, double y, net::NodeId skip) {
+    net::NodeId best = 0;
+    double best_d = 1e18;
+    for (net::NodeId v = 0; v < n; ++v) {
+      const auto& c = network.profile(v).coords;
+      const double d = (x - c[0]) * (x - c[0]) + (y - c[1]) * (y - c[1]);
+      if (v != skip && d < best_d) {
+        best_d = d;
+        best = v;
+      }
     }
-    if (db < best_b) {
-      best_b = db;
-      b = v;
-    }
-  }
+    return best;
+  };
+  const net::NodeId a = closest_to(0.0, 0.0, net::kInvalidNode);
+  const net::NodeId b = closest_to(1.0, 1.0, a);
 
   // (a) random topology with `degree` outgoing links per node.
   net::Topology random_topo(

@@ -1,12 +1,16 @@
 // Engine micro-benchmarks (google-benchmark): per-block broadcast cost on
-// both engines (legacy Topology walk vs compiled CSR fast path), CSR compile
-// cost, message-level gossip cost, scoring costs, and the sampling
-// primitives. These bound the wall-clock of the figure benches: one Figure-3
-// curve is rounds x blocks broadcasts plus n subset-scorings per round.
+// every engine over a compiled CSR snapshot, CSR compile and refresh cost,
+// message-level gossip cost, scoring costs, and the sampling primitives.
+// These bound the wall-clock of the figure benches: one Figure-3 curve is
+// rounds x blocks broadcasts plus n subset-scorings per round.
 //
-// BM_Broadcast (legacy) vs BM_BroadcastCsr at Arg(1000) — the fig3a grid
-// size — is the before/after pair recorded in BENCH_broadcast.json; the
-// acceptance bar is >= 1.5x items_per_second.
+// Three ratios at Arg(1000) — the fig3a grid size — are anchored and gated
+// (scripts/check_bench_regression.py; ARCHITECTURE.md "Release perf truth"
+// names the perfbench layer each one explains):
+//  - BENCH_scale.json: BM_BroadcastParallelDelta / BM_RelaxInnerLoop;
+//  - BENCH_queuing.json: BM_BroadcastEgressUnlimited / BM_RelaxInnerLoop;
+//  - BENCH_incremental_csr.json: BM_CsrChurnRefreshPatch /
+//    BM_CsrChurnRefreshRebuild.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -42,42 +46,12 @@ struct Fixture {
   net::Topology topology;
 };
 
-void BM_Broadcast(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  net::NodeId miner = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::simulate_broadcast(f.topology, *f.network, miner));
-    miner = (miner + 1) % static_cast<net::NodeId>(f.topology.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Broadcast)->Arg(200)->Arg(1000)->Arg(4000);
-
-void BM_BroadcastCsr(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  const net::CsrTopology csr =
-      net::CsrTopology::build(f.topology, *f.network);
-  sim::BroadcastScratch scratch;
-  sim::BroadcastResult result;
-  net::NodeId miner = 0;
-  for (auto _ : state) {
-    sim::simulate_broadcast(csr, miner, scratch, result);
-    benchmark::DoNotOptimize(result.arrival.data());
-    miner = (miner + 1) % static_cast<net::NodeId>(csr.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BroadcastCsr)->Arg(200)->Arg(1000)->Arg(4000);
-
-// The relaxation inner loop in isolation: one source through the batched
-// engine's solve_one kernel (u32 fixed-point bucket keys, next-row
-// prefetch, branchless settle) over a prebuilt CSR — no λ accumulation, no
-// compile, no pool, so iterations price the hot loop and nothing else.
-// Recorded in BENCH_broadcast.json as relax_inner_speedup against the
-// legacy Topology walker (BM_Broadcast) at the same Arg; the before/after
-// Release-mode delta of the micro-pass itself is reported in
-// ARCHITECTURE.md ("Release perf truth").
+// The single-source delay path: one source through the batched engine as a
+// batch of one (u32 fixed-point bucket keys, next-row prefetch, branchless
+// settle) over a prebuilt CSR — no λ accumulation, no compile, no pool, so
+// iterations price the relaxation hot loop and nothing else. It is the
+// denominator of both engine ratios anchored in BENCH_scale.json and
+// BENCH_queuing.json.
 void BM_RelaxInnerLoop(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -96,8 +70,8 @@ BENCHMARK(BM_RelaxInnerLoop)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The scale-path row recorded in BENCH_scale.json: the parallel
 // delta-stepping engine pinned to one worker (settled-once bucket
-// relaxation, byte-identical outputs) against BM_BroadcastCsr's heap
-// relaxation above.
+// relaxation, byte-identical outputs) against BM_RelaxInnerLoop above
+// (parallel_delta_speedup).
 void BM_BroadcastParallelDelta(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -116,11 +90,12 @@ BENCHMARK(BM_BroadcastParallelDelta)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The queuing-engine pair recorded in BENCH_queuing.json. The egress DES
 // (sim/egress.hpp) runs twice: in its ∞-rate parity corner, where it
-// computes the exact BM_BroadcastCsr arrivals through the event loop — so
-// egress_unlimited_speedup (this / BM_BroadcastCsr items_per_second) prices
-// the pure DES overhead and the soft gate bars it at n=1000 — and under
-// finite profile rates with 200 KB blocks plus INV chatter, the congestion
-// grid's per-block workload (egress_queue_speedup, recorded alongside).
+// computes the exact BM_RelaxInnerLoop arrivals through the event loop — so
+// egress_unlimited_speedup (this / BM_RelaxInnerLoop items_per_second)
+// prices the pure DES overhead and the soft gate bars it at n=1000 — and
+// under finite profile rates with 200 KB blocks plus INV chatter, the
+// congestion grid's per-block workload (egress_queue_speedup, recorded
+// alongside).
 void BM_BroadcastEgressUnlimited(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -186,32 +161,8 @@ void BM_EvalAllSources(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalAllSources)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
 
-// The before/after pair anchored in BENCH_multi_source.json: per-source CSR
-// loop (one 4-ary-heap Dijkstra + λ accumulation per source, shared compile
-// and scratch — the pre-batch implementation of eval_all_sources) vs the
-// batched multi-source engine at the same workload. The acceptance bar at
-// the fig3a grid size (n=1000) is >= 2x items_per_second.
-void BM_MultiSourcePerSourceCsr(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
-  sim::BroadcastScratch scratch;
-  sim::BroadcastResult result;
-  std::vector<double> lambda(csr.size());
-  for (auto _ : state) {
-    for (net::NodeId v = 0; v < csr.size(); ++v) {
-      sim::simulate_broadcast(csr, v, scratch, result);
-      lambda[v] = metrics::lambda_for_broadcast(result, *f.network, 0.90);
-    }
-    benchmark::DoNotOptimize(lambda.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_MultiSourcePerSourceCsr)
-    ->Arg(200)
-    ->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
+// Multi-source λ evaluation over a prebuilt CSR: the batched engine's
+// all-sources workload without the compile (BM_EvalAllSources includes it).
 void BM_MultiSourceBatched(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
@@ -482,8 +433,9 @@ BENCHMARK(BM_EdgeDelay);
 // was compiled (the distro package self-reports "debug"), NOT how this
 // binary was compiled — the two disagreeing in old anchors caused real
 // confusion. The perigee_* context keys below carry this binary's own
-// configure-time facts (the same source as the anchors' `meta` block) and
-// are what scripts/check_bench_regression.py --strict-build-type trusts.
+// configure-time facts; the anchors copy them, and
+// scripts/check_bench_regression.py --strict-build-type trusts
+// perigee_build_type on both sides.
 // See ARCHITECTURE.md, "Release perf truth".
 int main(int argc, char** argv) {
   const perigee::obs::RunMeta meta = perigee::obs::capture_run_meta();

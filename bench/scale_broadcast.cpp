@@ -1,15 +1,17 @@
 // Scale instrument behind BENCH_scale.json: one n = 10^5 (default) graph,
 // single-source broadcast timed through every engine that claims that scale
-// — the CSR reference heap and the parallel delta-stepping engine at worker
-// team sizes 1 and --jobs — plus the snapshot/scratch footprints and the
-// process peak RSS the soak test budgets against.
+// — the batched engine as a batch of one (the single-source delay path) and
+// the parallel delta-stepping engine at worker team sizes 1 and --jobs —
+// plus the snapshot/scratch footprints and the process peak RSS the soak
+// test budgets against.
 //
-// Byte parity is asserted inline (reference vs parallel arrivals memcmp
+// Byte parity is asserted inline (batched vs parallel arrivals memcmp
 // equal) so a timing run can never silently anchor numbers from an engine
-// that stopped agreeing. Timings are medians of --reps alternated runs.
+// that stopped agreeing. Timings are medians of --reps runs per engine.
 //
 //   ./scale_broadcast --nodes 100000 --jobs 2 --reps 5 --json scale.json
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -21,7 +23,7 @@
 #include "obs/meta.hpp"
 #include "runner/json.hpp"
 #include "runner/thread_pool.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/batch.hpp"
 #include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/flags.hpp"
@@ -58,6 +60,11 @@ int run(int argc, char** argv) {
   flags.add_int("reps", 5, "repetitions per engine (median reported)");
   flags.add_string("json", "", "also write the measurements to this file");
   if (!flags.parse(argc, argv)) return 1;
+  if (flags.get_int("nodes") < 2) {
+    std::cerr << "bad --nodes value '" << flags.get_int("nodes")
+              << "' (want >= 2)\n";
+    return 1;
+  }
 
   const auto n = static_cast<std::size_t>(flags.get_int("nodes"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
@@ -74,10 +81,12 @@ int run(int argc, char** argv) {
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
   const net::NodeId src = static_cast<net::NodeId>(n / 8);
 
-  sim::BroadcastScratch ref_scratch;
-  sim::BroadcastResult reference;
-  const double reference_ms = time_ms(
-      reps, [&] { sim::simulate_broadcast(csr, src, ref_scratch, reference); });
+  const std::array<net::NodeId, 1> source{src};
+  sim::MultiSourceScratch batch_scratch;
+  sim::MultiSourceResult batched;
+  const double batched_ms = time_ms(reps, [&] {
+    sim::simulate_broadcast_batch(csr, source, batch_scratch, batched);
+  });
 
   sim::ParallelScratch scratch;
   sim::BroadcastResult parallel1;
@@ -93,12 +102,11 @@ int run(int argc, char** argv) {
 
   // The determinism contract, enforced on the very run being anchored.
   const std::size_t bytes = n * sizeof(double);
-  if (std::memcmp(reference.arrival.data(), parallel1.arrival.data(), bytes) !=
-          0 ||
-      std::memcmp(reference.arrival.data(), parallelN.arrival.data(), bytes) !=
-          0) {
+  const double* batched_arrival = batched.arrival_of(0).data();
+  if (std::memcmp(batched_arrival, parallel1.arrival.data(), bytes) != 0 ||
+      std::memcmp(batched_arrival, parallelN.arrival.data(), bytes) != 0) {
     std::cerr << "FATAL: parallel engine lost byte parity with the "
-                 "reference at n="
+                 "batched engine at n="
               << n << "\n";
     return 1;
   }
@@ -108,12 +116,12 @@ int run(int argc, char** argv) {
 
   std::cout << "n=" << n << " src=" << src << " jobs=" << jobs
             << " reps=" << reps << "\n"
-            << "  reference heap      " << reference_ms << " ms\n"
-            << "  parallel-delta x1   " << parallel1_ms << " ms\n"
-            << "  parallel-delta x" << jobs << "   " << parallelN_ms << " ms\n"
-            << "  csr snapshot        " << csr.memory_bytes() << " bytes\n"
-            << "  parallel scratch    " << scratch.memory_bytes() << " bytes\n"
-            << "  peak RSS            " << peak_kb << " KiB\n";
+            << "  batched (one source) " << batched_ms << " ms\n"
+            << "  parallel-delta x1    " << parallel1_ms << " ms\n"
+            << "  parallel-delta x" << jobs << "    " << parallelN_ms << " ms\n"
+            << "  csr snapshot         " << csr.memory_bytes() << " bytes\n"
+            << "  parallel scratch     " << scratch.memory_bytes() << " bytes\n"
+            << "  peak RSS             " << peak_kb << " KiB\n";
 
   const std::string& path = flags.get_string("json");
   if (path.empty()) return 0;
@@ -129,7 +137,7 @@ int run(int argc, char** argv) {
     w.field("seed", static_cast<std::int64_t>(seed));
     w.field("jobs", static_cast<std::int64_t>(jobs));
     w.field("reps", static_cast<std::int64_t>(reps));
-    w.field("reference_heap_ms", reference_ms);
+    w.field("batched_ms", batched_ms);
     w.field("parallel_delta_x1_ms", parallel1_ms);
     w.field("parallel_delta_xjobs_ms", parallelN_ms);
     w.field("csr_snapshot_bytes",

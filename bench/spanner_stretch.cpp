@@ -22,6 +22,11 @@ int main(int argc, char** argv) {
   flags.add_int("sources", 15, "stretch-sample sources");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (flags.get_int("nodes") < 2) {
+    std::cerr << "bad --nodes value '" << flags.get_int("nodes")
+              << "' (want >= 2)\n";
+    return 1;
+  }
 
   const auto n = static_cast<std::size_t>(flags.get_int("nodes"));
   const int cones = static_cast<int>(flags.get_int("cones"));

@@ -4,9 +4,11 @@
 //
 //   ./examples/gossip_trace [--nodes N]
 #include <algorithm>
+#include <array>
 #include <iostream>
 
-#include "sim/broadcast.hpp"
+#include "net/csr.hpp"
+#include "sim/batch.hpp"
 #include "sim/gossip.hpp"
 #include "topo/builders.hpp"
 #include "util/flags.hpp"
@@ -42,11 +44,16 @@ int main(int argc, char** argv) {
   push.mode = sim::GossipConfig::Mode::Push;
   const auto pushed = sim::simulate_gossip(topology, network, miner, push);
 
-  const auto fast = sim::simulate_broadcast(topology, network, miner);
+  // The fast engine's single-source path: a batch of one over a snapshot.
+  const auto csr = net::CsrTopology::build(topology, network);
+  const std::array<net::NodeId, 1> source{miner};
+  sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult fast;
+  sim::simulate_broadcast_batch(csr, source, scratch, fast);
 
   const auto g = util::summarize(gossip.arrival);
   const auto p = util::summarize(pushed.arrival);
-  const auto f = util::summarize(fast.arrival);
+  const auto f = util::summarize(fast.arrival_of(0));
 
   util::Table table({"engine", "p50 arrival", "p90 arrival", "max",
                      "messages"});

@@ -5,20 +5,15 @@ BENCH_*.json anchor.
 The anchored quantity is a *speedup ratio* between a fast-path benchmark and
 its baseline (items_per_second of --fast-bench/N divided by
 --baseline-bench/N), which is largely machine-independent — comparing raw ns
-across CI runners would be noise. Anchor pairs today:
+across CI runners would be noise. Anchor pairs today, each explaining one
+perfbench layer (ARCHITECTURE.md, "Release perf truth"):
 
-  BENCH_broadcast.json       broadcast_speedup      BM_BroadcastCsr /
-                                                    BM_Broadcast
-  BENCH_broadcast.json       relax_inner_speedup    BM_RelaxInnerLoop /
-                                                    BM_Broadcast
-  BENCH_multi_source.json    multi_source_speedup   BM_MultiSourceBatched /
-                                                    BM_MultiSourcePerSourceCsr
   BENCH_incremental_csr.json incremental_csr_speedup BM_CsrChurnRefreshPatch /
                                                     BM_CsrChurnRefreshRebuild
   BENCH_scale.json           parallel_delta_speedup BM_BroadcastParallelDelta /
-                                                    BM_BroadcastCsr
+                                                    BM_RelaxInnerLoop
   BENCH_queuing.json         egress_unlimited_speedup BM_BroadcastEgressUnlimited /
-                                                    BM_BroadcastCsr
+                                                    BM_RelaxInnerLoop
 
 If the current ratio falls more than --max-regression below the anchor's
 ratio, a GitHub Actions ::warning:: annotation is emitted.
@@ -30,8 +25,9 @@ checks without blocking unrelated work.
 
 Usage:
   check_bench_regression.py <current_benchmark.json> <BENCH_anchor.json>
-      [--key broadcast_speedup] [--baseline-bench BM_Broadcast]
-      [--fast-bench BM_BroadcastCsr] [--max-regression 0.25] [--sizes 1000]
+      --key parallel_delta_speedup --baseline-bench BM_RelaxInnerLoop
+      --fast-bench BM_BroadcastParallelDelta [--max-regression 0.25]
+      [--sizes 1000]
 """
 
 import argparse
@@ -54,18 +50,18 @@ def main():
     parser.add_argument("anchor", help="checked-in BENCH_*.json anchor")
     parser.add_argument(
         "--key",
-        default="broadcast_speedup",
+        required=True,
         help="anchor object holding the per-size speedup ratios "
         '(e.g. {"n1000": 1.8})',
     )
     parser.add_argument(
         "--baseline-bench",
-        default="BM_Broadcast",
+        required=True,
         help="benchmark name of the baseline (denominator), without /size",
     )
     parser.add_argument(
         "--fast-bench",
-        default="BM_BroadcastCsr",
+        required=True,
         help="benchmark name of the fast path (numerator), without /size",
     )
     parser.add_argument(
@@ -85,8 +81,9 @@ def main():
         default=None,
         help="build type of the current run (e.g. Debug); defaults to the "
         "current run's context.perigee_build_type (micro_bench injects it); "
-        "warns when it differs from the anchor's meta.build_type, since "
-        "ratios anchored in one build mode are not comparable in another",
+        "warns when it differs from the anchor's context.perigee_build_type, "
+        "since ratios anchored in one build mode are not comparable in "
+        "another",
     )
     parser.add_argument(
         "--strict-build-type",
@@ -109,12 +106,13 @@ def main():
     current_entries = current.get("benchmarks", [])
     anchor_speedups = anchor.get(args.key, {})
 
-    # meta.build_type is the *perigee* library's CMake build type (not
+    # perigee_build_type is the *perigee* library's CMake build type (not
     # google-benchmark's context.library_build_type, which reports how the
     # benchmark .so itself was compiled — see ARCHITECTURE.md "Release perf
-    # truth"). The current run self-reports through the perigee_build_type
-    # custom context micro_bench injects; --current-build-type overrides it.
-    anchor_build_type = (anchor.get("meta") or {}).get("build_type")
+    # truth"). micro_bench injects it as custom context, so the anchor
+    # carries it from its own run and the current run self-reports it;
+    # --current-build-type overrides the current side.
+    anchor_build_type = (anchor.get("context") or {}).get("perigee_build_type")
     current_build_type = args.current_build_type or (
         current.get("context") or {}
     ).get("perigee_build_type")
@@ -138,7 +136,7 @@ def main():
             "::error title=Bench build-type unknown::--strict-build-type "
             f"needs both sides' build types (current: {current_build_type}, "
             f"anchor: {anchor_build_type}); pass --current-build-type or "
-            "regenerate the anchor with meta"
+            "regenerate the anchor with scripts/make_bench_anchors.py"
         )
         return 2
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <queue>
 
-#include "sim/broadcast.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 

@@ -26,7 +26,7 @@
 /// them. `CsrCache` picks patch vs. full rebuild by delta volume and handles
 /// profile/latency staleness through the Network's version counters.
 /// `tests/sim_engine_diff_test.cpp` holds patched snapshots byte-equal to
-/// fresh compiles (and both to the legacy engine) across every regime.
+/// fresh compiles (and both to the test oracle) across every regime.
 #pragma once
 
 #include <array>

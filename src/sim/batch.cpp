@@ -52,8 +52,9 @@ inline bool pop_is_fresh(double t, double arrival_u) {
 }
 
 // One source's bucket-queue Dijkstra relaxation into a caller-provided
-// arrival stripe. The inner loop matches the single-source CSR engine
-// except for three proven-equal transformations:
+// arrival stripe. The inner loop matches the test oracle's heap walk
+// (tests/broadcast_oracle.hpp) except for three proven-equal
+// transformations:
 //  - the per-edge `settled[v]` skip is dropped — a settled v has
 //    arrival <= the key being drained, so `cand < arrival[v]` is already
 //    false;

@@ -6,29 +6,31 @@
 /// all blocks of a round on one `net::CsrTopology` snapshot, and the λ
 /// metric broadcasts from every node of the network. This engine runs all
 /// sources of such a batch through one compile and one arena-backed scratch
-/// pool:
+/// pool. It is also the single-source delay path: one source is a batch of
+/// one (a one-element span, then `MultiSourceResult::extract` if the caller
+/// wants a `BroadcastResult`). What makes it fast:
 ///
 ///  - arrival/ready outputs are laid out SoA, one contiguous per-source
 ///    stripe of an arena each (`MultiSourceResult`), so a batch performs two
 ///    allocations total instead of 2·|sources|;
-///  - the per-source relaxation replaces the 4-ary heap with a monotone
-///    `BucketQueue` over u32 fixed-point keys, its grid derived from the
-///    snapshot's delay bounds (`BucketQueue::plan_fixed`); snapshots no
-///    grid fits — a zero-latency infra edge, an edgeless topology, a key
-///    span too wide for u32 — take the batch to `relax_heap`, the one
-///    heap fallback both this engine and the parallel engine share;
+///  - the per-source relaxation runs a monotone `BucketQueue` over u32
+///    fixed-point keys, its grid derived from the snapshot's delay bounds
+///    (`BucketQueue::plan_fixed`); snapshots no grid fits — a zero-latency
+///    infra edge, an edgeless topology, a key span too wide for u32 — take
+///    the batch to `relax_heap`, the one heap fallback both this engine and
+///    the parallel engine share;
 ///  - the ready vector is filled in one vectorizable pass after the
 ///    relaxation (`ready[v] = arrival[v] + Δv`), which is bit-identical to
-///    the reference engines' per-relaxation stores because the last value
-///    they store is exactly final-arrival + Δv;
+///    the test oracle's per-relaxation stores because the last value it
+///    stores is exactly final-arrival + Δv;
 ///  - sources fan out across an optional `runner::ThreadPool`: each worker
 ///    lane owns its queue/settled scratch, every source writes its
 ///    pre-assigned stripe, and results are therefore byte-identical at any
 ///    worker count — the same determinism contract as the sweep runner.
 ///
-/// Outputs are byte-for-byte identical to both the legacy Topology-walking
-/// engine and the single-source CSR engine; `tests/sim_engine_diff_test.cpp`
-/// holds all three to that across every scenario regime.
+/// Outputs are byte-for-byte identical to the Topology-walking test oracle
+/// (`tests/broadcast_oracle.hpp`); `tests/sim_engine_diff_test.cpp` holds
+/// this engine, pooled or inline, to that across every scenario regime.
 #pragma once
 
 #include <cstddef>
@@ -161,7 +163,7 @@ void relax_heap(const net::CsrTopology& csr, net::NodeId src,
                 std::vector<HeapItem>& heap, double* arrival);
 
 /// Fills `ready` from final arrivals in one pass: `ready[v] = arrival[v] +
-/// Δv`, `ready[src] = 0`. Bit-identical to the reference engines'
+/// Δv`, `ready[src] = 0`. Bit-identical to the test oracle's
 /// per-relaxation stores, because the last value they store is exactly
 /// final-arrival + Δv (and +inf + Δv == +inf keeps unreached nodes exact).
 void fill_ready(const net::CsrTopology& csr, net::NodeId src,
@@ -171,8 +173,8 @@ void fill_ready(const net::CsrTopology& csr, net::NodeId src,
 /// snapshot, materializing all stripes (the round loop's shape: |B| miners,
 /// observation recording wants every result at once). With a pool, sources
 /// are partitioned into contiguous per-worker ranges; without one the batch
-/// runs inline. Byte-identical to per-source `simulate_broadcast` at any
-/// worker count.
+/// runs inline. Byte-identical to the test oracle, source by source, at any
+/// worker count; a one-element span is the single-source path.
 void simulate_broadcast_batch(const net::CsrTopology& csr,
                               std::span<const net::NodeId> sources,
                               MultiSourceScratch& scratch,

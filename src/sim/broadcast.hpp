@@ -1,5 +1,5 @@
 /// \file
-/// \brief Fast per-block broadcast engine (paper §2.1 dynamics).
+/// \brief Per-block broadcast result (paper §2.1 dynamics).
 ///
 /// When a node u mines or finishes validating a block it immediately starts
 /// relaying to every adjacent node v, the copy arriving after δ(u,v). Arrival
@@ -8,29 +8,28 @@
 ///   ready(u)    = arrival(u) + Δu          (the miner skips validation)
 /// which a Dijkstra-style relaxation computes exactly in O(E log V).
 ///
-/// Three interchangeable engines compute that relaxation:
-///  - the reference engine walks `net::Topology` link lists through a
-///    binary `std::priority_queue`, resolving δ per edge visit;
-///  - the single-source CSR engine runs on a compiled `net::CsrTopology`
-///    (pre-resolved δ, contiguous rows) with a 4-ary heap and caller-owned
-///    reusable scratch buffers, and serves as the parity oracle for
+/// Every engine that computes that relaxation runs on a compiled
+/// `net::CsrTopology` snapshot:
 ///  - the batched multi-source engine (sim/batch.hpp): all sources of a
-///    round or a λ evaluation over one compile, a monotone bucket queue in
-///    place of the heap, SoA per-source result stripes, and optional
-///    source-level `runner::ThreadPool` parallelism — the one the round
-///    loop and the metrics use.
+///    round or a λ evaluation over one compile, a monotone bucket queue with
+///    `relax_heap` as its one heap fallback, SoA per-source result stripes
+///    and optional source-level `runner::ThreadPool` parallelism. A caller
+///    with one source passes a one-element span and, when it wants this
+///    header's shape, copies the stripe out with `MultiSourceResult::extract`;
+///  - the parallel delta-stepping engine (sim/parallel.hpp), one source
+///    across a worker team;
+///  - the egress queuing engine (sim/egress.hpp), which reproduces the
+///    delay-only arrivals at unlimited rate and zero message size.
 /// Their outputs are bit-identical — arrival is the exact minimum over
-/// identical per-path sums, independent of relaxation order — and
-/// `tests/sim_csr_parity_test.cpp` + `tests/sim_engine_diff_test.cpp`
-/// enforce it byte for byte.
+/// identical per-path sums, independent of relaxation order — and the parity
+/// suites (`tests/sim_engine_diff_test.cpp`, `tests/sim_csr_parity_test.cpp`)
+/// hold each of them byte for byte to a test-only Topology-walking oracle
+/// (`tests/broadcast_oracle.hpp`).
 #pragma once
 
-#include <utility>
 #include <vector>
 
-#include "net/csr.hpp"
-#include "net/network.hpp"
-#include "net/topology.hpp"
+#include "net/types.hpp"
 
 namespace perigee::sim {
 
@@ -43,45 +42,5 @@ struct BroadcastResult {
   /// Time each node starts relaying: arrival + validation (miner: 0).
   std::vector<double> ready;
 };
-
-/// Reusable per-worker arena for the single-source CSR engine: the heap and
-/// settled buffers survive across calls, so a caller simulating many blocks
-/// allocates them once. Not thread-safe; give each worker its own instance.
-/// (The round loop and the multi-source eval run on the batched engine's
-/// `MultiSourceScratch` arena instead — this one serves the parity oracle
-/// and single-shot callers.)
-struct BroadcastScratch {
-  std::vector<std::pair<double, net::NodeId>> heap;  ///< 4-ary (arrival, node)
-  std::vector<std::uint8_t> settled;                 ///< per-node visited flag
-};
-
-/// Reference engine over the mutable Topology (kept as the parity oracle).
-BroadcastResult simulate_broadcast(const net::Topology& topology,
-                                   const net::Network& network,
-                                   net::NodeId miner);
-
-/// CSR fast path: relaxation over pre-resolved δ arrays with a 4-ary heap.
-/// Reuses `scratch` buffers and writes into `result` (vectors are resized as
-/// needed), so a caller looping over miners performs no steady-state
-/// allocation. Bit-identical to the reference engine.
-void simulate_broadcast(const net::CsrTopology& csr, net::NodeId miner,
-                        BroadcastScratch& scratch, BroadcastResult& result);
-
-/// Convenience CSR overload allocating its own scratch and result.
-BroadcastResult simulate_broadcast(const net::CsrTopology& csr,
-                                   net::NodeId miner);
-
-/// δ used by the engine for a specific adjacency link (infra override or the
-/// network's edge delay). Exposed so observation collection and tests use the
-/// exact same edge costs; `net::CsrTopology::build` resolves the same value
-/// into its delay array.
-double link_delay_ms(const net::Topology::Link& link, net::NodeId from,
-                     const net::Network& network);
-
-/// Time at which u's copy of the block reaches v (u adjacent to v):
-/// ready[u] + δ(u,v); +inf if u never got the block.
-double delivery_time(const BroadcastResult& result,
-                     const net::Topology::Link& link_from_v,
-                     net::NodeId v, const net::Network& network);
 
 }  // namespace perigee::sim

@@ -19,7 +19,7 @@
 /// `std::priority_queue<pair, greater<>>` order** for any monotone push
 /// sequence — `tests/sim_bucketq_test.cpp` asserts this equivalence
 /// directly, and the batched engine therefore settles nodes in exactly the
-/// reference engine's sequence.
+/// test oracle's sequence.
 ///
 /// Keys are bucketed on a u32 fixed-point grid: each key is quantized onto
 /// a power-of-two grid (`util::FixedPointScale`, exact floor) at push time

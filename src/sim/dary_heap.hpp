@@ -1,10 +1,10 @@
 /// \file
-/// \brief 4-ary min-heap, shared by the single-source CSR engine, the
-/// delay engines' heap fallback (`relax_heap`) and the egress event queue.
+/// \brief 4-ary min-heap, shared by the delay engines' heap fallback
+/// (`relax_heap`) and the egress event queue.
 ///
 /// Ordered lexicographically — the same total order
 /// `std::priority_queue<pair, greater<>>` pops in, so every engine built on
-/// it settles nodes in exactly the reference engine's sequence. d=4 halves
+/// it settles nodes in exactly the test oracle's sequence. d=4 halves
 /// the tree height of a binary heap and keeps each child scan in one cache
 /// line, which pays off at the push-heavy workload of a sparse Dijkstra.
 #pragma once

@@ -36,9 +36,9 @@
 /// `unlimited_rate` (or all-zero message sizes) every send completes at its
 /// dequeue instant with no floating-point work, each candidate arrival is
 /// the identical single `ready_u + δ` addition the delay-only relaxation
-/// performs, and the engine's arrival/ready bytes equal the legacy, CSR,
-/// and batched engines' exactly. See docs/TRANSMISSION_MODEL.md for the
-/// full model semantics.
+/// performs, and the engine's arrival/ready bytes equal the batched
+/// engine's and the test oracle's exactly. See docs/TRANSMISSION_MODEL.md
+/// for the full model semantics.
 #pragma once
 
 #include <array>

@@ -6,7 +6,7 @@
 /// the block requests it (GETDATA) from the first announcer; the block is then
 /// transferred. In Push mode the handshake is skipped and blocks are pushed
 /// directly — in that mode arrival times coincide exactly with the fast
-/// engine's (sim/broadcast.hpp), which the test suite asserts.
+/// delay engines' (sim/batch.hpp), which the test suite asserts.
 ///
 /// Control messages (INV/GETDATA) travel at the link's propagation latency;
 /// the block transfer pays the full edge delay (propagation + transmission).

@@ -19,48 +19,13 @@ void ObservationTable::begin_round(const net::Topology& topology,
     PerNode& pn = nodes_[v];
     const auto& adj = topology.adjacency(v);
     pn.neighbors.reserve(adj.size());
-    pn.links.reserve(adj.size());
     pn.outgoing.reserve(adj.size());
     for (const auto& link : adj) {
       pn.neighbors.push_back(link.peer);
-      pn.links.push_back(link);
       pn.outgoing.push_back(topology.has_out(v, link.peer) ? 1 : 0);
     }
     pn.rel.assign(pn.neighbors.size() * blocks_per_round_, util::kInf);
   }
-}
-
-void ObservationTable::record_block(const net::Topology& topology,
-                                    const net::Network& network,
-                                    const BroadcastResult& result) {
-  PERIGEE_ASSERT(blocks_recorded_ < blocks_per_round_);
-  PERIGEE_ASSERT(nodes_.size() == topology.size());
-  const std::size_t b = blocks_recorded_;
-  for (net::NodeId v = 0; v < topology.size(); ++v) {
-    PerNode& pn = nodes_[v];
-    const std::size_t deg = pn.neighbors.size();
-    if (deg == 0) continue;
-    scratch_.resize(deg);
-    double t_min = util::kInf;
-    for (std::size_t i = 0; i < deg; ++i) {
-      const double t = delivery_time(result, pn.links[i], v, network);
-      scratch_[i] = t;
-      t_min = std::min(t_min, t);
-    }
-    for (std::size_t i = 0; i < deg; ++i) {
-      // Unreached neighbor (or fully unreached v): t̃ stays +inf.
-      const double rel = std::isinf(scratch_[i]) || std::isinf(t_min)
-                             ? util::kInf
-                             : scratch_[i] - t_min;
-      pn.rel[i * blocks_per_round_ + b] = rel;
-    }
-  }
-  ++blocks_recorded_;
-}
-
-void ObservationTable::record_block(const net::CsrTopology& csr,
-                                    const BroadcastResult& result) {
-  record_block(csr, result.miner, result.ready);
 }
 
 void ObservationTable::record_block(const net::CsrTopology& csr,
@@ -75,7 +40,7 @@ void ObservationTable::record_block(const net::CsrTopology& csr,
     const std::size_t deg = pn.neighbors.size();
     if (deg == 0) continue;
     // Row v of the snapshot is adjacency(v) in capture order, so entry i is
-    // exactly the δ delivery_time would resolve for pn.links[i].
+    // δ(v, neighbor i).
     const auto delays = csr.delays(v);
     PERIGEE_ASSERT(delays.size() == deg);
     scratch_.resize(deg);

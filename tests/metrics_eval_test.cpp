@@ -1,3 +1,4 @@
+#include "broadcast_oracle.hpp"
 #include "metrics/eval.hpp"
 
 #include <gtest/gtest.h>
@@ -39,7 +40,7 @@ TEST(Lambda, CoverageAccumulatesHashPower) {
   t.connect(0, 1);
   t.connect(1, 2);
   t.connect(2, 3);
-  const auto result = sim::simulate_broadcast(t, network, 0);
+  const auto result = oracle::simulate_broadcast(t, network, 0);
   // Arrivals: 0, 10, 20, 30. Cumulative power 0.25/0.5/0.75/1.0.
   EXPECT_DOUBLE_EQ(lambda_for_broadcast(result, network, 0.25), 0.0);
   EXPECT_DOUBLE_EQ(lambda_for_broadcast(result, network, 0.50), 10.0);
@@ -54,7 +55,7 @@ TEST(Lambda, MinerPowerCountsImmediately) {
   network.mutable_profiles()[1].hash_power = 0.1;
   net::Topology t(2);
   t.connect(0, 1);
-  const auto result = sim::simulate_broadcast(t, network, 0);
+  const auto result = oracle::simulate_broadcast(t, network, 0);
   // The miner alone already covers 90%.
   EXPECT_DOUBLE_EQ(lambda_for_broadcast(result, network, 0.90), 0.0);
   EXPECT_DOUBLE_EQ(lambda_for_broadcast(result, network, 0.95), 10.0);
@@ -64,7 +65,7 @@ TEST(Lambda, UnreachableCoverageIsInfinite) {
   auto network = make_line_network({0.0, 10.0, 20.0});
   net::Topology t(3);
   t.connect(0, 1);  // node 2 isolated
-  const auto result = sim::simulate_broadcast(t, network, 0);
+  const auto result = oracle::simulate_broadcast(t, network, 0);
   EXPECT_TRUE(std::isfinite(lambda_for_broadcast(result, network, 0.66)));
   EXPECT_TRUE(std::isinf(lambda_for_broadcast(result, network, 0.90)));
 }
@@ -80,7 +81,7 @@ TEST(EvalAllSources, MatchesPerSourceBroadcast) {
   const auto lambda = eval_all_sources(t, network, 0.9);
   ASSERT_EQ(lambda.size(), 60u);
   for (net::NodeId v : {net::NodeId{0}, net::NodeId{30}, net::NodeId{59}}) {
-    const auto result = sim::simulate_broadcast(t, network, v);
+    const auto result = oracle::simulate_broadcast(t, network, v);
     EXPECT_DOUBLE_EQ(lambda[v], lambda_for_broadcast(result, network, 0.9));
   }
 }
@@ -245,7 +246,7 @@ TEST(Lambda, ExponentialPowerShiftsCoverage) {
   net::Topology t(3);
   t.connect(0, 1);
   t.connect(0, 2);
-  const auto result = sim::simulate_broadcast(t, network, 0);
+  const auto result = oracle::simulate_broadcast(t, network, 0);
   EXPECT_DOUBLE_EQ(lambda_for_broadcast(result, network, 0.9), 500.0);
 }
 

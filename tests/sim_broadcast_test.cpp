@@ -1,8 +1,9 @@
-#include "sim/broadcast.hpp"
+#include "broadcast_oracle.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
@@ -31,6 +32,24 @@ net::Network make_line_network(const std::vector<double>& xs,
   return network;
 }
 
+// §2.1 semantics pinned on two implementations at once: every hand-computed
+// case below runs the oracle and the production single-source path (a
+// batch of one over a compiled snapshot), which must agree byte for byte.
+BroadcastResult broadcast(const net::Topology& t, const net::Network& network,
+                          net::NodeId miner) {
+  BroadcastResult want = oracle::simulate_broadcast(t, network, miner);
+  const BroadcastResult got =
+      oracle::batch_of_one(net::CsrTopology::build(t, network), miner);
+  EXPECT_EQ(got.miner, want.miner);
+  EXPECT_EQ(std::memcmp(got.arrival.data(), want.arrival.data(),
+                        want.arrival.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(got.ready.data(), want.ready.data(),
+                        want.ready.size() * sizeof(double)),
+            0);
+  return want;
+}
+
 TEST(Broadcast, ChainArrivalTimes) {
   // Nodes at x = 0, 10, 30: chain 0-1-2. Validation 5 ms.
   auto network = make_line_network({0.0, 10.0, 30.0}, 5.0);
@@ -38,7 +57,7 @@ TEST(Broadcast, ChainArrivalTimes) {
   ASSERT_TRUE(t.connect(0, 1));
   ASSERT_TRUE(t.connect(1, 2));
 
-  const auto result = simulate_broadcast(t, network, 0);
+  const auto result = broadcast(t, network, 0);
   EXPECT_DOUBLE_EQ(result.arrival[0], 0.0);
   EXPECT_DOUBLE_EQ(result.ready[0], 0.0);  // miner skips validation
   EXPECT_DOUBLE_EQ(result.arrival[1], 10.0);
@@ -52,7 +71,7 @@ TEST(Broadcast, MinerInMiddleOfChain) {
   net::Topology t(3);
   ASSERT_TRUE(t.connect(0, 1));
   ASSERT_TRUE(t.connect(1, 2));
-  const auto result = simulate_broadcast(t, network, 1);
+  const auto result = broadcast(t, network, 1);
   EXPECT_DOUBLE_EQ(result.arrival[1], 0.0);
   EXPECT_DOUBLE_EQ(result.arrival[0], 10.0);
   EXPECT_DOUBLE_EQ(result.arrival[2], 20.0);
@@ -66,13 +85,13 @@ TEST(Broadcast, PicksFasterOfTwoPaths) {
   ASSERT_TRUE(t.connect(0, 1));
   ASSERT_TRUE(t.connect(0, 2));
   ASSERT_TRUE(t.connect(2, 1));
-  const auto result = simulate_broadcast(t, network, 0);
+  const auto result = broadcast(t, network, 0);
   EXPECT_DOUBLE_EQ(result.arrival[1], 100.0);
 
   // Larger validation makes the indirect path even worse; smaller validation
   // (0 ms) makes it the winner: 40 + 0 + 60 = 100 ties direct.
   auto fast_net = make_line_network({0.0, 100.0, 40.0}, 0.0);
-  const auto result2 = simulate_broadcast(t, fast_net, 0);
+  const auto result2 = broadcast(t, fast_net, 0);
   EXPECT_DOUBLE_EQ(result2.arrival[1], 100.0);
 }
 
@@ -81,7 +100,7 @@ TEST(Broadcast, ValidationDelaysRelayNotReception) {
   net::Topology t(3);
   ASSERT_TRUE(t.connect(0, 1));
   ASSERT_TRUE(t.connect(1, 2));
-  const auto result = simulate_broadcast(t, network, 0);
+  const auto result = broadcast(t, network, 0);
   // Node 1 receives at 10 (no validation on receive), relays at 110.
   EXPECT_DOUBLE_EQ(result.arrival[1], 10.0);
   EXPECT_DOUBLE_EQ(result.arrival[2], 120.0);
@@ -93,7 +112,7 @@ TEST(Broadcast, UnreachableNodesAreInfinite) {
   ASSERT_TRUE(t.connect(0, 1));
   ASSERT_TRUE(t.connect(1, 2));
   // Node 3 is isolated.
-  const auto result = simulate_broadcast(t, network, 0);
+  const auto result = broadcast(t, network, 0);
   EXPECT_TRUE(std::isinf(result.arrival[3]));
   EXPECT_TRUE(std::isinf(result.ready[3]));
 }
@@ -102,7 +121,7 @@ TEST(Broadcast, InfraEdgeUsesOverrideLatency) {
   auto network = make_line_network({0.0, 1000.0}, 0.0);
   net::Topology t(2);
   ASSERT_TRUE(t.add_infra_edge(0, 1, 5.0));
-  const auto result = simulate_broadcast(t, network, 0);
+  const auto result = broadcast(t, network, 0);
   EXPECT_DOUBLE_EQ(result.arrival[1], 5.0);  // not the 1000 ms geo distance
 }
 
@@ -111,7 +130,7 @@ TEST(Broadcast, CommunicationIsBidirectional) {
   auto network = make_line_network({0.0, 10.0}, 2.0);
   net::Topology t(2);
   ASSERT_TRUE(t.connect(0, 1));
-  const auto result = simulate_broadcast(t, network, 1);
+  const auto result = broadcast(t, network, 1);
   EXPECT_DOUBLE_EQ(result.arrival[0], 10.0);
 }
 
@@ -121,11 +140,11 @@ TEST(Broadcast, DeliveryTimeMatchesReadyPlusDelta) {
   ASSERT_TRUE(t.connect(0, 1));
   ASSERT_TRUE(t.connect(1, 2));
   ASSERT_TRUE(t.connect(0, 2));  // also a direct slow link 0-2
-  const auto result = simulate_broadcast(t, network, 0);
+  const auto result = broadcast(t, network, 0);
   // From node 2's perspective: neighbor 1's copy arrives at ready(1)+20=35,
   // neighbor 0's copy at 0+30=30.
   for (const auto& link : t.adjacency(2)) {
-    const double dt = delivery_time(result, link, 2, network);
+    const double dt = oracle::delivery_time(result, link, 2, network);
     if (link.peer == 1) { EXPECT_DOUBLE_EQ(dt, 35.0); }
     if (link.peer == 0) { EXPECT_DOUBLE_EQ(dt, 30.0); }
   }
@@ -143,7 +162,7 @@ TEST(Broadcast, ArrivalIsMinOverNeighborDeliveries) {
   net::Topology t(120);
   util::Rng rng(5);
   topo::build_random(t, rng);
-  const auto result = simulate_broadcast(t, network, 7);
+  const auto result = broadcast(t, network, 7);
   for (net::NodeId v = 0; v < t.size(); ++v) {
     if (v == 7) {
       EXPECT_DOUBLE_EQ(result.arrival[v], 0.0);
@@ -151,8 +170,8 @@ TEST(Broadcast, ArrivalIsMinOverNeighborDeliveries) {
     }
     double min_delivery = util::kInf;
     for (const auto& link : t.adjacency(v)) {
-      min_delivery =
-          std::min(min_delivery, delivery_time(result, link, v, network));
+      min_delivery = std::min(min_delivery,
+                              oracle::delivery_time(result, link, v, network));
     }
     EXPECT_NEAR(result.arrival[v], min_delivery, 1e-9);
   }
@@ -166,7 +185,7 @@ TEST(Broadcast, ReadyEqualsArrivalPlusValidation) {
   net::Topology t(80);
   util::Rng rng(6);
   topo::build_random(t, rng);
-  const auto result = simulate_broadcast(t, network, 0);
+  const auto result = broadcast(t, network, 0);
   for (net::NodeId v = 1; v < t.size(); ++v) {
     EXPECT_NEAR(result.ready[v],
                 result.arrival[v] + network.validation_ms(v), 1e-9);
@@ -185,8 +204,8 @@ TEST(Broadcast, TransmissionTermSlowsRelay) {
   net::Topology t(40);
   util::Rng rng(7);
   topo::build_random(t, rng);
-  const auto fast = simulate_broadcast(t, base_net, 0);
-  const auto slow = simulate_broadcast(t, slow_net, 0);
+  const auto fast = broadcast(t, base_net, 0);
+  const auto slow = broadcast(t, slow_net, 0);
   for (net::NodeId v = 1; v < t.size(); ++v) {
     EXPECT_GT(slow.arrival[v], fast.arrival[v]);
   }

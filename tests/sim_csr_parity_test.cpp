@@ -1,17 +1,22 @@
-// CSR fast-path parity: the compiled-flat-graph engine must reproduce the
-// legacy Topology-walking engine *byte for byte* — same arrival and ready
-// vectors, down to the bit pattern of every double — across random
-// topologies, infra-override links, unreachable nodes, withholding nodes,
-// and both observation-recording paths. The legacy engine is the oracle.
+// CSR snapshot parity: the single-source delay path — the batched engine
+// over a one-element span — run on compiled, patched and rebuilt snapshots
+// must reproduce the Topology-walking oracle (tests/broadcast_oracle.hpp)
+// *byte for byte* — same arrival and ready vectors, down to the bit pattern
+// of every double — across random topologies, infra-override links,
+// unreachable nodes and withholding nodes. Observation recording over the
+// snapshot must reproduce the t̃ the oracle's ready times and per-link
+// delivery times imply.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <memory>
 
+#include "broadcast_oracle.hpp"
 #include "metrics/eval.hpp"
 #include "net/csr.hpp"
-#include "sim/broadcast.hpp"
+#include "sim/batch.hpp"
 #include "sim/gossip.hpp"
 #include "sim/observations.hpp"
 #include "sim/rounds.hpp"
@@ -44,22 +49,25 @@ namespace {
 }
 
 void expect_parity(const net::Topology& topology, const net::Network& network,
-                   sim::BroadcastScratch& scratch) {
+                   sim::MultiSourceScratch& scratch) {
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
+  sim::MultiSourceResult batch;
   sim::BroadcastResult fast;
   for (net::NodeId miner = 0; miner < topology.size();
        miner += std::max<std::size_t>(1, topology.size() / 16)) {
-    const sim::BroadcastResult legacy =
-        sim::simulate_broadcast(topology, network, miner);
-    sim::simulate_broadcast(csr, miner, scratch, fast);
-    EXPECT_EQ(fast.miner, legacy.miner);
-    EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival)) << "miner " << miner;
-    EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready)) << "miner " << miner;
+    const sim::BroadcastResult want =
+        oracle::simulate_broadcast(topology, network, miner);
+    const std::array<net::NodeId, 1> source{miner};
+    sim::simulate_broadcast_batch(csr, source, scratch, batch);
+    batch.extract(0, fast);
+    EXPECT_EQ(fast.miner, want.miner);
+    EXPECT_TRUE(bytes_equal(fast.arrival, want.arrival)) << "miner " << miner;
+    EXPECT_TRUE(bytes_equal(fast.ready, want.ready)) << "miner " << miner;
   }
 }
 
 TEST(CsrParity, RandomTopologiesAcrossSeeds) {
-  sim::BroadcastScratch scratch;  // deliberately shared across all cases
+  sim::MultiSourceScratch scratch;  // deliberately shared across all cases
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     net::NetworkOptions options;
     options.n = 120 + 30 * seed;
@@ -85,7 +93,7 @@ TEST(CsrParity, InfraOverrideLinks) {
   for (net::NodeId v = 10; v < 60; v += 7) {
     ASSERT_TRUE(topology.add_infra_edge(0, v, 0.5));
   }
-  sim::BroadcastScratch scratch;
+  sim::MultiSourceScratch scratch;
   expect_parity(topology, network, scratch);
 }
 
@@ -101,18 +109,18 @@ TEST(CsrParity, UnreachableNodesStayInfinite) {
   for (net::NodeId v = 90; v < 100; ++v) topology.disconnect_all(v);
 
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
-  const auto legacy = sim::simulate_broadcast(topology, network, 0);
-  const auto fast = sim::simulate_broadcast(csr, 0);
-  EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival));
-  EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready));
+  const auto want = oracle::simulate_broadcast(topology, network, 0);
+  const auto fast = oracle::batch_of_one(csr, 0);
+  EXPECT_TRUE(bytes_equal(fast.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(fast.ready, want.ready));
   for (net::NodeId v = 90; v < 100; ++v) {
     EXPECT_TRUE(std::isinf(fast.arrival[v]));
     EXPECT_TRUE(std::isinf(fast.ready[v]));
   }
   // Broadcasting *from* an isolated node: everyone else unreachable.
-  const auto legacy95 = sim::simulate_broadcast(topology, network, 95);
-  const auto fast95 = sim::simulate_broadcast(csr, 95);
-  EXPECT_TRUE(bytes_equal(fast95.arrival, legacy95.arrival));
+  const auto want95 = oracle::simulate_broadcast(topology, network, 95);
+  const auto fast95 = oracle::batch_of_one(csr, 95);
+  EXPECT_TRUE(bytes_equal(fast95.arrival, want95.arrival));
   EXPECT_DOUBLE_EQ(fast95.arrival[95], 0.0);
   EXPECT_TRUE(std::isinf(fast95.arrival[0]));
 }
@@ -128,39 +136,58 @@ TEST(CsrParity, WithholdingNodesMatchOracle) {
   net::Topology topology(options.n);
   util::Rng rng(13);
   topo::build_random(topology, rng);
-  sim::BroadcastScratch scratch;
+  sim::MultiSourceScratch scratch;
   expect_parity(topology, network, scratch);
 }
 
-TEST(CsrParity, ObservationRecordingMatchesLegacyPath) {
+// The one delay record_block, over a snapshot and a batched stripe, against
+// t̃ computed from first principles: the oracle's ready times plus
+// oracle::delivery_time per captured link, normalized by the per-block
+// minimum exactly as ObservationTable documents.
+TEST(CsrParity, ObservationRecordingMatchesOracle) {
   net::NetworkOptions options;
   options.n = 90;
   options.seed = 17;
-  const auto network = net::Network::build(options);
+  auto network = net::Network::build(options);
+  // Withholding neighbors deliver nothing: their t̃ must be +inf.
+  network.mutable_profiles()[5].forwards = false;
   net::Topology topology(options.n);
   util::Rng rng(17);
   topo::build_random(topology, rng);
+  topology.add_infra_edge(3, 60, 0.5);
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
 
-  sim::ObservationTable legacy_obs, csr_obs;
-  legacy_obs.begin_round(topology, 3);
-  csr_obs.begin_round(topology, 3);
-  sim::BroadcastScratch scratch;
-  sim::BroadcastResult result;
-  for (net::NodeId miner : {net::NodeId{3}, net::NodeId{40}, net::NodeId{77}}) {
-    sim::simulate_broadcast(csr, miner, scratch, result);
-    legacy_obs.record_block(topology, network, result);
-    csr_obs.record_block(csr, result);
+  const std::vector<net::NodeId> miners = {3, 40, 77};
+  sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult batch;
+  sim::simulate_broadcast_batch(csr, miners, scratch, batch);
+  sim::ObservationTable obs;
+  obs.begin_round(topology, miners.size());
+  for (std::size_t b = 0; b < miners.size(); ++b) {
+    obs.record_block(csr, miners[b], batch.ready_of(b));
   }
-  for (net::NodeId v = 0; v < topology.size(); ++v) {
-    ASSERT_EQ(csr_obs.neighbor_count(v), legacy_obs.neighbor_count(v));
-    for (std::size_t i = 0; i < csr_obs.neighbor_count(v); ++i) {
-      const auto a = csr_obs.rel_times(v, i);
-      const auto b = legacy_obs.rel_times(v, i);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) {
-        EXPECT_TRUE(std::memcmp(&a[k], &b[k], sizeof(double)) == 0)
-            << "node " << v << " neighbor " << i << " block " << k;
+
+  for (std::size_t b = 0; b < miners.size(); ++b) {
+    const auto result = oracle::simulate_broadcast(topology, network,
+                                                   miners[b]);
+    for (net::NodeId v = 0; v < topology.size(); ++v) {
+      const auto& adj = topology.adjacency(v);
+      ASSERT_EQ(obs.neighbor_count(v), adj.size());
+      std::vector<double> t(adj.size());
+      double t_min = util::kInf;
+      for (std::size_t i = 0; i < adj.size(); ++i) {
+        t[i] = oracle::delivery_time(result, adj[i], v, network);
+        t_min = std::min(t_min, t[i]);
+      }
+      for (std::size_t i = 0; i < adj.size(); ++i) {
+        ASSERT_EQ(obs.neighbors(v)[i], adj[i].peer);
+        const double want = std::isinf(t[i]) || std::isinf(t_min)
+                                ? util::kInf
+                                : t[i] - t_min;
+        const double got = obs.rel_times(v, i)[b];
+        EXPECT_TRUE(std::memcmp(&got, &want, sizeof(double)) == 0)
+            << "node " << v << " neighbor " << i << " block " << b << ": "
+            << got << " vs " << want;
       }
     }
   }
@@ -194,7 +221,7 @@ TEST(CsrParity, CompiledDelaysMatchNetworkResolution) {
     for (std::size_t i = 0; i < adj.size(); ++i) {
       EXPECT_EQ(peers[i], adj[i].peer);
       // Block delay: exactly what the broadcast oracle resolves per link.
-      const double want_block = sim::link_delay_ms(adj[i], v, network);
+      const double want_block = oracle::link_delay_ms(adj[i], v, network);
       EXPECT_TRUE(std::memcmp(&delays[i], &want_block, sizeof(double)) == 0)
           << "node " << v << " link " << i;
       // Control delay: infra override or pure propagation latency.
@@ -243,13 +270,13 @@ TEST(CsrParity, RoundRunnerSeesMidRunForwardsFlip) {
   runner.run_round();
   EXPECT_EQ(topology.version(), version_before);
 
-  // Every block of the new round must match the legacy engine, which reads
+  // Every block of the new round must match the oracle, which reads
   // the live Network: the flipped node received but never relayed.
-  const auto oracle = sim::simulate_broadcast(topology, network, last.miner);
-  ASSERT_EQ(last.arrival.size(), oracle.arrival.size());
-  for (std::size_t v = 0; v < oracle.arrival.size(); ++v) {
+  const auto want = oracle::simulate_broadcast(topology, network, last.miner);
+  ASSERT_EQ(last.arrival.size(), want.arrival.size());
+  for (std::size_t v = 0; v < want.arrival.size(); ++v) {
     EXPECT_TRUE(
-        std::memcmp(&last.arrival[v], &oracle.arrival[v], sizeof(double)) == 0)
+        std::memcmp(&last.arrival[v], &want.arrival[v], sizeof(double)) == 0)
         << "node " << v;
   }
 }
@@ -317,10 +344,10 @@ TEST(CsrParity, CacheRebuildsOnRewireOnly) {
     EXPECT_NE(peer, old_peer);
   }
   // The rebuilt snapshot again tracks the oracle exactly.
-  const auto legacy = sim::simulate_broadcast(topology, network, 7);
-  const auto fast = sim::simulate_broadcast(rebuilt, 7);
-  EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival));
-  EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready));
+  const auto want = oracle::simulate_broadcast(topology, network, 7);
+  const auto fast = oracle::batch_of_one(rebuilt, 7);
+  EXPECT_TRUE(bytes_equal(fast.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(fast.ready, want.ready));
 }
 
 // Regression for the old staleness footgun: a latency-model swap under an
@@ -343,10 +370,10 @@ TEST(CsrParity, CacheRebuildsAutomaticallyOnLatencyModelSwap) {
   // snapshot compiled under the new model, matching the live oracle.
   const net::CsrTopology& refreshed = cache.get(topology, network);
   EXPECT_EQ(cache.rebuilds(), 2u);
-  const auto legacy = sim::simulate_broadcast(topology, network, 3);
-  const auto fast = sim::simulate_broadcast(refreshed, 3);
-  EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival));
-  EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready));
+  const auto want = oracle::simulate_broadcast(topology, network, 3);
+  const auto fast = oracle::batch_of_one(refreshed, 3);
+  EXPECT_TRUE(bytes_equal(fast.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(fast.ready, want.ready));
 }
 
 // Bandwidth edits feed the per-edge transmission term: with a non-zero block
@@ -367,10 +394,10 @@ TEST(CsrParity, CacheRebuildsAutomaticallyOnBandwidthEdit) {
   network.mutable_profiles()[5].bandwidth_mbps = 1.0;  // new bottleneck tier
   const net::CsrTopology& refreshed = cache.get(topology, network);
   EXPECT_EQ(cache.rebuilds(), 2u);
-  const auto legacy = sim::simulate_broadcast(topology, network, 5);
-  const auto fast = sim::simulate_broadcast(refreshed, 5);
-  EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival));
-  EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready));
+  const auto want = oracle::simulate_broadcast(topology, network, 5);
+  const auto fast = oracle::batch_of_one(refreshed, 5);
+  EXPECT_TRUE(bytes_equal(fast.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(fast.ready, want.ready));
 }
 
 // Profile edits that do not touch per-edge delays must NOT force a rebuild:
@@ -394,10 +421,10 @@ TEST(CsrParity, ProfileOnlyEditsPatchWithoutRebuild) {
   EXPECT_EQ(cache.rebuilds(), 1u);  // patched, not recompiled
   EXPECT_FALSE(refreshed.forwards(7));
   EXPECT_EQ(refreshed.validation_ms(9), 123.0);
-  const auto legacy = sim::simulate_broadcast(topology, network, 7);
-  const auto fast = sim::simulate_broadcast(refreshed, 7);
-  EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival));
-  EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready));
+  const auto want = oracle::simulate_broadcast(topology, network, 7);
+  const auto fast = oracle::batch_of_one(refreshed, 7);
+  EXPECT_TRUE(bytes_equal(fast.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(fast.ready, want.ready));
 }
 
 TEST(CsrParity, EvalAllSourcesMatchesPerSourceOracle) {
@@ -410,12 +437,12 @@ TEST(CsrParity, EvalAllSourcesMatchesPerSourceOracle) {
   topo::build_random(topology, rng);
 
   const auto batched = metrics::eval_all_sources(topology, network, 0.90);
-  std::vector<double> oracle(network.size());
+  std::vector<double> want(network.size());
   for (net::NodeId v = 0; v < network.size(); ++v) {
-    const auto result = sim::simulate_broadcast(topology, network, v);
-    oracle[v] = metrics::lambda_for_broadcast(result, network, 0.90);
+    const auto result = oracle::simulate_broadcast(topology, network, v);
+    want[v] = metrics::lambda_for_broadcast(result, network, 0.90);
   }
-  EXPECT_TRUE(bytes_equal(batched, oracle));
+  EXPECT_TRUE(bytes_equal(batched, want));
 }
 
 }  // namespace

@@ -16,10 +16,10 @@
 #include <cstring>
 #include <vector>
 
+#include "broadcast_oracle.hpp"
 #include "metrics/eval.hpp"
 #include "net/csr.hpp"
 #include "runner/thread_pool.hpp"
-#include "sim/broadcast.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -141,10 +141,10 @@ TEST(Egress, BurstBucketCoveringBacklogMatchesDelayOnly) {
   simulate_broadcast_egress(star.csr, config, plan, 0, scratch, result);
   // Every send is absorbed by the bucket and completes at its dequeue
   // instant — byte-identical to the delay-only oracle.
-  const BroadcastResult oracle =
-      simulate_broadcast(star.topology, star.network, 0);
-  EXPECT_TRUE(bytes_equal(result.arrival, oracle.arrival));
-  EXPECT_TRUE(bytes_equal(result.ready, oracle.ready));
+  const BroadcastResult want =
+      oracle::simulate_broadcast(star.topology, star.network, 0);
+  EXPECT_TRUE(bytes_equal(result.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(result.ready, want.ready));
 }
 
 TEST(Egress, RateScaleStretchesSerialization) {
@@ -177,7 +177,7 @@ TEST(Egress, ZeroRateSenderStarvesButTerminates) {
   }
 }
 
-TEST(Egress, UnlimitedRateMatchesLegacyOracleByteForByte) {
+TEST(Egress, UnlimitedRateMatchesOracleByteForByte) {
   net::NetworkOptions options;
   options.n = 120;
   options.seed = 9;
@@ -195,11 +195,11 @@ TEST(Egress, UnlimitedRateMatchesLegacyOracleByteForByte) {
   EgressScratch scratch;
   BroadcastResult result;
   for (const net::NodeId miner : {net::NodeId{0}, net::NodeId{37}}) {
-    const BroadcastResult oracle =
-        simulate_broadcast(topology, network, miner);
+    const BroadcastResult want =
+        oracle::simulate_broadcast(topology, network, miner);
     simulate_broadcast_egress(csr, config, plan, miner, scratch, result);
-    EXPECT_TRUE(bytes_equal(result.arrival, oracle.arrival));
-    EXPECT_TRUE(bytes_equal(result.ready, oracle.ready));
+    EXPECT_TRUE(bytes_equal(result.arrival, want.arrival));
+    EXPECT_TRUE(bytes_equal(result.ready, want.ready));
   }
 }
 
@@ -263,22 +263,22 @@ TEST(Egress, EvalAllSourcesEgressMatchesPerSourceLambda) {
   config.block_bytes = 200'000.0;
   const EgressPlan plan = EgressPlan::build(network, config);
 
-  std::vector<double> oracle(options.n);
+  std::vector<double> want(options.n);
   EgressScratch scratch;
   BroadcastResult result;
   for (net::NodeId v = 0; v < options.n; ++v) {
     simulate_broadcast_egress(csr, config, plan, v, scratch, result);
-    oracle[v] = metrics::lambda_for_broadcast(result, network, 0.90);
+    want[v] = metrics::lambda_for_broadcast(result, network, 0.90);
   }
 
   const auto inline_eval =
       metrics::eval_all_sources_egress(csr, network, config, plan, 0.90);
-  EXPECT_TRUE(bytes_equal(inline_eval, oracle));
+  EXPECT_TRUE(bytes_equal(inline_eval, want));
 
   runner::ThreadPool pool(3);
   const auto pooled_eval = metrics::eval_all_sources_egress(
       csr, network, config, plan, 0.90, &scratch, &pool);
-  EXPECT_TRUE(bytes_equal(pooled_eval, oracle));
+  EXPECT_TRUE(bytes_equal(pooled_eval, want));
 }
 
 TEST(Egress, PlanCacheRebuildsOnlyWhenProfilesChange) {

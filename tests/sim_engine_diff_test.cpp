@@ -1,4 +1,4 @@
-// Randomized differential harness over the three broadcast engines.
+// Randomized differential harness over the broadcast engines.
 //
 // ~200 seeded random topologies spanning every scenario regime the sweep
 // axes can produce — uniform (geo) and exponential-ish (euclidean) latency
@@ -6,21 +6,22 @@
 // clustered networks, adversarial withholding, churn-mutated graphs, infra
 // overlays, disconnected fragments — each asserting that
 //
-//      legacy Topology walk  ≡  single-source CSR  ≡  batched engine
-//                            ≡  parallel delta-stepping engine
+//      Topology-walking oracle  ≡  batched engine  ≡  parallel delta-stepping
+//                               ≡  egress engine at ∞ rate
 //
 // byte-for-byte on the arrival AND ready vectors (memcmp of the doubles, so
-// even a one-ulp divergence or a -0.0 fails). The legacy engine is the
-// oracle; the batched engine additionally runs both its bucket-queue fast
-// path and (where the graph forces it) the heap fallback, and once more
-// through a ThreadPool to pin the any-worker-count determinism contract.
+// even a one-ulp divergence or a -0.0 fails). The oracle is the test-only
+// walker in tests/broadcast_oracle.hpp; the batched engine runs both its
+// bucket-queue fast path and (where the graph forces it) the heap
+// fallback, and once more through a ThreadPool to pin the any-worker-count
+// determinism contract.
 // The parallel delta-stepping engine runs at worker counts 1, 2, and 4 in
 // every regime (including the zero-δ heap-fallback, disconnected, and
 // churn-patched shapes).
 // The egress queuing engine (sim/egress.hpp) joins at infinite rate and
 // zero message size, where docs/TRANSMISSION_MODEL.md claims it IS the
-// delay-only model: single-source and batched (inline + pooled), both held
-// byte-equal to the legacy oracle across all regimes.
+// delay-only model: single-source and batched (inline + pooled), all held
+// byte-equal to the oracle across all regimes.
 //
 // Each regime additionally drives the incremental compile path: a CsrCache
 // snapshot is patched from the topology's mutation journal after a rewiring
@@ -33,6 +34,7 @@
 #include <cstring>
 #include <vector>
 
+#include "broadcast_oracle.hpp"
 #include "core/perigee.hpp"
 #include "metrics/eval.hpp"
 #include "net/csr.hpp"
@@ -41,7 +43,6 @@
 #include "scenario/driver.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/batch.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/egress.hpp"
 #include "sim/parallel.hpp"
 #include "topo/builders.hpp"
@@ -69,9 +70,9 @@ namespace {
 // One differential case: all engines from a spread of miners, batched
 // engine both inline and across a 3-worker pool, and the parallel
 // delta-stepping engine at worker counts 1/2/4.
-void expect_three_engine_parity(const net::Topology& topology,
-                                const net::Network& network,
-                                const char* regime, std::uint64_t seed) {
+void expect_engine_parity(const net::Topology& topology,
+                          const net::Network& network, const char* regime,
+                          std::uint64_t seed) {
   SCOPED_TRACE(::testing::Message() << "regime=" << regime
                                     << " seed=" << seed);
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
@@ -121,44 +122,39 @@ void expect_three_engine_parity(const net::Topology& topology,
                                          &pool);
   }
 
-  sim::BroadcastScratch csr_scratch;
-  sim::BroadcastResult via_csr;
   for (std::size_t s = 0; s < miners.size(); ++s) {
-    const sim::BroadcastResult legacy =
-        sim::simulate_broadcast(topology, network, miners[s]);
-    sim::simulate_broadcast(csr, miners[s], csr_scratch, via_csr);
+    const sim::BroadcastResult want =
+        oracle::simulate_broadcast(topology, network, miners[s]);
     SCOPED_TRACE(::testing::Message() << "miner=" << miners[s]);
-    EXPECT_TRUE(bytes_equal(via_csr.arrival, legacy.arrival));
-    EXPECT_TRUE(bytes_equal(via_csr.ready, legacy.ready));
-    EXPECT_TRUE(bytes_equal(batched.arrival_of(s), legacy.arrival));
-    EXPECT_TRUE(bytes_equal(batched.ready_of(s), legacy.ready));
+    EXPECT_TRUE(bytes_equal(batched.arrival_of(s), want.arrival));
+    EXPECT_TRUE(bytes_equal(batched.ready_of(s), want.ready));
     EXPECT_TRUE(bytes_equal(pooled.arrival_of(s), batched.arrival_of(s)));
     EXPECT_TRUE(bytes_equal(pooled.ready_of(s), batched.ready_of(s)));
 
     // Egress engine, ∞-rate corner ≡ delay-only oracle: single-source,
-    // batched, and pooled all byte-equal to the legacy walk.
+    // batched, and pooled all byte-equal to the walk.
     sim::simulate_broadcast_egress(csr, egress_config, egress_plan, miners[s],
                                    egress_scratch, via_egress);
-    EXPECT_TRUE(bytes_equal(via_egress.arrival, legacy.arrival));
-    EXPECT_TRUE(bytes_equal(via_egress.ready, legacy.ready));
-    EXPECT_TRUE(bytes_equal(egress_batched.arrival_of(s), legacy.arrival));
-    EXPECT_TRUE(bytes_equal(egress_batched.ready_of(s), legacy.ready));
-    EXPECT_TRUE(bytes_equal(egress_pooled.arrival_of(s), legacy.arrival));
-    EXPECT_TRUE(bytes_equal(egress_pooled.ready_of(s), legacy.ready));
+    EXPECT_TRUE(bytes_equal(via_egress.arrival, want.arrival));
+    EXPECT_TRUE(bytes_equal(via_egress.ready, want.ready));
+    EXPECT_TRUE(bytes_equal(egress_batched.arrival_of(s), want.arrival));
+    EXPECT_TRUE(bytes_equal(egress_batched.ready_of(s), want.ready));
+    EXPECT_TRUE(bytes_equal(egress_pooled.arrival_of(s), want.arrival));
+    EXPECT_TRUE(bytes_equal(egress_pooled.ready_of(s), want.ready));
 
-    // Parallel delta-stepping: byte-identical to the legacy oracle at any
+    // Parallel delta-stepping: byte-identical to the oracle at any
     // worker count (1 = inline, 2 and 4 = barrier teams).
     sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par1);
     sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par2,
                                      &pool2);
     sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par4,
                                      &pool4);
-    EXPECT_TRUE(bytes_equal(par1.arrival, legacy.arrival));
-    EXPECT_TRUE(bytes_equal(par1.ready, legacy.ready));
-    EXPECT_TRUE(bytes_equal(par2.arrival, legacy.arrival));
-    EXPECT_TRUE(bytes_equal(par2.ready, legacy.ready));
-    EXPECT_TRUE(bytes_equal(par4.arrival, legacy.arrival));
-    EXPECT_TRUE(bytes_equal(par4.ready, legacy.ready));
+    EXPECT_TRUE(bytes_equal(par1.arrival, want.arrival));
+    EXPECT_TRUE(bytes_equal(par1.ready, want.ready));
+    EXPECT_TRUE(bytes_equal(par2.arrival, want.arrival));
+    EXPECT_TRUE(bytes_equal(par2.ready, want.ready));
+    EXPECT_TRUE(bytes_equal(par4.arrival, want.arrival));
+    EXPECT_TRUE(bytes_equal(par4.ready, want.ready));
   }
 }
 
@@ -234,7 +230,7 @@ void expect_patched_equals_fresh(const net::CsrTopology& patched,
 }
 
 // Drives a CsrCache through compile -> mutation -> patched refresh and holds
-// the patched snapshot to the fresh-compile contract plus full three-engine
+// the patched snapshot to the fresh-compile contract plus full engine
 // parity on the mutated graph. Asserts the patch path actually ran.
 void expect_patched_parity_after_rewire(net::Topology& topology,
                                         const net::Network& network,
@@ -250,7 +246,7 @@ void expect_patched_parity_after_rewire(net::Topology& topology,
   EXPECT_EQ(cache.patches(), 1u);
   EXPECT_EQ(cache.rebuilds(), 1u);
   expect_patched_equals_fresh(patched, topology, network);
-  expect_three_engine_parity(topology, network, regime, seed);
+  expect_engine_parity(topology, network, regime, seed);
 }
 
 // 40 seeds x 5 regime families = 200 random topologies.
@@ -263,7 +259,7 @@ TEST(EngineDiff, UniformGeoSubstrate) {
     options.seed = seed;
     const auto network = net::Network::build(options);
     auto topology = random_topology(options.n, seed);
-    expect_three_engine_parity(topology, network, "uniform-geo", seed);
+    expect_engine_parity(topology, network, "uniform-geo", seed);
     if (seed % 4 == 1) {
       expect_patched_parity_after_rewire(topology, network, "uniform-geo",
                                          seed);
@@ -283,8 +279,7 @@ TEST(EngineDiff, ExponentialEuclideanSubstrate) {
     options.validation_scale = seed % 3 == 0 ? 5.0 : 0.5;
     const auto network = net::Network::build(options);
     auto topology = random_topology(options.n, seed * 31);
-    expect_three_engine_parity(topology, network, "exponential-euclidean",
-                               seed);
+    expect_engine_parity(topology, network, "exponential-euclidean", seed);
     if (seed % 4 == 1) {
       expect_patched_parity_after_rewire(topology, network,
                                          "exponential-euclidean", seed);
@@ -305,7 +300,7 @@ TEST(EngineDiff, ClusteredAndHeterogeneousScenarios) {
     auto network = net::Network::build(options);
     scenario::apply_static_regimes(network, spec, seed * 101);
     auto topology = random_topology(options.n, seed * 101);
-    expect_three_engine_parity(topology, network, "clustered-hetero", seed);
+    expect_engine_parity(topology, network, "clustered-hetero", seed);
     if (seed % 4 == 1) {
       expect_patched_parity_after_rewire(topology, network,
                                          "clustered-hetero", seed);
@@ -323,7 +318,7 @@ TEST(EngineDiff, WithholdingAdversaries) {
     auto network = net::Network::build(options);
     scenario::apply_static_regimes(network, spec, seed * 7);
     auto topology = random_topology(options.n, seed * 7);
-    expect_three_engine_parity(topology, network, "withholding", seed);
+    expect_engine_parity(topology, network, "withholding", seed);
     if (seed % 4 == 1) {
       expect_patched_parity_after_rewire(topology, network, "withholding",
                                          seed);
@@ -346,7 +341,7 @@ TEST(EngineDiff, ChurnMutatedTopologies) {
     for (std::size_t round = 0; round < 4; ++round) {
       driver.before_round(round);
     }
-    expect_three_engine_parity(topology, network, "churn-mutated", seed);
+    expect_engine_parity(topology, network, "churn-mutated", seed);
     if (seed % 4 == 1) {
       // Patch across further churn epochs: join/leave deltas (and the hash
       // stash's profile-version bumps) flow through the same refresh.
@@ -357,7 +352,7 @@ TEST(EngineDiff, ChurnMutatedTopologies) {
       }
       const net::CsrTopology& patched = cache.get(topology, network);
       expect_patched_equals_fresh(patched, topology, network);
-      expect_three_engine_parity(topology, network, "churn-patched", seed);
+      expect_engine_parity(topology, network, "churn-patched", seed);
     }
   }
 }
@@ -385,7 +380,7 @@ TEST(EngineDiff, RewireHeavyPatchedCsrMatchesFreshCompileEveryRound) {
     }
     EXPECT_EQ(cache.rebuilds(), 1u);
     EXPECT_EQ(cache.patches(), 6u);
-    expect_three_engine_parity(topology, network, "rewire-heavy", seed);
+    expect_engine_parity(topology, network, "rewire-heavy", seed);
   }
 }
 
@@ -437,7 +432,7 @@ TEST(EngineDiff, EdgeCases) {
     while (!topology.add_infra_edge(0, other, 0.0)) ++other;
     const auto csr = net::CsrTopology::build(topology, network);
     EXPECT_EQ(csr.min_delay_ms(), 0.0);
-    expect_three_engine_parity(topology, network, "zero-infra", 5);
+    expect_engine_parity(topology, network, "zero-infra", 5);
   }
   // Sub-propagation infra overlay (the relay-tree shape). Some spokes may
   // already be p2p-adjacent to the hub; enough must attach to matter.
@@ -448,18 +443,18 @@ TEST(EngineDiff, EdgeCases) {
       if (topology.add_infra_edge(1, v, 0.25)) ++added;
     }
     ASSERT_GE(added, 2);
-    expect_three_engine_parity(topology, network, "fast-infra", 5);
+    expect_engine_parity(topology, network, "fast-infra", 5);
   }
   // Disconnected fragments: isolated nodes must stay +inf in all engines.
   {
     auto topology = random_topology(60, 5);
     for (net::NodeId v = 52; v < 60; ++v) topology.disconnect_all(v);
-    expect_three_engine_parity(topology, network, "disconnected", 5);
+    expect_engine_parity(topology, network, "disconnected", 5);
   }
   // Edgeless graph: every engine degenerates to "miner only".
   {
     net::Topology topology(60);
-    expect_three_engine_parity(topology, network, "edgeless", 5);
+    expect_engine_parity(topology, network, "edgeless", 5);
   }
 }
 
@@ -475,20 +470,20 @@ TEST(EngineDiff, EvalAllSourcesMatchesPerSourceOracleAtAnyWorkerCount) {
     const auto topology = random_topology(options.n, seed);
     const auto csr = net::CsrTopology::build(topology, network);
 
-    std::vector<double> oracle(network.size());
+    std::vector<double> want(network.size());
     for (net::NodeId v = 0; v < network.size(); ++v) {
-      const auto result = sim::simulate_broadcast(topology, network, v);
-      oracle[v] = metrics::lambda_for_broadcast(result, network, 0.90);
+      const auto result = oracle::simulate_broadcast(topology, network, v);
+      want[v] = metrics::lambda_for_broadcast(result, network, 0.90);
     }
 
     const auto inline_eval = metrics::eval_all_sources(csr, network, 0.90);
-    EXPECT_TRUE(bytes_equal(inline_eval, oracle));
+    EXPECT_TRUE(bytes_equal(inline_eval, want));
 
     sim::MultiSourceScratch scratch;
     runner::ThreadPool pool(3);
     const auto pooled_eval =
         metrics::eval_all_sources(csr, network, 0.90, &scratch, &pool);
-    EXPECT_TRUE(bytes_equal(pooled_eval, oracle));
+    EXPECT_TRUE(bytes_equal(pooled_eval, want));
   }
 }
 

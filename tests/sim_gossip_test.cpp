@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "sim/broadcast.hpp"
+#include "broadcast_oracle.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -31,7 +31,7 @@ TEST(Gossip, PushModeMatchesFastEngineExactly) {
   GossipConfig config;
   config.mode = GossipConfig::Mode::Push;
   for (net::NodeId miner : {net::NodeId{0}, net::NodeId{37}, net::NodeId{149}}) {
-    const auto fast = simulate_broadcast(t, network, miner);
+    const auto fast = oracle::simulate_broadcast(t, network, miner);
     const auto gossip = simulate_gossip(t, network, miner, config);
     for (net::NodeId v = 0; v < t.size(); ++v) {
       EXPECT_NEAR(gossip.arrival[v], fast.arrival[v], 1e-6)
@@ -74,7 +74,7 @@ TEST(Gossip, HandshakeApproximatesHandshakeFactorThree) {
   GossipConfig inv;
   inv.mode = GossipConfig::Mode::InvGetdata;
   const auto gossip = simulate_gossip(t, net1, 5, inv);
-  const auto fast = simulate_broadcast(t, net3, 5);
+  const auto fast = oracle::simulate_broadcast(t, net3, 5);
   double gossip_mean = 0, fast_mean = 0;
   for (net::NodeId v = 0; v < t.size(); ++v) {
     gossip_mean += gossip.arrival[v];

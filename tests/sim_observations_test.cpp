@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "broadcast_oracle.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -27,6 +28,15 @@ net::Network make_line_network(const std::vector<double>& xs,
     profiles[i].coords = {xs[i], 0, 0, 0, 0};
   }
   return network;
+}
+
+// Records one block mined by `miner`: the oracle's ready times, with δ read
+// from a snapshot of the topology begin_round captured.
+void record(ObservationTable& obs, const net::Topology& t,
+            const net::Network& network, net::NodeId miner) {
+  const auto csr = net::CsrTopology::build(t, network);
+  obs.record_block(csr, miner,
+                   oracle::simulate_broadcast(t, network, miner).ready);
 }
 
 TEST(Observations, CapturesNeighborsAtRoundStart) {
@@ -63,8 +73,7 @@ TEST(Observations, RelativeTimesNormalizedPerBlock) {
 
   ObservationTable obs;
   obs.begin_round(t, 1);
-  const auto result = simulate_broadcast(t, network, 0);
-  obs.record_block(t, network, result);
+  record(obs, t, network, 0);
 
   // Deliveries to node 2: from 1 at ready(1)+20 = 35; from 0 at 0+30 = 30.
   // Normalized: from 0 -> 0.0, from 1 -> 5.0.
@@ -89,7 +98,7 @@ TEST(Observations, MinRelTimeIsZeroForEveryNodeAndBlock) {
   util::Rng miner_rng(4);
   for (int b = 0; b < 3; ++b) {
     const auto miner = static_cast<net::NodeId>(miner_rng.uniform_index(100));
-    obs.record_block(t, network, simulate_broadcast(t, network, miner));
+    record(obs, t, network, miner);
   }
   EXPECT_EQ(obs.blocks_recorded(), 3u);
   for (net::NodeId v = 0; v < 100; ++v) {
@@ -116,8 +125,7 @@ TEST(Observations, UnreachedNeighborIsInfinite) {
   island.connect(2, 3);
   ObservationTable obs;
   obs.begin_round(island, 1);
-  const auto result = simulate_broadcast(island, network, 0);
-  obs.record_block(island, network, result);
+  record(obs, island, network, 0);
   // Node 2's only neighbor (3) never delivers: rel time stays +inf.
   EXPECT_EQ(obs.neighbor_count(2), 1u);
   EXPECT_TRUE(std::isinf(obs.rel_times(2, 0)[0]));
@@ -131,9 +139,9 @@ TEST(Observations, RelTimesLengthTracksRecordedBlocks) {
   obs.begin_round(t, 10);
   EXPECT_EQ(obs.blocks_capacity(), 10u);
   EXPECT_EQ(obs.rel_times(0, 0).size(), 0u);
-  obs.record_block(t, network, simulate_broadcast(t, network, 0));
+  record(obs, t, network, 0);
   EXPECT_EQ(obs.rel_times(0, 0).size(), 1u);
-  obs.record_block(t, network, simulate_broadcast(t, network, 1));
+  record(obs, t, network, 1);
   EXPECT_EQ(obs.rel_times(0, 0).size(), 2u);
 }
 
@@ -146,7 +154,7 @@ TEST(Observations, MinerSideObservationsEcho) {
   t.connect(0, 2);
   ObservationTable obs;
   obs.begin_round(t, 1);
-  obs.record_block(t, network, simulate_broadcast(t, network, 0));
+  record(obs, t, network, 0);
   // Echo from 1: ready(1)+10 = 25. Echo from 2: ready(2)+20 = 45.
   // Normalized: 0 and 20.
   for (std::size_t i = 0; i < obs.neighbor_count(0); ++i) {

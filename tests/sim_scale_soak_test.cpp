@@ -3,10 +3,10 @@
 //
 //  - completion: every BFS-reachable node gets a finite arrival, every
 //    unreachable node stays +inf (exact count equality, not a sample);
-//  - byte parity with the single-source CSR reference engine at this scale,
-//    for the parallel delta-stepping engine (one source, a 2-worker team)
-//    and for the batched engine (one 8-source round batch across a
-//    2-worker pool, every stripe);
+//  - byte parity with the Topology-walking oracle (tests/broadcast_oracle.hpp)
+//    at this scale, for the parallel delta-stepping engine (one source, a
+//    2-worker team) and for the batched engine (one 8-source round batch
+//    across a 2-worker pool, every stripe);
 //  - the whole process stays under a declared peak-RSS budget
 //    (obs::peak_rss_kb, i.e. VmHWM — the same number BENCH_scale.json
 //    anchors), scaled up under sanitizer builds for shadow/redzone cost.
@@ -16,13 +16,13 @@
 #include <cstring>
 #include <vector>
 
+#include "broadcast_oracle.hpp"
 #include "net/csr.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "obs/meta.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/batch.hpp"
-#include "sim/broadcast.hpp"
 #include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
@@ -98,11 +98,10 @@ TEST(ScaleSoak, HundredThousandNodeBroadcastCompletesWithinBudget) {
   EXPECT_EQ(result.arrival[src], 0.0);
   EXPECT_EQ(result.ready[src], 0.0);
 
-  // Byte parity with the single-source reference engine holds at scale,
-  // not just on the diff harness's small graphs.
-  sim::BroadcastScratch ref_scratch;
-  sim::BroadcastResult reference;
-  sim::simulate_broadcast(csr, src, ref_scratch, reference);
+  // Byte parity with the oracle holds at scale, not just on the diff
+  // harness's small graphs.
+  const sim::BroadcastResult reference =
+      oracle::simulate_broadcast(topology, network, src);
   ASSERT_EQ(reference.arrival.size(), result.arrival.size());
   EXPECT_EQ(std::memcmp(reference.arrival.data(), result.arrival.data(),
                         kNodes * sizeof(double)),
@@ -112,7 +111,7 @@ TEST(ScaleSoak, HundredThousandNodeBroadcastCompletesWithinBudget) {
             0);
 
   // The production engine at scale: one round-shaped batch of 8 miners
-  // across the pool, every stripe byte-equal to the reference engine.
+  // across the pool, every stripe byte-equal to the oracle.
   const std::vector<net::NodeId> miners = {src,   0,     1,     4242,
                                            31337, 50000, 77777, kNodes - 1};
   sim::MultiSourceScratch batch_scratch;
@@ -120,11 +119,12 @@ TEST(ScaleSoak, HundredThousandNodeBroadcastCompletesWithinBudget) {
   sim::simulate_broadcast_batch(csr, miners, batch_scratch, batched, &pool);
   for (std::size_t s = 0; s < miners.size(); ++s) {
     SCOPED_TRACE(::testing::Message() << "miner=" << miners[s]);
-    sim::simulate_broadcast(csr, miners[s], ref_scratch, reference);
-    EXPECT_EQ(std::memcmp(batched.arrival_of(s).data(),
-                          reference.arrival.data(), kNodes * sizeof(double)),
+    const sim::BroadcastResult want =
+        oracle::simulate_broadcast(topology, network, miners[s]);
+    EXPECT_EQ(std::memcmp(batched.arrival_of(s).data(), want.arrival.data(),
+                          kNodes * sizeof(double)),
               0);
-    EXPECT_EQ(std::memcmp(batched.ready_of(s).data(), reference.ready.data(),
+    EXPECT_EQ(std::memcmp(batched.ready_of(s).data(), want.ready.data(),
                           kNodes * sizeof(double)),
               0);
   }

@@ -55,13 +55,22 @@ TEST(Flags, BoolExplicitValue) {
   EXPECT_FALSE(f.get_bool("verbose"));
 }
 
-TEST(Flags, UnknownFlagsCollected) {
-  Flags f = make_flags();
-  const char* argv[] = {"prog", "--benchmark_filter=all", "--nodes=9"};
-  ASSERT_TRUE(f.parse(3, argv));
-  EXPECT_EQ(f.get_int("nodes"), 9);
-  ASSERT_EQ(f.unknown().size(), 1u);
-  EXPECT_EQ(f.unknown()[0], "--benchmark_filter=all");
+TEST(Flags, UnknownFlagRejected) {
+  {
+    Flags f = make_flags();
+    const char* argv[] = {"prog", "--nodes=9", "--nodez=9"};
+    EXPECT_FALSE(f.parse(3, argv));
+  }
+  {
+    Flags f = make_flags();
+    const char* argv[] = {"prog", "--nodez", "9"};
+    EXPECT_FALSE(f.parse(3, argv));
+  }
+  {
+    Flags f = make_flags();  // a positional argument is not a flag either
+    const char* argv[] = {"prog", "baseline"};
+    EXPECT_FALSE(f.parse(2, argv));
+  }
 }
 
 TEST(Flags, BadIntegerRejected) {
