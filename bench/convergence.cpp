@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
       // One pass per source over the runner's cached compile serves both
       // coverages.
       const auto lambdas = metrics::eval_all_sources_multi(
-          runner.current_csr(), scenario.network, {config.coverage, 0.5});
+          runner.current_csr(), scenario.network, {config.coverage, 0.5},
+          runner.relaxer());
       const auto& lq = lambdas[0];
       const auto& l50 = lambdas[1];
       traces[i].rows.push_back({std::to_string(round),

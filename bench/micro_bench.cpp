@@ -89,7 +89,8 @@ void BM_BroadcastParallelDelta(benchmark::State& state) {
 BENCHMARK(BM_BroadcastParallelDelta)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The queuing-engine pair recorded in BENCH_queuing.json. The egress DES
-// (sim/egress.hpp) runs twice: in its ∞-rate parity corner, where it
+// (sim/egress.hpp) runs twice, each time as a batch of one through the same
+// driver as BM_RelaxInnerLoop: in its ∞-rate parity corner, where it
 // computes the exact BM_RelaxInnerLoop arrivals through the event loop — so
 // egress_unlimited_speedup (this / BM_RelaxInnerLoop items_per_second)
 // prices the pure DES overhead and the soft gate bars it at n=1000 — and
@@ -106,12 +107,13 @@ void BM_BroadcastEgressUnlimited(benchmark::State& state) {
   config.control_bytes = 0.0;
   const sim::EgressPlan plan = sim::EgressPlan::build(*f.network, config);
   sim::EgressScratch scratch;
-  sim::BroadcastResult result;
-  net::NodeId miner = 0;
+  sim::MultiSourceResult result;
+  std::array<net::NodeId, 1> source{0};
   for (auto _ : state) {
-    sim::simulate_broadcast_egress(csr, config, plan, miner, scratch, result);
+    sim::simulate_broadcast_egress_batch(csr, config, plan, source, scratch,
+                                         result);
     benchmark::DoNotOptimize(result.arrival.data());
-    miner = (miner + 1) % static_cast<net::NodeId>(csr.size());
+    source[0] = (source[0] + 1) % static_cast<net::NodeId>(csr.size());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -125,12 +127,13 @@ void BM_BroadcastEgress(benchmark::State& state) {
   config.control_bytes = 1000.0;
   const sim::EgressPlan plan = sim::EgressPlan::build(*f.network, config);
   sim::EgressScratch scratch;
-  sim::BroadcastResult result;
-  net::NodeId miner = 0;
+  sim::MultiSourceResult result;
+  std::array<net::NodeId, 1> source{0};
   for (auto _ : state) {
-    sim::simulate_broadcast_egress(csr, config, plan, miner, scratch, result);
+    sim::simulate_broadcast_egress_batch(csr, config, plan, source, scratch,
+                                         result);
     benchmark::DoNotOptimize(result.arrival.data());
-    miner = (miner + 1) % static_cast<net::NodeId>(csr.size());
+    source[0] = (source[0] + 1) % static_cast<net::NodeId>(csr.size());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -111,7 +111,9 @@ def main():
     # benchmark .so itself was compiled — see ARCHITECTURE.md "Release perf
     # truth"). micro_bench injects it as custom context, so the anchor
     # carries it from its own run and the current run self-reports it;
-    # --current-build-type overrides the current side.
+    # --current-build-type overrides the current side. The other context
+    # keys (perigee_git_sha, perigee_git_dirty, ...) are provenance only and
+    # never gate.
     anchor_build_type = (anchor.get("context") or {}).get("perigee_build_type")
     current_build_type = args.current_build_type or (
         current.get("context") or {}

@@ -14,7 +14,8 @@ google-benchmark's own `library_build_type` (the system .so's build flavor,
 NOT perigee's) plus the perigee_* custom-context keys micro_bench injects —
 `perigee_build_type`, the one the gates trust, `perigee_compiler`,
 `perigee_cxx_flags` and `perigee_git_sha` (see ARCHITECTURE.md, "Release
-perf truth").
+perf truth") — plus `perigee_git_dirty`, which this script records from
+`git status` because the configure-time sha cannot show a dirty tree.
 
 Anchor regeneration policy: run this ONLY from a Release (-O2) tree when
 refreshing the checked-in anchors.
@@ -159,9 +160,25 @@ def entry_map(micro_json):
     return entries
 
 
+def git_dirty():
+    """True when tracked files differ from HEAD. perigee_git_sha is fixed
+    when CMake configures, so it cannot show an anchor built from a dirty
+    tree; this records that fact at anchor time. None outside a checkout."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=repo, check=True, capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return bool(out.strip())
+
+
 def context_block(micro_json):
     ctx = micro_json["context"]
-    return {k: ctx[k] for k in CONTEXT_KEYS if k in ctx}
+    block = {k: ctx[k] for k in CONTEXT_KEYS if k in ctx}
+    block["perigee_git_dirty"] = git_dirty()
+    return block
 
 
 def speedup(entries, fast, slow, sizes):

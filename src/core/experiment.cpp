@@ -11,6 +11,7 @@
 #include "runner/thread_pool.hpp"
 #include "scenario/driver.hpp"
 #include "sim/egress.hpp"
+#include "sim/relaxer.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "topo/coordinates.hpp"
@@ -37,51 +38,46 @@ sim::EgressConfig egress_config_from(const scn::TransmissionRegime& regime) {
   return config;
 }
 
-// The experiment's λ-evaluation state: delay-only by default, or the
+// The relaxation resources of one experiment: the engine pool
+// (config.engine_jobs; null runs inline) and the relaxer, which runs the
 // queued-transmission engine when the scenario's transmission regime is
-// active. One instance serves the round loop's checkpoints and the final
-// coverage evaluations, so scratch arenas and the rate plan are shared.
-struct EvalEngine {
-  sim::MultiSourceScratch scratch;
-  std::optional<sim::EgressConfig> egress;
-  sim::EgressPlanCache plans;     // rebuilt when profiles change (churn)
-  sim::EgressScratch egress_scratch;
-
-  explicit EvalEngine(const ExperimentConfig& config) {
-    if (config.scenario.transmission.enabled()) {
-      egress = egress_config_from(config.scenario.transmission);
-    }
-  }
-
-  // One broadcast pass per source serves every coverage; returns one λ
-  // vector per coverage, in input order.
-  std::vector<std::vector<double>> lambda(
-      const net::CsrTopology& csr, const net::Network& network,
-      const std::vector<double>& coverages, runner::ThreadPool* pool) {
-    if (egress.has_value()) {
-      return metrics::eval_all_sources_egress_multi(
-          csr, network, *egress, plans.get(network, *egress), coverages,
-          &egress_scratch, pool);
-    }
-    return metrics::eval_all_sources_multi(csr, network, coverages, &scratch,
-                                           pool);
-  }
+// active and the delay engine (with config.relax_engine as its round
+// backend) otherwise. Byte-identical at any worker count, so sweep grids
+// that parallelize across seeds simply leave engine_jobs at 1.
+struct Relaxation {
+  std::unique_ptr<runner::ThreadPool> pool;
+  sim::Relaxer relaxer;
 };
 
+Relaxation make_relaxation(const ExperimentConfig& config) {
+  std::unique_ptr<runner::ThreadPool> pool;
+  if (config.engine_jobs != 1) {
+    const unsigned workers = runner::resolve_jobs(config.engine_jobs);
+    if (workers > 1) pool = std::make_unique<runner::ThreadPool>(workers);
+  }
+  std::optional<sim::EgressConfig> egress;
+  if (config.scenario.transmission.enabled()) {
+    egress = egress_config_from(config.scenario.transmission);
+  }
+  return Relaxation{std::move(pool),
+                    sim::Relaxer(std::move(egress), config.relax_engine)};
+}
+
 // Checkpoint evaluation over an already-compiled snapshot (the round
-// runner's cache), sharing the experiment's engine scratch and pool: no
-// per-checkpoint compile, no per-checkpoint arena.
+// runner's cache), through the runner's relaxer and the experiment's pool:
+// no per-checkpoint compile, no per-checkpoint arena.
 Checkpoint make_checkpoint(std::size_t blocks_mined,
                            const net::CsrTopology& csr,
                            const net::Network& network, double coverage,
-                           EvalEngine& eval, runner::ThreadPool* pool) {
+                           sim::Relaxer& relaxer, runner::ThreadPool* pool) {
   Checkpoint cp;
   cp.blocks_mined = blocks_mined;
   PERIGEE_TRACE_SPAN_ARGS(
       checkpoint_span, "checkpoint_eval",
       obs::TraceArgs().arg("blocks_mined", blocks_mined).json());
-  const auto lambda = std::move(eval.lambda(csr, network, {coverage}, pool)
-                                    .front());
+  const auto lambda = std::move(
+      metrics::eval_all_sources_multi(csr, network, {coverage}, relaxer, pool)
+          .front());
   cp.mean_lambda = util::mean(lambda);
   cp.median_lambda = util::percentile(lambda, 0.5);
   return cp;
@@ -183,28 +179,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   ExperimentResult result;
   result.algorithm = std::string(algorithm_name(config.algorithm));
 
-  // Source-level parallelism (config.engine_jobs): one pool and one engine
-  // arena serve the round loop, every checkpoint, and the final λ
-  // evaluations. Byte-identical at any worker count, so sweep grids that
-  // parallelize across seeds instead simply leave this at 1.
-  std::unique_ptr<runner::ThreadPool> engine_pool;
-  if (config.engine_jobs != 1) {
-    const unsigned workers = runner::resolve_jobs(config.engine_jobs);
-    if (workers > 1) {
-      engine_pool = std::make_unique<runner::ThreadPool>(workers);
-    }
-  }
+  // One pool and one relaxer serve the round loop, every checkpoint, and
+  // the final λ evaluations; the relaxer moves into the round runner when
+  // a round loop runs, so rounds and λ share its lane arena.
+  Relaxation relax = make_relaxation(config);
   // The message-level gossip engine scores neighbors by INV announcement
   // times and has no per-message serialization model; the queued regime is
   // a Fast-engine axis only.
   PERIGEE_ASSERT_MSG(
       !(config.message_level && config.scenario.transmission.enabled()),
       "message_level + transmission=queue is unsupported");
-  EvalEngine eval(config);
-  const auto eval_both = [&](const net::CsrTopology& csr) {
+  const auto eval_both = [&](const net::CsrTopology& csr,
+                             sim::Relaxer& relaxer) {
     PERIGEE_TRACE_SPAN(final_eval_span, "final_eval");
-    auto lambdas = eval.lambda(csr, scenario.network,
-                               {config.coverage, 0.50}, engine_pool.get());
+    auto lambdas = metrics::eval_all_sources_multi(
+        csr, scenario.network, {config.coverage, 0.50}, relaxer,
+        relax.pool.get());
     result.lambda = std::move(lambdas[0]);
     result.lambda50 = std::move(lambdas[1]);
   };
@@ -238,10 +228,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         blocks_per_round, config.seed,
         config.message_level ? sim::RoundRunner::Engine::Gossip
                              : sim::RoundRunner::Engine::Fast);
-    runner.set_thread_pool(engine_pool.get());
+    runner.set_thread_pool(relax.pool.get());
     runner.set_csr_patching(config.incremental_csr);
-    runner.set_relax_engine(config.relax_engine);
-    runner.set_transmission(eval.egress);
+    runner.set_relaxer(std::move(relax.relaxer));
 
     std::unique_ptr<net::AddrMan> addrman;
     if (config.partial_view) {
@@ -277,9 +266,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     // the runner's cache, so the next round (same topology version) reuses
     // it instead of compiling the same graph a second time.
     if (config.checkpoints > 0) {
-      result.checkpoints.push_back(
-          make_checkpoint(0, runner.current_csr(), scenario.network,
-                          config.coverage, eval, engine_pool.get()));
+      result.checkpoints.push_back(make_checkpoint(
+          0, runner.current_csr(), scenario.network, config.coverage,
+          runner.relaxer(), relax.pool.get()));
     }
     const int interval =
         config.checkpoints > 0
@@ -294,17 +283,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         result.checkpoints.push_back(make_checkpoint(
             static_cast<std::size_t>(done) *
                 static_cast<std::size_t>(budget_per_round),
-            runner.current_csr(), scenario.network, config.coverage, eval,
-            engine_pool.get()));
+            runner.current_csr(), scenario.network, config.coverage,
+            runner.relaxer(), relax.pool.get()));
       }
     }
     // The final evaluation (one pass, both coverages) rides on the runner's
-    // cached compile.
-    eval_both(runner.current_csr());
+    // cached compile and its relaxer.
+    eval_both(runner.current_csr(), runner.relaxer());
   } else {
     // No round loop ran: one flat-graph compile serves the final
     // evaluation of the static topology.
-    eval_both(net::CsrTopology::build(scenario.topology, scenario.network));
+    eval_both(net::CsrTopology::build(scenario.topology, scenario.network),
+              relax.relaxer);
   }
 
   result.edge_latencies =
@@ -400,21 +390,13 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
                                             config.params)
                             : make_selector(Algorithm::Random));
   }
-  std::unique_ptr<runner::ThreadPool> engine_pool;
-  if (config.engine_jobs != 1) {
-    const unsigned workers = runner::resolve_jobs(config.engine_jobs);
-    if (workers > 1) {
-      engine_pool = std::make_unique<runner::ThreadPool>(workers);
-    }
-  }
+  Relaxation relax = make_relaxation(config);
   sim::RoundRunner runner(scenario.network, scenario.topology,
                           std::move(selectors), config.blocks_per_round,
                           config.seed);
-  runner.set_thread_pool(engine_pool.get());
+  runner.set_thread_pool(relax.pool.get());
   runner.set_csr_patching(config.incremental_csr);
-  runner.set_relax_engine(config.relax_engine);
-  EvalEngine eval(config);
-  runner.set_transmission(eval.egress);
+  runner.set_relaxer(std::move(relax.relaxer));
   std::unique_ptr<scn::ChurnDriver> churn;
   if (config.scenario.churn.enabled()) {
     churn = std::make_unique<scn::ChurnDriver>(config.scenario.churn,
@@ -431,10 +413,11 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
 
   // The final evaluation reuses the runner's cached compile of the final
   // topology instead of building a second snapshot.
-  const auto lambda =
-      std::move(eval.lambda(runner.current_csr(), scenario.network,
-                            {config.coverage}, engine_pool.get())
-                    .front());
+  const auto lambda = std::move(
+      metrics::eval_all_sources_multi(runner.current_csr(), scenario.network,
+                                      {config.coverage}, runner.relaxer(),
+                                      relax.pool.get())
+          .front());
   IncrementalResult result;
   for (std::size_t v = 0; v < n; ++v) {
     (adopter[v] ? result.lambda_adopters : result.lambda_others)

@@ -1,6 +1,10 @@
 // One-call experiment harness reproducing the paper's evaluation pipeline
 // (§5.1): build a network scenario, construct the initial topology, run the
-// protocol's learning rounds, and measure λv for every node.
+// protocol's learning rounds, and measure λv for every node. One
+// sim::Relaxer, built from the scenario's transmission regime and
+// `relax_engine`, runs every broadcast of an experiment — the rounds, the
+// checkpoints and the final λ — so the harness never chooses an engine
+// itself.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +49,9 @@ struct ExperimentConfig {
   // Declarative scenario regimes (src/scenario): static regimes (hetero
   // tiers, geo clustering, withholding adversaries) mutate the built network
   // once; the churn regime runs a seeded join/leave schedule between rounds
-  // via scenario::ChurnDriver; the transmission regime routes every round
-  // and λ evaluation through the queued egress engine (sim/egress.hpp,
+  // via scenario::ChurnDriver; the transmission regime gives the
+  // experiment's sim::Relaxer an egress config, so every round and λ
+  // evaluation runs the queued egress engine (sim/egress.hpp,
   // docs/TRANSMISSION_MODEL.md) instead of the delay-only relaxation.
   // Default-constructed == inert: results are bit-identical to configs that
   // predate the scenario layer. transmission=queue is incompatible with
@@ -88,12 +93,13 @@ struct ExperimentConfig {
   // measurement (BENCH_incremental_csr.json) and bisection.
   bool incremental_csr = true;
 
-  // Relaxation backend for the Fast engine's block batches: the batched
+  // The sim::Relaxer's backend for delay-only block batches: the batched
   // bucket-queue engine (default; parallelizes across a round's sources) or
   // the parallel delta-stepping engine (parallelizes within each source —
   // the scale shape for large n with few blocks). Outputs are byte-identical
   // either way (tests/sim_engine_diff_test.cpp pins it), so like
-  // `engine_jobs` this is a wall-clock A/B switch, not a sweep axis.
+  // `engine_jobs` this is a wall-clock A/B switch, not a sweep axis. The
+  // queued transmission regime takes precedence over it.
   sim::RelaxEngine relax_engine = sim::RelaxEngine::Batched;
 
   // Master seed: drives network construction, hash power, initial topology,

@@ -8,6 +8,7 @@
 #include "runner/thread_pool.hpp"
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
+#include "sim/relaxer.hpp"
 #include "util/radix.hpp"
 
 #include "util/assert.hpp"
@@ -46,18 +47,20 @@ void coverage_times_sorted(
   }
 }
 
-// The body both batched λ evaluations share; only `broadcast(sources,
-// sink)`, the engine behind the arrival stripes, differs. Hash powers (and
-// their sum, accumulated in NodeId order exactly as lambda_for_broadcast
-// does) are batch constants, extracted once instead of per source. Each
-// source is simulated once: its (arrival, power) pairs fill and sort in its
-// lane's buffers, and every coverage reads its threshold from that one
-// sorted array, so the evaluation is allocation-free per source. Returns one
-// λ vector per coverage, in input order.
-template <typename Arena, typename Broadcast>
+// The body every batched λ evaluation shares; only `broadcast(sources,
+// sink)`, the streaming call behind the arrival stripes, differs. `arena`
+// must be the lane arena that call runs in, so the sink's lane index
+// addresses the lane whose sort buffers it fills. Hash powers (and their
+// sum, accumulated in NodeId order exactly as lambda_for_broadcast does) are
+// batch constants, extracted once. Each source is simulated once: its
+// (arrival, power) pairs fill and sort in its lane's buffers, and every
+// coverage reads its threshold from that one sorted array, so the
+// evaluation is allocation-free per source. Returns one λ vector per
+// coverage, in input order.
+template <typename Broadcast>
 std::vector<std::vector<double>> lambda_all_sources(
     const net::Network& network, const std::vector<double>& coverages,
-    Arena& arena, const Broadcast& broadcast) {
+    sim::MultiSourceScratch& arena, const Broadcast& broadcast) {
   PERIGEE_ASSERT(!coverages.empty());
   const std::size_t n = network.size();
   std::vector<std::vector<double>> lambda(coverages.size(),
@@ -113,29 +116,36 @@ std::vector<double> eval_all_sources(const net::Topology& topology,
                           coverage);
 }
 
+std::vector<std::vector<double>> eval_all_sources_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const std::vector<double>& coverages, sim::Relaxer& relaxer,
+    runner::ThreadPool* pool) {
+  PERIGEE_ASSERT(csr.size() == network.size());
+  return lambda_all_sources(
+      network, coverages, relaxer.arena(),
+      [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
+        relaxer.for_each_source(csr, network, sources, sink, pool);
+      });
+}
+
 std::vector<double> eval_all_sources(const net::CsrTopology& csr,
                                      const net::Network& network,
                                      double coverage,
                                      sim::MultiSourceScratch* scratch,
                                      runner::ThreadPool* pool) {
-  return std::move(
-      eval_all_sources_multi(csr, network, {coverage}, scratch, pool).front());
-}
-
-std::vector<std::vector<double>> eval_all_sources_multi(
-    const net::CsrTopology& csr, const net::Network& network,
-    const std::vector<double>& coverages, sim::MultiSourceScratch* scratch,
-    runner::ThreadPool* pool) {
   PERIGEE_ASSERT(csr.size() == network.size());
   sim::MultiSourceScratch local_scratch;
   sim::MultiSourceScratch& arena = scratch != nullptr ? *scratch
                                                       : local_scratch;
-  return lambda_all_sources(
-      network, coverages, arena,
-      [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
-        sim::for_each_source_broadcast(csr, sources, arena, sink, pool,
-                                       /*need_ready=*/false);
-      });
+  return std::move(
+      lambda_all_sources(
+          network, {coverage}, arena,
+          [&](std::span<const net::NodeId> sources,
+              const sim::SourceSink& sink) {
+            sim::for_each_source_broadcast(csr, sources, arena, sink, pool,
+                                           /*need_ready=*/false);
+          })
+          .front());
 }
 
 std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
@@ -145,26 +155,19 @@ std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
                                             double coverage,
                                             sim::EgressScratch* scratch,
                                             runner::ThreadPool* pool) {
-  return std::move(eval_all_sources_egress_multi(csr, network, config, plan,
-                                                 {coverage}, scratch, pool)
-                       .front());
-}
-
-std::vector<std::vector<double>> eval_all_sources_egress_multi(
-    const net::CsrTopology& csr, const net::Network& network,
-    const sim::EgressConfig& config, const sim::EgressPlan& plan,
-    const std::vector<double>& coverages, sim::EgressScratch* scratch,
-    runner::ThreadPool* pool) {
   PERIGEE_ASSERT(csr.size() == network.size());
   sim::EgressScratch local_scratch;
   sim::EgressScratch& arena = scratch != nullptr ? *scratch : local_scratch;
-  return lambda_all_sources(
-      network, coverages, arena,
-      [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
-        sim::for_each_source_broadcast_egress(csr, config, plan, sources,
-                                              arena, sink, pool,
-                                              /*need_ready=*/false);
-      });
+  return std::move(
+      lambda_all_sources(
+          network, {coverage}, arena,
+          [&](std::span<const net::NodeId> sources,
+              const sim::SourceSink& sink) {
+            sim::for_each_source_broadcast_egress(csr, config, plan, sources,
+                                                  arena, sink, pool,
+                                                  /*need_ready=*/false);
+          })
+          .front());
 }
 
 std::vector<double> eval_ideal(const net::Network& network, double coverage,

@@ -10,16 +10,14 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/broadcast.hpp"
+#include "sim/egress.hpp"
 
 namespace perigee::runner {
 class ThreadPool;
 }  // namespace perigee::runner
 
 namespace perigee::sim {
-class EgressPlan;
-class EgressScratch;
-class MultiSourceScratch;
-struct EgressConfig;
+class Relaxer;
 }  // namespace perigee::sim
 
 namespace perigee::metrics {
@@ -31,56 +29,46 @@ double lambda_for_broadcast(const sim::BroadcastResult& result,
                             const net::Network& network, double coverage);
 
 /// λv for every source v (unsorted, index == NodeId). Compiles one
-/// `net::CsrTopology` and runs all n sources through the batched
-/// multi-source engine (sim/batch.hpp), so the per-source cost is pure
-/// engine work. Standalone convenience — callers that already hold a
-/// snapshot (the experiment harness, the round loop's checkpoints) use the
-/// overload below and skip the compile.
+/// `net::CsrTopology` and runs all n sources through the batch driver's
+/// delay solver (sim/batch.hpp), so the per-source cost is pure engine
+/// work. Standalone convenience — callers that already hold a snapshot (the
+/// experiment harness, the round loop's checkpoints) use the forms below and
+/// skip the compile.
 std::vector<double> eval_all_sources(const net::Topology& topology,
                                      const net::Network& network,
                                      double coverage = 0.90);
 
-/// Batched evaluation over a snapshot the caller already compiled — the
-/// batch entry point the compile and scratch acquisition are hoisted to.
-/// Single-coverage wrapper over eval_all_sources_multi.
+/// λv for every source at several coverages from one broadcast pass per
+/// source, through `relaxer` — whichever engine it runs (delay or queued
+/// egress) is the one λ reflects. Each source's arrivals are sorted once and
+/// every threshold is read off that sorted array, so each λ is bit-equal to
+/// the single-coverage calls below. Returns one λ vector per coverage, in
+/// input order. `network` supplies the hash powers for the coverage
+/// accumulation and must be the one the snapshot was built over. The
+/// relaxer's lane arena is reused across evaluations; `pool` (optional) fans
+/// sources across workers — λ output is byte-identical at any worker count.
+std::vector<std::vector<double>> eval_all_sources_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const std::vector<double>& coverages, sim::Relaxer& relaxer,
+    runner::ThreadPool* pool = nullptr);
+
+/// Single-coverage delay-only evaluation over a snapshot the caller already
+/// compiled. `scratch` (optional) reuses the caller's lane arena.
 std::vector<double> eval_all_sources(
     const net::CsrTopology& csr, const net::Network& network,
     double coverage = 0.90, sim::MultiSourceScratch* scratch = nullptr,
     runner::ThreadPool* pool = nullptr);
 
-/// λv for every source at several coverages from one broadcast pass per
-/// source: each source's arrivals are sorted once and every threshold is
-/// read off that sorted array, so each λ is bit-equal to the
-/// single-coverage call. Returns one λ vector per coverage, in input order.
-/// `network` supplies the hash powers for the coverage accumulation and
-/// must be the one the snapshot was built over. `scratch` (optional) reuses
-/// the caller's engine arena across evaluations; `pool` (optional) fans
-/// sources across workers — λ output is byte-identical at any worker count.
-std::vector<std::vector<double>> eval_all_sources_multi(
-    const net::CsrTopology& csr, const net::Network& network,
-    const std::vector<double>& coverages,
-    sim::MultiSourceScratch* scratch = nullptr,
-    runner::ThreadPool* pool = nullptr);
-
-/// Single-coverage wrapper over eval_all_sources_egress_multi.
-std::vector<double> eval_all_sources_egress(
-    const net::CsrTopology& csr, const net::Network& network,
-    const sim::EgressConfig& config, const sim::EgressPlan& plan,
-    double coverage = 0.90, sim::EgressScratch* scratch = nullptr,
-    runner::ThreadPool* pool = nullptr);
-
-/// Batched λ evaluation under the queued-transmission model: the same
-/// one-pass, many-coverage accumulation as eval_all_sources_multi, but every
-/// broadcast runs through the egress engine (sim/egress.hpp) so λ reflects
+/// Single-coverage evaluation under the queued-transmission model: every
+/// broadcast runs the egress solver (sim/egress.hpp), so λ reflects
 /// serialization + queue wait. With `config.unlimited_rate` the result is
 /// byte-identical to the delay-only form — the equivalence the diff harness
 /// enforces. `plan` must be built from `network`'s current profiles
 /// (`sim::EgressPlanCache`).
-std::vector<std::vector<double>> eval_all_sources_egress_multi(
+std::vector<double> eval_all_sources_egress(
     const net::CsrTopology& csr, const net::Network& network,
     const sim::EgressConfig& config, const sim::EgressPlan& plan,
-    const std::vector<double>& coverages,
-    sim::EgressScratch* scratch = nullptr,
+    double coverage = 0.90, sim::EgressScratch* scratch = nullptr,
     runner::ThreadPool* pool = nullptr);
 
 /// λv on the fully-connected topology ("ideal" in Figure 3), computed as a

@@ -16,7 +16,7 @@ namespace perigee::sim {
 
 // The false-sharing guard the SoA audit added: a lane must claim whole
 // cache lines so no two workers' lane state straddles one.
-static_assert(alignof(MultiSourceScratch::Lane) >= 64,
+static_assert(alignof(SourceLane) >= 64,
               "scratch lanes must be cache-line aligned");
 
 namespace {
@@ -134,7 +134,7 @@ void relax_buckets(const net::CsrTopology& csr,
 // batch has a plan, the heap fallback otherwise, then the ready fill
 // (skipped when the caller only consumes arrival).
 void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
-               MultiSourceScratch::Lane& lane, net::NodeId src,
+               SourceLane& lane, net::NodeId src,
                double* arrival, double* ready) {
   if (plan.has_value()) {
     relax_buckets(csr, *plan, lane.queue, src, arrival);
@@ -144,9 +144,10 @@ void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
   if (ready != nullptr) fill_ready(csr, src, arrival, ready);
 }
 
-// Fans `count` sources across the pool as contiguous per-worker ranges;
-// work(lane, s) must write only s-indexed output. Worker count never
-// affects results — it only changes which lane's scratch a source borrows.
+// The one source fan-out, for both solvers and both bodies: `count`
+// sources across the pool as contiguous per-worker ranges; work(lane, s)
+// must write only s-indexed output. Worker count never affects results — it
+// only changes which lane's scratch a source borrows.
 void dispatch(std::size_t count, MultiSourceScratch& scratch,
               runner::ThreadPool* pool,
               const std::function<void(std::size_t lane, std::size_t s)>&
@@ -163,18 +164,19 @@ void dispatch(std::size_t count, MultiSourceScratch& scratch,
   PERIGEE_HISTOGRAM_OBSERVE("engine.batch.lanes", workers);
   if (workers <= 1) {
     for (std::size_t s = 0; s < count; ++s) work(0, s);
-    return;
+  } else {
+    const std::size_t chunk = (count + workers - 1) / workers;
+    for (std::size_t w = 0; w < workers; ++w) {
+      const std::size_t lo = w * chunk;
+      const std::size_t hi = std::min(count, lo + chunk);
+      if (lo >= hi) break;
+      pool->submit([&work, w, lo, hi] {
+        for (std::size_t s = lo; s < hi; ++s) work(w, s);
+      });
+    }
+    pool->wait();
   }
-  const std::size_t chunk = (count + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t lo = w * chunk;
-    const std::size_t hi = std::min(count, lo + chunk);
-    if (lo >= hi) break;
-    pool->submit([&work, w, lo, hi] {
-      for (std::size_t s = lo; s < hi; ++s) work(w, s);
-    });
-  }
-  pool->wait();
+  PERIGEE_GAUGE_MAX("mem.batch_scratch_bytes", scratch.memory_bytes());
 }
 
 }  // namespace
@@ -238,37 +240,56 @@ void MultiSourceResult::extract(std::size_t s, BroadcastResult& out) const {
   out.ready.assign(r.begin(), r.end());
 }
 
-MultiSourceScratch::MultiSourceScratch() = default;
-MultiSourceScratch::~MultiSourceScratch() = default;
-MultiSourceScratch::MultiSourceScratch(MultiSourceScratch&&) noexcept =
-    default;
-MultiSourceScratch& MultiSourceScratch::operator=(
-    MultiSourceScratch&&) noexcept = default;
-
-MultiSourceScratch::Lane& MultiSourceScratch::lane(std::size_t i) {
-  PERIGEE_ASSERT(i < lanes_.size());
-  return *lanes_[i];
+std::size_t SourceLane::memory_bytes() const {
+  return queue.memory_bytes() + heap.capacity() * sizeof(HeapItem) +
+         events.capacity() * sizeof(EgressEvent) + settled.capacity() +
+         segment.capacity() + edge.capacity() * sizeof(std::uint32_t) +
+         (tokens.capacity() + refill_time.capacity() + arrival.capacity() +
+          ready.capacity()) *
+             sizeof(double) +
+         (by_arrival.capacity() + sort_scratch.capacity()) *
+             sizeof(std::pair<double, double>);
 }
 
-std::size_t MultiSourceScratch::lanes() const { return lanes_.size(); }
-
-void MultiSourceScratch::ensure_lanes(std::size_t count) {
-  while (lanes_.size() < count) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
+void materialize_batch([[maybe_unused]] const char* span,
+                       const net::CsrTopology& csr,
+                       std::span<const net::NodeId> sources,
+                       MultiSourceScratch& scratch, MultiSourceResult& out,
+                       runner::ThreadPool* pool, const SourceSolver& solve) {
+  const std::size_t n = csr.size();
+  PERIGEE_TRACE_SPAN_ARGS(batch_span, span,
+                          obs::TraceArgs()
+                              .arg("sources", sources.size())
+                              .arg("nodes", n)
+                              .json());
+  out.prepare(n, sources);
+  dispatch(sources.size(), scratch, pool,
+           [&](std::size_t lane_idx, std::size_t s) {
+             solve(scratch.lane(lane_idx), sources[s], out.arrival_data(s),
+                   out.ready_data(s));
+           });
 }
 
-std::size_t MultiSourceScratch::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& lane : lanes_) {
-    bytes += lane->queue.memory_bytes() +
-             lane->heap.capacity() * sizeof(HeapItem) +
-             (lane->arrival.capacity() + lane->ready.capacity()) *
-                 sizeof(double) +
-             (lane->by_arrival.capacity() + lane->sort_scratch.capacity()) *
-                 sizeof(std::pair<double, double>);
-  }
-  return bytes;
+void stream_batch(const net::CsrTopology& csr,
+                  std::span<const net::NodeId> sources,
+                  MultiSourceScratch& scratch, const SourceSink& sink,
+                  runner::ThreadPool* pool, bool need_ready,
+                  const SourceSolver& solve) {
+  const std::size_t n = csr.size();
+  dispatch(sources.size(), scratch, pool,
+           [&](std::size_t lane_idx, std::size_t s) {
+             SourceLane& lane = scratch.lane(lane_idx);
+             lane.arrival.resize(n);
+             double* ready = nullptr;
+             if (need_ready) {
+               lane.ready.resize(n);
+               ready = lane.ready.data();
+             }
+             solve(lane, sources[s], lane.arrival.data(), ready);
+             sink(lane_idx, s, lane.arrival,
+                  need_ready ? std::span<const double>(lane.ready)
+                             : std::span<const double>());
+           });
 }
 
 void simulate_broadcast_batch(const net::CsrTopology& csr,
@@ -276,20 +297,12 @@ void simulate_broadcast_batch(const net::CsrTopology& csr,
                               MultiSourceScratch& scratch,
                               MultiSourceResult& out,
                               runner::ThreadPool* pool) {
-  const std::size_t n = csr.size();
-  PERIGEE_TRACE_SPAN_ARGS(batch_span, "broadcast_batch",
-                          obs::TraceArgs()
-                              .arg("sources", sources.size())
-                              .arg("nodes", n)
-                              .json());
-  out.prepare(n, sources);
   const BatchPlan plan = make_plan(csr);
-  dispatch(sources.size(), scratch, pool,
-           [&](std::size_t lane_idx, std::size_t s) {
-             solve_one(csr, plan, scratch.lane(lane_idx), sources[s],
-                       out.arrival_data(s), out.ready_data(s));
-           });
-  PERIGEE_GAUGE_MAX("mem.batch_scratch_bytes", scratch.memory_bytes());
+  materialize_batch("broadcast_batch", csr, sources, scratch, out, pool,
+                    [&](SourceLane& lane, net::NodeId src, double* arrival,
+                        double* ready) {
+                      solve_one(csr, plan, lane, src, arrival, ready);
+                    });
 }
 
 void for_each_source_broadcast(const net::CsrTopology& csr,
@@ -297,23 +310,12 @@ void for_each_source_broadcast(const net::CsrTopology& csr,
                                MultiSourceScratch& scratch,
                                const SourceSink& sink,
                                runner::ThreadPool* pool, bool need_ready) {
-  const std::size_t n = csr.size();
   const BatchPlan plan = make_plan(csr);
-  dispatch(sources.size(), scratch, pool,
-           [&](std::size_t lane_idx, std::size_t s) {
-             MultiSourceScratch::Lane& lane = scratch.lane(lane_idx);
-             lane.arrival.resize(n);
-             double* ready = nullptr;
-             if (need_ready) {
-               lane.ready.resize(n);
-               ready = lane.ready.data();
-             }
-             solve_one(csr, plan, lane, sources[s], lane.arrival.data(),
-                       ready);
-             sink(lane_idx, s, lane.arrival,
-                  need_ready ? std::span<const double>(lane.ready)
-                             : std::span<const double>());
-           });
+  stream_batch(csr, sources, scratch, sink, pool, need_ready,
+               [&](SourceLane& lane, net::NodeId src, double* arrival,
+                   double* ready) {
+                 solve_one(csr, plan, lane, src, arrival, ready);
+               });
 }
 
 }  // namespace perigee::sim

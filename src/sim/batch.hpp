@@ -1,14 +1,17 @@
 /// \file
-/// \brief Batched multi-source broadcast engine.
+/// \brief The batch driver: broadcasts from every source of a batch over
+/// one compiled snapshot, with the delay solver or the egress solver.
 ///
-/// Every figure and ablation reduces to "broadcast |B| blocks from
-/// hash-weighted sources over one static graph": the round loop simulates
-/// all blocks of a round on one `net::CsrTopology` snapshot, and the λ
-/// metric broadcasts from every node of the network. This engine runs all
-/// sources of such a batch through one compile and one arena-backed scratch
-/// pool. It is also the single-source delay path: one source is a batch of
-/// one (a one-element span, then `MultiSourceResult::extract` if the caller
-/// wants a `BroadcastResult`). What makes it fast:
+/// The round loop broadcasts |B| blocks over one `net::CsrTopology`
+/// snapshot and the λ metric broadcasts from every node: both are batches.
+/// This file holds the one driver they run through — one lane arena
+/// (`MultiSourceScratch`), one source fan-out, a materializing body
+/// (`materialize_batch`, the round shape) and a streaming body
+/// (`stream_batch`, the λ shape) — plus the delay solver. The egress solver
+/// lives in sim/egress.hpp, and `sim::Relaxer` (sim/relaxer.hpp) picks
+/// between the two. One source is a batch of one (a one-element span, then
+/// `MultiSourceResult::extract` for a `BroadcastResult`). What makes the
+/// delay path fast:
 ///
 ///  - arrival/ready outputs are laid out SoA, one contiguous per-source
 ///    stripe of an arena each (`MultiSourceResult`), so a batch performs two
@@ -24,16 +27,17 @@
 ///    the test oracle's per-relaxation stores because the last value it
 ///    stores is exactly final-arrival + Δv;
 ///  - sources fan out across an optional `runner::ThreadPool`: each worker
-///    lane owns its queue/settled scratch, every source writes its
-///    pre-assigned stripe, and results are therefore byte-identical at any
-///    worker count — the same determinism contract as the sweep runner.
+///    owns one lane, every source writes its pre-assigned stripe, and
+///    results are therefore byte-identical at any worker count — the same
+///    determinism contract as the sweep runner.
 ///
 /// Outputs are byte-for-byte identical to the Topology-walking test oracle
 /// (`tests/broadcast_oracle.hpp`); `tests/sim_engine_diff_test.cpp` holds
-/// this engine, pooled or inline, to that across every scenario regime.
+/// both solvers, pooled or inline, to that across every scenario regime.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -45,6 +49,7 @@
 #include "sim/bucket_queue.hpp"
 #include "sim/dary_heap.hpp"
 #include "util/aligned.hpp"
+#include "util/assert.hpp"
 
 namespace perigee::runner {
 class ThreadPool;
@@ -102,50 +107,78 @@ struct MultiSourceResult {
   void extract(std::size_t s, BroadcastResult& out) const;
 };
 
-/// Reusable arena of per-worker scratch lanes (bucket queue, heap fallback,
-/// settled flags, one stripe pair for the streaming form, λ sort buffer).
-/// Lanes are grown on demand and survive across batches, so a sweep cell
-/// running thousands of rounds performs no steady-state allocation. Not
-/// thread-safe to share across concurrent *batches*; within one batch each
-/// worker owns one lane.
-class MultiSourceScratch {
+/// A reusable arena of per-worker scratch lanes; `MultiSourceScratch` (the
+/// batch driver) and `ParallelScratch` (the delta-stepping team) are both
+/// instances. Lanes are grown on demand and survive across
+/// batches, so a sweep cell running thousands of rounds performs no
+/// steady-state allocation; each lane is its own heap block, so a lane
+/// reference stays valid while the pool grows. Not thread-safe to share
+/// across concurrent *batches*; within one batch each worker owns one lane.
+/// `Lane` must be default-constructible and report `memory_bytes()`.
+template <typename L>
+class LanePool {
  public:
-  MultiSourceScratch();
-  ~MultiSourceScratch();
-  MultiSourceScratch(MultiSourceScratch&&) noexcept;
-  MultiSourceScratch& operator=(MultiSourceScratch&&) noexcept;
+  using Lane = L;
 
-  struct Lane;
-  /// Lane `i`, valid until the next `ensure_lanes`. Exposed for the λ
-  /// evaluation, which keeps a per-lane sort buffer next to the engine's
-  /// scratch.
-  Lane& lane(std::size_t i);
-  std::size_t lanes() const;
+  /// Lane `i`; `i` must be below `lanes()`.
+  Lane& lane(std::size_t i) {
+    PERIGEE_ASSERT(i < lanes_.size());
+    return *lanes_[i];
+  }
+  /// Lanes currently allocated.
+  std::size_t lanes() const { return lanes_.size(); }
   /// Grows the pool to at least `count` lanes.
-  void ensure_lanes(std::size_t count);
-
-  /// Heap bytes across all lanes; reported through the
-  /// `mem.batch_scratch_bytes` obs gauge after each batch (memory-budget
-  /// accounting for the scale path, next to `mem.csr_bytes` and
-  /// `mem.parallel_scratch_bytes`).
-  std::size_t memory_bytes() const;
+  void ensure_lanes(std::size_t count) {
+    while (lanes_.size() < count) lanes_.push_back(std::make_unique<Lane>());
+  }
+  /// Heap bytes across all lanes.
+  std::size_t memory_bytes() const {
+    std::size_t bytes = 0;
+    for (const auto& lane : lanes_) bytes += lane->memory_bytes();
+    return bytes;
+  }
 
  private:
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
-/// Per-worker scratch: engine internals plus a caller-usable sort buffer.
-/// (No settled array: the engine detects stale queue entries by comparing
-/// the popped key against the node's current arrival instead.)
+/// One discrete event of the egress solver (sim/egress.hpp): (time,
+/// schedule sequence) orders its heap — equal times break FIFO by `seq`,
+/// which is that solver's deterministic tie-break rule (documented in
+/// docs/TRANSMISSION_MODEL.md). Declared here because the lanes store them.
+struct EgressEvent {
+  double time = 0.0;       ///< event timestamp, ms
+  std::uint64_t seq = 0;   ///< monotone schedule order, breaks time ties
+  net::NodeId node = 0;    ///< subject node
+  std::uint8_t kind = 0;   ///< event kind, private to sim/egress.cpp
+  bool operator<(const EgressEvent& other) const {
+    if (time != other.time) return time < other.time;
+    return seq < other.seq;
+  }
+};
+
+/// Per-worker scratch of the batch driver, one type for both solvers: the
+/// delay solver's bucket queue and heap fallback, the egress solver's event
+/// heap and per-sender scheduler state, one stripe pair for the streaming
+/// form, and a caller-usable λ sort buffer. Each field is sized by the
+/// solver that uses it, so a delay-only run never grows the egress fields.
+/// (No settled array for the delay solver: it detects stale queue entries by
+/// comparing the popped key against the node's current arrival instead.)
 ///
 /// alignas(64): each lane object starts on its own cache line, so the hot
 /// scalar state of two workers' lanes (queue cursors, vector headers) never
 /// shares one — the vectors' heap blocks are naturally distinct already.
 /// `tests/sim_batch_layout_test.cpp` guards both this and the stripe
 /// padding above against regression.
-struct alignas(64) MultiSourceScratch::Lane {
-  BucketQueue queue;                  ///< fast-path relaxation queue
-  std::vector<HeapItem> heap;         ///< fallback 4-ary heap storage
+struct alignas(64) SourceLane {
+  BucketQueue queue;                  ///< delay: fast-path relaxation queue
+  std::vector<HeapItem> heap;         ///< delay: fallback 4-ary heap storage
+  std::vector<EgressEvent> events;    ///< egress: 4-ary event heap storage
+  std::vector<std::uint8_t> settled;  ///< egress: per-node "holds the block"
+  std::vector<std::uint8_t> segment;  ///< egress: per-sender dequeue segment
+  std::vector<std::uint32_t> edge;    ///< egress: per-sender CSR row index
+  std::vector<double> tokens;         ///< egress: per-sender bucket fill
+  std::vector<double> refill_time;    ///< egress: per-sender last refill, ms
   std::vector<double> arrival;        ///< streaming-form stripe
   std::vector<double> ready;          ///< streaming-form stripe
   /// (arrival, hash power) pairs for the λ coverage accumulation; lives here
@@ -153,7 +186,16 @@ struct alignas(64) MultiSourceScratch::Lane {
   std::vector<std::pair<double, double>> by_arrival;
   /// Ping-pong buffer for the radix sort of `by_arrival`.
   std::vector<std::pair<double, double>> sort_scratch;
+
+  /// Heap bytes held by this lane.
+  std::size_t memory_bytes() const;
 };
+
+/// The batch driver's lane arena, shared by both solvers; reported through
+/// the `mem.batch_scratch_bytes` obs gauge after each batch (memory-budget
+/// accounting for the scale path, next to `mem.csr_bytes` and
+/// `mem.parallel_scratch_bytes`).
+using MultiSourceScratch = LanePool<SourceLane>;
 
 /// Heap relaxation of one source into `arrival` (`csr.size()` doubles):
 /// the fallback for snapshots no fixed-point bucket plan admits, shared by
@@ -169,11 +211,46 @@ void relax_heap(const net::CsrTopology& csr, net::NodeId src,
 void fill_ready(const net::CsrTopology& csr, net::NodeId src,
                 const double* arrival, double* ready);
 
+/// One source's relaxation into caller-provided stripes of `csr.size()`
+/// doubles (`ready` null skips the ready fill), using `lane`'s scratch. This
+/// is the only engine-specific code under the driver; there are two: the
+/// delay solver behind `simulate_broadcast_batch` and the egress solver
+/// behind `simulate_broadcast_egress_batch` (sim/egress.hpp).
+using SourceSolver = std::function<void(SourceLane& lane, net::NodeId src,
+                                        double* arrival, double* ready)>;
+
+/// Streaming sink: `sink(lane, s, arrival, ready)` receives batch entry
+/// `s`'s stripes, which live in lane `lane` and are valid only during the
+/// call. It may run concurrently from pool workers for distinct `s` and
+/// must write only `s`-indexed slots to preserve the determinism contract.
+using SourceSink = std::function<void(
+    std::size_t lane, std::size_t s, std::span<const double> arrival,
+    std::span<const double> ready)>;
+
+/// The driver's materializing body: sizes `out` for the batch and runs
+/// `solve` for every entry of `sources` into its stripes, under a trace span
+/// named `span`. With a pool, sources are partitioned into contiguous
+/// per-worker ranges, each worker borrowing one lane of `scratch`; without
+/// one the batch runs inline. Worker count never changes a byte.
+void materialize_batch(const char* span, const net::CsrTopology& csr,
+                       std::span<const net::NodeId> sources,
+                       MultiSourceScratch& scratch, MultiSourceResult& out,
+                       runner::ThreadPool* pool, const SourceSolver& solve);
+
+/// The driver's streaming body: the same fan-out as `materialize_batch`,
+/// but each source is solved into its lane's stripe pair and handed to
+/// `sink` instead of being kept. With `need_ready` false the ready fill is
+/// skipped and the sink receives an empty ready span.
+void stream_batch(const net::CsrTopology& csr,
+                  std::span<const net::NodeId> sources,
+                  MultiSourceScratch& scratch, const SourceSink& sink,
+                  runner::ThreadPool* pool, bool need_ready,
+                  const SourceSolver& solve);
+
 /// Simulates a broadcast from every entry of `sources` over one compiled
-/// snapshot, materializing all stripes (the round loop's shape: |B| miners,
-/// observation recording wants every result at once). With a pool, sources
-/// are partitioned into contiguous per-worker ranges; without one the batch
-/// runs inline. Byte-identical to the test oracle, source by source, at any
+/// snapshot with the delay solver, materializing all stripes (the round
+/// loop's shape: |B| miners, observation recording wants every result at
+/// once). Byte-identical to the test oracle, source by source, at any
 /// worker count; a one-element span is the single-source path.
 void simulate_broadcast_batch(const net::CsrTopology& csr,
                               std::span<const net::NodeId> sources,
@@ -181,17 +258,9 @@ void simulate_broadcast_batch(const net::CsrTopology& csr,
                               MultiSourceResult& out,
                               runner::ThreadPool* pool = nullptr);
 
-/// Streaming form for batches whose per-source outputs reduce immediately
-/// (the λ metric: n sources would otherwise materialize O(n²) doubles).
-/// Each source's stripes live in its lane and are valid only during the
-/// `sink` call; `sink(lane, s, arrival, ready)` may run concurrently from
-/// pool workers for distinct `s` and must write only `s`-indexed slots to
-/// preserve the determinism contract. With `need_ready` false the ready
-/// fill pass is skipped and the sink receives an empty ready span — the λ
-/// evaluation only consumes arrival.
-using SourceSink = std::function<void(
-    std::size_t lane, std::size_t s, std::span<const double> arrival,
-    std::span<const double> ready)>;
+/// Streaming delay form for batches whose per-source outputs reduce
+/// immediately (the λ metric: n sources would otherwise materialize O(n²)
+/// doubles); see `stream_batch`.
 void for_each_source_broadcast(const net::CsrTopology& csr,
                                std::span<const net::NodeId> sources,
                                MultiSourceScratch& scratch,

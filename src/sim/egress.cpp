@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/dary_heap.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
@@ -30,7 +28,7 @@ constexpr std::uint8_t kSendDone = 2;  // a sender's uplink frees up
 // makes the diff harness's byte-parity bar provable rather than
 // approximate.
 void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
-                  const EgressPlan& plan, EgressScratch::Lane& lane,
+                  const EgressPlan& plan, SourceLane& lane,
                   net::NodeId src, double* arrival, double* ready) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
@@ -194,39 +192,7 @@ void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
   PERIGEE_COUNTER_ADD("egress.band2_dequeues", tally_band[2]);
   PERIGEE_HISTOGRAM_OBSERVE("egress.queue_depth", peak_backlog);
 
-  if (ready != nullptr) {
-    for (std::size_t v = 0; v < n; ++v) {
-      ready[v] = arrival[v] + csr.validation_ms(static_cast<net::NodeId>(v));
-    }
-    ready[src] = 0.0;  // the miner does not validate its own block
-  }
-}
-
-// Same contiguous-range fan-out as batch.cpp's dispatch: work(lane, s) must
-// write only s-indexed output, so worker count never affects results.
-void dispatch(std::size_t count, EgressScratch& scratch,
-              runner::ThreadPool* pool,
-              const std::function<void(std::size_t lane, std::size_t s)>&
-                  work) {
-  std::size_t workers =
-      pool != nullptr ? std::min<std::size_t>(pool->size(), count) : 1;
-  if (workers == 0) workers = 1;
-  scratch.ensure_lanes(workers);
-  PERIGEE_COUNTER_ADD("egress.batches", 1);
-  if (workers <= 1) {
-    for (std::size_t s = 0; s < count; ++s) work(0, s);
-    return;
-  }
-  const std::size_t chunk = (count + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t lo = w * chunk;
-    const std::size_t hi = std::min(count, lo + chunk);
-    if (lo >= hi) break;
-    pool->submit([&work, w, lo, hi] {
-      for (std::size_t s = lo; s < hi; ++s) work(w, s);
-    });
-  }
-  pool->wait();
+  if (ready != nullptr) fill_ready(csr, src, arrival, ready);
 }
 
 }  // namespace
@@ -253,58 +219,12 @@ EgressPlan EgressPlan::build(const net::Network& network,
 const EgressPlan& EgressPlanCache::get(const net::Network& network,
                                        const EgressConfig& config) {
   if (!valid_ || plan_.profile_version() != network.profile_version() ||
-      plan_.size() != network.size()) {
+      plan_.size() != network.size() || rate_scale_ != config.rate_scale) {
     plan_ = EgressPlan::build(network, config);
+    rate_scale_ = config.rate_scale;
     valid_ = true;
   }
   return plan_;
-}
-
-EgressScratch::EgressScratch() = default;
-EgressScratch::~EgressScratch() = default;
-EgressScratch::EgressScratch(EgressScratch&&) noexcept = default;
-EgressScratch& EgressScratch::operator=(EgressScratch&&) noexcept = default;
-
-EgressScratch::Lane& EgressScratch::lane(std::size_t i) {
-  PERIGEE_ASSERT(i < lanes_.size());
-  return *lanes_[i];
-}
-
-std::size_t EgressScratch::lanes() const { return lanes_.size(); }
-
-void EgressScratch::ensure_lanes(std::size_t count) {
-  while (lanes_.size() < count) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-}
-
-std::size_t EgressScratch::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& lane : lanes_) {
-    bytes += lane->events.capacity() * sizeof(EgressEvent) +
-             lane->settled.capacity() + lane->segment.capacity() +
-             lane->edge.capacity() * sizeof(std::uint32_t) +
-             (lane->tokens.capacity() + lane->refill_time.capacity() +
-              lane->arrival.capacity() + lane->ready.capacity()) *
-                 sizeof(double) +
-             (lane->by_arrival.capacity() + lane->sort_scratch.capacity()) *
-                 sizeof(std::pair<double, double>);
-  }
-  return bytes;
-}
-
-void simulate_broadcast_egress(const net::CsrTopology& csr,
-                               const EgressConfig& config,
-                               const EgressPlan& plan, net::NodeId source,
-                               EgressScratch& scratch,
-                               BroadcastResult& result) {
-  const std::size_t n = csr.size();
-  scratch.ensure_lanes(1);
-  result.miner = source;
-  result.arrival.resize(n);
-  result.ready.resize(n);
-  solve_egress(csr, config, plan, scratch.lane(0), source,
-               result.arrival.data(), result.ready.data());
 }
 
 void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
@@ -314,20 +234,12 @@ void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
                                      EgressScratch& scratch,
                                      MultiSourceResult& out,
                                      runner::ThreadPool* pool) {
-  const std::size_t n = csr.size();
-  PERIGEE_TRACE_SPAN_ARGS(egress_span, "egress_batch",
-                          obs::TraceArgs()
-                              .arg("sources", sources.size())
-                              .arg("nodes", n)
-                              .json());
-  out.prepare(n, sources);
-  dispatch(sources.size(), scratch, pool,
-           [&](std::size_t lane_idx, std::size_t s) {
-             solve_egress(csr, config, plan, scratch.lane(lane_idx),
-                          sources[s], out.arrival_data(s),
-                          out.ready_data(s));
-           });
-  PERIGEE_GAUGE_MAX("mem.egress_scratch_bytes", scratch.memory_bytes());
+  materialize_batch("egress_batch", csr, sources, scratch, out, pool,
+                    [&](SourceLane& lane, net::NodeId src, double* arrival,
+                        double* ready) {
+                      solve_egress(csr, config, plan, lane, src, arrival,
+                                   ready);
+                    });
 }
 
 void for_each_source_broadcast_egress(const net::CsrTopology& csr,
@@ -338,22 +250,11 @@ void for_each_source_broadcast_egress(const net::CsrTopology& csr,
                                       const SourceSink& sink,
                                       runner::ThreadPool* pool,
                                       bool need_ready) {
-  const std::size_t n = csr.size();
-  dispatch(sources.size(), scratch, pool,
-           [&](std::size_t lane_idx, std::size_t s) {
-             EgressScratch::Lane& lane = scratch.lane(lane_idx);
-             lane.arrival.resize(n);
-             double* ready = nullptr;
-             if (need_ready) {
-               lane.ready.resize(n);
-               ready = lane.ready.data();
-             }
-             solve_egress(csr, config, plan, lane, sources[s],
-                          lane.arrival.data(), ready);
-             sink(lane_idx, s, lane.arrival,
-                  need_ready ? std::span<const double>(lane.ready)
-                             : std::span<const double>());
-           });
+  stream_batch(csr, sources, scratch, sink, pool, need_ready,
+               [&](SourceLane& lane, net::NodeId src, double* arrival,
+                   double* ready) {
+                 solve_egress(csr, config, plan, lane, src, arrival, ready);
+               });
 }
 
 }  // namespace perigee::sim

@@ -28,9 +28,12 @@
 /// Determinism: the simulation is a single-threaded discrete-event loop per
 /// source over a (time, sequence) min-heap — ties in time break FIFO by
 /// schedule order, so one source's outcome is a pure function of
-/// (snapshot, config, plan, source). Batches fan sources across an optional
-/// `runner::ThreadPool` with pre-assigned result stripes exactly like
-/// `sim/batch.hpp`, so output is byte-identical at any worker count.
+/// (snapshot, config, plan, source). That per-source loop is the egress
+/// solver; everything around it — the lane arena, the fan-out across an
+/// optional `runner::ThreadPool` and the materializing and streaming bodies
+/// — is the batch driver of sim/batch.hpp, shared with the delay solver, so
+/// output is byte-identical at any worker count. `sim::Relaxer`
+/// (sim/relaxer.hpp) picks this solver when a transmission regime is set.
 ///
 /// Parity bar (enforced by tests/sim_engine_diff_test.cpp): with
 /// `unlimited_rate` (or all-zero message sizes) every send completes at its
@@ -44,16 +47,13 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "net/csr.hpp"
 #include "net/network.hpp"
 #include "net/types.hpp"
 #include "sim/batch.hpp"
-#include "sim/broadcast.hpp"
 
 namespace perigee::runner {
 class ThreadPool;
@@ -125,91 +125,31 @@ class EgressPlan {
   std::uint64_t profile_version_ = 0;
 };
 
-/// Rebuilds an `EgressPlan` only when the network's profiles actually
-/// changed (churn rejoin, hetero tier edits) — the same version-counter
-/// pattern `net::CsrCache` uses for snapshots.
+/// Rebuilds an `EgressPlan` only when its inputs actually changed: the
+/// network's profiles (churn rejoin, hetero tier edits — the same
+/// version-counter pattern `net::CsrCache` uses for snapshots) or the
+/// config's `rate_scale`.
 class EgressPlanCache {
  public:
-  /// Cached plan for `network`'s current profiles; rebuilds on
-  /// `profile_version()` or size mismatch.
+  /// Cached plan for `network`'s current profiles under `config`; rebuilds
+  /// on a `profile_version()`, size or `rate_scale` mismatch.
   const EgressPlan& get(const net::Network& network,
                         const EgressConfig& config);
 
  private:
   EgressPlan plan_;
+  double rate_scale_ = 0.0;
   bool valid_ = false;
 };
 
-/// Reusable arena of per-worker scratch lanes for the egress engine,
-/// mirroring `MultiSourceScratch`: lanes grow on demand, survive across
-/// batches, and each concurrent worker owns exactly one.
-class EgressScratch {
- public:
-  EgressScratch();
-  ~EgressScratch();
-  EgressScratch(EgressScratch&&) noexcept;
-  EgressScratch& operator=(EgressScratch&&) noexcept;
-
-  struct Lane;
-  /// Lane `i`, valid until the next `ensure_lanes`.
-  Lane& lane(std::size_t i);
-  /// Lanes currently allocated.
-  std::size_t lanes() const;
-  /// Grows the pool to at least `count` lanes.
-  void ensure_lanes(std::size_t count);
-  /// Heap bytes across all lanes (reported through the
-  /// `mem.egress_scratch_bytes` obs gauge after each batch).
-  std::size_t memory_bytes() const;
-
- private:
-  std::vector<std::unique_ptr<Lane>> lanes_;
-};
-
-/// One discrete event: (time, schedule sequence) orders the heap — equal
-/// times break FIFO by `seq`, which is the engine's deterministic tie-break
-/// rule (documented in docs/TRANSMISSION_MODEL.md).
-struct EgressEvent {
-  double time = 0.0;       ///< event timestamp, ms
-  std::uint64_t seq = 0;   ///< monotone schedule order, breaks time ties
-  net::NodeId node = 0;    ///< subject node
-  std::uint8_t kind = 0;   ///< EgressEventKind
-  bool operator<(const EgressEvent& other) const {
-    if (time != other.time) return time < other.time;
-    return seq < other.seq;
-  }
-};
-
-/// Per-worker scratch: the event heap, arrival state, per-sender scheduler
-/// state, and the same caller-usable λ sort buffers `MultiSourceScratch`
-/// lanes carry (so `metrics::eval_all_sources` stays allocation-free over
-/// this engine too).
-struct EgressScratch::Lane {
-  std::vector<EgressEvent> events;      ///< 4-ary event heap storage
-  std::vector<std::uint8_t> settled;    ///< per-node "holds the block" flag
-  std::vector<std::uint8_t> segment;    ///< per-sender dequeue segment index
-  std::vector<std::uint32_t> edge;      ///< per-sender index into its CSR row
-  std::vector<double> tokens;           ///< per-sender bucket fill, bytes
-  std::vector<double> refill_time;      ///< per-sender last bucket refill, ms
-  std::vector<double> arrival;          ///< streaming-form stripe
-  std::vector<double> ready;            ///< streaming-form stripe
-  /// (arrival, hash power) pairs for the λ coverage accumulation.
-  std::vector<std::pair<double, double>> by_arrival;
-  /// Ping-pong buffer for the radix sort of `by_arrival`.
-  std::vector<std::pair<double, double>> sort_scratch;
-};
-
-/// Simulates one broadcast from `source` under the queuing model, writing
-/// into `result` (vectors resized as needed). Deterministic: repeated calls
-/// with identical inputs produce identical bytes.
-void simulate_broadcast_egress(const net::CsrTopology& csr,
-                               const EgressConfig& config,
-                               const EgressPlan& plan, net::NodeId source,
-                               EgressScratch& scratch,
-                               BroadcastResult& result);
+/// The egress solver's scratch is the batch driver's lane arena: one
+/// `SourceLane` type carries both solvers' state.
+using EgressScratch = MultiSourceScratch;
 
 /// Batch form mirroring `simulate_broadcast_batch`: all sources over one
-/// snapshot into per-source stripes of `out`, fanned across `pool` as
-/// contiguous pre-assigned ranges — byte-identical at any worker count.
+/// snapshot into per-source stripes of `out`, through the batch driver's
+/// materializing body — byte-identical at any worker count. A one-element
+/// span is the single-source path.
 void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
                                      const EgressConfig& config,
                                      const EgressPlan& plan,
@@ -219,10 +159,8 @@ void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
                                      runner::ThreadPool* pool = nullptr);
 
 /// Streaming form mirroring `for_each_source_broadcast` (λ evaluation: n
-/// sources must not materialize O(n²) doubles). `sink(lane, s, arrival,
-/// ready)` may run concurrently for distinct `s` and must write only
-/// s-indexed slots; with `need_ready` false the ready fill is skipped and
-/// the sink receives an empty ready span.
+/// sources must not materialize O(n²) doubles), through the batch driver's
+/// streaming body (`stream_batch`).
 void for_each_source_broadcast_egress(const net::CsrTopology& csr,
                                       const EgressConfig& config,
                                       const EgressPlan& plan,

@@ -18,120 +18,70 @@ namespace perigee::sim {
 namespace {
 
 /// "No pending bucket" sentinel for the next-bucket vote.
-constexpr std::uint64_t kNoBucket = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kNoBucket = ParallelLane::kNoBucket;
 /// Hard per-lane ring ceiling, matching BucketQueue::kMaxBuckets.
 constexpr std::uint64_t kMaxRingBuckets = std::uint64_t{1} << 20;
 
 }  // namespace
 
-/// Per-worker lane. The ring is a power-of-two window over absolute bucket
-/// indices (slot = index & mask) holding bare node ids — settled-once means
-/// entries need no keys; a stale duplicate is skipped by the settled bitmap.
-///
-/// alignas(64): team members hammer their own lane's cursors and outboxes
-/// every bucket round; starting each lane on its own cache line keeps that
-/// traffic private (same guard as MultiSourceScratch::Lane).
-struct alignas(64) ParallelScratch::Lane {
-  /// A buffered remote relaxation: the target node and its candidate key.
-  struct Candidate {
-    std::uint32_t node;
-    double key;
-  };
-
-  std::vector<std::vector<std::uint32_t>> ring;  ///< bucket slots (node ids)
-  std::vector<std::uint64_t> occupied;           ///< per-slot non-empty bits
-  std::uint64_t mask = 0;
-  std::size_t pending = 0;
-  std::vector<std::vector<Candidate>> outbox;  ///< per target worker
-  std::vector<std::uint8_t> settled;           ///< per owned node
-  std::vector<HeapItem> heap;                  ///< heap fallback storage
-
-  void ensure_ring(std::uint64_t cap) {
-    if (!ring.empty() && mask + 1 >= cap) return;
-    ring.resize(cap);
-    occupied.assign(cap >> 6, 0);
-    mask = cap - 1;
-  }
-
-  void insert(std::uint64_t bucket, std::uint32_t node) {
-    const std::uint64_t slot = bucket & mask;
-    std::vector<std::uint32_t>& vec = ring[slot];
-    if (vec.empty()) occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    vec.push_back(node);
-    ++pending;
-  }
-
-  /// Drains bookkeeping for the just-relaxed bucket.
-  void drop_bucket(std::uint64_t bucket) {
-    const std::uint64_t slot = bucket & mask;
-    pending -= ring[slot].size();
-    ring[slot].clear();
-    occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
-
-  /// Smallest non-empty absolute bucket index > `cur`; kNoBucket when the
-  /// lane is drained. All pending entries lie within (cur, cur + capacity]
-  /// (inserts are bounded by one relaxation reach, which the ring was sized
-  /// to), so one pass over the window suffices. The word scan is aligned:
-  /// ring capacity is a multiple of 64, so within any occupancy word the
-  /// absolute indices are contiguous.
-  std::uint64_t next_nonempty_after(std::uint64_t cur) const {
-    if (pending == 0) return kNoBucket;
-    const std::uint64_t cap = mask + 1;
-    std::uint64_t idx = cur + 1;
-    const std::uint64_t end = cur + cap;
-    while (idx <= end) {
-      const std::uint64_t slot = idx & mask;
-      const std::uint64_t word = occupied[slot >> 6] >> (slot & 63);
-      if (word != 0) {
-        return idx + static_cast<std::uint64_t>(std::countr_zero(word));
-      }
-      idx += 64 - (slot & 63);
-    }
-    return kNoBucket;
-  }
-
-  std::size_t memory_bytes() const {
-    std::size_t bytes = ring.capacity() * sizeof(ring[0]) +
-                        occupied.capacity() * sizeof(std::uint64_t) +
-                        settled.capacity() +
-                        outbox.capacity() * sizeof(outbox[0]) +
-                        heap.capacity() * sizeof(HeapItem);
-    for (const auto& slot : ring) {
-      bytes += slot.capacity() * sizeof(std::uint32_t);
-    }
-    for (const auto& box : outbox) {
-      bytes += box.capacity() * sizeof(Candidate);
-    }
-    return bytes;
-  }
-};
-
-static_assert(alignof(ParallelScratch::Lane) >= 64,
+static_assert(alignof(ParallelLane) >= 64,
               "parallel lanes must be cache-line aligned");
 
-ParallelScratch::ParallelScratch() = default;
-ParallelScratch::~ParallelScratch() = default;
-ParallelScratch::ParallelScratch(ParallelScratch&&) noexcept = default;
-ParallelScratch& ParallelScratch::operator=(ParallelScratch&&) noexcept =
-    default;
-
-ParallelScratch::Lane& ParallelScratch::lane(std::size_t i) {
-  PERIGEE_ASSERT(i < lanes_.size());
-  return *lanes_[i];
+void ParallelLane::ensure_ring(std::uint64_t cap) {
+  if (!ring.empty() && mask + 1 >= cap) return;
+  ring.resize(cap);
+  occupied.assign(cap >> 6, 0);
+  mask = cap - 1;
 }
 
-std::size_t ParallelScratch::lanes() const { return lanes_.size(); }
+void ParallelLane::insert(std::uint64_t bucket, std::uint32_t node) {
+  const std::uint64_t slot = bucket & mask;
+  std::vector<std::uint32_t>& vec = ring[slot];
+  if (vec.empty()) occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  vec.push_back(node);
+  ++pending;
+}
 
-void ParallelScratch::ensure_lanes(std::size_t count) {
-  while (lanes_.size() < count) {
-    lanes_.push_back(std::make_unique<Lane>());
+void ParallelLane::drop_bucket(std::uint64_t bucket) {
+  const std::uint64_t slot = bucket & mask;
+  pending -= ring[slot].size();
+  ring[slot].clear();
+  occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+}
+
+// All pending entries lie within (cur, cur + capacity] (inserts are bounded
+// by one relaxation reach, which the ring was sized to), so one pass over
+// the window suffices. The word scan is aligned: ring capacity is a
+// multiple of 64, so within any occupancy word the absolute indices are
+// contiguous.
+std::uint64_t ParallelLane::next_nonempty_after(std::uint64_t cur) const {
+  if (pending == 0) return kNoBucket;
+  const std::uint64_t cap = mask + 1;
+  std::uint64_t idx = cur + 1;
+  const std::uint64_t end = cur + cap;
+  while (idx <= end) {
+    const std::uint64_t slot = idx & mask;
+    const std::uint64_t word = occupied[slot >> 6] >> (slot & 63);
+    if (word != 0) {
+      return idx + static_cast<std::uint64_t>(std::countr_zero(word));
+    }
+    idx += 64 - (slot & 63);
   }
+  return kNoBucket;
 }
 
-std::size_t ParallelScratch::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& lane : lanes_) bytes += lane->memory_bytes();
+std::size_t ParallelLane::memory_bytes() const {
+  std::size_t bytes = ring.capacity() * sizeof(ring[0]) +
+                      occupied.capacity() * sizeof(std::uint64_t) +
+                      settled.capacity() +
+                      outbox.capacity() * sizeof(outbox[0]) +
+                      heap.capacity() * sizeof(HeapItem);
+  for (const auto& slot : ring) {
+    bytes += slot.capacity() * sizeof(std::uint32_t);
+  }
+  for (const auto& box : outbox) {
+    bytes += box.capacity() * sizeof(Candidate);
+  }
   return bytes;
 }
 
@@ -248,7 +198,7 @@ void delta_step_team(const net::CsrTopology& csr, const ParallelPlan& plan,
   std::barrier merge_done(members, pick_next);
 
   auto member = [&](unsigned w) {
-    ParallelScratch::Lane& lane = scratch.lane(w);
+    ParallelLane& lane = scratch.lane(w);
     const std::uint32_t lo =
         static_cast<std::uint32_t>(std::min(w * chunk, n));
     const std::uint32_t hi =

@@ -43,13 +43,14 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "net/csr.hpp"
 #include "net/types.hpp"
+#include "sim/batch.hpp"
 #include "sim/broadcast.hpp"
 
 namespace perigee::runner {
@@ -74,31 +75,52 @@ const char* relax_engine_name(RelaxEngine engine);
 /// Inverse of `relax_engine_name`; nullopt for unknown spellings.
 std::optional<RelaxEngine> relax_engine_from_name(std::string_view name);
 
-/// Reusable per-worker scratch for the parallel engine: bucket rings,
-/// remote-candidate outboxes, settled bitmap, heap-fallback storage. Grown
-/// on demand and reused across broadcasts (steady state allocates
-/// nothing). Not thread-safe to share across concurrent broadcasts; within
-/// one broadcast each worker owns one lane.
-class ParallelScratch {
- public:
-  ParallelScratch();
-  ~ParallelScratch();
-  ParallelScratch(ParallelScratch&&) noexcept;
-  ParallelScratch& operator=(ParallelScratch&&) noexcept;
+/// Per-worker lane of the parallel engine: a bucket ring, remote-candidate
+/// outboxes, the settled bitmap of the owned nodes and heap-fallback
+/// storage. The ring is a power-of-two window over absolute bucket indices
+/// (slot = index & mask) holding bare node ids — settled-once means entries
+/// need no keys; a stale duplicate is skipped by the settled bitmap. The
+/// ring operations are defined in parallel.cpp, their only caller.
+///
+/// alignas(64): team members hammer their own lane's cursors and outboxes
+/// every bucket round; starting each lane on its own cache line keeps that
+/// traffic private (same guard as `SourceLane`).
+struct alignas(64) ParallelLane {
+  /// A buffered remote relaxation: the target node and its candidate key.
+  struct Candidate {
+    std::uint32_t node;
+    double key;
+  };
+  /// "No pending bucket" sentinel of `next_nonempty_after`.
+  static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
-  struct Lane;
-  Lane& lane(std::size_t i);
-  std::size_t lanes() const;
-  /// Grows the pool to at least `count` lanes.
-  void ensure_lanes(std::size_t count);
+  std::vector<std::vector<std::uint32_t>> ring;  ///< bucket slots (node ids)
+  std::vector<std::uint64_t> occupied;           ///< per-slot non-empty bits
+  std::uint64_t mask = 0;
+  std::size_t pending = 0;
+  std::vector<std::vector<Candidate>> outbox;  ///< per target worker
+  std::vector<std::uint8_t> settled;           ///< per owned node
+  std::vector<HeapItem> heap;                  ///< heap fallback storage
 
-  /// Heap bytes across all lanes; reported through the
-  /// `mem.parallel_scratch_bytes` obs gauge after each broadcast.
+  /// Grows the ring to at least `cap` slots (a power of two, multiple of 64).
+  void ensure_ring(std::uint64_t cap);
+  /// Queues `node` in absolute bucket `bucket`.
+  void insert(std::uint64_t bucket, std::uint32_t node);
+  /// Drains bookkeeping for the just-relaxed bucket.
+  void drop_bucket(std::uint64_t bucket);
+  /// Smallest non-empty absolute bucket index > `cur`; kNoBucket when the
+  /// lane is drained.
+  std::uint64_t next_nonempty_after(std::uint64_t cur) const;
+  /// Heap bytes held by this lane.
   std::size_t memory_bytes() const;
-
- private:
-  std::vector<std::unique_ptr<Lane>> lanes_;
 };
+
+/// Reusable per-worker scratch for the parallel engine, grown on demand and
+/// reused across broadcasts (steady state allocates nothing). Not
+/// thread-safe to share across concurrent broadcasts; within one broadcast
+/// each worker owns one lane. Reported through the
+/// `mem.parallel_scratch_bytes` obs gauge after each broadcast.
+using ParallelScratch = LanePool<ParallelLane>;
 
 /// Single-source broadcast over the compiled snapshot, byte-identical
 /// to `simulate_broadcast_batch` at any worker count. `arrival`/`ready`

@@ -11,27 +11,26 @@
 /// topology's mutation journal onto the snapshot instead of recompiling,
 /// so a round's rewiring costs O(changed edges), not O(n + m)), samples the
 /// round's miners up front, and
-/// dispatches all K blocks as one batch through the multi-source engine
-/// (sim/batch.hpp) over reusable arena scratch — the engine's steady state
-/// performs no allocation and no per-edge latency-model calls, and an
-/// optional `runner::ThreadPool` fans the round's blocks across workers
-/// without changing a single output byte.
+/// dispatches all K blocks as one batch through its `sim::Relaxer`
+/// (sim/relaxer.hpp), which alone decides between the delay and the egress
+/// engine — the runner never branches on it. The batch runs over reusable
+/// arena scratch: the steady state performs no allocation and no per-edge
+/// latency-model calls, and an optional `runner::ThreadPool` fans the
+/// round's blocks across workers without changing a single output byte.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
-
-#include <optional>
 
 #include "mining/sampler.hpp"
 #include "net/csr.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/batch.hpp"
-#include "sim/egress.hpp"
 #include "sim/observations.hpp"
-#include "sim/parallel.hpp"
+#include "sim/relaxer.hpp"
 #include "sim/selector.hpp"
 
 namespace perigee::runner {
@@ -86,28 +85,15 @@ class RoundRunner {
   /// count, so this only changes wall-clock.
   void set_thread_pool(runner::ThreadPool* pool) { pool_ = pool; }
 
-  /// Selects the relaxation backend for the Fast engine's block batch:
-  /// the sequential batched bucket-queue engine (default, parallel across
-  /// the round's K sources) or the parallel delta-stepping engine
-  /// (parallel within each source — the scale path for large n with small
-  /// K). Outputs are byte-identical either way (the engine-diff suite pins
-  /// it), so like `set_thread_pool` this only changes wall-clock.
-  void set_relax_engine(RelaxEngine engine) { relax_engine_ = engine; }
-  RelaxEngine relax_engine() const { return relax_engine_; }
-
-  /// Routes the Fast engine's block batches through the queued-transmission
-  /// egress engine (sim/egress.hpp) with this configuration. Unlike the
-  /// wall-clock-only engine knobs above, this is a *result* axis: arrival
-  /// times gain serialization + queue wait. Takes precedence over
-  /// `set_relax_engine` (the delta-stepping backend models propagation
-  /// only). Pass nullopt to restore delay-only broadcasts.
-  void set_transmission(std::optional<EgressConfig> config) {
-    egress_config_ = std::move(config);
-  }
-  /// Active queued-transmission configuration, if any.
-  const std::optional<EgressConfig>& transmission() const {
-    return egress_config_;
-  }
+  /// Installs the relaxation seam the Fast engine's block batches run
+  /// through (default: delay-only, batched). The relaxer alone decides
+  /// between the delay and the egress engine: a queued-transmission config
+  /// is a *result* axis, the delta-stepping backend a wall-clock one.
+  void set_relaxer(Relaxer relaxer) { relaxer_ = std::move(relaxer); }
+  /// The installed relaxer. Checkpoint and final λ evaluations between
+  /// rounds run through it, so rounds and λ share one lane arena and one
+  /// egress rate plan.
+  Relaxer& relaxer() { return relaxer_; }
 
   /// Disables (or re-enables) the incremental journal-patch path of the
   /// runner's CSR cache: with `enabled` false every rewired round pays a
@@ -154,13 +140,8 @@ class RoundRunner {
   ObservationTable obs_;
   net::CsrCache csr_cache_;         // one compile per round (or fewer)
   std::vector<net::NodeId> miners_; // the round's pre-sampled miner batch
-  MultiSourceScratch batch_scratch_;  // engine arena, reused across rounds
-  MultiSourceResult batch_result_;    // SoA stripes, reused across rounds
-  RelaxEngine relax_engine_ = RelaxEngine::Batched;
-  ParallelScratch parallel_scratch_;  // delta-stepping lanes, lazily grown
-  std::optional<EgressConfig> egress_config_;  // queued-transmission regime
-  EgressPlanCache egress_plans_;      // per-node rates, profile-versioned
-  EgressScratch egress_scratch_;      // event-heap lanes, reused across rounds
+  Relaxer relaxer_;                 // the engine choice and its arenas
+  MultiSourceResult batch_result_;  // SoA stripes, reused across rounds
   BroadcastResult block_result_;    // reused per-block shim for hooks
   std::size_t rounds_run_ = 0;
   runner::ThreadPool* pool_ = nullptr;  // borrowed; null = inline blocks

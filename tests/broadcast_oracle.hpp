@@ -11,7 +11,8 @@
 // this walker by the parity suites, so it lives here rather than in src/.
 //
 // `batch_of_one` is the other side of most of those checks: the production
-// single-source path, which is the batched engine over a one-element span.
+// single-source path, which is the batch driver over a one-element span
+// (`egress_batch_of_one` is the same shape for the egress solver).
 #pragma once
 
 #include <array>
@@ -25,6 +26,7 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/batch.hpp"
+#include "sim/egress.hpp"
 #include "sim/broadcast.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
@@ -104,6 +106,22 @@ inline sim::BroadcastResult batch_of_one(const net::CsrTopology& csr,
   sim::MultiSourceScratch scratch;
   sim::MultiSourceResult batch;
   sim::simulate_broadcast_batch(csr, source, scratch, batch);
+  sim::BroadcastResult result;
+  batch.extract(0, result);
+  return result;
+}
+
+/// The production single-source egress path:
+/// `sim::simulate_broadcast_egress_batch` over a one-element span, extracted
+/// into the single-source result shape.
+inline sim::BroadcastResult egress_batch_of_one(
+    const net::CsrTopology& csr, const sim::EgressConfig& config,
+    const sim::EgressPlan& plan, net::NodeId miner) {
+  const std::array<net::NodeId, 1> source{miner};
+  sim::EgressScratch scratch;
+  sim::MultiSourceResult batch;
+  sim::simulate_broadcast_egress_batch(csr, config, plan, source, scratch,
+                                       batch);
   sim::BroadcastResult result;
   batch.extract(0, result);
   return result;

@@ -167,6 +167,15 @@ TEST(GoldenTrace, CongestionSweepIsJobsInvariant) {
   runner::write_json(sequential, spec, runner::SweepRunner(1).run(spec));
   runner::write_json(parallel, spec, runner::SweepRunner(3).run(spec));
   EXPECT_EQ(sequential.str(), parallel.str());
+
+  // The relaxer's precedence rule: queue cells run the egress engine even
+  // with the delta-stepping backend selected, and delay cells produce the
+  // same bytes under it, so the whole document matches the batched run.
+  spec.base.relax_engine = sim::RelaxEngine::ParallelDelta;
+  spec.base.engine_jobs = 2;
+  std::ostringstream delta;
+  runner::write_json(delta, spec, runner::SweepRunner(1).run(spec));
+  EXPECT_EQ(sequential.str(), delta.str());
 }
 
 // Same contract with the parallel delta-stepping engine switched on

@@ -8,6 +8,7 @@
 #include "net/csr.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/egress.hpp"
+#include "sim/relaxer.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -147,9 +148,9 @@ TEST_P(MultiCoverageParity, DelayEngineMatchesSingleCoverage) {
   runner::ThreadPool pool(3);
   runner::ThreadPool* workers = pooled ? &pool : nullptr;
   for (const auto& coverages : coverage_orders()) {
-    sim::MultiSourceScratch scratch;
+    sim::Relaxer relaxer;
     const auto multi =
-        eval_all_sources_multi(csr, network, coverages, &scratch, workers);
+        eval_all_sources_multi(csr, network, coverages, relaxer, workers);
     expect_parity(coverages, multi, [&](double coverage) {
       return eval_all_sources(csr, network, coverage, nullptr, workers);
     });
@@ -169,9 +170,9 @@ TEST_P(MultiCoverageParity, EgressEngineMatchesSingleCoverage) {
     config.unlimited_rate = !bandwidth_tiers;
     const auto plan = sim::EgressPlan::build(network, config);
     for (const auto& coverages : coverage_orders()) {
-      sim::EgressScratch scratch;
-      const auto multi = eval_all_sources_egress_multi(
-          csr, network, config, plan, coverages, &scratch, workers);
+      sim::Relaxer relaxer(config);
+      const auto multi =
+          eval_all_sources_multi(csr, network, coverages, relaxer, workers);
       expect_parity(coverages, multi, [&](double coverage) {
         return eval_all_sources_egress(csr, network, config, plan, coverage,
                                        nullptr, workers);

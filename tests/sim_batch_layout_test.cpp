@@ -18,12 +18,13 @@ namespace {
 
 constexpr std::size_t kLine = 64;
 
-// The compile-time halves of the guard (duplicated from the engine TU so a
+// The compile-time halves of the guard (duplicated from the engine TUs so a
 // header regression fails this test even if the TU asserts were dropped;
-// ParallelScratch::Lane is TU-private, its static_assert lives in
-// parallel.cpp and its runtime alignment is checked below).
+// the runtime alignment of both lane pools is checked below).
 static_assert(alignof(sim::MultiSourceScratch::Lane) >= kLine,
               "MultiSourceScratch lanes must be cache-line aligned");
+static_assert(alignof(sim::ParallelScratch::Lane) >= kLine,
+              "ParallelScratch lanes must be cache-line aligned");
 static_assert(sizeof(sim::BucketQueue::Entry) == 16,
               "bucket entries are packed to two per load pair");
 

@@ -3,7 +3,8 @@
 // order (controls before payloads, reversible via band_map), token-bucket
 // burst absorption, the ∞-rate ≡ delay-only parity corner, zero-rate
 // starvation safety, worker-count invariance under finite rates, and λ
-// consistency through metrics::eval_all_sources_egress. The cross-engine
+// consistency through metrics::eval_all_sources_egress. Single sources run
+// as a batch of one (oracle::egress_batch_of_one). The cross-engine
 // byte-parity sweep over ~200 random topologies lives in
 // tests/sim_engine_diff_test.cpp; this file pins the arithmetic the model
 // documentation (docs/TRANSMISSION_MODEL.md) promises.
@@ -84,9 +85,8 @@ TEST(Egress, SerializationQueuesSuccessivePayloads) {
   const EgressPlan plan = EgressPlan::build(star.network, config);
   EXPECT_DOUBLE_EQ(plan.rate(0), 1000.0);
 
-  EgressScratch scratch;
-  BroadcastResult result;
-  simulate_broadcast_egress(star.csr, config, plan, 0, scratch, result);
+  const BroadcastResult result =
+      oracle::egress_batch_of_one(star.csr, config, plan, 0);
   // Payload k finishes serializing at (k+1)*10 ms and lands 5 ms later:
   // the spokes arrive at 15, 25, 35 instead of the delay-only 5, 5, 5.
   EXPECT_EQ(sorted(result.arrival),
@@ -102,9 +102,8 @@ TEST(Egress, ControlBandDrainsBeforePayloadBand) {
   config.control_bytes = 1000.0;  // 1 ms of INV chatter per neighbor
   const EgressPlan plan = EgressPlan::build(star.network, config);
 
-  EgressScratch scratch;
-  BroadcastResult result;
-  simulate_broadcast_egress(star.csr, config, plan, 0, scratch, result);
+  const BroadcastResult result =
+      oracle::egress_batch_of_one(star.csr, config, plan, 0);
   // All three controls serialize first (3 ms, band 0 strictly before
   // band 2), then the payloads: finishes at 13/23/33, arrivals +5.
   EXPECT_EQ(sorted(result.arrival),
@@ -119,9 +118,8 @@ TEST(Egress, BandMapReversalPutsPayloadsFirst) {
   config.band_map = {2, 1, 0};  // full blocks on band 0, controls on band 2
   const EgressPlan plan = EgressPlan::build(star.network, config);
 
-  EgressScratch scratch;
-  BroadcastResult result;
-  simulate_broadcast_egress(star.csr, config, plan, 0, scratch, result);
+  const BroadcastResult result =
+      oracle::egress_batch_of_one(star.csr, config, plan, 0);
   // Payloads now outrank controls: the INV chatter no longer delays any
   // delivery, so arrivals match the control-free schedule exactly.
   EXPECT_EQ(sorted(result.arrival),
@@ -136,9 +134,8 @@ TEST(Egress, BurstBucketCoveringBacklogMatchesDelayOnly) {
   config.burst_bytes = 50000.0;  // deeper than the hub's whole backlog
   const EgressPlan plan = EgressPlan::build(star.network, config);
 
-  EgressScratch scratch;
-  BroadcastResult result;
-  simulate_broadcast_egress(star.csr, config, plan, 0, scratch, result);
+  const BroadcastResult result =
+      oracle::egress_batch_of_one(star.csr, config, plan, 0);
   // Every send is absorbed by the bucket and completes at its dequeue
   // instant — byte-identical to the delay-only oracle.
   const BroadcastResult want =
@@ -155,9 +152,8 @@ TEST(Egress, RateScaleStretchesSerialization) {
   const EgressPlan plan = EgressPlan::build(star.network, config);
   EXPECT_DOUBLE_EQ(plan.rate(0), 500.0);
 
-  EgressScratch scratch;
-  BroadcastResult result;
-  simulate_broadcast_egress(star.csr, config, plan, 0, scratch, result);
+  const BroadcastResult result =
+      oracle::egress_batch_of_one(star.csr, config, plan, 0);
   EXPECT_EQ(sorted(result.arrival), (std::vector<double>{0.0, 25.0, 45.0}));
 }
 
@@ -168,9 +164,8 @@ TEST(Egress, ZeroRateSenderStarvesButTerminates) {
   const EgressPlan plan = EgressPlan::build(star.network, config);
   EXPECT_DOUBLE_EQ(plan.rate(0), 0.0);
 
-  EgressScratch scratch;
-  BroadcastResult result;
-  simulate_broadcast_egress(star.csr, config, plan, 0, scratch, result);
+  const BroadcastResult result =
+      oracle::egress_batch_of_one(star.csr, config, plan, 0);
   EXPECT_DOUBLE_EQ(result.arrival[0], 0.0);
   for (net::NodeId v = 1; v < star.csr.size(); ++v) {
     EXPECT_TRUE(std::isinf(result.arrival[v])) << "node " << v;
@@ -192,12 +187,11 @@ TEST(Egress, UnlimitedRateMatchesOracleByteForByte) {
   config.block_bytes = 0.0;
   config.control_bytes = 0.0;
   const EgressPlan plan = EgressPlan::build(network, config);
-  EgressScratch scratch;
-  BroadcastResult result;
   for (const net::NodeId miner : {net::NodeId{0}, net::NodeId{37}}) {
     const BroadcastResult want =
         oracle::simulate_broadcast(topology, network, miner);
-    simulate_broadcast_egress(csr, config, plan, miner, scratch, result);
+    const BroadcastResult result =
+        oracle::egress_batch_of_one(csr, config, plan, miner);
     EXPECT_TRUE(bytes_equal(result.arrival, want.arrival));
     EXPECT_TRUE(bytes_equal(result.ready, want.ready));
   }
@@ -264,17 +258,16 @@ TEST(Egress, EvalAllSourcesEgressMatchesPerSourceLambda) {
   const EgressPlan plan = EgressPlan::build(network, config);
 
   std::vector<double> want(options.n);
-  EgressScratch scratch;
-  BroadcastResult result;
   for (net::NodeId v = 0; v < options.n; ++v) {
-    simulate_broadcast_egress(csr, config, plan, v, scratch, result);
-    want[v] = metrics::lambda_for_broadcast(result, network, 0.90);
+    want[v] = metrics::lambda_for_broadcast(
+        oracle::egress_batch_of_one(csr, config, plan, v), network, 0.90);
   }
 
   const auto inline_eval =
       metrics::eval_all_sources_egress(csr, network, config, plan, 0.90);
   EXPECT_TRUE(bytes_equal(inline_eval, want));
 
+  EgressScratch scratch;
   runner::ThreadPool pool(3);
   const auto pooled_eval = metrics::eval_all_sources_egress(
       csr, network, config, plan, 0.90, &scratch, &pool);
@@ -299,6 +292,17 @@ TEST(Egress, PlanCacheRebuildsOnlyWhenProfilesChange) {
   const EgressPlan& rebuilt = cache.get(network, config);
   EXPECT_EQ(rebuilt.profile_version(), network.profile_version());
   EXPECT_DOUBLE_EQ(rebuilt.rate(3), 2.0 * before);
+
+  // The plan also reads the config's rate_scale: a second config over the
+  // same profiles must get its own rates, not the cached ones.
+  EgressConfig slower = config;
+  slower.rate_scale = 0.25;
+  const EgressPlan fresh = EgressPlan::build(network, slower);
+  const EgressPlan& rescaled = cache.get(network, slower);
+  for (net::NodeId v = 0; v < network.size(); ++v) {
+    EXPECT_DOUBLE_EQ(rescaled.rate(v), fresh.rate(v)) << "node " << v;
+  }
+  EXPECT_DOUBLE_EQ(cache.get(network, config).rate(3), 2.0 * before);
 }
 
 }  // namespace

@@ -111,7 +111,6 @@ void expect_engine_parity(const net::Topology& topology,
   const sim::EgressPlan egress_plan =
       sim::EgressPlan::build(network, egress_config);
   sim::EgressScratch egress_scratch;
-  sim::BroadcastResult via_egress;
   sim::MultiSourceResult egress_batched, egress_pooled;
   sim::simulate_broadcast_egress_batch(csr, egress_config, egress_plan,
                                        miners, egress_scratch, egress_batched);
@@ -133,8 +132,8 @@ void expect_engine_parity(const net::Topology& topology,
 
     // Egress engine, ∞-rate corner ≡ delay-only oracle: single-source,
     // batched, and pooled all byte-equal to the walk.
-    sim::simulate_broadcast_egress(csr, egress_config, egress_plan, miners[s],
-                                   egress_scratch, via_egress);
+    const sim::BroadcastResult via_egress = oracle::egress_batch_of_one(
+        csr, egress_config, egress_plan, miners[s]);
     EXPECT_TRUE(bytes_equal(via_egress.arrival, want.arrival));
     EXPECT_TRUE(bytes_equal(via_egress.ready, want.ready));
     EXPECT_TRUE(bytes_equal(egress_batched.arrival_of(s), want.arrival));
