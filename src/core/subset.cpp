@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/rewire.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace perigee::core {
@@ -37,14 +38,28 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   // Refilled for every candidate, so it is scored in place.
   std::vector<double> merged(blocks);
   keep.reserve(keep_n);
+  // The score interpolates up from order statistic `lo` of merged, so it is
+  // never below it. Once an incumbent exists, a candidate with at most `lo`
+  // merged entries under best_score has that statistic >= best_score and
+  // cannot win the strict < below: it is skipped without a selection.
+  const bool prune = blocks > 0;
+  const std::size_t lo =
+      prune ? util::percentile_lower_rank(blocks, params_.percentile) : 0;
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t pruned = 0);
 
   for (std::size_t step = 0; step < keep_n; ++step) {
     double best_score = util::kInf;
     std::size_t best_idx = candidates.size();
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       if (taken[c]) continue;
+      std::size_t below = 0;
       for (std::size_t b = 0; b < blocks; ++b) {
         merged[b] = std::min(rows[c][b], best[b]);
+        below += merged[b] < best_score;
+      }
+      if (prune && best_idx != candidates.size() && below <= lo) {
+        PERIGEE_TELEMETRY_ONLY(++pruned;)
+        continue;
       }
       const double score =
           util::percentile_in_place(merged, params_.percentile);
@@ -61,6 +76,7 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
       best[b] = std::min(best[b], rows[best_idx][b]);
     }
   }
+  PERIGEE_COUNTER_ADD("core.subset.pruned", pruned);
 
   retain_and_explore(ctx.topology, self, keep, ctx.rng, ctx.addrman);
 }

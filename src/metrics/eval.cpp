@@ -7,9 +7,9 @@
 
 #include "runner/thread_pool.hpp"
 #include "sim/batch.hpp"
+#include "sim/coverage.hpp"
 #include "sim/egress.hpp"
 #include "sim/relaxer.hpp"
-#include "util/radix.hpp"
 
 #include "util/assert.hpp"
 #include "util/stats.hpp"
@@ -17,78 +17,18 @@
 namespace perigee::metrics {
 namespace {
 
-// Accumulation over pairs already sorted ascending by (arrival, power):
-// the earliest time at which cumulative power reaches
-// coverage * total_power.
-double coverage_time_sorted(
-    const std::vector<std::pair<double, double>>& by_arrival,
-    double total_power, double coverage) {
-  PERIGEE_ASSERT(coverage > 0.0 && coverage <= 1.0);
-  const double target = coverage * total_power;
-  double acc = 0;
-  for (const auto& [t, power] : by_arrival) {
-    if (std::isinf(t)) break;  // unreachable tail
-    acc += power;
-    // Tolerate fp round-off in normalized hash powers.
-    if (acc >= target - 1e-12) return t;
-  }
-  return util::kInf;
-}
-
-// Every requested threshold read off one sorted array: out[k][slot] is the
-// coverage time at coverages[k]. The sort stays the caller's one expensive
-// step per source; each threshold is a linear scan that usually stops early.
-void coverage_times_sorted(
-    const std::vector<std::pair<double, double>>& by_arrival,
-    double total_power, const std::vector<double>& coverages,
-    std::vector<std::vector<double>>& out, std::size_t slot) {
-  for (std::size_t k = 0; k < coverages.size(); ++k) {
-    out[k][slot] = coverage_time_sorted(by_arrival, total_power, coverages[k]);
-  }
-}
-
-// The body every batched λ evaluation shares; only `broadcast(sources,
-// sink)`, the streaming call behind the arrival stripes, differs. `arena`
-// must be the lane arena that call runs in, so the sink's lane index
-// addresses the lane whose sort buffers it fills. Hash powers (and their
-// sum, accumulated in NodeId order exactly as lambda_for_broadcast does) are
-// batch constants, extracted once. Each source is simulated once: its
-// (arrival, power) pairs fill and sort in its lane's buffers, and every
-// coverage reads its threshold from that one sorted array, so the
-// evaluation is allocation-free per source. Returns one λ vector per
-// coverage, in input order.
-template <typename Broadcast>
+// The body every batched λ evaluation shares; only `coverage(sources,
+// targets, times)`, the observed batch call behind it, differs. Every node
+// is a source, so slot s of each λ vector is NodeId s.
+template <typename Coverage>
 std::vector<std::vector<double>> lambda_all_sources(
     const net::Network& network, const std::vector<double>& coverages,
-    sim::MultiSourceScratch& arena, const Broadcast& broadcast) {
-  PERIGEE_ASSERT(!coverages.empty());
-  const std::size_t n = network.size();
-  std::vector<std::vector<double>> lambda(coverages.size(),
-                                          std::vector<double>(n));
-  std::vector<double> powers(n);
-  double total = 0;
-  for (net::NodeId v = 0; v < n; ++v) {
-    powers[v] = network.profile(v).hash_power;
-    total += powers[v];
-  }
-  std::vector<net::NodeId> sources(n);
+    const Coverage& coverage) {
+  const sim::CoverageTargets targets(network, coverages);
+  std::vector<net::NodeId> sources(network.size());
   std::iota(sources.begin(), sources.end(), net::NodeId{0});
-  broadcast(sources, [&](std::size_t lane, std::size_t s,
-                         std::span<const double> arrival,
-                         std::span<const double> /*ready*/) {
-    auto& buffers = arena.lane(lane);
-    auto& by_arrival = buffers.by_arrival;
-    by_arrival.resize(n);
-    const double* arr = arrival.data();
-    const double* pow = powers.data();
-    for (std::size_t v = 0; v < n; ++v) {
-      by_arrival[v] = {arr[v], pow[v]};
-    }
-    // Radix replaces std::sort but yields the identical sequence, so λ
-    // stays bit-equal to lambda_for_broadcast on the same arrival set.
-    util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
-    coverage_times_sorted(by_arrival, total, coverages, lambda, s);
-  });
+  sim::CoverageTimes lambda;
+  coverage(std::span<const net::NodeId>(sources), targets, lambda);
   return lambda;
 }
 
@@ -97,6 +37,7 @@ std::vector<std::vector<double>> lambda_all_sources(
 double lambda_for_broadcast(const sim::BroadcastResult& result,
                             const net::Network& network, double coverage) {
   PERIGEE_ASSERT(result.arrival.size() == network.size());
+  PERIGEE_ASSERT(coverage > 0.0 && coverage <= 1.0);
   std::vector<std::pair<double, double>> by_arrival;
   by_arrival.reserve(network.size());
   double total = 0;
@@ -105,8 +46,18 @@ double lambda_for_broadcast(const sim::BroadcastResult& result,
     total += power;
     by_arrival.emplace_back(result.arrival[v], power);
   }
+  // The earliest arrival at which cumulative power, accumulated in
+  // ascending (arrival, power) order, reaches coverage * total.
   std::sort(by_arrival.begin(), by_arrival.end());
-  return coverage_time_sorted(by_arrival, total, coverage);
+  const double target = coverage * total;
+  double acc = 0;
+  for (const auto& [t, power] : by_arrival) {
+    if (std::isinf(t)) break;  // unreachable tail
+    acc += power;
+    // Tolerate fp round-off in normalized hash powers.
+    if (acc >= target - 1e-12) return t;
+  }
+  return util::kInf;
 }
 
 std::vector<double> eval_all_sources(const net::Topology& topology,
@@ -122,9 +73,10 @@ std::vector<std::vector<double>> eval_all_sources_multi(
     runner::ThreadPool* pool) {
   PERIGEE_ASSERT(csr.size() == network.size());
   return lambda_all_sources(
-      network, coverages, relaxer.arena(),
-      [&](std::span<const net::NodeId> sources, const sim::SourceSink& sink) {
-        relaxer.for_each_source(csr, network, sources, sink, pool);
+      network, coverages,
+      [&](std::span<const net::NodeId> sources,
+          const sim::CoverageTargets& targets, sim::CoverageTimes& lambda) {
+        relaxer.coverage(csr, network, sources, targets, lambda, pool);
       });
 }
 
@@ -139,11 +91,10 @@ std::vector<double> eval_all_sources(const net::CsrTopology& csr,
                                                       : local_scratch;
   return std::move(
       lambda_all_sources(
-          network, {coverage}, arena,
+          network, {coverage},
           [&](std::span<const net::NodeId> sources,
-              const sim::SourceSink& sink) {
-            sim::for_each_source_broadcast(csr, sources, arena, sink, pool,
-                                           /*need_ready=*/false);
+              const sim::CoverageTargets& targets, sim::CoverageTimes& lambda) {
+            sim::coverage_batch(csr, sources, arena, targets, lambda, pool);
           })
           .front());
 }
@@ -160,12 +111,11 @@ std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
   sim::EgressScratch& arena = scratch != nullptr ? *scratch : local_scratch;
   return std::move(
       lambda_all_sources(
-          network, {coverage}, arena,
+          network, {coverage},
           [&](std::span<const net::NodeId> sources,
-              const sim::SourceSink& sink) {
-            sim::for_each_source_broadcast_egress(csr, config, plan, sources,
-                                                  arena, sink, pool,
-                                                  /*need_ready=*/false);
+              const sim::CoverageTargets& targets, sim::CoverageTimes& lambda) {
+            sim::coverage_egress_batch(csr, config, plan, sources, arena,
+                                       targets, lambda, pool);
           })
           .front());
 }
@@ -202,17 +152,21 @@ std::vector<std::vector<double>> eval_ideal_multi(
     }
   }
 
-  std::vector<std::vector<double>> lambda(coverages.size(),
-                                          std::vector<double>(n));
+  // The dense walk settles in ascending (arrival, index) order, so the
+  // batched λ's settle observer serves it too and each source stops at the
+  // highest coverage.
+  const sim::CoverageTargets targets(network, coverages);
+  sim::CoverageTimes lambda(coverages.size(), std::vector<double>(n));
   std::vector<double> arrival(n), ready(n);
   std::vector<bool> settled(n);
-  std::vector<std::pair<double, double>> by_arrival;
+  std::vector<double> group;
   for (net::NodeId src = 0; src < n; ++src) {
     arrival.assign(n, util::kInf);
     ready.assign(n, util::kInf);
     settled.assign(n, false);
     arrival[src] = 0.0;
     ready[src] = 0.0;
+    sim::CoverageObserver observer(targets, group, lambda, src);
     for (std::size_t iter = 0; iter < n; ++iter) {
       // Dense min-selection: O(n) beats a heap on a complete graph.
       std::size_t u = n;
@@ -225,6 +179,7 @@ std::vector<std::vector<double>> eval_ideal_multi(
       }
       if (u == n) break;
       settled[u] = true;
+      if (observer.settle(static_cast<net::NodeId>(u), best)) break;
       if (!network.profile(static_cast<net::NodeId>(u)).forwards && u != src) {
         continue;
       }
@@ -240,18 +195,7 @@ std::vector<std::vector<double>> eval_ideal_multi(
         }
       }
     }
-    by_arrival.clear();
-    double total = 0;
-    for (net::NodeId u = 0; u < n; ++u) {
-      const double power = network.profile(u).hash_power;
-      total += power;
-      by_arrival.emplace_back(arrival[u], power);
-    }
-    // One sort serves every coverage, as in the all-sources evaluation.
-    // Pairs that compare equal are equal values, so std::sort's instability
-    // cannot change which threshold is read.
-    std::sort(by_arrival.begin(), by_arrival.end());
-    coverage_times_sorted(by_arrival, total, coverages, lambda, src);
+    observer.finish();
   }
   return lambda;
 }

@@ -22,9 +22,10 @@ class Relaxer;
 
 namespace perigee::metrics {
 
-/// λ for one broadcast: sorts nodes by arrival and accumulates hash power
-/// (the miner's own power counts at time 0) until `coverage` of the total is
-/// reached; +inf if the reachable set never covers it.
+/// λ for one broadcast: sorts nodes by (arrival, power) and accumulates hash
+/// power (the miner's own power counts at time 0) until `coverage` of the
+/// total is reached; +inf if the reachable set never covers it. The
+/// reference the settle-order evaluations below are tested against.
 double lambda_for_broadcast(const sim::BroadcastResult& result,
                             const net::Network& network, double coverage);
 
@@ -38,15 +39,17 @@ std::vector<double> eval_all_sources(const net::Topology& topology,
                                      const net::Network& network,
                                      double coverage = 0.90);
 
-/// λv for every source at several coverages from one broadcast pass per
+/// λv for every source at several coverages from one relaxation per
 /// source, through `relaxer` — whichever engine it runs (delay or queued
-/// egress) is the one λ reflects. Each source's arrivals are sorted once and
-/// every threshold is read off that sorted array, so each λ is bit-equal to
-/// the single-coverage calls below. Returns one λ vector per coverage, in
-/// input order. `network` supplies the hash powers for the coverage
-/// accumulation and must be the one the snapshot was built over. The
-/// relaxer's lane arena is reused across evaluations; `pool` (optional) fans
-/// sources across workers — λ output is byte-identical at any worker count.
+/// egress) is the one λ reflects. A `sim::CoverageObserver`
+/// (sim/coverage.hpp) accumulates hash power in settle order and records
+/// each threshold as it is crossed, and each source's relaxation stops at
+/// the highest coverage; each λ is bit-equal to `lambda_for_broadcast` on
+/// the full broadcast, and so to the single-coverage calls below. Returns
+/// one λ vector per coverage, in input order. `network` supplies the hash
+/// powers and must be the one the snapshot was built over. The relaxer's
+/// lane arena is reused across evaluations; `pool` (optional) fans sources
+/// across workers — λ output is byte-identical at any worker count.
 std::vector<std::vector<double>> eval_all_sources_multi(
     const net::CsrTopology& csr, const net::Network& network,
     const std::vector<double>& coverages, sim::Relaxer& relaxer,
@@ -81,9 +84,10 @@ std::vector<double> eval_ideal(const net::Network& network,
                                double coverage = 0.90,
                                const net::Topology* infra = nullptr);
 
-/// Same bound evaluated at several coverages from a single Dijkstra pass and
-/// a single sort per source (the pass dominates; extra coverages are nearly
-/// free). Returns one λ vector per coverage, in input order.
+/// Same bound evaluated at several coverages from a single Dijkstra pass per
+/// source, read in settle order by the same `sim::CoverageObserver` as the
+/// batched forms and stopped at the highest coverage (extra coverages are
+/// nearly free). Returns one λ vector per coverage, in input order.
 std::vector<std::vector<double>> eval_ideal_multi(
     const net::Network& network, const std::vector<double>& coverages,
     const net::Topology* infra = nullptr);

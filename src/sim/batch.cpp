@@ -71,9 +71,13 @@ inline bool pop_is_fresh(double t, double arrival_u) {
 // prefetched during the current row scan, and the queue buckets by u32
 // fixed-point keys (pop order is still exact (key, node) order — see
 // bucket_queue.hpp).
+// Every fresh pop is a settle, reported to `observer` in pop order; the
+// drain stops when the observer asks to. The round shape's
+// NoSettleObserver folds the report away, so its loop is unchanged.
+template <typename Observer>
 void relax_buckets(const net::CsrTopology& csr,
                    const BucketQueue::FixedPlan& plan, BucketQueue& queue,
-                   net::NodeId src, double* arrival) {
+                   net::NodeId src, double* arrival, Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   std::fill_n(arrival, n, util::kInf);
@@ -107,6 +111,7 @@ void relax_buckets(const net::CsrTopology& csr,
     // (row_end collapsed onto row_begin) instead of taking a branch the
     // predictor can't learn.
     const bool fresh = pop_is_fresh(t, arrival[u]);
+    if (fresh && observer.settle(u, t)) break;
     const bool live = fresh & (csr.forwards(u) | (u == src));
     PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
     const std::size_t row_begin = offsets[u];
@@ -130,16 +135,62 @@ void relax_buckets(const net::CsrTopology& csr,
   PERIGEE_COUNTER_ADD("engine.bucket.empty_skips", queue.empty_skips());
 }
 
+// The heap fallback's walk, reporting settles like relax_buckets.
+template <typename Observer>
+void relax_heap_observed(const net::CsrTopology& csr, net::NodeId src,
+                         std::vector<HeapItem>& heap, double* arrival,
+                         Observer& observer) {
+  const std::size_t n = csr.size();
+  PERIGEE_ASSERT(src < n);
+  std::fill_n(arrival, n, util::kInf);
+  arrival[src] = 0.0;
+  const std::size_t* offsets = csr.offsets();
+  const std::size_t* row_ends = csr.row_ends();
+  const net::NodeId* peers = csr.peer_data();
+  const double* delays = csr.delay_data();
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
+  heap.clear();
+  heap_push(heap, {0.0, src});
+  while (!heap.empty()) {
+    const auto [t, u] = heap_pop(heap);
+    PERIGEE_TELEMETRY_ONLY(++tally_pops;)
+    // Same branchless settle as the bucket path in solve_one.
+    const bool fresh = pop_is_fresh(t, arrival[u]);
+    if (fresh && observer.settle(u, t)) break;
+    const bool live = fresh & (csr.forwards(u) | (u == src));
+    PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
+    const std::size_t row_begin = offsets[u];
+    const std::size_t row_end = live ? row_ends[u] : row_begin;
+    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
+    for (std::size_t e = row_begin; e < row_end; ++e) {
+      if (e + util::kEdgePrefetchDistance < row_end) {
+        PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
+      }
+      const net::NodeId v = peers[e];
+      const double cand = ready_u + delays[e];
+      if (cand < arrival[v]) {
+        arrival[v] = cand;
+        heap_push(heap, {cand, v});
+      }
+    }
+  }
+  PERIGEE_COUNTER_ADD("engine.heap.sources", 1);
+  PERIGEE_COUNTER_ADD("engine.heap.pops", tally_pops);
+  PERIGEE_COUNTER_ADD("engine.heap.stale_pops", tally_stale);
+}
+
 // One source into caller-provided stripes: the bucket relaxation when the
 // batch has a plan, the heap fallback otherwise, then the ready fill
-// (skipped when the caller only consumes arrival).
+// (skipped when the caller only consumes settles).
+template <typename Observer>
 void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
-               SourceLane& lane, net::NodeId src,
-               double* arrival, double* ready) {
+               SourceLane& lane, net::NodeId src, double* arrival,
+               double* ready, Observer& observer) {
   if (plan.has_value()) {
-    relax_buckets(csr, *plan, lane.queue, src, arrival);
+    relax_buckets(csr, *plan, lane.queue, src, arrival, observer);
   } else {
-    relax_heap(csr, src, lane.heap, arrival);
+    relax_heap_observed(csr, src, lane.heap, arrival, observer);
   }
   if (ready != nullptr) fill_ready(csr, src, arrival, ready);
 }
@@ -183,43 +234,8 @@ void dispatch(std::size_t count, MultiSourceScratch& scratch,
 
 void relax_heap(const net::CsrTopology& csr, net::NodeId src,
                 std::vector<HeapItem>& heap, double* arrival) {
-  const std::size_t n = csr.size();
-  PERIGEE_ASSERT(src < n);
-  std::fill_n(arrival, n, util::kInf);
-  arrival[src] = 0.0;
-  const std::size_t* offsets = csr.offsets();
-  const std::size_t* row_ends = csr.row_ends();
-  const net::NodeId* peers = csr.peer_data();
-  const double* delays = csr.delay_data();
-  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
-  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
-  heap.clear();
-  heap_push(heap, {0.0, src});
-  while (!heap.empty()) {
-    const auto [t, u] = heap_pop(heap);
-    PERIGEE_TELEMETRY_ONLY(++tally_pops;)
-    // Same branchless settle as the bucket path in solve_one.
-    const bool fresh = pop_is_fresh(t, arrival[u]);
-    const bool live = fresh & (csr.forwards(u) | (u == src));
-    PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
-    const std::size_t row_begin = offsets[u];
-    const std::size_t row_end = live ? row_ends[u] : row_begin;
-    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
-    for (std::size_t e = row_begin; e < row_end; ++e) {
-      if (e + util::kEdgePrefetchDistance < row_end) {
-        PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
-      }
-      const net::NodeId v = peers[e];
-      const double cand = ready_u + delays[e];
-      if (cand < arrival[v]) {
-        arrival[v] = cand;
-        heap_push(heap, {cand, v});
-      }
-    }
-  }
-  PERIGEE_COUNTER_ADD("engine.heap.sources", 1);
-  PERIGEE_COUNTER_ADD("engine.heap.pops", tally_pops);
-  PERIGEE_COUNTER_ADD("engine.heap.stale_pops", tally_stale);
+  NoSettleObserver all;
+  relax_heap_observed(csr, src, heap, arrival, all);
 }
 
 void fill_ready(const net::CsrTopology& csr, net::NodeId src,
@@ -245,10 +261,8 @@ std::size_t SourceLane::memory_bytes() const {
          events.capacity() * sizeof(EgressEvent) + settled.capacity() +
          segment.capacity() + edge.capacity() * sizeof(std::uint32_t) +
          (tokens.capacity() + refill_time.capacity() + arrival.capacity() +
-          ready.capacity()) *
-             sizeof(double) +
-         (by_arrival.capacity() + sort_scratch.capacity()) *
-             sizeof(std::pair<double, double>);
+          group.capacity()) *
+             sizeof(double);
 }
 
 void materialize_batch([[maybe_unused]] const char* span,
@@ -270,25 +284,20 @@ void materialize_batch([[maybe_unused]] const char* span,
            });
 }
 
-void stream_batch(const net::CsrTopology& csr,
-                  std::span<const net::NodeId> sources,
-                  MultiSourceScratch& scratch, const SourceSink& sink,
-                  runner::ThreadPool* pool, bool need_ready,
-                  const SourceSolver& solve) {
+void observe_batch(const net::CsrTopology& csr,
+                   std::span<const net::NodeId> sources,
+                   MultiSourceScratch& scratch,
+                   const CoverageTargets& targets, CoverageTimes& times,
+                   runner::ThreadPool* pool, const ObservedSolver& solve) {
   const std::size_t n = csr.size();
+  times.assign(targets.size(), std::vector<double>(sources.size()));
   dispatch(sources.size(), scratch, pool,
            [&](std::size_t lane_idx, std::size_t s) {
              SourceLane& lane = scratch.lane(lane_idx);
              lane.arrival.resize(n);
-             double* ready = nullptr;
-             if (need_ready) {
-               lane.ready.resize(n);
-               ready = lane.ready.data();
-             }
-             solve(lane, sources[s], lane.arrival.data(), ready);
-             sink(lane_idx, s, lane.arrival,
-                  need_ready ? std::span<const double>(lane.ready)
-                             : std::span<const double>());
+             CoverageObserver observer(targets, lane.group, times, s);
+             solve(lane, sources[s], lane.arrival.data(), observer);
+             observer.finish();
            });
 }
 
@@ -301,21 +310,22 @@ void simulate_broadcast_batch(const net::CsrTopology& csr,
   materialize_batch("broadcast_batch", csr, sources, scratch, out, pool,
                     [&](SourceLane& lane, net::NodeId src, double* arrival,
                         double* ready) {
-                      solve_one(csr, plan, lane, src, arrival, ready);
+                      NoSettleObserver all;
+                      solve_one(csr, plan, lane, src, arrival, ready, all);
                     });
 }
 
-void for_each_source_broadcast(const net::CsrTopology& csr,
-                               std::span<const net::NodeId> sources,
-                               MultiSourceScratch& scratch,
-                               const SourceSink& sink,
-                               runner::ThreadPool* pool, bool need_ready) {
+void coverage_batch(const net::CsrTopology& csr,
+                    std::span<const net::NodeId> sources,
+                    MultiSourceScratch& scratch,
+                    const CoverageTargets& targets, CoverageTimes& times,
+                    runner::ThreadPool* pool) {
   const BatchPlan plan = make_plan(csr);
-  stream_batch(csr, sources, scratch, sink, pool, need_ready,
-               [&](SourceLane& lane, net::NodeId src, double* arrival,
-                   double* ready) {
-                 solve_one(csr, plan, lane, src, arrival, ready);
-               });
+  observe_batch(csr, sources, scratch, targets, times, pool,
+                [&](SourceLane& lane, net::NodeId src, double* arrival,
+                    CoverageObserver& observer) {
+                  solve_one(csr, plan, lane, src, arrival, nullptr, observer);
+                });
 }
 
 }  // namespace perigee::sim

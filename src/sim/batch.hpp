@@ -6,8 +6,11 @@
 /// snapshot and the λ metric broadcasts from every node: both are batches.
 /// This file holds the one driver they run through — one lane arena
 /// (`MultiSourceScratch`), one source fan-out, a materializing body
-/// (`materialize_batch`, the round shape) and a streaming body
-/// (`stream_batch`, the λ shape) — plus the delay solver. The egress solver
+/// (`materialize_batch`, the round shape) and an observing body
+/// (`observe_batch`, the λ shape: each source's settles feed a
+/// `CoverageObserver`, sim/coverage.hpp, and the relaxation stops at the
+/// highest requested coverage, so its pop and event counters stay below a
+/// full drain's) — plus the delay solver. The egress solver
 /// lives in sim/egress.hpp, and `sim::Relaxer` (sim/relaxer.hpp) picks
 /// between the two. One source is a batch of one (a one-element span, then
 /// `MultiSourceResult::extract` for a `BroadcastResult`). What makes the
@@ -47,6 +50,7 @@
 #include "net/types.hpp"
 #include "sim/broadcast.hpp"
 #include "sim/bucket_queue.hpp"
+#include "sim/coverage.hpp"
 #include "sim/dary_heap.hpp"
 #include "util/aligned.hpp"
 #include "util/assert.hpp"
@@ -159,8 +163,8 @@ struct EgressEvent {
 
 /// Per-worker scratch of the batch driver, one type for both solvers: the
 /// delay solver's bucket queue and heap fallback, the egress solver's event
-/// heap and per-sender scheduler state, one stripe pair for the streaming
-/// form, and a caller-usable λ sort buffer. Each field is sized by the
+/// heap and per-sender scheduler state, and the observing body's arrival
+/// stripe and coverage group. Each field is sized by the
 /// solver that uses it, so a delay-only run never grows the egress fields.
 /// (No settled array for the delay solver: it detects stale queue entries by
 /// comparing the popped key against the node's current arrival instead.)
@@ -179,13 +183,8 @@ struct alignas(64) SourceLane {
   std::vector<std::uint32_t> edge;    ///< egress: per-sender CSR row index
   std::vector<double> tokens;         ///< egress: per-sender bucket fill
   std::vector<double> refill_time;    ///< egress: per-sender last refill, ms
-  std::vector<double> arrival;        ///< streaming-form stripe
-  std::vector<double> ready;          ///< streaming-form stripe
-  /// (arrival, hash power) pairs for the λ coverage accumulation; lives here
-  /// so metrics::eval_all_sources is allocation-free per source too.
-  std::vector<std::pair<double, double>> by_arrival;
-  /// Ping-pong buffer for the radix sort of `by_arrival`.
-  std::vector<std::pair<double, double>> sort_scratch;
+  std::vector<double> arrival;        ///< λ: the observed source's stripe
+  std::vector<double> group;          ///< λ: `CoverageObserver`'s open group
 
   /// Heap bytes held by this lane.
   std::size_t memory_bytes() const;
@@ -212,20 +211,20 @@ void fill_ready(const net::CsrTopology& csr, net::NodeId src,
                 const double* arrival, double* ready);
 
 /// One source's relaxation into caller-provided stripes of `csr.size()`
-/// doubles (`ready` null skips the ready fill), using `lane`'s scratch. This
-/// is the only engine-specific code under the driver; there are two: the
-/// delay solver behind `simulate_broadcast_batch` and the egress solver
-/// behind `simulate_broadcast_egress_batch` (sim/egress.hpp).
+/// doubles, using `lane`'s scratch. This is the only engine-specific code
+/// under the materializing body; there are two: the delay solver behind
+/// `simulate_broadcast_batch` and the egress solver behind
+/// `simulate_broadcast_egress_batch` (sim/egress.hpp).
 using SourceSolver = std::function<void(SourceLane& lane, net::NodeId src,
                                         double* arrival, double* ready)>;
 
-/// Streaming sink: `sink(lane, s, arrival, ready)` receives batch entry
-/// `s`'s stripes, which live in lane `lane` and are valid only during the
-/// call. It may run concurrently from pool workers for distinct `s` and
-/// must write only `s`-indexed slots to preserve the determinism contract.
-using SourceSink = std::function<void(
-    std::size_t lane, std::size_t s, std::span<const double> arrival,
-    std::span<const double> ready)>;
+/// The same solver in the λ shape: relaxes `src` in the `csr.size()`-double
+/// `arrival` scratch stripe, reporting each settle to `observer` in pop
+/// order and stopping as soon as it asks to. The stripe holds no final
+/// arrivals afterwards, and no ready fill runs.
+using ObservedSolver =
+    std::function<void(SourceLane& lane, net::NodeId src, double* arrival,
+                       CoverageObserver& observer)>;
 
 /// The driver's materializing body: sizes `out` for the batch and runs
 /// `solve` for every entry of `sources` into its stripes, under a trace span
@@ -237,15 +236,17 @@ void materialize_batch(const char* span, const net::CsrTopology& csr,
                        MultiSourceScratch& scratch, MultiSourceResult& out,
                        runner::ThreadPool* pool, const SourceSolver& solve);
 
-/// The driver's streaming body: the same fan-out as `materialize_batch`,
-/// but each source is solved into its lane's stripe pair and handed to
-/// `sink` instead of being kept. With `need_ready` false the ready fill is
-/// skipped and the sink receives an empty ready span.
-void stream_batch(const net::CsrTopology& csr,
-                  std::span<const net::NodeId> sources,
-                  MultiSourceScratch& scratch, const SourceSink& sink,
-                  runner::ThreadPool* pool, bool need_ready,
-                  const SourceSolver& solve);
+/// The driver's observing body (the λ shape): the same fan-out as
+/// `materialize_batch`, but each source relaxes in its lane's arrival
+/// stripe under a `CoverageObserver` writing slot `s` of every vector of
+/// `times`, which is sized here (one per coverage of `targets`, input
+/// order, one slot per batch entry). Nothing O(n) per source is kept, and
+/// each relaxation stops at the highest coverage.
+void observe_batch(const net::CsrTopology& csr,
+                   std::span<const net::NodeId> sources,
+                   MultiSourceScratch& scratch,
+                   const CoverageTargets& targets, CoverageTimes& times,
+                   runner::ThreadPool* pool, const ObservedSolver& solve);
 
 /// Simulates a broadcast from every entry of `sources` over one compiled
 /// snapshot with the delay solver, materializing all stripes (the round
@@ -258,14 +259,14 @@ void simulate_broadcast_batch(const net::CsrTopology& csr,
                               MultiSourceResult& out,
                               runner::ThreadPool* pool = nullptr);
 
-/// Streaming delay form for batches whose per-source outputs reduce
-/// immediately (the λ metric: n sources would otherwise materialize O(n²)
-/// doubles); see `stream_batch`.
-void for_each_source_broadcast(const net::CsrTopology& csr,
-                               std::span<const net::NodeId> sources,
-                               MultiSourceScratch& scratch,
-                               const SourceSink& sink,
-                               runner::ThreadPool* pool = nullptr,
-                               bool need_ready = true);
+/// λ shape of the delay solver: every entry of `sources` relaxed until the
+/// highest coverage of `targets` is reached (see `observe_batch`). Each λ
+/// is bit-equal to `metrics::lambda_for_broadcast` on the full broadcast,
+/// at any worker count.
+void coverage_batch(const net::CsrTopology& csr,
+                    std::span<const net::NodeId> sources,
+                    MultiSourceScratch& scratch,
+                    const CoverageTargets& targets, CoverageTimes& times,
+                    runner::ThreadPool* pool = nullptr);
 
 }  // namespace perigee::sim

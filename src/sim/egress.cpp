@@ -27,9 +27,16 @@ constexpr std::uint8_t kSendDone = 2;  // a sender's uplink frees up
 // `ready_u + delays[e]` double addition solve_one performs — which is what
 // makes the diff harness's byte-parity bar provable rather than
 // approximate.
+//
+// Settles (the source at t=0, then each node's first non-stale Arrival)
+// are reported to `observer` in pop order, and the loop stops when the
+// observer asks to — the λ shape. The round shape's NoSettleObserver folds
+// the reports away.
+template <typename Observer>
 void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
                   const EgressPlan& plan, SourceLane& lane,
-                  net::NodeId src, double* arrival, double* ready) {
+                  net::NodeId src, double* arrival, double* ready,
+                  Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   PERIGEE_ASSERT(plan.size() == n);
@@ -138,10 +145,12 @@ void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
 
   // The source holds the block at t=0 and relays immediately — it skips
   // validation and ignores its own forwards flag, exactly like solve_one.
+  // It settles without an Arrival event, so it is reported here.
   lane.settled[src] = 1;
   heap_push(events, {0.0, seq++, src, kReady});
+  bool done = observer.settle(src, 0.0);
 
-  while (!events.empty()) {
+  while (!done && !events.empty()) {
     const EgressEvent ev = heap_pop(events);
     PERIGEE_TELEMETRY_ONLY(++tally_events;)
     const net::NodeId u = ev.node;
@@ -151,7 +160,10 @@ void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
         // (solve_one's rule); the first non-stale pop settles the node.
         if (lane.settled[u] != 0 || ev.time != arrival[u]) break;
         lane.settled[u] = 1;
-        if (!csr.forwards(u)) break;  // withholder: receives, never relays
+        done = observer.settle(u, ev.time);
+        // A withholder receives (and counts toward coverage) but never
+        // relays.
+        if (done || !csr.forwards(u)) break;
         heap_push(events, {ev.time + csr.validation_ms(u), seq++, u, kReady});
         break;
       }
@@ -237,24 +249,24 @@ void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
   materialize_batch("egress_batch", csr, sources, scratch, out, pool,
                     [&](SourceLane& lane, net::NodeId src, double* arrival,
                         double* ready) {
+                      NoSettleObserver all;
                       solve_egress(csr, config, plan, lane, src, arrival,
-                                   ready);
+                                   ready, all);
                     });
 }
 
-void for_each_source_broadcast_egress(const net::CsrTopology& csr,
-                                      const EgressConfig& config,
-                                      const EgressPlan& plan,
-                                      std::span<const net::NodeId> sources,
-                                      EgressScratch& scratch,
-                                      const SourceSink& sink,
-                                      runner::ThreadPool* pool,
-                                      bool need_ready) {
-  stream_batch(csr, sources, scratch, sink, pool, need_ready,
-               [&](SourceLane& lane, net::NodeId src, double* arrival,
-                   double* ready) {
-                 solve_egress(csr, config, plan, lane, src, arrival, ready);
-               });
+void coverage_egress_batch(const net::CsrTopology& csr,
+                           const EgressConfig& config, const EgressPlan& plan,
+                           std::span<const net::NodeId> sources,
+                           EgressScratch& scratch,
+                           const CoverageTargets& targets,
+                           CoverageTimes& times, runner::ThreadPool* pool) {
+  observe_batch(csr, sources, scratch, targets, times, pool,
+                [&](SourceLane& lane, net::NodeId src, double* arrival,
+                    CoverageObserver& observer) {
+                  solve_egress(csr, config, plan, lane, src, arrival, nullptr,
+                               observer);
+                });
 }
 
 }  // namespace perigee::sim

@@ -30,7 +30,7 @@
 /// schedule order, so one source's outcome is a pure function of
 /// (snapshot, config, plan, source). That per-source loop is the egress
 /// solver; everything around it — the lane arena, the fan-out across an
-/// optional `runner::ThreadPool` and the materializing and streaming bodies
+/// optional `runner::ThreadPool` and the materializing and observing bodies
 /// — is the batch driver of sim/batch.hpp, shared with the delay solver, so
 /// output is byte-identical at any worker count. `sim::Relaxer`
 /// (sim/relaxer.hpp) picks this solver when a transmission regime is set.
@@ -158,16 +158,15 @@ void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
                                      MultiSourceResult& out,
                                      runner::ThreadPool* pool = nullptr);
 
-/// Streaming form mirroring `for_each_source_broadcast` (λ evaluation: n
-/// sources must not materialize O(n²) doubles), through the batch driver's
-/// streaming body (`stream_batch`).
-void for_each_source_broadcast_egress(const net::CsrTopology& csr,
-                                      const EgressConfig& config,
-                                      const EgressPlan& plan,
-                                      std::span<const net::NodeId> sources,
-                                      EgressScratch& scratch,
-                                      const SourceSink& sink,
-                                      runner::ThreadPool* pool = nullptr,
-                                      bool need_ready = true);
+/// λ shape mirroring `coverage_batch`: every entry of `sources` runs until
+/// the highest coverage of `targets` is reached, through the batch driver's
+/// observing body (`observe_batch`). The source counts at t=0.
+void coverage_egress_batch(const net::CsrTopology& csr,
+                           const EgressConfig& config, const EgressPlan& plan,
+                           std::span<const net::NodeId> sources,
+                           EgressScratch& scratch,
+                           const CoverageTargets& targets,
+                           CoverageTimes& times,
+                           runner::ThreadPool* pool = nullptr);
 
 }  // namespace perigee::sim

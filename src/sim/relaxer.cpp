@@ -30,19 +30,16 @@ void Relaxer::batch(const net::CsrTopology& csr, const net::Network& network,
   }
 }
 
-void Relaxer::for_each_source(const net::CsrTopology& csr,
-                              const net::Network& network,
-                              std::span<const net::NodeId> sources,
-                              const SourceSink& sink,
-                              runner::ThreadPool* pool) {
+void Relaxer::coverage(const net::CsrTopology& csr,
+                       const net::Network& network,
+                       std::span<const net::NodeId> sources,
+                       const CoverageTargets& targets, CoverageTimes& times,
+                       runner::ThreadPool* pool) {
   if (egress_.has_value()) {
-    for_each_source_broadcast_egress(csr, *egress_,
-                                     plans_.get(network, *egress_), sources,
-                                     arena_, sink, pool,
-                                     /*need_ready=*/false);
+    coverage_egress_batch(csr, *egress_, plans_.get(network, *egress_),
+                          sources, arena_, targets, times, pool);
   } else {
-    for_each_source_broadcast(csr, sources, arena_, sink, pool,
-                              /*need_ready=*/false);
+    coverage_batch(csr, sources, arena_, targets, times, pool);
   }
 }
 

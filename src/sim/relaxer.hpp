@@ -53,18 +53,14 @@ class Relaxer {
              std::span<const net::NodeId> sources, MultiSourceResult& out,
              runner::ThreadPool* pool = nullptr);
 
-  /// The λ shape: each source's arrival stripe goes to `sink` and is not
-  /// kept (see `stream_batch`); the sink receives an empty ready span. The
-  /// sink's lane index addresses `arena()`.
-  void for_each_source(const net::CsrTopology& csr,
-                       const net::Network& network,
-                       std::span<const net::NodeId> sources,
-                       const SourceSink& sink,
-                       runner::ThreadPool* pool = nullptr);
-
-  /// The lane arena both solvers run in; a streaming sink may use its
-  /// lane's λ sort buffers.
-  MultiSourceScratch& arena() { return arena_; }
+  /// The λ shape: each entry of `sources` relaxes only until the highest
+  /// coverage of `targets` is reached, and its λ at every coverage lands
+  /// in slot `s` of `times` (see `observe_batch`). Byte-identical at any
+  /// worker count of `pool`.
+  void coverage(const net::CsrTopology& csr, const net::Network& network,
+                std::span<const net::NodeId> sources,
+                const CoverageTargets& targets, CoverageTimes& times,
+                runner::ThreadPool* pool = nullptr);
 
  private:
   std::optional<EgressConfig> egress_;

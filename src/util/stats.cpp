@@ -55,6 +55,11 @@ double percentile_in_place(std::span<double> sample, double q) {
   return interpolate(*lo, b, r.frac);
 }
 
+std::size_t percentile_lower_rank(std::size_t n, double q) {
+  PERIGEE_ASSERT(n >= 1 && q >= 0.0 && q <= 1.0);
+  return rank_of(n, q).lo;
+}
+
 double percentile(std::span<const double> sample, double q) {
   std::vector<double> copy(sample.begin(), sample.end());
   return percentile_in_place(copy, q);

@@ -29,6 +29,11 @@ double percentile_sorted(std::span<const double> sorted, double q);
 // of copying it. For callers that own a scratch buffer they refill anyway.
 double percentile_in_place(std::span<double> sample, double q);
 
+// Rank (0-based, ascending) of the lower order statistic the estimator
+// interpolates from, for a sample of n >= 1 entries. The percentile is never
+// below that statistic — a bound callers can test without selecting.
+std::size_t percentile_lower_rank(std::size_t n, double q);
+
 double mean(std::span<const double> sample);
 double stddev(std::span<const double> sample);  // sample stddev (n-1)
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
@@ -16,6 +17,7 @@
 
 #include "core/perigee.hpp"
 #include "core/rewire.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -59,9 +61,14 @@ class RefVanilla final : public sim::NeighborSelector {
   PerigeeParams params_;
 };
 
+// With `pruned` set, it also counts the candidates production Subset may
+// skip without scoring: once an incumbent exists, those whose merged row's
+// lower order statistic (rank floor(q·(blocks−1))) is already >= the
+// incumbent's score.
 class RefSubset final : public sim::NeighborSelector {
  public:
-  explicit RefSubset(PerigeeParams params) : params_(params) {}
+  explicit RefSubset(PerigeeParams params, std::uint64_t* pruned = nullptr)
+      : params_(params), pruned_(pruned) {}
 
   void on_round_end(net::NodeId self, sim::RoundContext& ctx) override {
     const auto& obs = ctx.obs;
@@ -92,6 +99,13 @@ class RefSubset final : public sim::NeighborSelector {
           merged[b] = std::min(rows[c][b], best[b]);
         }
         const double score = sorted_copy_percentile(merged, params_.percentile);
+        if (pruned_ != nullptr && blocks > 0 && best_idx != candidates.size()) {
+          std::vector<double> sorted(merged);
+          std::sort(sorted.begin(), sorted.end());
+          const auto lo = static_cast<std::size_t>(
+              params_.percentile * static_cast<double>(blocks - 1));
+          *pruned_ += sorted[lo] >= best_score;
+        }
         if (score < best_score ||
             (best_idx == candidates.size() && std::isinf(score))) {
           best_score = score;
@@ -110,6 +124,7 @@ class RefSubset final : public sim::NeighborSelector {
 
  private:
   PerigeeParams params_;
+  std::uint64_t* pruned_;
 };
 
 class RefUcb final : public sim::NeighborSelector {
@@ -204,17 +219,24 @@ std::vector<std::unique_ptr<sim::NeighborSelector>> ref_selectors(
 
 // Runs production and reference side by side and compares every node's
 // outgoing list after every round. `reset_every` > 0 resets a few nodes'
-// selectors before every such round, as churn does for a rejoining node.
-// Returns the number of rounds in which the production topology changed.
+// selectors before every such round, as churn does for a rejoining node;
+// `withhold_every` > 0 makes every such node a non-forwarder, so its
+// listeners see +inf rows. Returns the number of rounds in which the
+// production topology changed.
 int expect_same_decisions(
     Algorithm algorithm,
     std::vector<std::unique_ptr<sim::NeighborSelector>> reference,
     const PerigeeParams& params, int rounds, int blocks_per_round,
-    int reset_every = 0) {
+    int reset_every = 0, net::NodeId withhold_every = 0) {
   net::NetworkOptions options;
   options.n = kNodes;
   options.seed = 3;
-  const net::Network network = net::Network::build(options);
+  net::Network network = net::Network::build(options);
+  if (withhold_every > 0) {
+    for (net::NodeId v = 1; v < kNodes; v += withhold_every) {
+      network.mutable_profiles()[v].forwards = false;
+    }
+  }
   net::Topology prod_topology(kNodes);
   util::Rng build_rng(5);
   topo::build_random(prod_topology, build_rng);
@@ -261,6 +283,60 @@ TEST(SelectorParity, SubsetMatchesSortReference) {
                                   ref_selectors<RefSubset>(params), params, 10,
                                   100),
             10);
+}
+
+// Subset against its reference in the corners of the pruning bound, which
+// skips a candidate once at most `lo` entries of min(row, best) fall below
+// the incumbent's score: one or two blocks per round (lo is 0), the 0th,
+// 50th and 100th percentiles, and +inf rows from withholding neighbors.
+// Besides the decisions, the number of candidates skipped must equal the
+// reference's count of candidates the bound excludes — every one of them,
+// boundary included.
+void expect_subset_parity(const PerigeeParams& params, int blocks_per_round,
+                          net::NodeId withhold_every = 0) {
+  std::uint64_t excluded = 0;
+  std::vector<std::unique_ptr<sim::NeighborSelector>> reference;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    reference.push_back(std::make_unique<RefSubset>(params, &excluded));
+  }
+  obs::Registry& registry = obs::Registry::instance();
+  const std::uint64_t before = registry.scrape().counter("core.subset.pruned");
+  EXPECT_GT(expect_same_decisions(Algorithm::PerigeeSubset,
+                                  std::move(reference), params, 8,
+                                  blocks_per_round, /*reset_every=*/0,
+                                  withhold_every),
+            0);
+  EXPECT_GT(excluded, 0u);
+  if (obs::telemetry_compiled() && registry.enabled()) {
+    EXPECT_EQ(registry.scrape().counter("core.subset.pruned") - before,
+              excluded);
+  }
+}
+
+TEST(SelectorParity, SubsetOneBlockPerRound) {
+  expect_subset_parity(PerigeeParams{}, 1);
+}
+
+TEST(SelectorParity, SubsetTwoBlocksPerRound) {
+  expect_subset_parity(PerigeeParams{}, 2);
+}
+
+TEST(SelectorParity, SubsetExtremeAndMedianPercentiles) {
+  for (const double q : {0.0, 0.5, 1.0}) {
+    SCOPED_TRACE(q);
+    PerigeeParams params;
+    params.percentile = q;
+    expect_subset_parity(params, 20);
+  }
+}
+
+TEST(SelectorParity, SubsetWithWithholdingNeighbors) {
+  for (const double q : {0.5, 0.9, 1.0}) {
+    SCOPED_TRACE(q);
+    PerigeeParams params;
+    params.percentile = q;
+    expect_subset_parity(params, 20, /*withhold_every=*/4);
+  }
 }
 
 TEST(SelectorParity, UcbMatchesDequeReference) {
