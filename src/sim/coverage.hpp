@@ -106,6 +106,15 @@ class CoverageObserver {
     return false;
   }
 
+  /// Forgets every settle reported so far: a solver that abandons a source
+  /// reports it again from t=0.
+  void restart() {
+    group_.clear();
+    time_ = 0.0;
+    acc_ = 0.0;
+    next_ = 0;
+  }
+
   /// Closes the last group; coverages it does not reach are +inf.
   void finish() {
     if (next_ < targets_.size() && !close_group()) {
@@ -144,6 +153,7 @@ class CoverageObserver {
 /// relaxation always drains, at no cost once inlined.
 struct NoSettleObserver {
   bool settle(net::NodeId, double) const { return false; }
+  void restart() const {}
 };
 
 }  // namespace perigee::sim

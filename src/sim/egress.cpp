@@ -15,6 +15,7 @@ namespace {
 constexpr std::uint8_t kArrival = 0;   // a block copy reaches a node
 constexpr std::uint8_t kReady = 1;     // a node starts relaying
 constexpr std::uint8_t kSendDone = 2;  // a sender's uplink frees up
+constexpr std::uint8_t kRunEnd = 3;    // a SendDone closing a control run
 
 // One source's discrete-event simulation into caller-provided stripes.
 //
@@ -32,11 +33,20 @@ constexpr std::uint8_t kSendDone = 2;  // a sender's uplink frees up
 // are reported to `observer` in pop order, and the loop stops when the
 // observer asks to — the λ shape. The round shape's NoSettleObserver folds
 // the reports away.
-template <typename Observer>
-void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
-                  const EgressPlan& plan, SourceLane& lane,
-                  net::NodeId src, double* arrival, double* ready,
-                  Observer& observer) {
+//
+// With `kCollapse`, a sender's serializing controls run inline: nothing but
+// the sender's own next event reads its state while a control serializes,
+// and a control delivers nothing, so the pump computes the run's finishes
+// back to back (the same doubles) and only the run's last control schedules
+// an event. That event, a kRunEnd when payloads follow, carries a seq
+// stamped when the run began, earlier than the per-message loop would give
+// it, so it can only overtake events at exactly its own time — and those
+// are still in the heap when it pops. On such a tie the source is abandoned
+// (returns false) and `solve_egress` re-runs it without the collapse.
+template <bool kCollapse, typename Observer>
+bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
+                const EgressPlan& plan, SourceLane& lane, net::NodeId src,
+                double* arrival, double* ready, Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   PERIGEE_ASSERT(plan.size() == n);
@@ -87,7 +97,8 @@ void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
   // time `now`. Zero-cost sends (unlimited rate, zero size, or a bucket
   // that absorbs the whole message) deliver inline; the first send that
   // must serialize schedules one SendDone and leaves the cursor on it, so
-  // at most one event per sender is ever in flight.
+  // at most one event per sender is ever in flight. Under `kCollapse` that
+  // event stands for the whole control run the send starts.
   const auto pump = [&](net::NodeId u, double now) {
     const std::size_t begin = offsets[u];
     const std::size_t deg = row_ends[u] - begin;
@@ -134,7 +145,27 @@ void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
           ++tally_band[is_payload ? config.payload_band()
                                   : config.control_band()];)
       if (finish > now) {
-        heap_push(events, {finish, seq++, u, kSendDone});
+        std::uint8_t kind = kSendDone;
+        if (kCollapse && !is_payload) {
+          // The segment's later controls serialize back to back: each starts
+          // at the previous finish with the bucket empty and refilled up to
+          // it, so the pump would add (control_bytes - 0.0) / rate, the
+          // same double as `step`. The run stops before a control whose
+          // finish would not be strictly later and finite, which the pump
+          // must then see at this one's SendDone, as without the collapse.
+          const double step = control_bytes / plan.rate(u);
+          while (edgei + 1 < deg && finish + step > finish &&
+                 finish + step < util::kInf) {
+            PERIGEE_TELEMETRY_ONLY(--backlog; ++tally_sends;
+                                   ++tally_token_waits;
+                                   ++tally_band[config.control_band()];)
+            ++edgei;
+            finish += step;
+            lane.refill_time[u] = finish;
+            if (payload_segment == 1) kind = kRunEnd;
+          }
+        }
+        heap_push(events, {finish, seq++, u, kind});
         return;
       }
       PERIGEE_TELEMETRY_ONLY(--backlog;)
@@ -179,6 +210,11 @@ void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
         pump(u, ev.time);
         break;
       }
+      case kRunEnd:
+        // An event at this very time may have been scheduled while the run
+        // serialized; the per-message order could pop it first.
+        if (!events.empty() && events.front().time == ev.time) return false;
+        [[fallthrough]];
       case kSendDone: {
         const std::size_t e = offsets[u] + lane.edge[u];
         PERIGEE_TELEMETRY_ONLY(--backlog;)
@@ -205,6 +241,23 @@ void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
   PERIGEE_HISTOGRAM_OBSERVE("egress.queue_depth", peak_backlog);
 
   if (ready != nullptr) fill_ready(csr, src, arrival, ready);
+  return true;
+}
+
+// One source: the collapsed run, re-run per message (with its settles
+// reported afresh) when the run abandons it at a tie. An abandoned run's
+// tallies are dropped.
+template <typename Observer>
+void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
+                  const EgressPlan& plan, SourceLane& lane, net::NodeId src,
+                  double* arrival, double* ready, Observer& observer) {
+  if (run_egress<true>(csr, config, plan, lane, src, arrival, ready,
+                       observer)) {
+    return;
+  }
+  PERIGEE_COUNTER_ADD("egress.reruns", 1);
+  observer.restart();
+  run_egress<false>(csr, config, plan, lane, src, arrival, ready, observer);
 }
 
 }  // namespace

@@ -28,12 +28,17 @@
 /// Determinism: the simulation is a single-threaded discrete-event loop per
 /// source over a (time, sequence) min-heap — ties in time break FIFO by
 /// schedule order, so one source's outcome is a pure function of
-/// (snapshot, config, plan, source). That per-source loop is the egress
-/// solver; everything around it — the lane arena, the fan-out across an
-/// optional `runner::ThreadPool` and the materializing and observing bodies
-/// — is the batch driver of sim/batch.hpp, shared with the delay solver, so
-/// output is byte-identical at any worker count. `sim::Relaxer`
-/// (sim/relaxer.hpp) picks this solver when a transmission regime is set.
+/// (snapshot, config, plan, source). A sender's serializing controls run
+/// inline, with one heap event per run instead of one per message; a run
+/// end that ties another event at its time re-runs the source per message
+/// (counter `egress.reruns`), so the outcome is exactly the per-message
+/// loop's (docs/TRANSMISSION_MODEL.md, "Control runs"). That per-source
+/// loop is the egress solver; everything around it — the lane arena, the
+/// fan-out across an optional `runner::ThreadPool` and the materializing
+/// and observing bodies — is the batch driver of sim/batch.hpp, shared with
+/// the delay solver, so output is byte-identical at any worker count.
+/// `sim::Relaxer` (sim/relaxer.hpp) picks this solver when a transmission
+/// regime is set.
 ///
 /// Parity bar (enforced by tests/sim_engine_diff_test.cpp): with
 /// `unlimited_rate` (or all-zero message sizes) every send completes at its

@@ -3,8 +3,9 @@
 // order (controls before payloads, reversible via band_map), token-bucket
 // burst absorption, the ∞-rate ≡ delay-only parity corner, zero-rate
 // starvation safety, worker-count invariance under finite rates, and λ
-// consistency through metrics::eval_all_sources_egress. Single sources run
-// as a batch of one (oracle::egress_batch_of_one). The cross-engine
+// consistency through metrics::eval_all_sources_egress, and the exact
+// re-run when a collapsed control run ends on a time tie. Single sources
+// run as a batch of one (oracle::egress_batch_of_one). The cross-engine
 // byte-parity sweep over ~200 random topologies lives in
 // tests/sim_engine_diff_test.cpp; this file pins the arithmetic the model
 // documentation (docs/TRANSMISSION_MODEL.md) promises.
@@ -20,6 +21,7 @@
 #include "broadcast_oracle.hpp"
 #include "metrics/eval.hpp"
 #include "net/csr.hpp"
+#include "obs/metrics.hpp"
 #include "runner/thread_pool.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
@@ -43,6 +45,21 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
+// n nodes with zero validation, for graphs built from infra edges, whose
+// δ are exactly the values given.
+net::Network pinned_network(std::size_t n) {
+  net::NetworkOptions options;
+  options.n = n;
+  options.latency = net::NetworkOptions::LatencyKind::Euclidean;
+  options.embed_dim = 1;
+  options.handshake_factor = 1.0;
+  options.validation_spread = 0.0;
+  options.validation_mean_ms = 0.0;
+  net::Network network = net::Network::build(options);
+  for (auto& profile : network.mutable_profiles()) profile.coords = {};
+  return network;
+}
+
 // Hub-and-spokes star with every quantity pinned: infra edges carry an
 // exact 5 ms δ, validation is zero, and the hub's uplink is 8 Mbit/s
 // = 1000 bytes/ms, so a 10000-byte block serializes for exactly 10 ms.
@@ -52,19 +69,10 @@ struct Star {
   net::CsrTopology csr;
 
   static Star build(std::size_t spokes, double hub_mbps) {
-    net::NetworkOptions options;
-    options.n = spokes + 1;
-    options.latency = net::NetworkOptions::LatencyKind::Euclidean;
-    options.embed_dim = 1;
-    options.handshake_factor = 1.0;
-    options.validation_spread = 0.0;
-    options.validation_mean_ms = 0.0;
-    net::Network network = net::Network::build(options);
-    auto& profiles = network.mutable_profiles();
-    for (auto& profile : profiles) profile.coords = {};
-    profiles[0].bandwidth_mbps = hub_mbps;
-    net::Topology topology(options.n);
-    for (net::NodeId v = 1; v < options.n; ++v) {
+    net::Network network = pinned_network(spokes + 1);
+    network.mutable_profiles()[0].bandwidth_mbps = hub_mbps;
+    net::Topology topology(spokes + 1);
+    for (net::NodeId v = 1; v <= spokes; ++v) {
       EXPECT_TRUE(topology.add_infra_edge(0, v, 5.0));
     }
     net::CsrTopology csr = net::CsrTopology::build(topology, network);
@@ -142,6 +150,68 @@ TEST(Egress, BurstBucketCoveringBacklogMatchesDelayOnly) {
       oracle::simulate_broadcast(star.topology, star.network, 0);
   EXPECT_TRUE(bytes_equal(result.arrival, want.arrival));
   EXPECT_TRUE(bytes_equal(result.ready, want.ready));
+}
+
+// A collapsed control run whose end ties an Arrival scheduled while it
+// serialized. Every uplink is 1000 bytes/ms and every message 1000 bytes
+// (1 ms), δ are exact integers and validation is zero, so all times are
+// exact. Source s relays to u (arrives 4) and w (arrives 5). u's eight
+// controls run 4 -> 12; w's payload reaches p at 8 + δ(w,p) = 12, an
+// Arrival scheduled at 8, after u's run began. One SendDone per message
+// pops that Arrival first, so u's payload to p is suppressed and its six
+// leaves arrive at 14..19; letting u's run end pop first would serialize
+// the payload to p and push every leaf 1 ms later.
+TEST(Egress, RunEndTieReRunsPerMessage) {
+  constexpr net::NodeId kS = 0, kU = 1, kP = 2, kW = 3, kNodes = 10;
+  net::Network network = pinned_network(kNodes);
+  for (auto& profile : network.mutable_profiles()) {
+    profile.bandwidth_mbps = 8.0;
+  }
+  // Adjacency order: s [u, w]; u [s, p, leaves]; w [s, p]; p [u, w].
+  net::Topology topology(kNodes);
+  ASSERT_TRUE(topology.add_infra_edge(kS, kU, 1.0));
+  ASSERT_TRUE(topology.add_infra_edge(kS, kW, 1.0));
+  ASSERT_TRUE(topology.add_infra_edge(kU, kP, 1.0));
+  ASSERT_TRUE(topology.add_infra_edge(kW, kP, 4.0));
+  for (net::NodeId leaf = 4; leaf < kNodes; ++leaf) {
+    ASSERT_TRUE(topology.add_infra_edge(kU, leaf, 1.0));
+  }
+  const auto csr = net::CsrTopology::build(topology, network);
+
+  EgressConfig config;
+  config.block_bytes = 1000.0;
+  config.control_bytes = 1000.0;
+  const EgressPlan plan = EgressPlan::build(network, config);
+
+  obs::Registry& registry = obs::Registry::instance();
+  const std::uint64_t before = registry.scrape().counter("egress.reruns");
+  const BroadcastResult result =
+      oracle::egress_batch_of_one(csr, config, plan, kS);
+  const BroadcastResult want =
+      oracle::egress_reference(topology, network, config, kS);
+  EXPECT_TRUE(bytes_equal(result.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(result.ready, want.ready));
+  EXPECT_EQ(result.arrival, (std::vector<double>{0.0, 4.0, 12.0, 5.0, 14.0,
+                                                 15.0, 16.0, 17.0, 18.0,
+                                                 19.0}));
+  if (obs::telemetry_compiled() && registry.enabled()) {
+    EXPECT_GE(registry.scrape().counter("egress.reruns") - before, 1u);
+  }
+
+  // λ passes re-run the source too, with its settles reported afresh.
+  for (const double coverage : {0.5, 0.9}) {
+    std::vector<double> want_lambda(kNodes);
+    for (net::NodeId v = 0; v < kNodes; ++v) {
+      want_lambda[v] = metrics::lambda_for_broadcast(
+          oracle::egress_reference(topology, network, config, v), network,
+          coverage);
+    }
+    EXPECT_TRUE(bytes_equal(
+        metrics::eval_all_sources_egress(csr, network, config, plan,
+                                         coverage),
+        want_lambda))
+        << "coverage " << coverage;
+  }
 }
 
 TEST(Egress, RateScaleStretchesSerialization) {

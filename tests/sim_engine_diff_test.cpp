@@ -21,7 +21,8 @@
 // The egress queuing engine (sim/egress.hpp) joins at infinite rate and
 // zero message size, where docs/TRANSMISSION_MODEL.md claims it IS the
 // delay-only model: single-source and batched (inline + pooled), all held
-// byte-equal to the oracle across all regimes.
+// byte-equal to the oracle across all regimes. At finite rates it is held
+// to the per-message reference (`oracle::egress_reference`) instead.
 //
 // Each regime additionally drives the incremental compile path: a CsrCache
 // snapshot is patched from the topology's mutation journal after a rewiring
@@ -454,6 +455,73 @@ TEST(EngineDiff, EdgeCases) {
   {
     net::Topology topology(60);
     expect_engine_parity(topology, network, "edgeless", 5);
+  }
+}
+
+// Finite-rate egress against the per-message reference: random topologies
+// over heterogeneous uplinks, one zero-rate sender and one withholder each,
+// every combination of burst (0, or 2.5 KB: two and a half controls, so a
+// control run starts on a part-filled bucket), band order (controls first
+// or payloads first) and control size (0 or 1 KB). Arrival and ready bytes of
+// a spread of miners, inline and pooled, and every source's λ must equal
+// the reference's.
+TEST(EngineDiff, FiniteRateEgressMatchesPerMessageReference) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "finite-rate seed=" << seed);
+    net::NetworkOptions options;
+    options.n = 30 + 5 * (seed % 7);
+    options.seed = seed * 19;
+    options.heterogeneous_bandwidth = true;
+    auto network = net::Network::build(options);
+    const auto n = static_cast<net::NodeId>(options.n);
+    auto& profiles = network.mutable_profiles();
+    profiles[(seed * 3) % n].bandwidth_mbps = 0.0;
+    profiles[(seed * 3 + 1) % n].forwards = false;
+    const auto topology = random_topology(options.n, seed * 19);
+    const auto csr = net::CsrTopology::build(topology, network);
+
+    sim::EgressConfig config;
+    config.block_bytes = 200'000.0;
+    config.burst_bytes = (seed & 1) != 0 ? 2'500.0 : 0.0;
+    if ((seed & 2) != 0) config.band_map = {2, 1, 0};
+    config.control_bytes = (seed & 4) != 0 ? 1000.0 : 0.0;
+    const sim::EgressPlan plan = sim::EgressPlan::build(network, config);
+
+    std::vector<net::NodeId> miners;
+    for (net::NodeId m = 0; m < n; m += n / 5) miners.push_back(m);
+    sim::EgressScratch scratch;
+    sim::MultiSourceResult inline_run, pooled_run;
+    sim::simulate_broadcast_egress_batch(csr, config, plan, miners, scratch,
+                                         inline_run);
+    {
+      runner::ThreadPool pool(3);
+      sim::simulate_broadcast_egress_batch(csr, config, plan, miners, scratch,
+                                           pooled_run, &pool);
+    }
+    for (std::size_t s = 0; s < miners.size(); ++s) {
+      SCOPED_TRACE(::testing::Message() << "miner=" << miners[s]);
+      const sim::BroadcastResult want =
+          oracle::egress_reference(topology, network, config, miners[s]);
+      EXPECT_TRUE(bytes_equal(inline_run.arrival_of(s), want.arrival));
+      EXPECT_TRUE(bytes_equal(inline_run.ready_of(s), want.ready));
+      EXPECT_TRUE(bytes_equal(pooled_run.arrival_of(s), want.arrival));
+      EXPECT_TRUE(bytes_equal(pooled_run.ready_of(s), want.ready));
+    }
+
+    std::vector<double> want_lambda(n);
+    for (net::NodeId v = 0; v < n; ++v) {
+      want_lambda[v] = metrics::lambda_for_broadcast(
+          oracle::egress_reference(topology, network, config, v), network,
+          0.90);
+    }
+    EXPECT_TRUE(bytes_equal(
+        metrics::eval_all_sources_egress(csr, network, config, plan, 0.90),
+        want_lambda));
+    runner::ThreadPool pool(3);
+    EXPECT_TRUE(bytes_equal(
+        metrics::eval_all_sources_egress(csr, network, config, plan, 0.90,
+                                         &scratch, &pool),
+        want_lambda));
   }
 }
 
