@@ -308,10 +308,6 @@ int main(int argc, char** argv) {
                  "patch CSR snapshots from the topology mutation journal "
                  "between rounds (--incremental-csr=false forces full "
                  "recompiles; results are byte-identical either way)");
-  flags.add_string("engine", "batched",
-                   "block-batch relaxation backend: 'batched' (parallel "
-                   "across sources) or 'parallel-delta' (delta-stepping "
-                   "teams within each source; byte-identical outputs)");
   if (!flags.parse(argc, argv)) return 1;
 
   if (flags.get_bool("list")) {
@@ -379,15 +375,6 @@ int main(int argc, char** argv) {
   // Wall-clock A/B switch, not a grid axis: cell results and the JSON are
   // byte-identical at either setting.
   spec.base.incremental_csr = flags.get_bool("incremental-csr");
-  if (const auto engine =
-          sim::relax_engine_from_name(flags.get_string("engine"));
-      engine.has_value()) {
-    spec.base.relax_engine = *engine;
-  } else {
-    std::cerr << "unknown --engine '" << flags.get_string("engine")
-              << "' (use batched or parallel-delta)\n";
-    return 1;
-  }
   if (const auto& name = flags.get_string("name"); !name.empty()) {
     spec.name = name;
   }

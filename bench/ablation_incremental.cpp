@@ -12,12 +12,8 @@ int main(int argc, char** argv) {
   flags.add_int("seeds", 1, "independent repetitions");
   if (!flags.parse(argc, argv)) return 1;
   const auto base = bench::config_from_flags(flags);
-  if (!base) return 1;
+  if (!base || !flags.int_in_range("seeds", 1)) return 1;
   const std::int64_t seeds = flags.get_int("seeds");
-  if (seeds < 1) {
-    std::cerr << "bad --seeds value '" << seeds << "' (want >= 1)\n";
-    return 1;
-  }
   const bench::TraceSession trace_session(flags);
   const int jobs = bench::jobs_from_flags(flags);
 

@@ -84,25 +84,18 @@ inline int jobs_from_flags(const util::Flags& flags) {
 // nullopt, so the bench exits 1 before any work starts.
 inline std::optional<core::ExperimentConfig> config_from_flags(
     const util::Flags& flags) {
-  const std::int64_t nodes = flags.get_int("nodes");
-  const std::int64_t rounds = flags.get_int("rounds");
+  if (!flags.int_in_range("nodes", 2) || !flags.int_in_range("rounds", 0)) {
+    return std::nullopt;
+  }
   const double coverage = flags.get_double("coverage");
-  if (nodes < 2) {
-    std::cerr << "bad --nodes value '" << nodes << "' (want >= 2)\n";
-    return std::nullopt;
-  }
-  if (rounds < 0) {
-    std::cerr << "bad --rounds value '" << rounds << "' (want >= 0)\n";
-    return std::nullopt;
-  }
   // The negation also rejects NaN.
   if (!(coverage > 0.0 && coverage <= 1.0)) {
     std::cerr << "bad --coverage value '" << coverage << "' (want (0, 1])\n";
     return std::nullopt;
   }
   core::ExperimentConfig config;
-  config.net.n = static_cast<std::size_t>(nodes);
-  config.rounds = static_cast<int>(rounds);
+  config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
+  config.rounds = static_cast<int>(flags.get_int("rounds"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.coverage = coverage;
   return config;

@@ -18,14 +18,8 @@ int main(int argc, char** argv) {
   flags.add_int("checkpoint_every", 10, "evaluate every N rounds");
   if (!flags.parse(argc, argv)) return 1;
   const auto base = bench::config_from_flags(flags);
-  if (!base) return 1;
-  const std::int64_t every_flag = flags.get_int("checkpoint_every");
-  if (every_flag < 1) {
-    std::cerr << "bad --checkpoint_every value '" << every_flag
-              << "' (want >= 1)\n";
-    return 1;
-  }
-  const int every = static_cast<int>(every_flag);
+  if (!base || !flags.int_in_range("checkpoint_every", 1)) return 1;
+  const int every = static_cast<int>(flags.get_int("checkpoint_every"));
   const bench::TraceSession trace_session(flags);
   const int jobs = bench::jobs_from_flags(flags);
   // Column names follow --coverage: "lambda90" at the default 0.90.

@@ -3,6 +3,7 @@
 // corners meanders far beyond the Euclidean distance; a geometric graph
 // (threshold connectivity) tracks the geodesic closely.
 #include <iostream>
+#include <limits>
 
 #include "metrics/stretch.hpp"
 #include "net/embedding.hpp"
@@ -19,9 +20,9 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 1, "seed");
   flags.add_int("sources", 25, "stretch-sample sources");
   if (!flags.parse(argc, argv)) return 1;
-  if (flags.get_int("nodes") < 2) {
-    std::cerr << "bad --nodes value '" << flags.get_int("nodes")
-              << "' (want >= 2)\n";
+  if (!flags.int_in_range("nodes", 2) ||
+      !flags.int_in_range("degree", 1, std::numeric_limits<int>::max()) ||
+      !flags.int_in_range("sources", 1)) {
     return 1;
   }
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                    "latency separating the intra/inter-continent modes");
   if (!flags.parse(argc, argv)) return 1;
   const auto base = bench::config_from_flags(flags);
-  if (!base) return 1;
+  if (!base || !flags.int_in_range("bins", 1)) return 1;
   const bench::TraceSession trace_session(flags);
   const auto bins = static_cast<std::size_t>(flags.get_int("bins"));
   const double cut = flags.get_double("mode_cut_ms");

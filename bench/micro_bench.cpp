@@ -4,10 +4,9 @@
 // These bound the wall-clock of the figure benches: one Figure-3 curve is
 // rounds x blocks broadcasts plus n subset-scorings per round.
 //
-// Three ratios at Arg(1000) — the fig3a grid size — are anchored and gated
+// Two ratios at Arg(1000) — the fig3a grid size — are anchored and gated
 // (scripts/check_bench_regression.py; ARCHITECTURE.md "Release perf truth"
 // names the perfbench layer each one explains):
-//  - BENCH_scale.json: BM_BroadcastParallelDelta / BM_RelaxInnerLoop;
 //  - BENCH_queuing.json: BM_BroadcastEgressUnlimited / BM_RelaxInnerLoop;
 //  - BENCH_incremental_csr.json: BM_CsrChurnRefreshPatch /
 //    BM_CsrChurnRefreshRebuild.
@@ -24,7 +23,6 @@
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
 #include "sim/gossip.hpp"
-#include "sim/parallel.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -50,8 +48,7 @@ struct Fixture {
 // batch of one (u32 fixed-point bucket keys, next-row prefetch, branchless
 // settle) over a prebuilt CSR — no λ accumulation, no compile, no pool, so
 // iterations price the relaxation hot loop and nothing else. It is the
-// denominator of both engine ratios anchored in BENCH_scale.json and
-// BENCH_queuing.json.
+// denominator of the engine ratios anchored in BENCH_queuing.json.
 void BM_RelaxInnerLoop(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -67,26 +64,6 @@ void BM_RelaxInnerLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RelaxInnerLoop)->Arg(200)->Arg(1000)->Arg(4000);
-
-// The scale-path row recorded in BENCH_scale.json: the parallel
-// delta-stepping engine pinned to one worker (settled-once bucket
-// relaxation, byte-identical outputs) against BM_RelaxInnerLoop above
-// (parallel_delta_speedup).
-void BM_BroadcastParallelDelta(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  const net::CsrTopology csr =
-      net::CsrTopology::build(f.topology, *f.network);
-  sim::ParallelScratch scratch;
-  sim::BroadcastResult result;
-  net::NodeId miner = 0;
-  for (auto _ : state) {
-    sim::simulate_broadcast_parallel(csr, miner, scratch, result);
-    benchmark::DoNotOptimize(result.arrival.data());
-    miner = (miner + 1) % static_cast<net::NodeId>(csr.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BroadcastParallelDelta)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The queuing-engine pair recorded in BENCH_queuing.json. The egress DES
 // (sim/egress.hpp) runs twice, each time as a batch of one through the same

@@ -5,6 +5,7 @@
 // property that makes them the theory-side analogue of a degree-capped p2p
 // overlay.
 #include <iostream>
+#include <limits>
 
 #include "metrics/stretch.hpp"
 #include "net/embedding.hpp"
@@ -22,9 +23,10 @@ int main(int argc, char** argv) {
   flags.add_int("sources", 15, "stretch-sample sources");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
-  if (flags.get_int("nodes") < 2) {
-    std::cerr << "bad --nodes value '" << flags.get_int("nodes")
-              << "' (want >= 2)\n";
+  // Below 7 cones the construction runs but its stretch bound is undefined.
+  if (!flags.int_in_range("nodes", 2) ||
+      !flags.int_in_range("cones", 7, std::numeric_limits<int>::max()) ||
+      !flags.int_in_range("sources", 1)) {
     return 1;
   }
 

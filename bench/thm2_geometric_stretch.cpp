@@ -19,6 +19,15 @@ int main(int argc, char** argv) {
   flags.add_int("sources", 15, "stretch-sample sources");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("dim", 1, net::kMaxEmbedDim) ||
+      !flags.int_in_range("sources", 1)) {
+    return 1;
+  }
+  // The negation also rejects NaN.
+  if (const double factor = flags.get_double("factor"); !(factor > 0.0)) {
+    std::cerr << "bad --factor value '" << factor << "' (want > 0)\n";
+    return 1;
+  }
   const int dim = static_cast<int>(flags.get_int("dim"));
 
   util::print_banner(std::cout,

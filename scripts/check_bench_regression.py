@@ -10,8 +10,6 @@ perfbench layer (ARCHITECTURE.md, "Release perf truth"):
 
   BENCH_incremental_csr.json incremental_csr_speedup BM_CsrChurnRefreshPatch /
                                                     BM_CsrChurnRefreshRebuild
-  BENCH_scale.json           parallel_delta_speedup BM_BroadcastParallelDelta /
-                                                    BM_RelaxInnerLoop
   BENCH_queuing.json         egress_unlimited_speedup BM_BroadcastEgressUnlimited /
                                                     BM_RelaxInnerLoop
 
@@ -25,8 +23,8 @@ checks without blocking unrelated work.
 
 Usage:
   check_bench_regression.py <current_benchmark.json> <BENCH_anchor.json>
-      --key parallel_delta_speedup --baseline-bench BM_RelaxInnerLoop
-      --fast-bench BM_BroadcastParallelDelta [--max-regression 0.25]
+      --key egress_unlimited_speedup --baseline-bench BM_RelaxInnerLoop
+      --fast-bench BM_BroadcastEgressUnlimited [--max-regression 0.25]
       [--sizes 1000]
 """
 

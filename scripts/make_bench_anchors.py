@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the three gated BENCH_*.json perf anchors from one build tree.
+"""Regenerate the gated BENCH_*.json perf anchors from one build tree.
 
 Usage:
     python3 scripts/make_bench_anchors.py --build-dir build-o2 [--out-dir .]
-        [--min-time 0.2] [--skip-scale] [--skip-sweeps]
+        [--min-time 0.2] [--skip-sweeps]
 
-One micro_bench run (JSON format) feeds every anchor's ratios; the sweep and
-scale instruments are invoked separately for the blocks that are not
-google-benchmark entries. The emitted files keep the exact
+One micro_bench run (JSON format) feeds every anchor's ratios; the sweep
+instrument is invoked separately for the block that is not a
+google-benchmark entry. The emitted files keep the exact
 `perigee-bench-snapshot-v1` shape the soft gates consume
 (scripts/check_bench_regression.py), including the benchmark `context`:
 google-benchmark's own `library_build_type` (the system .so's build flavor,
@@ -80,21 +80,6 @@ NOTES = {
         "SendDone event per serializing message pushes the event count per "
         "broadcast from O(n) toward O(edges), which is why the congestion "
         "grid is sized at n=200."),
-    "scale": (
-        "Scale anchor for the parallel delta-stepping engine. "
-        "parallel_delta_speedup is the items_per_second ratio vs "
-        "BM_RelaxInnerLoop (the batched engine as a batch of one, the "
-        "single-source delay path) at each micro_bench grid size; the soft "
-        "gate bars on n1000. It explains the sim.relax perfbench layer "
-        "under --engine parallel-delta. The `scale` block is one n=10^5 "
-        "single-source broadcast (scale_broadcast --nodes 100000 --jobs 2 "
-        "--reps 5, median wall-clock per engine, byte parity asserted on "
-        "the measured run); "
-        "parallel_delta_x2 can be SLOWER than x1 on a single core: two "
-        "barrier-synchronized workers timeshare it, which is pure overhead "
-        "— the x1 path (inline, no barriers) is the honest 1-core "
-        "figure and byte-identical to every other team size by "
-        "construction."),
 }
 
 # The micro_bench subset each anchor records (exact benchmark names).
@@ -114,12 +99,6 @@ MICRO_SLICES = {
         "BM_BroadcastEgressUnlimited/4000",
         "BM_BroadcastEgress/200", "BM_BroadcastEgress/1000",
         "BM_BroadcastEgress/4000",
-    ],
-    "scale": [
-        "BM_RelaxInnerLoop/200", "BM_RelaxInnerLoop/1000",
-        "BM_RelaxInnerLoop/4000",
-        "BM_BroadcastParallelDelta/200", "BM_BroadcastParallelDelta/1000",
-        "BM_BroadcastParallelDelta/4000",
     ],
 }
 
@@ -222,23 +201,6 @@ def sweep_wallclock_block(build_dir, scratch_dir, runs=3):
     }
 
 
-def scale_block(build_dir, scratch_dir):
-    path = os.path.join(scratch_dir, "scale.json")
-    run([os.path.join(build_dir, "scale_broadcast"), "--nodes", "100000",
-         "--jobs", "2", "--reps", "5", "--json", path],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    with open(path) as fh:
-        data = json.load(fh)
-    jobs = data["jobs"]
-    block = {k: data[k] for k in ("nodes", "seed", "jobs", "reps",
-                                  "batched_ms", "parallel_delta_x1_ms")}
-    block[f"parallel_delta_x{jobs}_ms"] = data["parallel_delta_xjobs_ms"]
-    for k in ("csr_snapshot_bytes", "parallel_scratch_bytes", "peak_rss_kb"):
-        block[k] = data[k]
-    block["peak_rss_budget_kb"] = 1048576  # soak test's 1 GiB ceiling
-    return block
-
-
 def write_anchor(out_dir, stem, payload):
     path = os.path.join(out_dir, f"BENCH_{stem}.json")
     with open(path, "w") as fh:
@@ -250,15 +212,11 @@ def write_anchor(out_dir, stem, payload):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", required=True,
-                    help="build tree holding micro_bench/perigee_sweep/"
-                         "scale_broadcast")
+                    help="build tree holding micro_bench/perigee_sweep")
     ap.add_argument("--out-dir", default=".",
                     help="where BENCH_*.json land (repo root)")
     ap.add_argument("--min-time", default="0.2",
                     help="google-benchmark --benchmark_min_time seconds")
-    ap.add_argument("--skip-scale", action="store_true",
-                    help="keep the existing scale block (skips the n=1e5 "
-                         "soak; the micro slice is still refreshed)")
     ap.add_argument("--skip-sweeps", action="store_true",
                     help="keep the existing sweep_wallclock block (only "
                          "micro entries + speedups are refreshed)")
@@ -310,20 +268,6 @@ def main():
                 entries, "BM_BroadcastEgress", "BM_RelaxInnerLoop",
                 (200, 1000, 4000)),
             "micro_bench": slice_entries(entries, "queuing"),
-        })
-
-        # --- BENCH_scale ---
-        scale = (previous("scale", "scale", {}) if args.skip_scale
-                 else scale_block(args.build_dir, scratch))
-        write_anchor(args.out_dir, "scale", {
-            "schema": SCHEMA,
-            "note": NOTES["scale"],
-            "context": ctx,
-            "parallel_delta_speedup": speedup(
-                entries, "BM_BroadcastParallelDelta", "BM_RelaxInnerLoop",
-                (200, 1000, 4000)),
-            "scale": scale,
-            "micro_bench": slice_entries(entries, "scale"),
         })
 
 

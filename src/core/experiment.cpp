@@ -41,9 +41,9 @@ sim::EgressConfig egress_config_from(const scn::TransmissionRegime& regime) {
 // The relaxation resources of one experiment: the engine pool
 // (config.engine_jobs; null runs inline) and the relaxer, which runs the
 // queued-transmission engine when the scenario's transmission regime is
-// active and the delay engine (with config.relax_engine as its round
-// backend) otherwise. Byte-identical at any worker count, so sweep grids
-// that parallelize across seeds simply leave engine_jobs at 1.
+// active and the delay engine otherwise. Byte-identical at any worker
+// count, so sweep grids that parallelize across seeds simply leave
+// engine_jobs at 1.
 struct Relaxation {
   std::unique_ptr<runner::ThreadPool> pool;
   sim::Relaxer relaxer;
@@ -59,8 +59,7 @@ Relaxation make_relaxation(const ExperimentConfig& config) {
   if (config.scenario.transmission.enabled()) {
     egress = egress_config_from(config.scenario.transmission);
   }
-  return Relaxation{std::move(pool),
-                    sim::Relaxer(std::move(egress), config.relax_engine)};
+  return Relaxation{std::move(pool), sim::Relaxer(std::move(egress))};
 }
 
 // Checkpoint evaluation over an already-compiled snapshot (the round

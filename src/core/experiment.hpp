@@ -1,10 +1,9 @@
 // One-call experiment harness reproducing the paper's evaluation pipeline
 // (§5.1): build a network scenario, construct the initial topology, run the
 // protocol's learning rounds, and measure λv for every node. One
-// sim::Relaxer, built from the scenario's transmission regime and
-// `relax_engine`, runs every broadcast of an experiment — the rounds, the
-// checkpoints and the final λ — so the harness never chooses an engine
-// itself.
+// sim::Relaxer, built from the scenario's transmission regime, runs every
+// broadcast of an experiment — the rounds, the checkpoints and the final
+// λ — so the harness never chooses an engine itself.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +17,7 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/parallel.hpp"
+#include "sim/relaxer.hpp"
 #include "topo/relay.hpp"
 
 namespace perigee::core {
@@ -93,13 +92,8 @@ struct ExperimentConfig {
   // measurement (BENCH_incremental_csr.json) and bisection.
   bool incremental_csr = true;
 
-  // The sim::Relaxer's backend for delay-only block batches: the batched
-  // bucket-queue engine (default; parallelizes across a round's sources) or
-  // the parallel delta-stepping engine (parallelizes within each source —
-  // the scale shape for large n with few blocks). Outputs are byte-identical
-  // either way (tests/sim_engine_diff_test.cpp pins it), so like
-  // `engine_jobs` this is a wall-clock A/B switch, not a sweep axis. The
-  // queued transmission regime takes precedence over it.
+  // Kept only for perfbench/replay.cpp's `require_mirrored`; nothing in src/
+  // reads it, and it goes with ROADMAP item 1(c).
   sim::RelaxEngine relax_engine = sim::RelaxEngine::Batched;
 
   // Master seed: drives network construction, hash power, initial topology,

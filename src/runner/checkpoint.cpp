@@ -77,8 +77,8 @@ void write_build_fields(JsonWriter& w, const core::ExperimentConfig& config,
 
 // The remaining result-relevant fields: how the learning loop and the λ
 // evaluations run on top of the built scenario. Wall-clock-only knobs
-// (engine_jobs, incremental_csr, relax_engine) are deliberately absent —
-// they are byte-parity-pinned elsewhere and must not invalidate resumes.
+// (engine_jobs, incremental_csr) are deliberately absent — they are
+// byte-parity-pinned elsewhere and must not invalidate resumes.
 void write_policy_fields(JsonWriter& w, const core::ExperimentConfig& config) {
   w.field("algorithm", core::algorithm_name(config.algorithm));
   w.field("keep", static_cast<std::int64_t>(config.params.keep));

@@ -26,8 +26,9 @@ namespace perigee::runner {
 // Hex FNV-1a over a canonical serialization of everything that determines
 // the grid's results: seed count, the full base config (network options,
 // limits, protocol params, scenario regimes, ...) and every swept axis.
-// Wall-clock-only knobs (engine_jobs, incremental_csr, relax_engine) are
-// excluded — a checkpoint taken under one engine resumes under another.
+// Wall-clock-only knobs (engine_jobs, incremental_csr) are excluded — a
+// checkpoint taken at one engine worker count or CSR mode resumes under
+// another.
 std::string grid_fingerprint(const SweepSpec& spec);
 
 // Canonical serialization of the fields build_scenario reads (network

@@ -133,14 +133,4 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   pool.wait();
 }
 
-void run_team(ThreadPool& pool, unsigned members,
-              const std::function<void(unsigned)>& fn) {
-  PERIGEE_ASSERT_MSG(members <= pool.size(),
-                     "a barrier team larger than the pool would deadlock");
-  for (unsigned m = 0; m < members; ++m) {
-    pool.submit([&fn, m] { fn(m); });
-  }
-  pool.wait();
-}
-
 }  // namespace perigee::runner

@@ -78,18 +78,4 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
-// Runs fn(0), ..., fn(members-1) as one cooperating *team*: unlike
-// parallel_for's independent jobs, team members may synchronize with each
-// other (std::barrier phases — the bucket-synchronous relaxation engine is
-// the client). Safe on this pool because members <= pool.size() is required
-// (asserted): every member blocked on a barrier occupies a distinct worker
-// thread, and a worker never picks up a second job while one is in flight,
-// so the remaining members always find a free worker and the barrier cannot
-// deadlock. Blocks until the whole team finishes; rethrows the first
-// exception (note: a member that throws between barrier phases strands its
-// teammates, so member bodies must not throw mid-phase — same contract as
-// any barrier group).
-void run_team(ThreadPool& pool, unsigned members,
-              const std::function<void(unsigned member)>& fn);
-
 }  // namespace perigee::runner

@@ -113,7 +113,7 @@ struct AdversaryRegime {
 };
 
 /// Which transmission model broadcasts run under — a result axis, unlike
-/// the wall-clock-only `--engine` knob.
+/// the wall-clock-only `--incremental-csr` knob.
 enum class TransmissionModel {
   /// Pure propagation: every edge costs its fixed δ, senders relay to all
   /// neighbors simultaneously. The default and the parity oracle.

@@ -34,8 +34,7 @@ BatchPlan make_plan(const net::CsrTopology& csr) {
   if (csr.num_links() == 0) return std::nullopt;
   const double max_reach = csr.max_delay_ms() + csr.max_validation_ms();
   // Conservative key ceiling: a settled chain is at most n nodes deep and
-  // each relaxation adds at most max_reach; doubled for slack (same bound
-  // the parallel plan uses).
+  // each relaxation adds at most max_reach; doubled for slack.
   const double max_key =
       (static_cast<double>(csr.size()) + 1.0) * max_reach * 2.0;
   return BucketQueue::plan_fixed(csr.min_delay_ms(), max_reach, max_key);
@@ -135,11 +134,12 @@ void relax_buckets(const net::CsrTopology& csr,
   PERIGEE_COUNTER_ADD("engine.bucket.empty_skips", queue.empty_skips());
 }
 
-// The heap fallback's walk, reporting settles like relax_buckets.
+// The heap fallback for snapshots no fixed-point bucket plan admits,
+// reporting settles like relax_buckets.
 template <typename Observer>
-void relax_heap_observed(const net::CsrTopology& csr, net::NodeId src,
-                         std::vector<HeapItem>& heap, double* arrival,
-                         Observer& observer) {
+void relax_heap(const net::CsrTopology& csr, net::NodeId src,
+                std::vector<HeapItem>& heap, double* arrival,
+                Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   std::fill_n(arrival, n, util::kInf);
@@ -190,7 +190,7 @@ void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
   if (plan.has_value()) {
     relax_buckets(csr, *plan, lane.queue, src, arrival, observer);
   } else {
-    relax_heap_observed(csr, src, lane.heap, arrival, observer);
+    relax_heap(csr, src, lane.heap, arrival, observer);
   }
   if (ready != nullptr) fill_ready(csr, src, arrival, ready);
 }
@@ -231,12 +231,6 @@ void dispatch(std::size_t count, MultiSourceScratch& scratch,
 }
 
 }  // namespace
-
-void relax_heap(const net::CsrTopology& csr, net::NodeId src,
-                std::vector<HeapItem>& heap, double* arrival) {
-  NoSettleObserver all;
-  relax_heap_observed(csr, src, heap, arrival, all);
-}
 
 void fill_ready(const net::CsrTopology& csr, net::NodeId src,
                 const double* arrival, double* ready) {

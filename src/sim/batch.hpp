@@ -23,8 +23,8 @@
 ///    fixed-point keys, its grid derived from the snapshot's delay bounds
 ///    (`BucketQueue::plan_fixed`); snapshots no grid fits — a zero-latency
 ///    infra edge, an edgeless topology, a key span too wide for u32 — take
-///    the batch to `relax_heap`, the one heap fallback both this engine and
-///    the parallel engine share;
+///    the batch to a 4-ary heap fallback (`relax_heap`, private to
+///    batch.cpp);
 ///  - the ready vector is filled in one vectorizable pass after the
 ///    relaxation (`ready[v] = arrival[v] + Δv`), which is bit-identical to
 ///    the test oracle's per-relaxation stores because the last value it
@@ -111,41 +111,6 @@ struct MultiSourceResult {
   void extract(std::size_t s, BroadcastResult& out) const;
 };
 
-/// A reusable arena of per-worker scratch lanes; `MultiSourceScratch` (the
-/// batch driver) and `ParallelScratch` (the delta-stepping team) are both
-/// instances. Lanes are grown on demand and survive across
-/// batches, so a sweep cell running thousands of rounds performs no
-/// steady-state allocation; each lane is its own heap block, so a lane
-/// reference stays valid while the pool grows. Not thread-safe to share
-/// across concurrent *batches*; within one batch each worker owns one lane.
-/// `Lane` must be default-constructible and report `memory_bytes()`.
-template <typename L>
-class LanePool {
- public:
-  using Lane = L;
-
-  /// Lane `i`; `i` must be below `lanes()`.
-  Lane& lane(std::size_t i) {
-    PERIGEE_ASSERT(i < lanes_.size());
-    return *lanes_[i];
-  }
-  /// Lanes currently allocated.
-  std::size_t lanes() const { return lanes_.size(); }
-  /// Grows the pool to at least `count` lanes.
-  void ensure_lanes(std::size_t count) {
-    while (lanes_.size() < count) lanes_.push_back(std::make_unique<Lane>());
-  }
-  /// Heap bytes across all lanes.
-  std::size_t memory_bytes() const {
-    std::size_t bytes = 0;
-    for (const auto& lane : lanes_) bytes += lane->memory_bytes();
-    return bytes;
-  }
-
- private:
-  std::vector<std::unique_ptr<Lane>> lanes_;
-};
-
 /// One discrete event of the egress solver (sim/egress.hpp): (time,
 /// schedule sequence) orders its heap — equal times break FIFO by `seq`,
 /// which is that solver's deterministic tie-break rule (documented in
@@ -190,18 +155,39 @@ struct alignas(64) SourceLane {
   std::size_t memory_bytes() const;
 };
 
-/// The batch driver's lane arena, shared by both solvers; reported through
+/// The batch driver's lane arena, shared by both solvers: one `SourceLane`
+/// per worker. Lanes are grown on demand and survive across batches, so a
+/// sweep cell running thousands of rounds performs no steady-state
+/// allocation; each lane is its own heap block, so a lane reference stays
+/// valid while the arena grows. Not thread-safe to share across concurrent
+/// *batches*; within one batch each worker owns one lane. Reported through
 /// the `mem.batch_scratch_bytes` obs gauge after each batch (memory-budget
-/// accounting for the scale path, next to `mem.csr_bytes` and
-/// `mem.parallel_scratch_bytes`).
-using MultiSourceScratch = LanePool<SourceLane>;
+/// accounting next to `mem.csr_bytes`).
+class MultiSourceScratch {
+ public:
+  /// Lane `i`; `i` must be below `lanes()`.
+  SourceLane& lane(std::size_t i) {
+    PERIGEE_ASSERT(i < lanes_.size());
+    return *lanes_[i];
+  }
+  /// Lanes currently allocated.
+  std::size_t lanes() const { return lanes_.size(); }
+  /// Grows the arena to at least `count` lanes.
+  void ensure_lanes(std::size_t count) {
+    while (lanes_.size() < count) {
+      lanes_.push_back(std::make_unique<SourceLane>());
+    }
+  }
+  /// Heap bytes across all lanes.
+  std::size_t memory_bytes() const {
+    std::size_t bytes = 0;
+    for (const auto& lane : lanes_) bytes += lane->memory_bytes();
+    return bytes;
+  }
 
-/// Heap relaxation of one source into `arrival` (`csr.size()` doubles):
-/// the fallback for snapshots no fixed-point bucket plan admits, shared by
-/// this engine and the parallel engine (sim/parallel.hpp) so their fallback
-/// bytes agree by construction. `heap` is reusable lane storage.
-void relax_heap(const net::CsrTopology& csr, net::NodeId src,
-                std::vector<HeapItem>& heap, double* arrival);
+ private:
+  std::vector<std::unique_ptr<SourceLane>> lanes_;
+};
 
 /// Fills `ready` from final arrivals in one pass: `ready[v] = arrival[v] +
 /// Δv`, `ready[src] = 0`. Bit-identical to the test oracle's

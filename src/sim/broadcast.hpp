@@ -12,12 +12,10 @@
 /// `net::CsrTopology` snapshot:
 ///  - the batched multi-source engine (sim/batch.hpp): all sources of a
 ///    round or a λ evaluation over one compile, a monotone bucket queue with
-///    `relax_heap` as its one heap fallback, SoA per-source result stripes
+///    one 4-ary heap fallback, SoA per-source result stripes
 ///    and optional source-level `runner::ThreadPool` parallelism. A caller
 ///    with one source passes a one-element span and, when it wants this
 ///    header's shape, copies the stripe out with `MultiSourceResult::extract`;
-///  - the parallel delta-stepping engine (sim/parallel.hpp), one source
-///    across a worker team;
 ///  - the egress queuing engine (sim/egress.hpp), which reproduces the
 ///    delay-only arrivals at unlimited rate and zero message size.
 /// Their outputs are bit-identical — arrival is the exact minimum over

@@ -13,10 +13,9 @@ std::optional<BucketQueue::FixedPlan> BucketQueue::plan_fixed(
   if (!(min_delay > 0.0) || !std::isfinite(min_delay)) return std::nullopt;
   if (!(max_reach >= 0.0) || !std::isfinite(max_reach)) return std::nullopt;
   if (!(max_key > 0.0) || !std::isfinite(max_key)) return std::nullopt;
-  // Grid resolving the smallest delay into ~2^9 units (same derivation as
-  // the parallel engine's plan), coarsened until every key the relaxation
-  // can conceivably form quantizes below 2^32 — the bound that makes the
-  // u32 qkey image lossless.
+  // Grid resolving the smallest delay into ~2^9 units, coarsened until
+  // every key the relaxation can conceivably form quantizes below 2^32 —
+  // the bound that makes the u32 qkey image lossless.
   util::FixedPointScale grid = util::FixedPointScale::fit(min_delay, 10);
   while (grid.exponent > -1060 && max_key * grid.scale >= 0x1p32) {
     --grid.exponent;

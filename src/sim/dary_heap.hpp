@@ -1,6 +1,6 @@
 /// \file
-/// \brief 4-ary min-heap, shared by the delay engines' heap fallback
-/// (`relax_heap`) and the egress event queue.
+/// \brief 4-ary min-heap, shared by the delay solver's heap fallback
+/// (sim/batch.cpp) and the egress event queue.
 ///
 /// Ordered lexicographically — the same total order
 /// `std::priority_queue<pair, greater<>>` pops in, so every engine built on

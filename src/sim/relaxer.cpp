@@ -4,8 +4,8 @@
 
 namespace perigee::sim {
 
-Relaxer::Relaxer(std::optional<EgressConfig> egress, RelaxEngine engine)
-    : egress_(std::move(egress)), engine_(engine) {}
+Relaxer::Relaxer(std::optional<EgressConfig> egress)
+    : egress_(std::move(egress)) {}
 
 void Relaxer::batch(const net::CsrTopology& csr, const net::Network& network,
                     std::span<const net::NodeId> sources,
@@ -14,17 +14,6 @@ void Relaxer::batch(const net::CsrTopology& csr, const net::Network& network,
     simulate_broadcast_egress_batch(csr, *egress_,
                                     plans_.get(network, *egress_), sources,
                                     arena_, out, pool);
-  } else if (engine_ == RelaxEngine::ParallelDelta) {
-    // Same stripe layout as the driver, but each source runs through the
-    // delta-stepping team (workers cooperate *within* a source instead of
-    // fanning out across sources — the winning shape when n is large and
-    // the batch small). Stripe bytes are identical either way.
-    out.prepare(csr.size(), sources);
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      simulate_broadcast_parallel(csr, sources[s], parallel_,
-                                  out.arrival_data(s), out.ready_data(s),
-                                  pool);
-    }
   } else {
     simulate_broadcast_batch(csr, sources, arena_, out, pool);
   }

@@ -7,18 +7,14 @@
 /// or the egress solver (serialization + queue wait, sim/egress.hpp).
 /// `Relaxer` is the only place that chooses between them; the round loop
 /// and the λ evaluation call it without knowing which engine runs. The
-/// choice is fixed at construction:
-///  - with an `EgressConfig`, every broadcast runs the egress solver (a
-///    *result* axis);
-///  - otherwise the delay solver runs, and `RelaxEngine::ParallelDelta`
-///    routes the round shape through the delta-stepping team
-///    (sim/parallel.hpp) — a wall-clock switch with byte-identical output.
-///    Egress takes precedence, since delta-stepping models propagation only.
+/// choice is fixed at construction: with an `EgressConfig`, every broadcast
+/// runs the egress solver (a *result* axis); otherwise the delay solver
+/// runs.
 ///
-/// A `Relaxer` owns the lane arena both solvers share, the egress rate plan
-/// and the delta-stepping lanes, so one instance serves a whole experiment
-/// — rounds, checkpoints and the final λ — without steady-state allocation.
-/// Like the arenas it owns, it serves one batch at a time.
+/// A `Relaxer` owns the lane arena both solvers share and the egress rate
+/// plan, so one instance serves a whole experiment — rounds, checkpoints
+/// and the final λ — without steady-state allocation. Like the arena it
+/// owns, it serves one batch at a time.
 #pragma once
 
 #include <optional>
@@ -29,7 +25,6 @@
 #include "net/types.hpp"
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
-#include "sim/parallel.hpp"
 
 namespace perigee::runner {
 class ThreadPool;
@@ -37,13 +32,15 @@ class ThreadPool;
 
 namespace perigee::sim {
 
+/// Kept only for perfbench/replay.cpp's `require_mirrored`; nothing in src/
+/// reads it, and it goes with ROADMAP item 1(c).
+enum class RelaxEngine { Batched };
+
 /// Owns the engine choice and the scratch behind it; see the file comment.
 class Relaxer {
  public:
-  /// Egress solver when `egress` is set, else the delay solver with
-  /// `engine` as the round shape's backend.
-  explicit Relaxer(std::optional<EgressConfig> egress = std::nullopt,
-                   RelaxEngine engine = RelaxEngine::Batched);
+  /// Egress solver when `egress` is set, else the delay solver.
+  explicit Relaxer(std::optional<EgressConfig> egress = std::nullopt);
 
   /// The round shape: one broadcast per entry of `sources` over `csr`, all
   /// stripes kept in `out`. `network` must be the one `csr` was compiled
@@ -64,10 +61,8 @@ class Relaxer {
 
  private:
   std::optional<EgressConfig> egress_;
-  RelaxEngine engine_;
   MultiSourceScratch arena_;
   EgressPlanCache plans_;
-  ParallelScratch parallel_;
 };
 
 }  // namespace perigee::sim

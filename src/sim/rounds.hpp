@@ -86,9 +86,9 @@ class RoundRunner {
   void set_thread_pool(runner::ThreadPool* pool) { pool_ = pool; }
 
   /// Installs the relaxation seam the Fast engine's block batches run
-  /// through (default: delay-only, batched). The relaxer alone decides
-  /// between the delay and the egress engine: a queued-transmission config
-  /// is a *result* axis, the delta-stepping backend a wall-clock one.
+  /// through (default: delay-only). The relaxer alone decides between the
+  /// delay and the egress engine; a queued-transmission config is a
+  /// *result* axis.
   void set_relaxer(Relaxer relaxer) { relaxer_ = std::move(relaxer); }
   /// The installed relaxer. Checkpoint and final λ evaluations between
   /// rounds run through it, so rounds and λ share one lane arena and one

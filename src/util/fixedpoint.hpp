@@ -1,10 +1,11 @@
 /// \file
 /// \brief Power-of-two fixed-point quantization of delay keys.
 ///
-/// The delta-stepping engines place Dijkstra keys into uniform-width buckets.
-/// Doing that with a double multiply (`key * inv_width`) rounds: an equal key
-/// can land one bucket low. Quantizing keys onto a fixed-point grid whose
-/// scale is a power of two removes the problem at the root:
+/// The bucket queue (sim/bucket_queue.hpp) places Dijkstra keys into
+/// uniform-width buckets. Doing that with a double multiply
+/// (`key * inv_width`) rounds: an equal key can land one bucket low.
+/// Quantizing keys onto a fixed-point grid whose scale is a power of two
+/// removes the problem at the root:
 ///
 ///  - `q(x) = floor(x * 2^e)` is computed *exactly* for any double in range —
 ///    multiplying by a power of two only shifts the exponent, so the cast

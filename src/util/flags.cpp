@@ -108,6 +108,20 @@ bool Flags::parse(int argc, const char* const* argv) {
   return true;
 }
 
+bool Flags::int_in_range(const std::string& name, std::int64_t lo,
+                         std::int64_t hi) const {
+  const std::int64_t value = get_int(name);
+  if (value >= lo && value <= hi) return true;
+  std::cerr << "bad --" << name << " value '" << value << "' (want ";
+  if (hi == std::numeric_limits<std::int64_t>::max()) {
+    std::cerr << ">= " << lo;
+  } else {
+    std::cerr << lo << ".." << hi;
+  }
+  std::cerr << ")\n";
+  return false;
+}
+
 const Flags::Entry& Flags::lookup(const std::string& name, Kind kind) const {
   auto it = entries_.find(name);
   PERIGEE_ASSERT_MSG(it != entries_.end(), "unregistered flag");

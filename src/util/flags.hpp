@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -31,6 +32,14 @@ class Flags {
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_bool(const std::string& name) const;
+
+  // Range check for an int flag a program would otherwise abort on (or
+  // loop on) deep inside a run: false, after printing "bad --<name> value
+  // '<v>' (want ...)" to stderr, when the value lies outside [lo, hi].
+  // Call it right after parse(), before any work starts.
+  bool int_in_range(
+      const std::string& name, std::int64_t lo,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
 
   void print_usage(std::ostream& os) const;
 

@@ -6,9 +6,9 @@
 // computed the slow, obvious way: a binary std::priority_queue walking the
 // mutable `net::Topology` link lists and resolving δ per edge visit through
 // the `net::Network` — no compiled snapshot, no fixed-point keys, no bucket
-// queue. Every production engine (batched, pooled, parallel delta-stepping,
-// egress at ∞ rate) runs on a `net::CsrTopology` and is held byte-equal to
-// this walker by the parity suites, so it lives here rather than in src/.
+// queue. Every production engine (batched, pooled, egress at ∞ rate) runs
+// on a `net::CsrTopology` and is held byte-equal to this walker by the
+// parity suites, so it lives here rather than in src/.
 //
 // `batch_of_one` is the other side of most of those checks: the production
 // single-source path, which is the batch driver over a one-element span

@@ -168,34 +168,32 @@ TEST(GoldenTrace, CongestionSweepIsJobsInvariant) {
   runner::write_json(parallel, spec, runner::SweepRunner(3).run(spec));
   EXPECT_EQ(sequential.str(), parallel.str());
 
-  // The relaxer's precedence rule: queue cells run the egress engine even
-  // with the delta-stepping backend selected, and delay cells produce the
-  // same bytes under it, so the whole document matches the batched run.
-  spec.base.relax_engine = sim::RelaxEngine::ParallelDelta;
+  // Source-level fan-out inside each experiment (a 2-worker engine pool
+  // for every round batch and λ pass, delay and egress cells alike)
+  // produces the same bytes too.
   spec.base.engine_jobs = 2;
-  std::ostringstream delta;
-  runner::write_json(delta, spec, runner::SweepRunner(1).run(spec));
-  EXPECT_EQ(sequential.str(), delta.str());
+  std::ostringstream pooled;
+  runner::write_json(pooled, spec, runner::SweepRunner(1).run(spec));
+  EXPECT_EQ(sequential.str(), pooled.str());
 }
 
-// Same contract with the parallel delta-stepping engine switched on
-// (`--engine parallel-delta`): the sweep JSON stays bit-identical both
-// across sweep worker counts and against the batched-engine run above —
-// the engine knob is a wall-clock A/B switch, never a result axis.
+// Same contract with a 2-worker engine pool inside every experiment: the
+// sweep JSON stays bit-identical both across sweep worker counts and
+// against the inline run above — the engine worker count is a wall-clock
+// knob, never a result axis.
 TEST(GoldenTrace, GoldenSweepIsEngineAndJobsInvariant) {
   runner::SweepSpec spec = golden_spec();
-  std::ostringstream batched;
-  runner::write_json(batched, spec, runner::SweepRunner(1).run(spec));
+  std::ostringstream inline_run;
+  runner::write_json(inline_run, spec, runner::SweepRunner(1).run(spec));
 
-  spec.base.relax_engine = sim::RelaxEngine::ParallelDelta;
-  spec.base.engine_jobs = 2;  // worker teams inside each broadcast
-  std::ostringstream delta_seq, delta_par;
-  runner::write_json(delta_seq, spec, runner::SweepRunner(1).run(spec));
-  runner::write_json(delta_par, spec, runner::SweepRunner(3).run(spec));
-  EXPECT_EQ(delta_seq.str(), delta_par.str());
-  // The engine echo lives nowhere in the JSON, so the whole document must
-  // match the batched run byte for byte.
-  EXPECT_EQ(batched.str(), delta_seq.str());
+  spec.base.engine_jobs = 2;  // source fan-out inside each experiment
+  std::ostringstream pooled_seq, pooled_par;
+  runner::write_json(pooled_seq, spec, runner::SweepRunner(1).run(spec));
+  runner::write_json(pooled_par, spec, runner::SweepRunner(3).run(spec));
+  EXPECT_EQ(pooled_seq.str(), pooled_par.str());
+  // The worker count lives nowhere in the JSON, so the whole document must
+  // match the inline run byte for byte.
+  EXPECT_EQ(inline_run.str(), pooled_seq.str());
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "net/csr.hpp"
 #include "sim/batch.hpp"
-#include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -20,11 +19,9 @@ constexpr std::size_t kLine = 64;
 
 // The compile-time halves of the guard (duplicated from the engine TUs so a
 // header regression fails this test even if the TU asserts were dropped;
-// the runtime alignment of both lane pools is checked below).
-static_assert(alignof(sim::MultiSourceScratch::Lane) >= kLine,
-              "MultiSourceScratch lanes must be cache-line aligned");
-static_assert(alignof(sim::ParallelScratch::Lane) >= kLine,
-              "ParallelScratch lanes must be cache-line aligned");
+// the runtime alignment of the lane arena is checked below).
+static_assert(alignof(sim::SourceLane) >= kLine,
+              "SourceLane must be cache-line aligned");
 static_assert(sizeof(sim::BucketQueue::Entry) == 16,
               "bucket entries are packed to two per load pair");
 
@@ -83,12 +80,6 @@ TEST(BatchLayout, ScratchLanesStartOnTheirOwnCacheLine) {
   for (std::size_t i = 0; i < scratch.lanes(); ++i) {
     const auto addr = reinterpret_cast<std::uintptr_t>(&scratch.lane(i));
     EXPECT_EQ(addr % kLine, 0u) << "lane " << i;
-  }
-  sim::ParallelScratch pscratch;
-  pscratch.ensure_lanes(4);
-  for (std::size_t i = 0; i < pscratch.lanes(); ++i) {
-    const auto addr = reinterpret_cast<std::uintptr_t>(&pscratch.lane(i));
-    EXPECT_EQ(addr % kLine, 0u) << "parallel lane " << i;
   }
 }
 

@@ -6,8 +6,7 @@
 // clustered networks, adversarial withholding, churn-mutated graphs, infra
 // overlays, disconnected fragments — each asserting that
 //
-//      Topology-walking oracle  ≡  batched engine  ≡  parallel delta-stepping
-//                               ≡  egress engine at ∞ rate
+//      Topology-walking oracle  ≡  batched engine  ≡  egress engine at ∞ rate
 //
 // byte-for-byte on the arrival AND ready vectors (memcmp of the doubles, so
 // even a one-ulp divergence or a -0.0 fails). The oracle is the test-only
@@ -15,9 +14,6 @@
 // bucket-queue fast path and (where the graph forces it) the heap
 // fallback, and once more through a ThreadPool to pin the any-worker-count
 // determinism contract.
-// The parallel delta-stepping engine runs at worker counts 1, 2, and 4 in
-// every regime (including the zero-δ heap-fallback, disconnected, and
-// churn-patched shapes).
 // The egress queuing engine (sim/egress.hpp) joins at infinite rate and
 // zero message size, where docs/TRANSMISSION_MODEL.md claims it IS the
 // delay-only model: single-source and batched (inline + pooled), all held
@@ -45,7 +41,6 @@
 #include "scenario/scenario.hpp"
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
-#include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -68,9 +63,8 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
-// One differential case: all engines from a spread of miners, batched
-// engine both inline and across a 3-worker pool, and the parallel
-// delta-stepping engine at worker counts 1/2/4.
+// One differential case: all engines from a spread of miners, each both
+// inline and across a 3-worker pool.
 void expect_engine_parity(const net::Topology& topology,
                           const net::Network& network, const char* regime,
                           std::uint64_t seed) {
@@ -91,15 +85,10 @@ void expect_engine_parity(const net::Topology& topology,
   sim::simulate_broadcast_batch(csr, miners, scratch, batched);
 
   sim::MultiSourceResult pooled;
-  runner::ThreadPool pool2(2);
-  runner::ThreadPool pool4(4);
   {
     runner::ThreadPool pool(3);
     sim::simulate_broadcast_batch(csr, miners, scratch, pooled, &pool);
   }
-
-  sim::ParallelScratch parallel_scratch;
-  sim::BroadcastResult par1, par2, par4;
 
   // Egress queuing engine in its delay-only corner: unlimited rate + zero
   // message size. The documented contract (docs/TRANSMISSION_MODEL.md) is
@@ -141,20 +130,6 @@ void expect_engine_parity(const net::Topology& topology,
     EXPECT_TRUE(bytes_equal(egress_batched.ready_of(s), want.ready));
     EXPECT_TRUE(bytes_equal(egress_pooled.arrival_of(s), want.arrival));
     EXPECT_TRUE(bytes_equal(egress_pooled.ready_of(s), want.ready));
-
-    // Parallel delta-stepping: byte-identical to the oracle at any
-    // worker count (1 = inline, 2 and 4 = barrier teams).
-    sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par1);
-    sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par2,
-                                     &pool2);
-    sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par4,
-                                     &pool4);
-    EXPECT_TRUE(bytes_equal(par1.arrival, want.arrival));
-    EXPECT_TRUE(bytes_equal(par1.ready, want.ready));
-    EXPECT_TRUE(bytes_equal(par2.arrival, want.arrival));
-    EXPECT_TRUE(bytes_equal(par2.ready, want.ready));
-    EXPECT_TRUE(bytes_equal(par4.arrival, want.arrival));
-    EXPECT_TRUE(bytes_equal(par4.ready, want.ready));
   }
 }
 

@@ -1,15 +1,15 @@
-// Scale soak (integration tier): n = 10^5 broadcasts through both
-// round-loop engines, held to
+// Scale soak (integration tier): n = 10^5 broadcasts through the round
+// loop's delay engine (one 8-source round batch across a 2-worker pool),
+// held to
 //
-//  - completion: every BFS-reachable node gets a finite arrival, every
-//    unreachable node stays +inf (exact count equality, not a sample);
+//  - completion: for every source, every BFS-reachable node gets a finite
+//    arrival and every unreachable node stays +inf (exact count equality,
+//    not a sample);
 //  - byte parity with the Topology-walking oracle (tests/broadcast_oracle.hpp)
-//    at this scale, for the parallel delta-stepping engine (one source, a
-//    2-worker team) and for the batched engine (one 8-source round batch
-//    across a 2-worker pool, every stripe);
+//    at this scale, every stripe;
 //  - the whole process stays under a declared peak-RSS budget
-//    (obs::peak_rss_kb, i.e. VmHWM — the same number BENCH_scale.json
-//    anchors), scaled up under sanitizer builds for shadow/redzone cost.
+//    (obs::peak_rss_kb, i.e. VmHWM), scaled up under sanitizer builds for
+//    shadow/redzone cost.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +23,6 @@
 #include "obs/meta.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/batch.hpp"
-#include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -86,50 +85,37 @@ TEST(ScaleSoak, HundredThousandNodeBroadcastCompletesWithinBudget) {
   // purposes; guard the premise so a silently-empty graph cannot pass.
   ASSERT_GT(reachable, kNodes / 2);
 
-  // The tentpole path: one source, a worker team inside the broadcast.
+  // One round-shaped batch of 8 miners across a 2-worker pool: every
+  // stripe completes and is byte-equal to the oracle at this scale, not
+  // just on the diff harness's small graphs.
   runner::ThreadPool pool(2);
-  sim::ParallelScratch scratch;
-  sim::BroadcastResult result;
-  sim::simulate_broadcast_parallel(csr, src, scratch, result, &pool);
-
-  std::size_t finite = 0;
-  for (const double a : result.arrival) finite += std::isfinite(a) ? 1 : 0;
-  EXPECT_EQ(finite, reachable);
-  EXPECT_EQ(result.arrival[src], 0.0);
-  EXPECT_EQ(result.ready[src], 0.0);
-
-  // Byte parity with the oracle holds at scale, not just on the diff
-  // harness's small graphs.
-  const sim::BroadcastResult reference =
-      oracle::simulate_broadcast(topology, network, src);
-  ASSERT_EQ(reference.arrival.size(), result.arrival.size());
-  EXPECT_EQ(std::memcmp(reference.arrival.data(), result.arrival.data(),
-                        kNodes * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(reference.ready.data(), result.ready.data(),
-                        kNodes * sizeof(double)),
-            0);
-
-  // The production engine at scale: one round-shaped batch of 8 miners
-  // across the pool, every stripe byte-equal to the oracle.
   const std::vector<net::NodeId> miners = {src,   0,     1,     4242,
                                            31337, 50000, 77777, kNodes - 1};
-  sim::MultiSourceScratch batch_scratch;
+  sim::MultiSourceScratch scratch;
   sim::MultiSourceResult batched;
-  sim::simulate_broadcast_batch(csr, miners, batch_scratch, batched, &pool);
+  sim::simulate_broadcast_batch(csr, miners, scratch, batched, &pool);
   for (std::size_t s = 0; s < miners.size(); ++s) {
     SCOPED_TRACE(::testing::Message() << "miner=" << miners[s]);
+    const auto arrival = batched.arrival_of(s);
+    const auto ready = batched.ready_of(s);
+    std::size_t finite = 0;
+    for (const double a : arrival) finite += std::isfinite(a) ? 1 : 0;
+    EXPECT_EQ(finite, reachable_count(csr, miners[s]));
+    EXPECT_EQ(arrival[miners[s]], 0.0);
+    EXPECT_EQ(ready[miners[s]], 0.0);
+
     const sim::BroadcastResult want =
         oracle::simulate_broadcast(topology, network, miners[s]);
-    EXPECT_EQ(std::memcmp(batched.arrival_of(s).data(), want.arrival.data(),
+    ASSERT_EQ(want.arrival.size(), arrival.size());
+    EXPECT_EQ(std::memcmp(arrival.data(), want.arrival.data(),
                           kNodes * sizeof(double)),
               0);
-    EXPECT_EQ(std::memcmp(batched.ready_of(s).data(), want.ready.data(),
+    EXPECT_EQ(std::memcmp(ready.data(), want.ready.data(),
                           kNodes * sizeof(double)),
               0);
   }
 
-  // The budget BENCH_scale.json anchors, asserted on the live process.
+  // The declared budget, asserted on the live process.
   const std::int64_t peak_kb = obs::peak_rss_kb();
   ASSERT_GT(peak_kb, 0) << "VmHWM unavailable";
   EXPECT_LT(peak_kb, kPeakRssBudgetKb)

@@ -92,13 +92,13 @@ TEST(GridFingerprint, PinnedLiterals) {
 }
 
 TEST(GridFingerprint, IgnoresWallClockOnlyKnobs) {
-  // A checkpoint taken under one engine must resume under another: these
-  // switches are byte-parity-pinned elsewhere and not result axes.
+  // A checkpoint taken at one engine worker count or CSR mode must resume
+  // under another: these switches are byte-parity-pinned elsewhere and not
+  // result axes.
   const std::string fingerprint = grid_fingerprint(service_spec());
   SweepSpec changed = service_spec();
   changed.base.engine_jobs = 8;
   changed.base.incremental_csr = false;
-  changed.base.relax_engine = sim::RelaxEngine::ParallelDelta;
   EXPECT_EQ(grid_fingerprint(changed), fingerprint);
 }
 
