@@ -25,7 +25,9 @@
 //
 // Results are bit-identical at any --jobs value, resumed or not, sharded or
 // not; see src/runner/sweep.hpp.
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -356,12 +358,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const std::int64_t seeds = flags.get_int("seeds");
-  if (seeds < 0) {
-    std::cerr << "bad --seeds value '" << seeds
-              << "' (want >= 0; 0 keeps the preset)\n";
+  if (!flags.int_in_range("seeds", 0, std::numeric_limits<int>::max())) {
     return 1;
   }
+  const std::int64_t seeds = flags.get_int("seeds");
   if (seeds > 0) spec.seeds = static_cast<int>(seeds);
   spec.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   // Checked here, not at the λ evaluation's assert: a CLI typo must be a
@@ -379,9 +379,28 @@ int main(int argc, char** argv) {
     spec.name = name;
   }
 
+  // Round counts the int round loop cannot hold. Unchecked, they wrap and
+  // the cell runs no learning round at all: the --blocks axis re-cuts the
+  // block budget rounds x |B| of every rounds value into rounds of its |B|.
+  constexpr std::int64_t kMaxRounds = std::numeric_limits<int>::max();
+  if (!spec.blocks_per_round.empty()) {
+    std::vector<int> rounds = spec.rounds;
+    if (rounds.empty()) rounds.push_back(spec.base.rounds);
+    for (const int r : rounds) {
+      const std::int64_t budget = std::int64_t{r} * spec.base.blocks_per_round;
+      if (budget > kMaxRounds) {
+        std::cerr << "bad --blocks grid: block budget rounds x |B| = " << r
+                  << " x " << spec.base.blocks_per_round << " (want <= "
+                  << kMaxRounds << ")\n";
+        return 1;
+      }
+    }
+  }
+
   // Cell combinations that would abort deep inside a job: the relay
-  // overlay picks its members from the network, and the message-level
-  // gossip engine has no egress queuing model.
+  // overlay picks its members from the network, the message-level gossip
+  // engine has no egress queuing model, and UCB runs rounds x |B|
+  // single-block rounds.
   const std::vector<runner::SweepCell> cells = runner::expand_grid(spec);
   for (const runner::SweepCell& cell : cells) {
     const core::ExperimentConfig& config = cell.config;
@@ -394,6 +413,13 @@ int main(int argc, char** argv) {
     if (config.message_level && config.scenario.transmission.enabled()) {
       std::cerr << "cell '" << cell.label
                 << "': gossip learning does not support transmission=queue\n";
+      return 1;
+    }
+    if (core::learning_rounds(config) > kMaxRounds) {
+      std::cerr << "cell '" << cell.label
+                << "': UCB runs rounds x |B| = " << config.rounds << " x "
+                << config.blocks_per_round << " single-block rounds (want <= "
+                << kMaxRounds << ")\n";
       return 1;
     }
   }

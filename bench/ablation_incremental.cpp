@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   flags.add_int("seeds", 1, "independent repetitions");
   if (!flags.parse(argc, argv)) return 1;
   const auto base = bench::config_from_flags(flags);
-  if (!base || !flags.int_in_range("seeds", 1)) return 1;
+  if (!base || !flags.int_in_range("seeds", 1, bench::kIntMax)) return 1;
   const std::int64_t seeds = flags.get_int("seeds");
   const bench::TraceSession trace_session(flags);
   const int jobs = bench::jobs_from_flags(flags);

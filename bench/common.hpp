@@ -6,8 +6,10 @@
 // (runner::print_tables).
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,6 +77,9 @@ class TraceSession {
   std::string path_;
 };
 
+// Upper bound for flags the benches narrow to int.
+inline constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
 inline int jobs_from_flags(const util::Flags& flags) {
   return static_cast<int>(flags.get_int("jobs"));
 }
@@ -84,7 +89,8 @@ inline int jobs_from_flags(const util::Flags& flags) {
 // nullopt, so the bench exits 1 before any work starts.
 inline std::optional<core::ExperimentConfig> config_from_flags(
     const util::Flags& flags) {
-  if (!flags.int_in_range("nodes", 2) || !flags.int_in_range("rounds", 0)) {
+  if (!flags.int_in_range("nodes", 2) ||
+      !flags.int_in_range("rounds", 0, kIntMax)) {
     return std::nullopt;
   }
   const double coverage = flags.get_double("coverage");

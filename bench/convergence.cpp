@@ -18,7 +18,9 @@ int main(int argc, char** argv) {
   flags.add_int("checkpoint_every", 10, "evaluate every N rounds");
   if (!flags.parse(argc, argv)) return 1;
   const auto base = bench::config_from_flags(flags);
-  if (!base || !flags.int_in_range("checkpoint_every", 1)) return 1;
+  if (!base || !flags.int_in_range("checkpoint_every", 1, bench::kIntMax)) {
+    return 1;
+  }
   const int every = static_cast<int>(flags.get_int("checkpoint_every"));
   const bench::TraceSession trace_session(flags);
   const int jobs = bench::jobs_from_flags(flags);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <optional>
 
 #include "metrics/edge_hist.hpp"
@@ -161,6 +162,13 @@ void build_initial_topology(const ExperimentConfig& config,
   }
 }
 
+std::int64_t learning_rounds(const ExperimentConfig& config) {
+  const std::int64_t rounds = config.rounds;
+  return config.algorithm == Algorithm::PerigeeUcb
+             ? rounds * config.blocks_per_round
+             : rounds;
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   return run_experiment(config, build_scenario(config));
 }
@@ -206,8 +214,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (is_adaptive(config.algorithm) || config.scenario.churn.enabled()) {
     // UCB is a |B|=1 method: same total block budget, shorter rounds.
     const bool ucb = config.algorithm == Algorithm::PerigeeUcb;
-    const int total_rounds =
-        ucb ? config.rounds * config.blocks_per_round : config.rounds;
+    const std::int64_t learning = learning_rounds(config);
+    PERIGEE_ASSERT_MSG(learning <= std::numeric_limits<int>::max(),
+                       "UCB round count rounds x |B| exceeds INT_MAX");
+    const auto total_rounds = static_cast<int>(learning);
     // Static baselines reach this loop only under churn, and then only the
     // mutations matter: no selector reads the observations and no block
     // hook is installed, so simulate one block per round instead of |B|

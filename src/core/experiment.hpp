@@ -142,6 +142,11 @@ Scenario clone_scenario(const Scenario& scenario);
 // static ones).
 void build_initial_topology(const ExperimentConfig& config, Scenario& scenario);
 
+// Learning rounds run_experiment runs for an adaptive or churned config:
+// `rounds`, or rounds × blocks_per_round single-block rounds for UCB. In 64
+// bits, so a caller can reject a count the int round loop cannot hold.
+std::int64_t learning_rounds(const ExperimentConfig& config);
+
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 // run_experiment over a prebuilt scenario (taken by value: the round loop

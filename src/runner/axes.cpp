@@ -281,7 +281,9 @@ std::vector<SweepAxis> make_axes() {
           &SweepSpec::blocks_per_round,
           [](const Config& c) { return c.blocks_per_round; },
           [](Config& c, int v) {
-            c.rounds = c.rounds * c.blocks_per_round / v;
+            // 64-bit budget; perigee_sweep rejects one past INT_MAX.
+            const std::int64_t rounds = c.rounds;
+            c.rounds = static_cast<int>(rounds * c.blocks_per_round / v);
             c.blocks_per_round = v;
           },
           integer<int>([](double v, const Config&) { return v >= 1; },

@@ -14,16 +14,20 @@ void ObservationTable::begin_round(const net::Topology& topology,
   PERIGEE_ASSERT(blocks_per_round > 0);
   blocks_per_round_ = blocks_per_round;
   blocks_recorded_ = 0;
-  nodes_.assign(topology.size(), {});
+  // Per-node storage is reused across rounds: clear() keeps the capacity.
+  nodes_.resize(topology.size());
+  is_out_.resize(topology.size(), 0);
   for (net::NodeId v = 0; v < topology.size(); ++v) {
     PerNode& pn = nodes_[v];
-    const auto& adj = topology.adjacency(v);
-    pn.neighbors.reserve(adj.size());
-    pn.outgoing.reserve(adj.size());
-    for (const auto& link : adj) {
+    const auto& out = topology.out(v);
+    for (const net::NodeId u : out) is_out_[u] = 1;
+    pn.neighbors.clear();
+    pn.outgoing.clear();
+    for (const auto& link : topology.adjacency(v)) {
       pn.neighbors.push_back(link.peer);
-      pn.outgoing.push_back(topology.has_out(v, link.peer) ? 1 : 0);
+      pn.outgoing.push_back(is_out_[link.peer]);
     }
+    for (const net::NodeId u : out) is_out_[u] = 0;
     pn.rel.assign(pn.neighbors.size() * blocks_per_round_, util::kInf);
   }
 }

@@ -70,6 +70,8 @@ class ObservationTable {
   std::size_t blocks_per_round_ = 0;
   std::size_t blocks_recorded_ = 0;
   std::vector<double> scratch_;  // per-neighbor absolute times of one block
+  // begin_round's marks: 1 at the out-peers of the node being captured.
+  std::vector<std::uint8_t> is_out_;
 };
 
 }  // namespace perigee::sim

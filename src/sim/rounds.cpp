@@ -89,13 +89,13 @@ void RoundRunner::run_round() {
     }
   }
 
-  std::vector<net::NodeId> order(topology_->size());
-  std::iota(order.begin(), order.end(), 0);
-  update_rng_.shuffle(order);
+  order_.resize(topology_->size());
+  std::iota(order_.begin(), order_.end(), 0);
+  update_rng_.shuffle(order_);
 
   RoundContext ctx{obs_,        *topology_,  *network_,
                    update_rng_, rounds_run_, addrman_};
-  for (net::NodeId v : order) {
+  for (net::NodeId v : order_) {
     selectors_[v]->on_round_end(v, ctx);
   }
   if (addrman_ != nullptr) {

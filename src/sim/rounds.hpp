@@ -140,6 +140,7 @@ class RoundRunner {
   ObservationTable obs_;
   net::CsrCache csr_cache_;         // one compile per round (or fewer)
   std::vector<net::NodeId> miners_; // the round's pre-sampled miner batch
+  std::vector<net::NodeId> order_;  // the round's shuffled update order
   Relaxer relaxer_;                 // the engine choice and its arenas
   MultiSourceResult batch_result_;  // SoA stripes, reused across rounds
   BroadcastResult block_result_;    // reused per-block shim for hooks

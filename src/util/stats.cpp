@@ -55,6 +55,13 @@ double percentile_in_place(std::span<double> sample, double q) {
   return interpolate(*lo, b, r.frac);
 }
 
+double percentile_from_ranks(double lo_value, double hi_value, std::size_t n,
+                             double q) {
+  PERIGEE_ASSERT(n >= 1 && q >= 0.0 && q <= 1.0);
+  if (n == 1) return lo_value;
+  return interpolate(lo_value, hi_value, rank_of(n, q).frac);
+}
+
 std::size_t percentile_lower_rank(std::size_t n, double q) {
   PERIGEE_ASSERT(n >= 1 && q >= 0.0 && q <= 1.0);
   return rank_of(n, q).lo;

@@ -29,6 +29,12 @@ double percentile_sorted(std::span<const double> sorted, double q);
 // of copying it. For callers that own a scratch buffer they refill anyway.
 double percentile_in_place(std::span<double> sample, double q);
 
+// Same estimator from the two order statistics it reads, for callers that
+// keep only those: `lo_value` at rank percentile_lower_rank(n, q) and
+// `hi_value` at the next rank (the same rank when it is the last).
+double percentile_from_ranks(double lo_value, double hi_value, std::size_t n,
+                             double q);
+
 // Rank (0-based, ascending) of the lower order statistic the estimator
 // interpolates from, for a sample of n >= 1 entries. The percentile is never
 // below that statistic — a bound callers can test without selecting.

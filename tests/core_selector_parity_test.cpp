@@ -367,5 +367,19 @@ TEST(SelectorParity, UcbWithResetsMatchesDequeReference) {
             0);
 }
 
+// Arms dropped by a disconnect or a reset keep their storage for the next
+// neighbor; at the median the split window's sorted part is half the
+// window, so reused storage is exercised on both sides of the split.
+TEST(SelectorParity, UcbMedianWithResetsMatchesDequeReference) {
+  PerigeeParams params;
+  params.percentile = 0.5;
+  params.ucb_window = 16;
+  params.ucb_c = 50.0;
+  EXPECT_GT(expect_same_decisions(Algorithm::PerigeeUcb,
+                                  ref_selectors<RefUcb>(params), params, 200,
+                                  1, /*reset_every=*/25),
+            0);
+}
+
 }  // namespace
 }  // namespace perigee::core

@@ -8,6 +8,7 @@
 
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace perigee::core {
@@ -208,66 +209,117 @@ struct WindowOracle final : sim::NeighborSelector {
   std::vector<double> history;  // every sample fed, in order
 };
 
-TEST(UcbArmWindow, EvictsOldestAndStaysSorted) {
-  // Node 0's only outgoing neighbor is 1 (so it is never disconnected); 2
-  // is an incoming neighbor. Eight miners at distinct points feed both, so
-  // neighbor 1's relative time takes a few values per miner, in random
-  // order and with many repeats.
+// Node 0's only outgoing neighbor is 1 (so it is never disconnected); 2 is
+// an incoming neighbor. Eight miners at distinct points feed both, so
+// neighbor 1's relative time takes a few values per miner, in random order
+// and with many repeats. Checks the arm's window against the oracle's after
+// every round.
+void expect_window_matches_oracle(double q, int window) {
+  SCOPED_TRACE(testing::Message() << "q " << q << " window " << window);
   const std::vector<std::pair<double, double>> points = {
       {0, 0},    {10, 0},   {-10, 0}, {40, 30}, {-35, 20}, {5, -60},
       {-80, -5}, {70, -40}, {0, 90},  {-20, -45}, {25, 15}};
-  for (int window : {1, 4, 256}) {
-    net::NetworkOptions options;
-    options.n = points.size();
-    options.latency = net::NetworkOptions::LatencyKind::Euclidean;
-    options.embed_dim = 2;
-    options.embed_scale_ms = 1.0;
-    options.handshake_factor = 1.0;
-    options.validation_mean_ms = 0.0;
-    options.validation_spread = 0.0;
-    net::Network network = net::Network::build(options);
-    auto& profiles = network.mutable_profiles();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      profiles[i].coords = {points[i].first, points[i].second, 0, 0, 0};
-      profiles[i].hash_power = i >= 3 ? 1.0 : 0.0;
-    }
-    net::Topology t(points.size(), {.out_cap = 2, .in_cap = 20});
-    ASSERT_TRUE(t.connect(0, 1));
-    ASSERT_TRUE(t.connect(2, 0));
-    for (net::NodeId m = 3; m < points.size(); ++m) {
-      ASSERT_TRUE(t.connect(m, 1));
-      ASSERT_TRUE(t.connect(m, 2));
-    }
+  net::NetworkOptions options;
+  options.n = points.size();
+  options.latency = net::NetworkOptions::LatencyKind::Euclidean;
+  options.embed_dim = 2;
+  options.embed_scale_ms = 1.0;
+  options.handshake_factor = 1.0;
+  options.validation_mean_ms = 0.0;
+  options.validation_spread = 0.0;
+  net::Network network = net::Network::build(options);
+  auto& profiles = network.mutable_profiles();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    profiles[i].coords = {points[i].first, points[i].second, 0, 0, 0};
+    profiles[i].hash_power = i >= 3 ? 1.0 : 0.0;
+  }
+  net::Topology t(points.size(), {.out_cap = 2, .in_cap = 20});
+  ASSERT_TRUE(t.connect(0, 1));
+  ASSERT_TRUE(t.connect(2, 0));
+  for (net::NodeId m = 3; m < points.size(); ++m) {
+    ASSERT_TRUE(t.connect(m, 1));
+    ASSERT_TRUE(t.connect(m, 2));
+  }
 
-    PerigeeParams params;
-    params.ucb_window = window;
-    params.ucb_c = 0.0;
-    auto* oracle = new WindowOracle(params, 1);
-    std::vector<std::unique_ptr<sim::NeighborSelector>> selectors;
-    selectors.emplace_back(oracle);
-    for (std::size_t i = 1; i < points.size(); ++i) {
-      selectors.push_back(std::make_unique<sim::StaticSelector>());
+  PerigeeParams params;
+  params.ucb_window = window;
+  params.ucb_c = 0.0;
+  params.percentile = q;
+  auto* oracle = new WindowOracle(params, 1);
+  std::vector<std::unique_ptr<sim::NeighborSelector>> selectors;
+  selectors.emplace_back(oracle);
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    selectors.push_back(std::make_unique<sim::StaticSelector>());
+  }
+  sim::RoundRunner runner(network, t, std::move(selectors), 1, 11);
+  for (int round = 0; round < 300; ++round) {
+    runner.run_round();
+    ASSERT_TRUE(t.has_out(0, 1));
+    const auto b = oracle->ucb.bounds_for(1);
+    ASSERT_EQ(b.samples, oracle->recent.size()) << "round " << round;
+    ASSERT_EQ(b.estimate, oracle->expected_estimate(q)) << "round " << round;
+  }
+  // The feed really overflowed the window with repeats and decreases.
+  const auto& h = oracle->history;
+  EXPECT_GT(h.size(), static_cast<std::size_t>(window));
+  std::vector<double> distinct = h;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  EXPECT_GE(distinct.size(), 3u);
+  EXPECT_LT(distinct.size(), h.size());
+  EXPECT_FALSE(std::is_sorted(h.begin(), h.end()));
+}
+
+TEST(UcbArmWindow, EvictsOldestAndStaysSorted) {
+  // The arm keeps only the n − ⌊q(n−1)⌋ largest samples sorted, so the
+  // percentile sweeps the split: q = 0 keeps every sample sorted, q = 1
+  // only the maximum.
+  for (const double q : {0.0, 0.5, 0.9, 1.0}) {
+    for (const int window : {1, 2, 7, 256}) {
+      expect_window_matches_oracle(q, window);
     }
-    sim::RoundRunner runner(network, t, std::move(selectors), 1, 11);
-    for (int round = 0; round < 300; ++round) {
-      runner.run_round();
-      ASSERT_TRUE(t.has_out(0, 1));
-      const auto b = oracle->ucb.bounds_for(1);
-      ASSERT_EQ(b.samples, oracle->recent.size())
-          << "window " << window << " round " << round;
-      ASSERT_EQ(b.estimate, oracle->expected_estimate(params.percentile))
-          << "window " << window << " round " << round;
+  }
+}
+
+// Sample `step` of a feed that stresses the split: random values, half of
+// them from four repeated ones so ties straddle the boundary, then a
+// falling run (every eviction from the sorted part needs a refill) and a
+// rising run (every new sample enters the sorted part).
+double split_feed(int step, util::Rng& rng) {
+  if (step < 1000) {
+    return rng.bernoulli(0.5) ? std::floor(rng.uniform(0.0, 4.0))
+                              : rng.uniform(0.0, 4.0);
+  }
+  if (step < 2000) return 4.0 - 0.001 * (step - 1000);
+  return 0.001 * (step - 2000);
+}
+
+TEST(UcbWindow, MatchesSortedOracleOnSplitStressFeeds) {
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    for (const std::size_t capacity : {1, 2, 3, 7, 16, 256}) {
+      SCOPED_TRACE(testing::Message() << "q " << q << " capacity "
+                                      << capacity);
+      util::Rng rng(17);
+      UcbWindow window;
+      std::deque<double> recent;
+      std::vector<double> sorted;
+      for (int step = 0; step < 3000; ++step) {
+        if (step == 2500) {  // reused storage must start clean
+          window.clear();
+          recent.clear();
+        }
+        const double value = split_feed(step, rng);
+        window.add(value, capacity, q);
+        recent.push_back(value);
+        if (recent.size() > capacity) recent.pop_front();
+        sorted.assign(recent.begin(), recent.end());
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(window.size(), recent.size()) << "step " << step;
+        ASSERT_EQ(window.percentile(q), util::percentile_sorted(sorted, q))
+            << "step " << step;
+      }
     }
-    // The feed really overflowed the window with repeats and decreases.
-    const auto& h = oracle->history;
-    EXPECT_GT(h.size(), static_cast<std::size_t>(window));
-    std::vector<double> distinct = h;
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    EXPECT_GE(distinct.size(), 3u);
-    EXPECT_LT(distinct.size(), h.size());
-    EXPECT_FALSE(std::is_sorted(h.begin(), h.end()));
   }
 }
 
