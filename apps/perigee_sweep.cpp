@@ -379,9 +379,10 @@ int main(int argc, char** argv) {
     spec.name = name;
   }
 
-  // Round counts the int round loop cannot hold. Unchecked, they wrap and
-  // the cell runs no learning round at all: the --blocks axis re-cuts the
-  // block budget rounds x |B| of every rounds value into rounds of its |B|.
+  // The --blocks axis re-cuts the block budget rounds x |B| of every rounds
+  // value into rounds of its |B|. A budget the int round loop cannot hold
+  // would wrap to no learning round at all, and a |B| that does not divide
+  // the budget would silently drop the remainder blocks.
   constexpr std::int64_t kMaxRounds = std::numeric_limits<int>::max();
   if (!spec.blocks_per_round.empty()) {
     std::vector<int> rounds = spec.rounds;
@@ -393,6 +394,14 @@ int main(int argc, char** argv) {
                   << " x " << spec.base.blocks_per_round << " (want <= "
                   << kMaxRounds << ")\n";
         return 1;
+      }
+      for (const int b : spec.blocks_per_round) {
+        if (budget % b != 0) {
+          std::cerr << "bad --blocks grid: |B| = " << b
+                    << " does not divide the block budget rounds x |B| = "
+                    << r << " x " << spec.base.blocks_per_round << "\n";
+          return 1;
+        }
       }
     }
   }

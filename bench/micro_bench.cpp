@@ -1,6 +1,7 @@
 // Engine micro-benchmarks (google-benchmark): per-block broadcast cost on
 // every engine over a compiled CSR snapshot, CSR compile and refresh cost,
-// message-level gossip cost, scoring costs, and the sampling primitives.
+// message-level gossip cost, observation recording, scoring costs, and the
+// sampling primitives.
 // These bound the wall-clock of the figure benches: one Figure-3 curve is
 // rounds x blocks broadcasts plus n subset-scorings per round.
 //
@@ -23,6 +24,7 @@
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
 #include "sim/gossip.hpp"
+#include "sim/observations.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -183,6 +185,35 @@ BENCHMARK(BM_BroadcastBatchRound)
     ->Arg(200)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
+
+// One round of observation recording, the perfbench `sim.observe_begin_s`
+// and `sim.record_s` layers: begin_round, then record_block for each of a
+// |B| = 100 batch's stripes (the batch itself runs outside the clock).
+void BM_ObservationRound(benchmark::State& state) {
+  Fixture f(static_cast<std::size_t>(state.range(0)));
+  const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
+  mining::AliasSampler sampler =
+      mining::AliasSampler::from_hash_power(*f.network);
+  util::Rng rng(11);
+  std::vector<net::NodeId> miners(100);
+  for (auto& m : miners) {
+    m = static_cast<net::NodeId>(sampler.sample(rng));
+  }
+  sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult result;
+  sim::simulate_broadcast_batch(csr, miners, scratch, result);
+  sim::ObservationTable obs;
+  for (auto _ : state) {
+    obs.begin_round(f.topology, miners.size());
+    for (std::size_t b = 0; b < miners.size(); ++b) {
+      obs.record_block(csr, miners[b], result.ready_of(b));
+    }
+    benchmark::DoNotOptimize(obs.rel_times(0, 0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * miners.size());
+}
+BENCHMARK(BM_ObservationRound)->Arg(200)->Arg(2500);
 
 // Per-round topology-refresh pairs recorded in BENCH_incremental_csr.json:
 // full flat-graph recompile vs the journal patch path, refresh isolated

@@ -14,12 +14,11 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   const std::size_t blocks = obs.blocks_recorded();
 
   // Candidate rows: relative timestamps of each outgoing neighbor.
-  std::vector<net::NodeId> candidates;
+  const auto candidates = obs.out_peers(self);
   std::vector<std::span<const double>> rows;
-  for (std::size_t i = 0; i < obs.neighbor_count(self); ++i) {
-    if (!obs.is_outgoing(self, i)) continue;
-    candidates.push_back(obs.neighbors(self)[i]);
-    rows.push_back(obs.rel_times(self, i));
+  rows.reserve(candidates.size());
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    rows.push_back(obs.rel_times(self, k));
   }
   if (candidates.empty()) {
     retain_and_explore(ctx.topology, self, {}, ctx.rng, ctx.addrman);

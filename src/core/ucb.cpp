@@ -167,11 +167,10 @@ void UcbSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
 
   // Line the arms up with the outgoing neighbors in adjacency order and fold
   // this round's finite relative timestamps into each one's window.
-  const auto neighbors = obs.neighbors(self);
+  const auto peers = obs.out_peers(self);
   std::size_t matched = 0;
-  for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    if (!obs.is_outgoing(self, i)) continue;
-    const net::NodeId u = neighbors[i];
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    const net::NodeId u = peers[i];
     std::size_t k = matched;
     while (k < live_ && arms_[k].neighbor != u) ++k;
     if (k == live_) {

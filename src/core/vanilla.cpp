@@ -13,12 +13,12 @@ void VanillaSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   // set cannot have changed mid-round.
   std::vector<std::pair<double, net::NodeId>> scored;
   std::vector<double> times;  // one neighbor's row, reordered by scoring
-  for (std::size_t i = 0; i < obs.neighbor_count(self); ++i) {
-    if (!obs.is_outgoing(self, i)) continue;
-    const auto row = obs.rel_times(self, i);
+  const auto peers = obs.out_peers(self);
+  for (std::size_t k = 0; k < peers.size(); ++k) {
+    const auto row = obs.rel_times(self, k);
     times.assign(row.begin(), row.end());
     const double score = util::percentile_in_place(times, params_.percentile);
-    scored.emplace_back(score, obs.neighbors(self)[i]);
+    scored.emplace_back(score, peers[k]);
   }
   if (scored.empty()) {
     // No outgoing neighbors (degenerate start): just explore.

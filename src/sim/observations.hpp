@@ -1,13 +1,19 @@
 /// \file
 /// \brief Observation collection (paper §4.1, Eq. 2).
 ///
-/// During a round each node v records, for every neighbor u and block b, the
-/// time t(b,u,v) at which u's copy of b reached v. Scores consume the
-/// time-normalized values  t̃ = t(b,u,v) − min_u t(b,u,v).
+/// During a round each node v records, for every outgoing neighbor u and
+/// block b, the time t(b,u,v) at which u's copy of b reached v. Scores
+/// consume the time-normalized values  t̃ = t(b,u,v) − min_u t(b,u,v), where
+/// the minimum spans *every* neighbor of v (outgoing, incoming and infra):
+/// a block first heard from an incoming peer leaves all of v's out rows
+/// above 0.
 ///
-/// The neighbor list of each node is captured at round start (the topology is
-/// static within a round) and includes outgoing, incoming and infra
-/// neighbors; only outgoing neighbors are marked selectable.
+/// Only the out-peers are scored (Algorithm 1 keeps dv of them and explores
+/// ev), so only they get a row. At round start the table captures each
+/// node's relay adjacency (CSR-style: one offsets array into one peer
+/// array, because t_min still spans it) and, per node, the adjacency
+/// positions and ids of the entries whose peer is in `Topology::out(v)`.
+/// The rows live in one flat arena of Σ|out(v)| × B doubles.
 #pragma once
 
 #include <cstdint>
@@ -20,20 +26,22 @@
 namespace perigee::sim {
 
 /// Per-round matrix of relative block delivery times, indexed by
-/// (node, neighbor slot, block).
+/// (node, out-peer slot, block).
 class ObservationTable {
  public:
-  /// Captures neighbor lists and sizes the timestamp matrix for
-  /// `blocks_per_round` upcoming blocks.
+  /// Captures neighbor lists and out-peer rows and sizes the timestamp arena
+  /// for `blocks_per_round` upcoming blocks. An adjacency entry gets a row
+  /// iff its peer is in `topology.out(v)`; rows keep adjacency order.
   void begin_round(const net::Topology& topology,
                    std::size_t blocks_per_round);
 
-  /// Appends one block's delivery times for every (node, neighbor) pair from
-  /// one source's ready times (a stripe of a batched result, sim/batch.hpp).
-  /// δ(v, neighbor i) is the pre-resolved entry i of the snapshot's row v —
-  /// valid because the snapshot preserves `Topology::adjacency` order and the
-  /// topology is static within a round. The snapshot must be built from the
-  /// same topology captured by begin_round.
+  /// Appends one block's delivery times for every out row from one source's
+  /// ready times (a stripe of a batched result, sim/batch.hpp). t_min spans
+  /// every captured neighbor; δ(v, neighbor i) is the pre-resolved entry i of
+  /// the snapshot's row v — valid because the snapshot preserves
+  /// `Topology::adjacency` order and the topology is static within a round.
+  /// The snapshot must be built from the same topology captured by
+  /// begin_round.
   void record_block(const net::CsrTopology& csr, net::NodeId miner,
                     std::span<const double> ready);
 
@@ -48,28 +56,35 @@ class ObservationTable {
   /// Capacity declared by begin_round.
   std::size_t blocks_capacity() const { return blocks_per_round_; }
 
-  /// Neighbors of v as captured at round start.
-  std::span<const net::NodeId> neighbors(net::NodeId v) const;
-  /// Number of captured neighbors of v.
-  std::size_t neighbor_count(net::NodeId v) const;
-  /// True when neighbor `idx` of v is an outgoing (selectable) connection.
-  bool is_outgoing(net::NodeId v, std::size_t idx) const;
+  /// Out-peers of v as captured at round start, in adjacency order. Slot k
+  /// of this span is the `k` of rel_times.
+  std::span<const net::NodeId> out_peers(net::NodeId v) const;
 
-  /// Relative delivery times t̃ of neighbor `idx` of v, one entry per recorded
-  /// block; +inf when the neighbor never delivered.
-  std::span<const double> rel_times(net::NodeId v, std::size_t idx) const;
+  /// Relative delivery times t̃ of out-peer slot `k` of v, one entry per
+  /// recorded block; +inf when the peer never delivered.
+  std::span<const double> rel_times(net::NodeId v, std::size_t k) const;
+
+  /// Heap bytes the table holds (capacity, so reuse across rounds counts).
+  /// begin_round reports it through the `mem.observations_bytes` gauge.
+  std::size_t memory_bytes() const;
 
  private:
-  struct PerNode {
-    std::vector<net::NodeId> neighbors;
-    std::vector<std::uint8_t> outgoing;  // parallel to neighbors
-    std::vector<double> rel;             // [idx * blocks_per_round + b]
-  };
-
-  std::vector<PerNode> nodes_;
+  // Captured adjacency: node v's neighbors are adj_peer_[adj_off_[v] ..
+  // adj_off_[v + 1]).
+  std::vector<std::size_t> adj_off_;
+  std::vector<net::NodeId> adj_peer_;
+  // Out rows: node v owns rows out_off_[v] .. out_off_[v + 1]; row r is the
+  // peer out_peer_[r] at position out_pos_[r] of v's adjacency. Entries at
+  // or past out_off_[n] are capture slack.
+  std::vector<std::size_t> out_off_;
+  std::vector<std::uint32_t> out_pos_;
+  std::vector<net::NodeId> out_peer_;
+  std::vector<double> rel_;  // [row * blocks_per_round + b]
   std::size_t blocks_per_round_ = 0;
   std::size_t blocks_recorded_ = 0;
-  std::vector<double> scratch_;  // per-neighbor absolute times of one block
+  // Absolute times of one block: one node's neighbors (record_block) or the
+  // whole captured adjacency (record_gossip_block).
+  std::vector<double> scratch_;
   // begin_round's marks: 1 at the out-peers of the node being captured.
   std::vector<std::uint8_t> is_out_;
 };

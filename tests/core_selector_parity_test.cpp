@@ -38,11 +38,11 @@ class RefVanilla final : public sim::NeighborSelector {
   void on_round_end(net::NodeId self, sim::RoundContext& ctx) override {
     const auto& obs = ctx.obs;
     std::vector<std::pair<double, net::NodeId>> scored;
-    for (std::size_t i = 0; i < obs.neighbor_count(self); ++i) {
-      if (!obs.is_outgoing(self, i)) continue;
+    const auto peers = obs.out_peers(self);
+    for (std::size_t k = 0; k < peers.size(); ++k) {
       const double score =
-          sorted_copy_percentile(obs.rel_times(self, i), params_.percentile);
-      scored.emplace_back(score, obs.neighbors(self)[i]);
+          sorted_copy_percentile(obs.rel_times(self, k), params_.percentile);
+      scored.emplace_back(score, peers[k]);
     }
     if (scored.empty()) {
       retain_and_explore(ctx.topology, self, {}, ctx.rng, ctx.addrman);
@@ -75,10 +75,10 @@ class RefSubset final : public sim::NeighborSelector {
     const std::size_t blocks = obs.blocks_recorded();
     std::vector<net::NodeId> candidates;
     std::vector<std::span<const double>> rows;
-    for (std::size_t i = 0; i < obs.neighbor_count(self); ++i) {
-      if (!obs.is_outgoing(self, i)) continue;
-      candidates.push_back(obs.neighbors(self)[i]);
-      rows.push_back(obs.rel_times(self, i));
+    const auto peers = obs.out_peers(self);
+    for (std::size_t k = 0; k < peers.size(); ++k) {
+      candidates.push_back(peers[k]);
+      rows.push_back(obs.rel_times(self, k));
     }
     if (candidates.empty()) {
       retain_and_explore(ctx.topology, self, {}, ctx.rng, ctx.addrman);
@@ -137,12 +137,12 @@ class RefUcb final : public sim::NeighborSelector {
     const auto& obs = ctx.obs;
     const auto window = static_cast<std::size_t>(params_.ucb_window);
     std::vector<net::NodeId> outgoing;
-    for (std::size_t i = 0; i < obs.neighbor_count(self); ++i) {
-      if (!obs.is_outgoing(self, i)) continue;
-      const net::NodeId u = obs.neighbors(self)[i];
+    const auto peers = obs.out_peers(self);
+    for (std::size_t k = 0; k < peers.size(); ++k) {
+      const net::NodeId u = peers[k];
       outgoing.push_back(u);
       Arm& arm = arms_[u];
-      for (double t : obs.rel_times(self, i)) {
+      for (double t : obs.rel_times(self, k)) {
         if (std::isfinite(t)) arm.add(t, window);
       }
     }

@@ -183,9 +183,10 @@ struct WindowOracle final : sim::NeighborSelector {
         window(static_cast<std::size_t>(params.ucb_window)) {}
 
   void on_round_end(net::NodeId self, sim::RoundContext& ctx) override {
-    for (std::size_t i = 0; i < ctx.obs.neighbor_count(self); ++i) {
-      if (ctx.obs.neighbors(self)[i] != watched) continue;
-      for (double t : ctx.obs.rel_times(self, i)) {
+    const auto peers = ctx.obs.out_peers(self);
+    for (std::size_t k = 0; k < peers.size(); ++k) {
+      if (peers[k] != watched) continue;
+      for (double t : ctx.obs.rel_times(self, k)) {
         if (!std::isfinite(t)) continue;
         history.push_back(t);
         recent.push_back(t);

@@ -4,7 +4,12 @@
 // delivery times.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "sim/gossip.hpp"
@@ -15,7 +20,11 @@
 namespace perigee {
 namespace {
 
-TEST(EngineParity, GossipObservationsAreNormalizedPerBlock) {
+// Bitwise oracle of the message-level record path: each out row equals the
+// earliest announcement on that edge minus the earliest announcement over
+// every neighbor of v (incoming and infra included), both read straight
+// from GossipResult::edge_times; +inf where either is missing.
+TEST(EngineParity, GossipObservationsMatchEdgeTimeOracle) {
   net::NetworkOptions options;
   options.n = 80;
   options.seed = 3;
@@ -23,23 +32,55 @@ TEST(EngineParity, GossipObservationsAreNormalizedPerBlock) {
   net::Topology t(80);
   util::Rng rng(3);
   topo::build_random(t, rng);
+  t.add_infra_edge(7, 61, 0.5);
 
-  sim::ObservationTable obs;
-  obs.begin_round(t, 2);
   sim::GossipConfig config;
   config.record_edge_times = true;
-  obs.record_gossip_block(sim::simulate_gossip(t, network, 5, config));
-  obs.record_gossip_block(sim::simulate_gossip(t, network, 50, config));
+  const std::vector<sim::GossipResult> results = {
+      sim::simulate_gossip(t, network, 5, config),
+      sim::simulate_gossip(t, network, 50, config)};
+  sim::ObservationTable obs;
+  obs.begin_round(t, results.size());
+  for (const auto& result : results) obs.record_gossip_block(result);
 
-  for (net::NodeId v = 0; v < t.size(); ++v) {
-    for (std::size_t b = 0; b < 2; ++b) {
-      double min_rel = util::kInf;
-      for (std::size_t i = 0; i < obs.neighbor_count(v); ++i) {
-        min_rel = std::min(min_rel, obs.rel_times(v, i)[b]);
+  std::size_t finite_above_zero = 0;
+  for (std::size_t b = 0; b < results.size(); ++b) {
+    // first[(to, from)]: the earliest announcement from `from` at `to`.
+    std::map<std::pair<net::NodeId, net::NodeId>, double> first;
+    for (const auto& et : results[b].edge_times) {
+      auto [it, fresh] = first.emplace(std::pair{et.to, et.from}, et.time_ms);
+      if (!fresh) it->second = std::min(it->second, et.time_ms);
+    }
+    const auto heard = [&](net::NodeId v, net::NodeId u) {
+      const auto it = first.find({v, u});
+      return it == first.end() ? util::kInf : it->second;
+    };
+    for (net::NodeId v = 0; v < t.size(); ++v) {
+      double t_min = util::kInf;
+      for (const auto& link : t.adjacency(v)) {
+        t_min = std::min(t_min, heard(v, link.peer));
       }
-      EXPECT_DOUBLE_EQ(min_rel, 0.0) << "node " << v << " block " << b;
+      const auto peers = obs.out_peers(v);
+      std::size_t k = 0;
+      for (const auto& link : t.adjacency(v)) {
+        if (!t.has_out(v, link.peer)) continue;
+        ASSERT_LT(k, peers.size());
+        ASSERT_EQ(peers[k], link.peer);
+        const double at = heard(v, link.peer);
+        const double want =
+            std::isinf(at) || std::isinf(t_min) ? util::kInf : at - t_min;
+        const double got = obs.rel_times(v, k)[b];
+        EXPECT_TRUE(std::memcmp(&got, &want, sizeof(double)) == 0)
+            << "node " << v << " peer " << link.peer << " block " << b
+            << ": " << got << " vs " << want;
+        finite_above_zero += std::isfinite(want) && want > 0.0;
+        ++k;
+      }
+      ASSERT_EQ(k, peers.size()) << "node " << v;
     }
   }
+  // The oracle is not vacuous: most out rows carry a positive finite time.
+  EXPECT_GT(finite_above_zero, t.size());
 }
 
 TEST(EngineParity, GossipTrainedPerigeeBeatsRandom) {

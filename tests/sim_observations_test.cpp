@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "broadcast_oracle.hpp"
@@ -39,36 +40,39 @@ void record(ObservationTable& obs, const net::Topology& t,
                    oracle::simulate_broadcast(t, network, miner).ready);
 }
 
-TEST(Observations, CapturesNeighborsAtRoundStart) {
+// Position of `peer` among v's out-peers; fails the test when absent.
+std::size_t slot_of(const ObservationTable& obs, net::NodeId v,
+                    net::NodeId peer) {
+  const auto peers = obs.out_peers(v);
+  const auto it = std::find(peers.begin(), peers.end(), peer);
+  EXPECT_NE(it, peers.end()) << "peer " << peer << " is not an out-peer of "
+                             << v;
+  return static_cast<std::size_t>(it - peers.begin());
+}
+
+TEST(Observations, CapturesOutPeersAtRoundStart) {
   net::Topology t(4);
   t.connect(0, 1);
   t.connect(2, 0);
   ObservationTable obs;
   obs.begin_round(t, 5);
-  // Node 0 sees both its outgoing (1) and incoming (2) neighbor.
-  EXPECT_EQ(obs.neighbor_count(0), 2u);
-  bool saw_out = false, saw_in = false;
-  for (std::size_t i = 0; i < obs.neighbor_count(0); ++i) {
-    if (obs.neighbors(0)[i] == 1) {
-      saw_out = true;
-      EXPECT_TRUE(obs.is_outgoing(0, i));
-    }
-    if (obs.neighbors(0)[i] == 2) {
-      saw_in = true;
-      EXPECT_FALSE(obs.is_outgoing(0, i));
-    }
-  }
-  EXPECT_TRUE(saw_out);
-  EXPECT_TRUE(saw_in);
+  // Node 0's outgoing neighbor 1 gets a row; its incoming neighbor 2 does
+  // not. Node 2 scores its own outgoing link to 0.
+  ASSERT_EQ(obs.out_peers(0).size(), 1u);
+  EXPECT_EQ(obs.out_peers(0)[0], 1u);
+  EXPECT_TRUE(obs.out_peers(1).empty());
+  ASSERT_EQ(obs.out_peers(2).size(), 1u);
+  EXPECT_EQ(obs.out_peers(2)[0], 0u);
+  EXPECT_TRUE(obs.out_peers(3).empty());
 }
 
 TEST(Observations, RelativeTimesNormalizedPerBlock) {
-  // Line: 0 --10-- 1 --20-- 2, validation 5ms. Node 2 has neighbors 1 and 0
-  // (direct long link 40ms).
+  // Line: 0 --10-- 1 --20-- 2, validation 5ms. Node 2 dials both 1 and 0
+  // (direct long link 30ms).
   auto network = make_line_network({0.0, 10.0, 30.0}, 5.0);
   net::Topology t(3);
   t.connect(0, 1);
-  t.connect(1, 2);
+  t.connect(2, 1);
   t.connect(2, 0);  // long direct link 0-2, dialed by 2
 
   ObservationTable obs;
@@ -77,14 +81,12 @@ TEST(Observations, RelativeTimesNormalizedPerBlock) {
 
   // Deliveries to node 2: from 1 at ready(1)+20 = 35; from 0 at 0+30 = 30.
   // Normalized: from 0 -> 0.0, from 1 -> 5.0.
-  for (std::size_t i = 0; i < obs.neighbor_count(2); ++i) {
-    const double rel = obs.rel_times(2, i)[0];
-    if (obs.neighbors(2)[i] == 0) { EXPECT_DOUBLE_EQ(rel, 0.0); }
-    if (obs.neighbors(2)[i] == 1) { EXPECT_DOUBLE_EQ(rel, 5.0); }
-  }
+  ASSERT_EQ(obs.out_peers(2).size(), 2u);
+  EXPECT_DOUBLE_EQ(obs.rel_times(2, slot_of(obs, 2, 0))[0], 0.0);
+  EXPECT_DOUBLE_EQ(obs.rel_times(2, slot_of(obs, 2, 1))[0], 5.0);
 }
 
-TEST(Observations, MinRelTimeIsZeroForEveryNodeAndBlock) {
+TEST(Observations, OutRowsAreDeliveryMinusMinOverAllNeighbors) {
   net::NetworkOptions options;
   options.n = 100;
   options.seed = 3;
@@ -96,30 +98,73 @@ TEST(Observations, MinRelTimeIsZeroForEveryNodeAndBlock) {
   ObservationTable obs;
   obs.begin_round(t, 3);
   util::Rng miner_rng(4);
+  std::vector<BroadcastResult> results;
   for (int b = 0; b < 3; ++b) {
     const auto miner = static_cast<net::NodeId>(miner_rng.uniform_index(100));
     record(obs, t, network, miner);
+    results.push_back(oracle::simulate_broadcast(t, network, miner));
   }
   EXPECT_EQ(obs.blocks_recorded(), 3u);
   for (net::NodeId v = 0; v < 100; ++v) {
+    const auto& adj = t.adjacency(v);
     for (std::size_t b = 0; b < 3; ++b) {
-      double min_rel = util::kInf;
-      for (std::size_t i = 0; i < obs.neighbor_count(v); ++i) {
-        min_rel = std::min(min_rel, obs.rel_times(v, i)[b]);
+      // t_min spans every neighbor, incoming ones included.
+      double t_min = util::kInf;
+      for (const auto& link : adj) {
+        t_min = std::min(t_min, oracle::delivery_time(results[b], link, v,
+                                                      network));
       }
-      EXPECT_DOUBLE_EQ(min_rel, 0.0) << "node " << v << " block " << b;
+      ASSERT_TRUE(std::isfinite(t_min)) << "node " << v << " block " << b;
+      std::size_t k = 0;
+      for (const auto& link : adj) {
+        if (!t.has_out(v, link.peer)) continue;
+        ASSERT_LT(k, obs.out_peers(v).size());
+        EXPECT_EQ(obs.out_peers(v)[k], link.peer);
+        const double want =
+            oracle::delivery_time(results[b], link, v, network) - t_min;
+        EXPECT_EQ(obs.rel_times(v, k)[b], want)
+            << "node " << v << " peer " << link.peer << " block " << b;
+        ++k;
+      }
+      EXPECT_EQ(k, obs.out_peers(v).size()) << "node " << v;
     }
   }
 }
 
+TEST(Observations, EarlierIncomingOrInfraNeighborLiftsOutRows) {
+  // Line 0 --10-- 1 --20-- 2 --5-- 3, validation 5ms, miner 0. Node 2's
+  // incoming neighbor 1 delivers at ready(1)+20 = 35; its out-peer 3 echoes
+  // at ready(3)+5 = 45 (3 hears the block straight from 0 at 35).
+  auto network = make_line_network({0.0, 10.0, 30.0, 35.0}, 5.0);
+  net::Topology t(4);
+  t.connect(1, 0);
+  t.connect(1, 2);
+  t.connect(2, 3);
+  t.connect(3, 0);
+  ObservationTable obs;
+  obs.begin_round(t, 1);
+  record(obs, t, network, 0);
+  ASSERT_EQ(obs.out_peers(2).size(), 1u);
+  EXPECT_EQ(obs.out_peers(2)[0], 3u);
+  EXPECT_DOUBLE_EQ(obs.rel_times(2, 0)[0], 10.0);
+
+  // Infra: 0 reaches 2 over a 3ms relay link, so 2's out-peer 1
+  // (ready(1)+20 = 35) sits 32ms above the infra delivery at 3.
+  auto line = make_line_network({0.0, 10.0, 30.0}, 5.0);
+  net::Topology infra(3);
+  infra.connect(0, 1);
+  infra.connect(2, 1);
+  infra.add_infra_edge(0, 2, 3.0);
+  obs.begin_round(infra, 1);
+  record(obs, infra, line, 0);
+  ASSERT_EQ(obs.out_peers(2).size(), 1u);
+  EXPECT_EQ(obs.out_peers(2)[0], 1u);
+  EXPECT_DOUBLE_EQ(obs.rel_times(2, 0)[0], 32.0);
+}
+
 TEST(Observations, UnreachedNeighborIsInfinite) {
   auto network = make_line_network({0.0, 10.0, 1000.0, 1010.0}, 1.0);
-  net::Topology t(4);
-  t.connect(0, 1);
-  t.connect(2, 3);
-  t.connect(1, 2);  // bridge
-  // Disconnect the bridge after capture to simulate an isolated island:
-  // instead, build without the bridge.
+  // An isolated island: no bridge between {0, 1} and {2, 3}.
   net::Topology island(4);
   island.connect(0, 1);
   island.connect(2, 3);
@@ -127,7 +172,8 @@ TEST(Observations, UnreachedNeighborIsInfinite) {
   obs.begin_round(island, 1);
   record(obs, island, network, 0);
   // Node 2's only neighbor (3) never delivers: rel time stays +inf.
-  EXPECT_EQ(obs.neighbor_count(2), 1u);
+  ASSERT_EQ(obs.out_peers(2).size(), 1u);
+  EXPECT_EQ(obs.out_peers(2)[0], 3u);
   EXPECT_TRUE(std::isinf(obs.rel_times(2, 0)[0]));
 }
 
@@ -147,7 +193,7 @@ TEST(Observations, RelTimesLengthTracksRecordedBlocks) {
 
 TEST(Observations, MinerSideObservationsEcho) {
   // Even the miner records deliveries from its neighbors (echoes of its own
-  // block), normalized among themselves.
+  // block), normalized among themselves. Both are its out-peers.
   auto network = make_line_network({0.0, 10.0, 20.0}, 5.0);
   net::Topology t(3);
   t.connect(0, 1);
@@ -157,25 +203,49 @@ TEST(Observations, MinerSideObservationsEcho) {
   record(obs, t, network, 0);
   // Echo from 1: ready(1)+10 = 25. Echo from 2: ready(2)+20 = 45.
   // Normalized: 0 and 20.
-  for (std::size_t i = 0; i < obs.neighbor_count(0); ++i) {
-    const double rel = obs.rel_times(0, i)[0];
-    if (obs.neighbors(0)[i] == 1) { EXPECT_DOUBLE_EQ(rel, 0.0); }
-    if (obs.neighbors(0)[i] == 2) { EXPECT_DOUBLE_EQ(rel, 20.0); }
-  }
+  ASSERT_EQ(obs.out_peers(0).size(), 2u);
+  EXPECT_DOUBLE_EQ(obs.rel_times(0, slot_of(obs, 0, 1))[0], 0.0);
+  EXPECT_DOUBLE_EQ(obs.rel_times(0, slot_of(obs, 0, 2))[0], 20.0);
 }
 
-TEST(Observations, InfraNeighborsIncludedButNotOutgoing) {
+TEST(Observations, InfraNeighborsGetNoRow) {
   auto network = make_line_network({0.0, 10.0, 20.0}, 1.0);
   net::Topology t(3);
   t.add_infra_edge(0, 1, 2.0);
   t.connect(0, 2);
   ObservationTable obs;
   obs.begin_round(t, 1);
-  EXPECT_EQ(obs.neighbor_count(0), 2u);
-  for (std::size_t i = 0; i < obs.neighbor_count(0); ++i) {
-    if (obs.neighbors(0)[i] == 1) { EXPECT_FALSE(obs.is_outgoing(0, i)); }
-    if (obs.neighbors(0)[i] == 2) { EXPECT_TRUE(obs.is_outgoing(0, i)); }
+  ASSERT_EQ(obs.out_peers(0).size(), 1u);
+  EXPECT_EQ(obs.out_peers(0)[0], 2u);
+  EXPECT_TRUE(obs.out_peers(1).empty());
+}
+
+// The rel arena holds Σ|out(v)| × B doubles and nothing else grows with B,
+// so two fresh tables over the same topology differ by exactly the rows.
+TEST(Observations, MemoryBytesRelPartIsOutRowsTimesBlocks) {
+  net::Topology t(120);
+  util::Rng rng(8);
+  topo::build_random(t, rng);
+  t.add_infra_edge(4, 90, 1.0);
+  std::size_t out_rows = 0;
+  std::size_t adjacency = 0;
+  for (net::NodeId v = 0; v < t.size(); ++v) {
+    out_rows += t.out(v).size();
+    adjacency += t.adjacency(v).size();
   }
+  ASSERT_LT(out_rows, adjacency);
+  ObservationTable one;
+  one.begin_round(t, 1);
+  ObservationTable many;
+  many.begin_round(t, 100);
+  std::size_t listed = 0;
+  for (net::NodeId v = 0; v < t.size(); ++v) {
+    listed += many.out_peers(v).size();
+  }
+  EXPECT_EQ(listed, out_rows);
+  EXPECT_EQ(many.memory_bytes() - one.memory_bytes(),
+            out_rows * 99 * sizeof(double));
+  EXPECT_GE(many.memory_bytes(), out_rows * 100 * sizeof(double));
 }
 
 }  // namespace
