@@ -304,8 +304,8 @@ int main(int argc, char** argv) {
                    "Perfetto, scripts/summarize_trace.py) of the sweep to "
                    "this path; requires a PERIGEE_TELEMETRY build");
   flags.add_bool("metrics", false,
-                 "print the merged telemetry counter/histogram table to "
-                 "stderr after the sweep");
+                 "print the merged telemetry counter/gauge/histogram table "
+                 "to stderr after the sweep");
   flags.add_bool("incremental-csr", true,
                  "patch CSR snapshots from the topology mutation journal "
                  "between rounds (--incremental-csr=false forces full "
@@ -379,37 +379,17 @@ int main(int argc, char** argv) {
     spec.name = name;
   }
 
-  // The --blocks axis re-cuts the block budget rounds x |B| of every rounds
-  // value into rounds of its |B|. A budget the int round loop cannot hold
-  // would wrap to no learning round at all, and a |B| that does not divide
-  // the budget would silently drop the remainder blocks.
-  constexpr std::int64_t kMaxRounds = std::numeric_limits<int>::max();
-  if (!spec.blocks_per_round.empty()) {
-    std::vector<int> rounds = spec.rounds;
-    if (rounds.empty()) rounds.push_back(spec.base.rounds);
-    for (const int r : rounds) {
-      const std::int64_t budget = std::int64_t{r} * spec.base.blocks_per_round;
-      if (budget > kMaxRounds) {
-        std::cerr << "bad --blocks grid: block budget rounds x |B| = " << r
-                  << " x " << spec.base.blocks_per_round << " (want <= "
-                  << kMaxRounds << ")\n";
-        return 1;
-      }
-      for (const int b : spec.blocks_per_round) {
-        if (budget % b != 0) {
-          std::cerr << "bad --blocks grid: |B| = " << b
-                    << " does not divide the block budget rounds x |B| = "
-                    << r << " x " << spec.base.blocks_per_round << "\n";
-          return 1;
-        }
-      }
-    }
+  if (const std::string error = runner::check_block_budget(spec);
+      !error.empty()) {
+    std::cerr << error << "\n";
+    return 1;
   }
 
   // Cell combinations that would abort deep inside a job: the relay
   // overlay picks its members from the network, the message-level gossip
   // engine has no egress queuing model, and UCB runs rounds x |B|
   // single-block rounds.
+  constexpr std::int64_t kMaxRounds = std::numeric_limits<int>::max();
   const std::vector<runner::SweepCell> cells = runner::expand_grid(spec);
   for (const runner::SweepCell& cell : cells) {
     const core::ExperimentConfig& config = cell.config;
@@ -591,6 +571,9 @@ int main(int argc, char** argv) {
               << (obs::telemetry_compiled() ? ":" : " (compiled out):")
               << "\n";
     for (const auto& [name, value] : snapshot.counters) {
+      std::cerr << "  " << name << " = " << value << "\n";
+    }
+    for (const auto& [name, value] : snapshot.gauges) {
       std::cerr << "  " << name << " = " << value << "\n";
     }
     for (const auto& [name, hist] : snapshot.histograms) {

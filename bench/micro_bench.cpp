@@ -186,9 +186,11 @@ BENCHMARK(BM_BroadcastBatchRound)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-// One round of observation recording, the perfbench `sim.observe_begin_s`
-// and `sim.record_s` layers: begin_round, then record_block for each of a
-// |B| = 100 batch's stripes (the batch itself runs outside the clock).
+// One round of observations: begin_round, record_block for each of a
+// |B| = 100 batch's stripes (the batch itself runs outside the clock), and
+// one read of every node's out rows, which computes them. The reads belong
+// to perfbench's `core.select_s` layer, the rest to `sim.observe_begin_s`
+// and `sim.record_s`.
 void BM_ObservationRound(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
@@ -208,7 +210,11 @@ void BM_ObservationRound(benchmark::State& state) {
     for (std::size_t b = 0; b < miners.size(); ++b) {
       obs.record_block(csr, miners[b], result.ready_of(b));
     }
-    benchmark::DoNotOptimize(obs.rel_times(0, 0).data());
+    for (net::NodeId v = 0; v < f.topology.size(); ++v) {
+      for (std::size_t k = 0; k < obs.out_peers(v).size(); ++k) {
+        benchmark::DoNotOptimize(obs.rel_times(v, k).data());
+      }
+    }
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * miners.size());

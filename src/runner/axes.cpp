@@ -281,7 +281,8 @@ std::vector<SweepAxis> make_axes() {
           &SweepSpec::blocks_per_round,
           [](const Config& c) { return c.blocks_per_round; },
           [](Config& c, int v) {
-            // 64-bit budget; perigee_sweep rejects one past INT_MAX.
+            // 64-bit budget; expand_grid has already refused one past
+            // INT_MAX or one v does not divide (check_block_budget).
             const std::int64_t rounds = c.rounds;
             c.rounds = static_cast<int>(rounds * c.blocks_per_round / v);
             c.blocks_per_round = v;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -31,7 +33,33 @@ void append_label(std::string& label, std::string_view part) {
 
 }  // namespace
 
+std::string check_block_budget(const SweepSpec& spec) {
+  if (spec.blocks_per_round.empty()) return {};
+  constexpr std::int64_t kMaxRounds = std::numeric_limits<int>::max();
+  std::vector<int> rounds = spec.rounds;
+  if (rounds.empty()) rounds.push_back(spec.base.rounds);
+  for (const int r : rounds) {
+    const std::int64_t budget = std::int64_t{r} * spec.base.blocks_per_round;
+    const std::string cut = std::to_string(r) + " x " +
+                            std::to_string(spec.base.blocks_per_round);
+    if (budget > kMaxRounds) {
+      return "bad --blocks grid: block budget rounds x |B| = " + cut +
+             " (want <= " + std::to_string(kMaxRounds) + ")";
+    }
+    for (const int b : spec.blocks_per_round) {
+      if (budget % b != 0) {
+        return "bad --blocks grid: |B| = " + std::to_string(b) +
+               " does not divide the block budget rounds x |B| = " + cut;
+      }
+    }
+  }
+  return {};
+}
+
 std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
+  if (const std::string error = check_block_budget(spec); !error.empty()) {
+    throw std::runtime_error(error);
+  }
   // Table order == expansion nesting order (outermost first) == label
   // order. An unswept axis is one unlabeled option: the base value the cell
   // config already holds.

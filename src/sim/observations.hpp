@@ -8,12 +8,21 @@
 /// a block first heard from an incoming peer leaves all of v's out rows
 /// above 0.
 ///
-/// Only the out-peers are scored (Algorithm 1 keeps dv of them and explores
-/// ev), so only they get a row. At round start the table captures each
-/// node's relay adjacency (CSR-style: one offsets array into one peer
-/// array, because t_min still spans it) and, per node, the adjacency
-/// positions and ids of the entries whose peer is in `Topology::out(v)`.
-/// The rows live in one flat arena of Σ|out(v)| × B doubles.
+/// The table keeps the round's inputs, not its outputs. At round start it
+/// captures each node's relay adjacency (CSR-style: one offsets array into
+/// one peer array, because t_min spans it) and, per node, the adjacency
+/// positions and ids of the entries whose peer is in `Topology::out(v)`:
+/// only the out-peers are scored (Algorithm 1 keeps dv of them and explores
+/// ev), so only they get a row. The first record of a round copies one δ per
+/// captured entry; every record copies one stripe of n relay times, the
+/// moment each node starts relaying the block (+inf for a node that never
+/// does). That is B·n + Σdeg doubles, against Σ|out(v)|·B for materialized
+/// rows.
+///
+/// The rows are computed per node when a selector reads them: the first
+/// `rel_times(v, ·)` after a record fills all of v's out rows into one
+/// buffer of max|out|·B doubles, t = relay(u) + δ, so the reads of one node
+/// cost one pass over its neighbors' stripes.
 #pragma once
 
 #include <cstdint>
@@ -25,31 +34,37 @@
 
 namespace perigee::sim {
 
-/// Per-round matrix of relative block delivery times, indexed by
-/// (node, out-peer slot, block).
+/// Per-round relative block delivery times, indexed by (node, out-peer slot,
+/// block) and computed per node on read.
+///
+/// `rel_times` is const but fills a shared row buffer: reads are not safe to
+/// run concurrently, and a returned span stays valid only until a read of
+/// another node, the next record or the next begin_round.
 class ObservationTable {
  public:
-  /// Captures neighbor lists and out-peer rows and sizes the timestamp arena
-  /// for `blocks_per_round` upcoming blocks. An adjacency entry gets a row
-  /// iff its peer is in `topology.out(v)`; rows keep adjacency order.
+  /// Captures neighbor lists and out-peers for `blocks_per_round` upcoming
+  /// blocks. An adjacency entry gets a row iff its peer is in
+  /// `topology.out(v)`; rows keep adjacency order.
   void begin_round(const net::Topology& topology,
                    std::size_t blocks_per_round);
 
-  /// Appends one block's delivery times for every out row from one source's
-  /// ready times (a stripe of a batched result, sim/batch.hpp). t_min spans
-  /// every captured neighbor; δ(v, neighbor i) is the pre-resolved entry i of
-  /// the snapshot's row v — valid because the snapshot preserves
+  /// Appends one block from one source's ready times (a stripe of a batched
+  /// result, sim/batch.hpp). A node relays from its ready time if it
+  /// forwards or mined the block. δ(v, neighbor i) is the pre-resolved entry
+  /// i of the snapshot's row v — valid because the snapshot preserves
   /// `Topology::adjacency` order and the topology is static within a round.
   /// The snapshot must be built from the same topology captured by
-  /// begin_round.
+  /// begin_round. Nothing of `csr` or `ready_times` is kept.
   void record_block(const net::CsrTopology& csr, net::NodeId miner,
-                    std::span<const double> ready);
+                    std::span<const double> ready_times);
 
-  /// Message-level variant: one block's per-edge announcement times from the
-  /// gossip engine (run with record_edge_times = true). Neighbors that never
-  /// announced stay +inf. The paper's footnote 3: scoring can equally use
-  /// the times block advertisements (INVs) were received.
-  void record_gossip_block(const struct GossipResult& result);
+  /// Message-level variant (INV/GETDATA mode): the times block
+  /// advertisements reached v, as the paper's footnote 3 allows. The miner
+  /// announces at 0 and a forwarding holder at arrival + Δ; entry (v, u)
+  /// takes the control δ of u's row, the one u's INV to v paid. A round
+  /// records through one of the two variants only.
+  void record_gossip_block(const net::CsrTopology& csr,
+                           const struct GossipResult& result);
 
   /// Blocks recorded so far this round.
   std::size_t blocks_recorded() const { return blocks_recorded_; }
@@ -64,29 +79,41 @@ class ObservationTable {
   /// recorded block; +inf when the peer never delivered.
   std::span<const double> rel_times(net::NodeId v, std::size_t k) const;
 
-  /// Heap bytes the table holds (capacity, so reuse across rounds counts).
-  /// begin_round reports it through the `mem.observations_bytes` gauge.
+  /// Heap bytes the table holds (capacity, so reuse across rounds counts):
+  /// the captured adjacency and δ, the relay stripes and the row buffer.
+  /// Every growth raises the `mem.observations_bytes` gauge.
   std::size_t memory_bytes() const;
 
  private:
+  // Sizes the stripes and copies one δ per captured entry: row v of the
+  // snapshot (`control` false) or the control δ of each peer's row.
+  void capture_delays(const net::CsrTopology& csr, bool control);
+  // Fills rows_ with all of v's out rows over the recorded blocks.
+  void compute_rows(net::NodeId v) const;
+
   // Captured adjacency: node v's neighbors are adj_peer_[adj_off_[v] ..
-  // adj_off_[v + 1]).
+  // adj_off_[v + 1]), and delay_[e] is the δ entry e's peer delivers over.
   std::vector<std::size_t> adj_off_;
   std::vector<net::NodeId> adj_peer_;
-  // Out rows: node v owns rows out_off_[v] .. out_off_[v + 1]; row r is the
-  // peer out_peer_[r] at position out_pos_[r] of v's adjacency. Entries at
-  // or past out_off_[n] are capture slack.
+  std::vector<double> delay_;
+  // Out rows: node v owns slots out_off_[v] .. out_off_[v + 1]; slot r is
+  // the peer out_peer_[r] at position out_pos_[r] of v's adjacency. Entries
+  // at or past out_off_[n] are capture slack.
   std::vector<std::size_t> out_off_;
   std::vector<std::uint32_t> out_pos_;
   std::vector<net::NodeId> out_peer_;
-  std::vector<double> rel_;  // [row * blocks_per_round + b]
+  std::size_t max_out_ = 0;  // largest |out(v)| this round
+  // relay_[u * blocks_per_round_ + b]: when u starts relaying block b.
+  std::vector<double> relay_;
   std::size_t blocks_per_round_ = 0;
   std::size_t blocks_recorded_ = 0;
-  // Absolute times of one block: one node's neighbors (record_block) or the
-  // whole captured adjacency (record_gossip_block).
-  std::vector<double> scratch_;
   // begin_round's marks: 1 at the out-peers of the node being captured.
   std::vector<std::uint8_t> is_out_;
+  // The rows of node rows_node_: rows_[k * blocks_recorded_ + b], with
+  // t_min_[b] the per-block minimum over all its neighbors.
+  mutable std::vector<double> rows_;
+  mutable std::vector<double> t_min_;
+  mutable net::NodeId rows_node_ = net::kInvalidNode;
 };
 
 }  // namespace perigee::sim

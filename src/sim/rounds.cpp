@@ -69,7 +69,6 @@ void RoundRunner::run_round() {
       const auto miner = static_cast<net::NodeId>(sampler_.sample(miner_rng_));
       GossipConfig config;
       config.mode = GossipConfig::Mode::InvGetdata;
-      config.record_edge_times = true;
       const GossipResult result = simulate_gossip(csr, miner, config);
       if (block_hook_) {
         // Present the gossip outcome through the fast engine's result shape
@@ -85,7 +84,7 @@ void RoundRunner::run_round() {
         }
         block_hook_(shim);
       }
-      obs_.record_gossip_block(result);
+      obs_.record_gossip_block(csr, result);
     }
   }
 

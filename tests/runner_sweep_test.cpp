@@ -7,6 +7,7 @@
 #include <optional>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "runner/axes.hpp"
@@ -64,6 +65,37 @@ TEST(ExpandGrid, UnsweptSpecYieldsOneBaseCell) {
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].label, "base");
   EXPECT_EQ(cells[0].config.net.n, 50u);
+}
+
+// The blocks axis keeps the budget rounds x |B| exactly or refuses the
+// spec: a |B| that does not divide 1 x 100 would run 33 x 3 = 99 blocks.
+TEST(ExpandGrid, BlocksAxisKeepsTheBudgetOrThrows) {
+  SweepSpec spec;
+  spec.base.net.n = 20;
+  spec.base.rounds = 1;
+  ASSERT_EQ(spec.base.blocks_per_round, 100);
+  spec.algorithms = {core::Algorithm::Random};
+  spec.blocks_per_round = {4, 50};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 2u);
+  for (const SweepCell& cell : cells) {
+    EXPECT_EQ(cell.config.rounds * cell.config.blocks_per_round, 100);
+  }
+  EXPECT_EQ(check_block_budget(spec), "");
+
+  spec.blocks_per_round = {3};
+  EXPECT_EQ(check_block_budget(spec),
+            "bad --blocks grid: |B| = 3 does not divide the block budget "
+            "rounds x |B| = 1 x 100");
+  EXPECT_THROW(expand_grid(spec), std::runtime_error);
+  EXPECT_THROW(SweepRunner(1).run(spec), std::runtime_error);
+
+  // A budget past INT_MAX would wrap the round count.
+  spec.base.rounds = 30000000;
+  spec.blocks_per_round = {1};
+  EXPECT_NE(check_block_budget(spec).find("want <= 2147483647"),
+            std::string::npos);
+  EXPECT_THROW(expand_grid(spec), std::runtime_error);
 }
 
 // The cell JSON of a spec's grid with empty curves: enough to see its keys.

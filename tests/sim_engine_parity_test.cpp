@@ -28,7 +28,11 @@ TEST(EngineParity, GossipObservationsMatchEdgeTimeOracle) {
   net::NetworkOptions options;
   options.n = 80;
   options.seed = 3;
-  const auto network = net::Network::build(options);
+  auto network = net::Network::build(options);
+  // A withholder announces nothing; a withholding miner still announces its
+  // own block.
+  network.mutable_profiles()[9].forwards = false;
+  network.mutable_profiles()[50].forwards = false;
   net::Topology t(80);
   util::Rng rng(3);
   topo::build_random(t, rng);
@@ -41,7 +45,9 @@ TEST(EngineParity, GossipObservationsMatchEdgeTimeOracle) {
       sim::simulate_gossip(t, network, 50, config)};
   sim::ObservationTable obs;
   obs.begin_round(t, results.size());
-  for (const auto& result : results) obs.record_gossip_block(result);
+  for (const auto& result : results) {
+    obs.record_gossip_block(net::CsrTopology::build(t, network), result);
+  }
 
   std::size_t finite_above_zero = 0;
   for (std::size_t b = 0; b < results.size(); ++b) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "broadcast_oracle.hpp"
 #include "topo/builders.hpp"
@@ -220,32 +222,173 @@ TEST(Observations, InfraNeighborsGetNoRow) {
   EXPECT_TRUE(obs.out_peers(1).empty());
 }
 
-// The rel arena holds Σ|out(v)| × B doubles and nothing else grows with B,
-// so two fresh tables over the same topology differ by exactly the rows.
-TEST(Observations, MemoryBytesRelPartIsOutRowsTimesBlocks) {
+// The oracle's t̃ rows of v's out-peers, in slot order, over `results`:
+// delivery minus the per-block minimum over every neighbor; +inf where the
+// peer never delivered.
+std::vector<std::vector<double>> oracle_rows(
+    const net::Topology& t, const net::Network& network,
+    const std::vector<BroadcastResult>& results, net::NodeId v) {
+  const auto& adj = t.adjacency(v);
+  std::vector<std::vector<double>> rows;
+  for (const auto& link : adj) {
+    if (t.has_out(v, link.peer)) rows.emplace_back();
+  }
+  for (const auto& result : results) {
+    double t_min = util::kInf;
+    for (const auto& link : adj) {
+      t_min = std::min(t_min, oracle::delivery_time(result, link, v, network));
+    }
+    std::size_t k = 0;
+    for (const auto& link : adj) {
+      if (!t.has_out(v, link.peer)) continue;
+      const double at = oracle::delivery_time(result, link, v, network);
+      rows[k++].push_back(std::isinf(at) ? util::kInf : at - t_min);
+    }
+  }
+  return rows;
+}
+
+// Reads every out row of v and compares it bitwise with the oracle.
+void expect_rows_match(const ObservationTable& obs, const net::Topology& t,
+                       const net::Network& network,
+                       const std::vector<BroadcastResult>& results,
+                       net::NodeId v) {
+  const auto want = oracle_rows(t, network, results, v);
+  ASSERT_EQ(obs.out_peers(v).size(), want.size()) << "node " << v;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const auto got = obs.rel_times(v, k);
+    ASSERT_EQ(got.size(), want[k].size()) << "node " << v << " slot " << k;
+    for (std::size_t b = 0; b < got.size(); ++b) {
+      EXPECT_TRUE(std::memcmp(&got[b], &want[k][b], sizeof(double)) == 0)
+          << "node " << v << " slot " << k << " block " << b << ": "
+          << got[b] << " vs " << want[k][b];
+    }
+  }
+}
+
+// A random topology with a withholding node and an infra edge, so rows carry
+// +inf entries and t_min sees a non-p2p neighbor.
+struct RowFixture {
+  net::Network network;
+  net::Topology t;
+  std::vector<net::NodeId> miners = {4, 17, 60, 5};
+
+  RowFixture() : network(make_network()), t(80) {
+    util::Rng rng(21);
+    topo::build_random(t, rng);
+    t.add_infra_edge(2, 50, 0.5);
+  }
+  static net::Network make_network() {
+    net::NetworkOptions options;
+    options.n = 80;
+    options.seed = 21;
+    auto network = net::Network::build(options);
+    network.mutable_profiles()[5].forwards = false;
+    return network;
+  }
+  // Records miners[0 .. count) into a fresh round of capacity |miners|.
+  std::vector<BroadcastResult> record_first(ObservationTable& obs,
+                                            std::size_t count) const {
+    obs.begin_round(t, miners.size());
+    std::vector<BroadcastResult> results;
+    for (std::size_t b = 0; b < count; ++b) record_next(obs, results);
+    return results;
+  }
+  void record_next(ObservationTable& obs,
+                   std::vector<BroadcastResult>& results) const {
+    const net::NodeId miner = miners[results.size()];
+    record(obs, t, network, miner);
+    results.push_back(oracle::simulate_broadcast(t, network, miner));
+  }
+  // A node with out-peers other than `skip`.
+  net::NodeId scored_node(net::NodeId skip) const {
+    for (net::NodeId v = 0; v < t.size(); ++v) {
+      if (v != skip && !t.out(v).empty()) return v;
+    }
+    return net::kInvalidNode;
+  }
+};
+
+// Rows are computed per node on read into one buffer: reading w between two
+// reads of v must not leave v's second read with w's values.
+TEST(Observations, RowsReadInOrderVWVMatchOracle) {
+  const RowFixture f;
+  ObservationTable obs;
+  const auto results = f.record_first(obs, f.miners.size());
+  const net::NodeId v = f.scored_node(net::kInvalidNode);
+  const net::NodeId w = f.scored_node(v);
+  ASSERT_NE(w, net::kInvalidNode);
+  expect_rows_match(obs, f.t, f.network, results, v);
+  expect_rows_match(obs, f.t, f.network, results, w);
+  expect_rows_match(obs, f.t, f.network, results, v);
+  // The withheld node's deliveries are +inf in some row.
+  bool saw_inf = false;
+  for (net::NodeId u = 0; u < f.t.size(); ++u) {
+    for (std::size_t k = 0; k < obs.out_peers(u).size(); ++k) {
+      for (double x : obs.rel_times(u, k)) saw_inf |= std::isinf(x);
+    }
+    expect_rows_match(obs, f.t, f.network, results, u);
+  }
+  EXPECT_TRUE(saw_inf);
+}
+
+// A read, one more record, and a read again: the second read covers the new
+// block, and the first blocks keep their values.
+TEST(Observations, ReadRecordReadMatchesOracle) {
+  const RowFixture f;
+  ObservationTable obs;
+  auto results = f.record_first(obs, 2);
+  const net::NodeId v = f.scored_node(net::kInvalidNode);
+  expect_rows_match(obs, f.t, f.network, results, v);
+  EXPECT_EQ(obs.rel_times(v, 0).size(), 2u);
+  f.record_next(obs, results);
+  expect_rows_match(obs, f.t, f.network, results, v);
+  EXPECT_EQ(obs.rel_times(v, 0).size(), 3u);
+  f.record_next(obs, results);
+  for (net::NodeId u = 0; u < f.t.size(); ++u) {
+    expect_rows_match(obs, f.t, f.network, results, u);
+  }
+}
+
+// The table keeps B·n relay times, a max|out|·B row buffer and a B-long
+// t_min scratch; nothing else grows with B. Two fresh tables over the same
+// topology, each with every block recorded and every row read, differ by
+// exactly those parts. The row buffer appears with the first read.
+TEST(Observations, MemoryBytesGrowWithBlocksByStripesAndRowBuffer) {
+  net::NetworkOptions options;
+  options.n = 120;
+  options.seed = 8;
+  const auto network = net::Network::build(options);
   net::Topology t(120);
   util::Rng rng(8);
   topo::build_random(t, rng);
   t.add_infra_edge(4, 90, 1.0);
-  std::size_t out_rows = 0;
-  std::size_t adjacency = 0;
+  std::size_t max_out = 0;
   for (net::NodeId v = 0; v < t.size(); ++v) {
-    out_rows += t.out(v).size();
-    adjacency += t.adjacency(v).size();
+    max_out = std::max(max_out, t.out(v).size());
   }
-  ASSERT_LT(out_rows, adjacency);
-  ObservationTable one;
-  one.begin_round(t, 1);
-  ObservationTable many;
-  many.begin_round(t, 100);
-  std::size_t listed = 0;
-  for (net::NodeId v = 0; v < t.size(); ++v) {
-    listed += many.out_peers(v).size();
-  }
-  EXPECT_EQ(listed, out_rows);
-  EXPECT_EQ(many.memory_bytes() - one.memory_bytes(),
-            out_rows * 99 * sizeof(double));
-  EXPECT_GE(many.memory_bytes(), out_rows * 100 * sizeof(double));
+  const auto filled = [&](std::size_t blocks, std::size_t& before_read) {
+    ObservationTable obs;
+    obs.begin_round(t, blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      record(obs, t, network, static_cast<net::NodeId>(b % t.size()));
+    }
+    before_read = obs.memory_bytes();
+    for (net::NodeId v = 0; v < t.size(); ++v) {
+      for (std::size_t k = 0; k < obs.out_peers(v).size(); ++k) {
+        EXPECT_EQ(obs.rel_times(v, k).size(), blocks);
+      }
+    }
+    return obs.memory_bytes();
+  };
+  std::size_t one_before = 0;
+  std::size_t many_before = 0;
+  const std::size_t one = filled(1, one_before);
+  const std::size_t many = filled(100, many_before);
+  EXPECT_EQ(one - one_before, (max_out + 1) * 1 * sizeof(double));
+  EXPECT_EQ(many - many_before, (max_out + 1) * 100 * sizeof(double));
+  EXPECT_EQ(many_before - one_before, t.size() * 99 * sizeof(double));
+  EXPECT_EQ(many - one, (t.size() + max_out + 1) * 99 * sizeof(double));
 }
 
 }  // namespace
