@@ -12,6 +12,8 @@ perfbench layer (ARCHITECTURE.md, "Release perf truth"):
                                                     BM_CsrChurnRefreshRebuild
   BENCH_queuing.json         egress_unlimited_speedup BM_BroadcastEgressUnlimited /
                                                     BM_RelaxInnerLoop
+  BENCH_queuing.json         egress_queue_speedup     BM_BroadcastEgress /
+                                                    BM_RelaxInnerLoop
 
 If the current ratio falls more than --max-regression below the anchor's
 ratio, a GitHub Actions ::warning:: annotation is emitted.

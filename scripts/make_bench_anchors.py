@@ -5,9 +5,11 @@ Usage:
     python3 scripts/make_bench_anchors.py --build-dir build-o2 [--out-dir .]
         [--min-time 0.2] [--skip-sweeps]
 
-One micro_bench run (JSON format) feeds every anchor's ratios; the sweep
-instrument is invoked separately for the block that is not a
-google-benchmark entry. The emitted files keep the exact
+One micro_bench run (JSON format) of REPETITIONS repetitions feeds every
+anchor's ratios: each recorded entry is google-benchmark's median aggregate
+over the repetitions, under the plain benchmark name the gates read, so one
+noisy repetition cannot move an anchor. The sweep instrument is invoked
+separately for the block that is not a google-benchmark entry. The emitted files keep the exact
 `perigee-bench-snapshot-v1` shape the soft gates consume
 (scripts/check_bench_regression.py), including the benchmark `context`:
 google-benchmark's own `library_build_type` (the system .so's build flavor,
@@ -42,6 +44,9 @@ CONTEXT_KEYS = ("num_cpus", "mhz_per_cpu", "library_build_type",
 
 SCHEMA = "perigee-bench-snapshot-v1"
 
+# --benchmark_repetitions of the micro_bench run; anchors keep the median.
+REPETITIONS = 5
+
 NOTES = {
     "incremental_csr": (
         "Incremental-CSR anchor: per-round topology refresh as a full "
@@ -69,17 +74,19 @@ NOTES = {
         "parity corner computes the exact delay-only arrivals of the "
         "single-source delay path (the batched engine as a batch of one; "
         "byte parity pinned by tests/sim_engine_diff_test.cpp), so the ratio "
-        "prices the DES against the relaxation it replaces — a heap of "
-        "(time, seq, node, kind) events plus per-sender scheduler state "
-        "instead of a fixed-point bucket queue, and every Ready node walks "
-        "its control segment. It explains the sim.egress and "
+        "prices the DES against the relaxation it replaces — (time, seq) "
+        "events in the same monotone fixed-point bucket queue, ordered by "
+        "(qkey, time bits, seq), plus per-sender scheduler state, and every "
+        "Ready node walks its control segment. It explains the sim.egress and "
         "metrics.lambda_egress perfbench layers. The soft gate bars "
         "regressions of this ratio at n=1000, not the absolute value. "
         "egress_queue_speedup is the finite-rate congestion workload (200 KB "
-        "blocks + 1 KB INV chatter over 33 Mbit/s profile rates): one "
-        "SendDone event per serializing message pushes the event count per "
-        "broadcast from O(n) toward O(edges), which is why the congestion "
-        "grid is sized at n=200."),
+        "blocks + 1 KB INV chatter over 33 Mbit/s profile rates), gated the "
+        "same way: serializing payloads add one SendDone event each (a "
+        "sender's control run is one event), which pushes the event count "
+        "per broadcast from O(n) toward O(edges) and is why the congestion "
+        "grid is sized at n=200. Every entry is the median of "
+        f"{REPETITIONS} repetitions."),
 }
 
 # The micro_bench subset each anchor records (exact benchmark names).
@@ -121,6 +128,8 @@ def run_micro_bench(build_dir, min_time):
          # No "s" suffix: benchmark 1.7.x rejects suffixed durations
          # (1.8+ accepts both spellings).
          f"--benchmark_min_time={min_time}",
+         f"--benchmark_repetitions={REPETITIONS}",
+         "--benchmark_report_aggregates_only=true",
          f"--benchmark_out={out_path}", "--benchmark_out_format=json"],
         stdout=subprocess.DEVNULL)
     with open(out_path) as fh:
@@ -130,12 +139,15 @@ def run_micro_bench(build_dir, min_time):
 
 
 def entry_map(micro_json):
+    """Median aggregate of every benchmark, keyed and named by its plain
+    run name (e.g. BM_RelaxInnerLoop/1000, not ..._median)."""
     entries = {}
     for bench in micro_json["benchmarks"]:
-        if bench.get("run_type", "iteration") != "iteration":
+        if bench.get("aggregate_name") != "median":
             continue
-        entries[bench["name"]] = {k: bench[k] for k in ENTRY_KEYS
-                                  if k in bench}
+        name = bench["run_name"]
+        entries[name] = {k: bench[k] for k in ENTRY_KEYS if k in bench}
+        entries[name]["name"] = name
     return entries
 
 

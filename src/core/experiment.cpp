@@ -1,9 +1,12 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "metrics/edge_hist.hpp"
 #include "metrics/eval.hpp"
@@ -169,12 +172,22 @@ std::int64_t learning_rounds(const ExperimentConfig& config) {
              : rounds;
 }
 
+void ExperimentConfig::validate() const {
+  if (!std::isfinite(net.validation_scale) || net.validation_scale < 0.0) {
+    throw std::invalid_argument(
+        "validation_scale must be finite and >= 0, got " +
+        std::to_string(net.validation_scale));
+  }
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
+  config.validate();
   return run_experiment(config, build_scenario(config));
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 Scenario scenario) {
+  config.validate();
   PERIGEE_TRACE_SPAN_ARGS(experiment_span, "experiment",
                           obs::TraceArgs()
                               .arg("algorithm", algorithm_name(config.algorithm))

@@ -99,6 +99,15 @@ struct ExperimentConfig {
   // Master seed: drives network construction, hash power, initial topology,
   // mining and exploration.
   std::uint64_t seed = 1;
+
+  // Rejects configs the library cannot run, with std::invalid_argument:
+  // the clean error the CLI gives per flag, for callers that build configs
+  // in code. run_experiment calls it first. Rules:
+  //  - net.validation_scale is finite and >= 0. Both relaxation queues need
+  //    event times that never run backwards; a negative Δv breaks that (a
+  //    hang, an abort in the bucket queue, or λ from negative validation).
+  // PERIGEE_ASSERT stays for internal invariants.
+  void validate() const;
 };
 
 struct Checkpoint {

@@ -28,7 +28,7 @@ namespace {
 // bucket_queue.hpp). nullopt — degenerate delays (zero/non-finite, an
 // edgeless graph) or a key span the u32 grid cannot hold — sends the batch
 // to the 4-ary heap.
-using BatchPlan = std::optional<BucketQueue::FixedPlan>;
+using BatchPlan = std::optional<BucketQueueBase::FixedPlan>;
 
 BatchPlan make_plan(const net::CsrTopology& csr) {
   if (csr.num_links() == 0) return std::nullopt;
@@ -37,7 +37,8 @@ BatchPlan make_plan(const net::CsrTopology& csr) {
   // each relaxation adds at most max_reach; doubled for slack.
   const double max_key =
       (static_cast<double>(csr.size()) + 1.0) * max_reach * 2.0;
-  return BucketQueue::plan_fixed(csr.min_delay_ms(), max_reach, max_key);
+  return BucketQueueBase::plan_fixed(csr.min_delay_ms(), max_reach,
+                                     max_key);
 }
 
 // Branchless settled/stale gate: a pop is live iff its key still equals the
@@ -75,7 +76,8 @@ inline bool pop_is_fresh(double t, double arrival_u) {
 // NoSettleObserver folds the report away, so its loop is unchanged.
 template <typename Observer>
 void relax_buckets(const net::CsrTopology& csr,
-                   const BucketQueue::FixedPlan& plan, BucketQueue& queue,
+                   const BucketQueueBase::FixedPlan& plan,
+                   BucketQueue<RelaxEntry>& queue,
                    net::NodeId src, double* arrival, Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
@@ -96,7 +98,7 @@ void relax_buckets(const net::CsrTopology& csr,
   queue.reset(plan);
   queue.push(0.0, src);
   while (!queue.empty()) {
-    const BucketQueue::Entry top = queue.pop();
+    const RelaxEntry top = queue.pop();
     const double t = top.key;
     const net::NodeId u = top.node;
     // Overlap the next pop's data-dependent loads (its row bounds and
@@ -252,7 +254,8 @@ void MultiSourceResult::extract(std::size_t s, BroadcastResult& out) const {
 
 std::size_t SourceLane::memory_bytes() const {
   return queue.memory_bytes() + heap.capacity() * sizeof(HeapItem) +
-         events.capacity() * sizeof(EgressEvent) + settled.capacity() +
+         events.memory_bytes() +
+         event_heap.capacity() * sizeof(EgressEvent) + settled.capacity() +
          segment.capacity() + edge.capacity() * sizeof(std::uint32_t) +
          (tokens.capacity() + refill_time.capacity() + arrival.capacity() +
           group.capacity()) *

@@ -111,28 +111,34 @@ struct MultiSourceResult {
   void extract(std::size_t s, BroadcastResult& out) const;
 };
 
-/// One discrete event of the egress solver (sim/egress.hpp): (time,
-/// schedule sequence) orders its heap — equal times break FIFO by `seq`,
-/// which is that solver's deterministic tie-break rule (documented in
-/// docs/TRANSMISSION_MODEL.md). Declared here because the lanes store them.
+/// One discrete event of the egress solver (sim/egress.hpp), an entry of
+/// its `BucketQueue` (or of the 4-ary heap fallback, which ignores `qkey`).
+/// Events pop in (time, seq) order: equal times break FIFO by `seq`, the
+/// monotone schedule counter, which is that solver's deterministic
+/// tie-break rule (docs/TRANSMISSION_MODEL.md). The bucket queue orders the
+/// same pairs as (qkey, time bits, seq). `seq` is 32 bits: a source
+/// schedules at most n + 1 + 3·num_links events, which the egress batch
+/// asserts fits. Declared here because the lanes store them.
 struct EgressEvent {
-  double time = 0.0;       ///< event timestamp, ms
-  std::uint64_t seq = 0;   ///< monotone schedule order, breaks time ties
-  net::NodeId node = 0;    ///< subject node
-  std::uint8_t kind = 0;   ///< event kind, private to sim/egress.cpp
+  double key = 0.0;          ///< event time, ms
+  std::uint32_t qkey = 0;    ///< fixed-point image of `key` (bucket queue)
+  net::NodeId node = 0;      ///< subject node
+  std::uint32_t seq = 0;     ///< monotone schedule order, breaks time ties
+  std::uint8_t kind = 0;     ///< event kind, private to sim/egress.cpp
+  std::uint32_t tie() const { return seq; }
   bool operator<(const EgressEvent& other) const {
-    if (time != other.time) return time < other.time;
+    if (key != other.key) return key < other.key;
     return seq < other.seq;
   }
 };
 
-/// Per-worker scratch of the batch driver, one type for both solvers: the
-/// delay solver's bucket queue and heap fallback, the egress solver's event
-/// heap and per-sender scheduler state, and the observing body's arrival
-/// stripe and coverage group. Each field is sized by the
-/// solver that uses it, so a delay-only run never grows the egress fields.
-/// (No settled array for the delay solver: it detects stale queue entries by
-/// comparing the popped key against the node's current arrival instead.)
+/// Per-worker scratch of the batch driver, one type for both solvers: each
+/// solver's bucket queue and 4-ary heap fallback, the egress solver's
+/// per-sender scheduler state, and the observing body's arrival stripe and
+/// coverage group. Each field is sized by the solver that uses it, so a
+/// delay-only run never grows the egress fields. (No settled array for the
+/// delay solver: it detects stale queue entries by comparing the popped key
+/// against the node's current arrival instead.)
 ///
 /// alignas(64): each lane object starts on its own cache line, so the hot
 /// scalar state of two workers' lanes (queue cursors, vector headers) never
@@ -140,9 +146,10 @@ struct EgressEvent {
 /// `tests/sim_batch_layout_test.cpp` guards both this and the stripe
 /// padding above against regression.
 struct alignas(64) SourceLane {
-  BucketQueue queue;                  ///< delay: fast-path relaxation queue
+  BucketQueue<RelaxEntry> queue;      ///< delay: fast-path relaxation queue
   std::vector<HeapItem> heap;         ///< delay: fallback 4-ary heap storage
-  std::vector<EgressEvent> events;    ///< egress: 4-ary event heap storage
+  BucketQueue<EgressEvent> events;    ///< egress: (time, seq) event queue
+  std::vector<EgressEvent> event_heap;  ///< egress: fallback 4-ary heap
   std::vector<std::uint8_t> settled;  ///< egress: per-node "holds the block"
   std::vector<std::uint8_t> segment;  ///< egress: per-sender dequeue segment
   std::vector<std::uint32_t> edge;    ///< egress: per-sender CSR row index

@@ -1,6 +1,5 @@
 #include "sim/bucket_queue.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -8,7 +7,7 @@
 
 namespace perigee::sim {
 
-std::optional<BucketQueue::FixedPlan> BucketQueue::plan_fixed(
+std::optional<BucketQueueBase::FixedPlan> BucketQueueBase::plan_fixed(
     double min_delay, double max_reach, double max_key) {
   if (!(min_delay > 0.0) || !std::isfinite(min_delay)) return std::nullopt;
   if (!(max_reach >= 0.0) || !std::isfinite(max_reach)) return std::nullopt;
@@ -47,71 +46,20 @@ std::optional<BucketQueue::FixedPlan> BucketQueue::plan_fixed(
   return plan;
 }
 
-void BucketQueue::clear_and_rewind() {
-  if (size_ != 0) {
-    for (std::size_t w = 0; w < occupied_.size(); ++w) {
-      std::uint64_t bits = occupied_[w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        ring_[w * 64 + static_cast<std::size_t>(b)].clear();
-      }
-      occupied_[w] = 0;
-    }
-    size_ = 0;
-  }
+void BucketQueueBase::install(const FixedPlan& plan) {
+  PERIGEE_ASSERT(plan.grid.scale > 0.0 && plan.shift >= 0);
+  size_ = 0;
   cur_ = 0;
   cur_sorted_ = false;
 #ifdef PERIGEE_TELEMETRY
   empty_skips_ = 0;
 #endif
-  if (ring_.empty()) grow(0);  // keeps the ring check out of push()
-}
-
-void BucketQueue::reset(const FixedPlan& plan) {
-  PERIGEE_ASSERT(plan.grid.scale > 0.0 && plan.shift >= 0);
-  clear_and_rewind();
   scale_ = plan.grid.scale;
   shift_ = plan.shift;
   width_ = plan.width();
 }
 
-void BucketQueue::sort_bucket(std::vector<Entry>& bucket) {
-  // Only reached for buckets too large for pop()'s inline insertion sort.
-  std::sort(bucket.begin(), bucket.end(), greater);
-}
-
-void BucketQueue::push_sorted(std::vector<Entry>& bucket, Entry entry) {
-  bucket.insert(
-      std::upper_bound(bucket.begin(), bucket.end(), entry, greater), entry);
-}
-
-void BucketQueue::grow(std::uint64_t span_needed) {
-  std::size_t capacity = std::max<std::size_t>(mask_ + 1, 64);
-  while (capacity <= span_needed) capacity *= 2;
-  PERIGEE_ASSERT_MSG(capacity <= kMaxBuckets,
-                     "bucket queue span exceeds kMaxBuckets; the caller "
-                     "should have used BucketQueue::plan_fixed");
-  std::vector<std::vector<Entry>> fresh(capacity);
-  const std::uint64_t new_mask = capacity - 1;
-  // Remap live buckets: every entry of a slot shares one absolute bucket
-  // index (pending keys span < old capacity), recoverable from any entry's
-  // qkey.
-  for (auto& bucket : ring_) {
-    if (bucket.empty()) continue;
-    const std::uint64_t abs_bucket =
-        std::uint64_t{bucket.front().qkey} >> shift_;
-    fresh[abs_bucket & new_mask] = std::move(bucket);
-  }
-  ring_ = std::move(fresh);
-  mask_ = new_mask;
-  occupied_.assign(capacity / 64, 0);
-  for (std::uint64_t s = 0; s < capacity; ++s) {
-    if (!ring_[s].empty()) occupied_[s >> 6] |= std::uint64_t{1} << (s & 63);
-  }
-}
-
-void BucketQueue::advance_to_nonempty() {
+void BucketQueueBase::advance_to_nonempty() {
   // Scan the occupancy bitmap cyclically from cur_'s slot. Pending buckets
   // span less than the ring capacity, so the first occupied slot in ring
   // order is the smallest pending absolute bucket.

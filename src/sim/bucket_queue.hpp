@@ -1,36 +1,44 @@
 /// \file
-/// \brief Monotone bucket queue (delta-stepping style) for the batched
-/// broadcast engine's Dijkstra relaxation.
+/// \brief Monotone bucket queue (delta-stepping style) for both solvers of
+/// the batch driver: the delay solver's Dijkstra relaxation and the egress
+/// solver's discrete events.
 ///
 /// A Dijkstra pass over a graph whose edge weights are all >= some δmin only
 /// ever inserts keys >= the key it last popped (each candidate is
-/// `settled arrival + validation + edge delay`). A bucket queue exploits that
-/// monotonicity: entries land in uniform-width buckets indexed by
-/// `floor(key / width)`, pops drain buckets in index order, and with
-/// `width <= δmin / 2` no insertion can ever land in a bucket that is already
-/// being drained — so a push is O(1) amortized instead of the 4-ary heap's
-/// O(log n) sift.
+/// `settled arrival + validation + edge delay`), and the egress event loop
+/// only ever schedules events at or after the one it is handling. A bucket
+/// queue exploits that monotonicity: entries land in uniform-width buckets
+/// indexed by `floor(key / width)`, pops drain buckets in index order, so a
+/// push is O(1) amortized instead of the 4-ary heap's O(log n) sift.
 ///
-/// Unlike classic Dial/delta-stepping, the active bucket is sorted
-/// lexicographically by (key, node) before it is drained. Buckets are small
-/// (edge weights spread pushes across many buckets), so the sort is cheap,
-/// and it buys the property the engines' byte-parity contract is easiest to
-/// reason about with: **pop order is exactly
-/// `std::priority_queue<pair, greater<>>` order** for any monotone push
-/// sequence — `tests/sim_bucketq_test.cpp` asserts this equivalence
-/// directly, and the batched engine therefore settles nodes in exactly the
+/// Unlike classic Dial/delta-stepping, the active bucket is sorted before it
+/// is drained, and a push into it is inserted in sorted position. Buckets
+/// are small, so the sort is cheap, and it buys the property the engines'
+/// byte-parity contract is easiest to reason about with: **pop order is
+/// exactly the entry's total order** — (key, node) for the delay solver's
+/// `RelaxEntry`, i.e. `std::priority_queue<pair, greater<>>` order, and
+/// (time, seq) for the egress solver's `EgressEvent` — for any monotone
+/// push sequence. `tests/sim_bucketq_test.cpp` asserts this equivalence
+/// directly for both entries, so each engine settles nodes in exactly its
 /// test oracle's sequence.
+///
+/// The queue is generic over its entry. An entry is an aggregate whose
+/// first members are `double key` (finite, >= 0, never -0.0),
+/// `std::uint32_t qkey` (filled in by `push`) and `net::NodeId node`,
+/// followed by whatever payload the solver needs; its `tie()` breaks exact
+/// key ties.
 ///
 /// Keys are bucketed on a u32 fixed-point grid: each key is quantized onto
 /// a power-of-two grid (`util::FixedPointScale`, exact floor) at push time
 /// and the bucket index is `qkey >> shift` — pure integer math. The exact
 /// floor is monotone, so a push can never land below the bucket being
-/// drained and `push` needs no rounding clamp; the active-bucket sort
-/// compares the stored u32 qkey first and only breaks qkey ties through the
-/// key's IEEE bit pattern (for finite nonnegative doubles, unsigned
-/// bit-pattern order *is* numeric order), so the hot pop/sort path performs
-/// no double compares at all. `plan_fixed` derives a grid whose largest
-/// conceivable key fits u32; graphs it rejects go to the 4-ary heap.
+/// drained and `push` needs no rounding clamp; equal keys share a qkey and
+/// therefore a bucket. The active-bucket sort compares the stored u32 qkey
+/// first and only breaks qkey ties through the key's IEEE bit pattern (for
+/// finite nonnegative doubles, unsigned bit-pattern order *is* numeric
+/// order) and then `tie()`, so the hot pop/sort path performs no double
+/// compares at all. `plan_fixed` derives a grid whose largest conceivable
+/// key fits u32; inputs it rejects go to the 4-ary heap (sim/dary_heap.hpp).
 ///
 /// The bucket array is a power-of-two ring over *absolute* bucket indices
 /// (slot = index & mask), valid because pending keys span less than the ring
@@ -40,29 +48,37 @@
 /// allocation.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/types.hpp"
+#include "util/assert.hpp"
 #include "util/fixedpoint.hpp"
 
 namespace perigee::sim {
 
-class BucketQueue {
- public:
-  /// One queued element: (arrival-time key, fixed-point image, node). `qkey`
-  /// is `floor(key * scale)`, the primary sort key.
-  struct Entry {
-    double key;
-    std::uint32_t qkey;
-    net::NodeId node;
-  };
-  static_assert(sizeof(Entry) == 16, "keep bucket entries two per load pair");
+/// The delay solver's entry: (arrival-time key, fixed-point image, node).
+/// `qkey` is `floor(key * scale)`, the primary sort key; exact key ties pop
+/// in node order.
+struct RelaxEntry {
+  double key;
+  std::uint32_t qkey;
+  net::NodeId node;
+  std::uint32_t tie() const { return node; }
+};
+static_assert(sizeof(RelaxEntry) == 16,
+              "keep bucket entries two per load pair");
 
+/// The entry-independent half of `BucketQueue`: the fixed-point plan, the
+/// drain cursor and the occupancy bitmap.
+class BucketQueueBase {
+ public:
   /// Hard ring-size ceiling enforced by `grow`.
   static constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 20;
   /// Ring size `plan_fixed` steers towards (memory/scan sweet spot).
@@ -78,23 +94,20 @@ class BucketQueue {
     double width() const { return std::ldexp(1.0, shift - grid.exponent); }
   };
 
-  /// Derives the fixed-point plan for a graph whose keys never exceed
-  /// `max_key` (callers bound it by n relaxations of `max_reach` each, with
-  /// slack): the finest power-of-two grid that resolves `min_delay` to ~2^9
-  /// units, coarsened until `max_key` quantizes below 2^32 so every qkey
-  /// fits u32; the bucket width starts at the occupancy sweet spot
-  /// (<= min_delay / 16: several buckets per smallest edge delay keep
-  /// buckets thin, ~1–3 entries) and widens until one relaxation reach fits
-  /// the `kPreferredBuckets` ring budget. nullopt when no grid works —
-  /// degenerate delays, or a key span over ~2^31x the min delay, where the
-  /// u32 image cannot both hold `max_key` and resolve `min_delay` to the
-  /// >= 2 units a bucket width needs — and callers fall back to the heap.
+  /// Derives the fixed-point plan for keys that never exceed `max_key`
+  /// (callers bound it by n steps of `max_reach` each, with slack), where
+  /// `max_reach` bounds how far past the last pop one push can land: the
+  /// finest power-of-two grid that resolves `min_delay` to ~2^9 units,
+  /// coarsened until `max_key` quantizes below 2^32 so every qkey fits u32;
+  /// the bucket width starts at the occupancy sweet spot (<= min_delay / 16:
+  /// several buckets per smallest edge delay keep buckets thin, ~1–3
+  /// entries) and widens until one reach fits the `kPreferredBuckets` ring
+  /// budget. nullopt when no grid works — degenerate delays, or a key span
+  /// over ~2^31x the min delay, where the u32 image cannot both hold
+  /// `max_key` and resolve `min_delay` to the >= 2 units a bucket width
+  /// needs — and callers fall back to the heap.
   static std::optional<FixedPlan> plan_fixed(double min_delay,
                                              double max_reach, double max_key);
-
-  /// Empties the queue and installs `plan` (from `plan_fixed`). Keeps
-  /// previously grown storage.
-  void reset(const FixedPlan& plan);
 
   /// Pending entries (including not-yet-skipped duplicates).
   std::size_t size() const { return size_; }
@@ -113,6 +126,44 @@ class BucketQueue {
 #endif
   }
 
+ protected:
+  void install(const FixedPlan& plan);
+  void mark_occupied(std::uint64_t bucket) {
+    const std::uint64_t s = bucket & mask_;
+    occupied_[s >> 6] |= std::uint64_t{1} << (s & 63);
+  }
+  void mark_empty(std::uint64_t bucket) {
+    const std::uint64_t s = bucket & mask_;
+    occupied_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+  }
+  /// Moves `cur_` to the smallest occupied bucket. Precondition: `size_`.
+  void advance_to_nonempty();
+
+  double width_ = 1.0;
+  double scale_ = 1.0;       ///< the grid's 2^exponent
+  int shift_ = 0;            ///< log2 bucket width (grid units)
+  std::uint64_t cur_ = 0;    ///< absolute index of the bucket being drained
+  bool cur_sorted_ = false;  ///< true once `cur_`'s slot was sorted
+  std::size_t size_ = 0;
+  std::uint64_t mask_ = 0;  ///< ring capacity - 1 (capacity is a power of 2)
+  std::vector<std::uint64_t> occupied_;  ///< per-slot non-empty bitmap
+#ifdef PERIGEE_TELEMETRY
+  std::uint64_t empty_skips_ = 0;  ///< see empty_skips(); plain member — the
+                                   ///< queue is single-threaded by design
+#endif
+};
+
+/// The queue over one entry type (see the file comment for its contract).
+template <typename Entry>
+class BucketQueue : public BucketQueueBase {
+ public:
+  /// Empties the queue and installs `plan` (from `plan_fixed`). Keeps
+  /// previously grown storage.
+  void reset(const FixedPlan& plan) {
+    clear_ring();
+    install(plan);
+  }
+
   /// Heap bytes behind the ring (slot vectors keep their capacity across
   /// `reset`, so this is the lane's steady-state footprint).
   std::size_t memory_bytes() const {
@@ -122,15 +173,16 @@ class BucketQueue {
     return bytes;
   }
 
-  /// Inserts an entry. Contract (unchecked in the hot path): `reset` was
-  /// called at least once, and `key` is finite, >= 0 (never -0.0 — its bit
-  /// pattern would sort above every positive key), and >= the key of the
-  /// last `pop` (the Dijkstra monotonicity this queue is built for). The
-  /// caller's plan additionally bounds `key * scale` below 2^32
-  /// (`plan_fixed` guarantees it for in-plan graphs).
+  /// Inserts the entry `{key, qkey, fields...}`. Contract (unchecked in the
+  /// hot path): `reset` was called at least once, and `key` is finite, >= 0
+  /// (never -0.0 — its bit pattern would sort above every positive key),
+  /// and >= the key of the last `pop` (the monotonicity this queue is built
+  /// for). The caller's plan additionally bounds `key * scale` below 2^32
+  /// (`plan_fixed` guarantees it for in-plan inputs).
   /// Inline: a sparse relaxation pushes a few thousand times per source, so
   /// the O(1) body must not cost a call.
-  void push(double key, net::NodeId node) {
+  template <typename... Fields>
+  void push(double key, Fields... fields) {
     // Exact floor onto the grid (scale is a power of two); monotone, so the
     // bucket can never fall below cur_ — no clamp.
     const auto qkey = static_cast<std::uint32_t>(key * scale_);
@@ -138,10 +190,12 @@ class BucketQueue {
     if (bucket - cur_ >= mask_ + 1) grow(bucket - cur_);
     std::vector<Entry>& vec = slot(bucket);
     if (vec.empty()) mark_occupied(bucket);
-    const Entry entry{key, qkey, node};
+    const Entry entry{key, qkey, fields...};
     if (bucket == cur_ && cur_sorted_) {
-      // Rare (the engine's width margin makes it impossible there, see the
-      // file comment): keep the active bucket's descending order intact.
+      // Keep the active bucket's descending order intact. Rare for the
+      // delay solver (its width margin makes it impossible there, see
+      // sim/batch.cpp); the egress solver lands here for every event it
+      // schedules at the time it is handling.
       push_sorted(vec, entry);
     } else {
       vec.push_back(entry);
@@ -149,8 +203,8 @@ class BucketQueue {
     ++size_;
   }
 
-  /// Removes and returns the lexicographically smallest (key, node) pending
-  /// entry. Precondition: `!empty()`.
+  /// Removes and returns the smallest pending entry in (key, tie()) order.
+  /// Precondition: `!empty()`.
   Entry pop() {
     std::vector<Entry>* vec = &slot(cur_);
     if (vec->empty()) {
@@ -188,61 +242,101 @@ class BucketQueue {
     return e;
   }
 
+  /// The smallest pending entry if it sits in the bucket being drained, else
+  /// nullptr. Right after a `pop` that is exact for the popped key: every
+  /// pending entry with an equal key shares its qkey, hence its bucket, and
+  /// the active bucket stays sorted (pushes into it are inserted in place),
+  /// so a pending entry with the popped key exists iff the returned entry
+  /// has it.
+  const Entry* peek_active() const {
+    const std::vector<Entry>& vec = ring_[cur_ & mask_];
+    return (cur_sorted_ && !vec.empty()) ? &vec.back() : nullptr;
+  }
+
   /// Node id the next `pop` would return *if* it sits in the bucket being
   /// drained, else `fallback`. O(1): the active bucket drains sorted from
-  /// the back, and the engines' width margin keeps concurrent pushes out of
-  /// it, so `back()` right after a pop *is* the next pop. The engines feed
-  /// this to a software prefetch of the next CSR row while the current one
-  /// is scanned — a wrong-but-harmless `fallback` on bucket boundaries
-  /// costs one redundant prefetch hint, nothing more.
+  /// the back, so `back()` right after a pop *is* the next pop unless a
+  /// later push overtakes it. The delay solver feeds this to a software
+  /// prefetch of the next CSR row while the current one is scanned — a
+  /// wrong-but-harmless `fallback` on bucket boundaries costs one redundant
+  /// prefetch hint, nothing more.
   net::NodeId peek_next(net::NodeId fallback) const {
-    const std::vector<Entry>& vec = ring_[cur_ & mask_];
-    return (cur_sorted_ && !vec.empty()) ? vec.back().node : fallback;
+    const Entry* next = peek_active();
+    return next != nullptr ? next->node : fallback;
   }
 
  private:
-  /// Descending (key, node) order — the drain-from-back sort order. The u32
-  /// qkey image decides first; a qkey tie
-  /// falls through to the exact key via its IEEE bit pattern — for finite
-  /// nonnegative doubles the unsigned bit-pattern order equals the numeric
-  /// order, so ties and 1-ulp-apart keys resolve exactly, with no double
-  /// compare anywhere on the path.
+  /// Descending (key, tie) order — the drain-from-back sort order. The u32
+  /// qkey image decides first; a qkey tie falls through to the exact key
+  /// via its IEEE bit pattern — for finite nonnegative doubles the unsigned
+  /// bit-pattern order equals the numeric order, so ties and 1-ulp-apart
+  /// keys resolve exactly, with no double compare anywhere on the path.
   static bool greater(const Entry& a, const Entry& b) {
     if (a.qkey != b.qkey) return a.qkey > b.qkey;
     const std::uint64_t ab = std::bit_cast<std::uint64_t>(a.key);
     const std::uint64_t bb = std::bit_cast<std::uint64_t>(b.key);
-    return ab != bb ? ab > bb : a.node > b.node;
+    return ab != bb ? ab > bb : a.tie() > b.tie();
   }
   std::vector<Entry>& slot(std::uint64_t bucket) {
     return ring_[bucket & mask_];
   }
-  void mark_occupied(std::uint64_t bucket) {
-    const std::uint64_t s = bucket & mask_;
-    occupied_[s >> 6] |= std::uint64_t{1} << (s & 63);
-  }
-  void mark_empty(std::uint64_t bucket) {
-    const std::uint64_t s = bucket & mask_;
-    occupied_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-  }
-  static void sort_bucket(std::vector<Entry>& bucket);
-  static void push_sorted(std::vector<Entry>& bucket, Entry entry);
-  void clear_and_rewind();
-  void grow(std::uint64_t span_needed);
-  void advance_to_nonempty();
 
-  double width_ = 1.0;
-  double scale_ = 1.0;       ///< the grid's 2^exponent
-  int shift_ = 0;            ///< log2 bucket width (grid units)
-  std::uint64_t cur_ = 0;    ///< absolute index of the bucket being drained
-  bool cur_sorted_ = false;  ///< true once `cur_`'s slot was sorted
-  std::size_t size_ = 0;
-  std::uint64_t mask_ = 0;  ///< ring capacity - 1 (capacity is a power of 2)
+  // The cold paths stay out of line, as they were before the queue became
+  // a template: inlining them would bloat the delay solver's hot loop.
+  [[gnu::noinline]] static void sort_bucket(std::vector<Entry>& bucket) {
+    // Only reached for buckets too large for pop()'s inline insertion sort.
+    std::sort(bucket.begin(), bucket.end(), greater);
+  }
+
+  [[gnu::noinline]] static void push_sorted(std::vector<Entry>& bucket,
+                                            Entry entry) {
+    bucket.insert(
+        std::upper_bound(bucket.begin(), bucket.end(), entry, greater),
+        entry);
+  }
+
+  // Empties every occupied slot; `install` then rewinds the cursor.
+  [[gnu::noinline]] void clear_ring() {
+    if (size_ != 0) {
+      for (std::size_t w = 0; w < occupied_.size(); ++w) {
+        std::uint64_t bits = occupied_[w];
+        while (bits != 0) {
+          const int b = std::countr_zero(bits);
+          bits &= bits - 1;
+          ring_[w * 64 + static_cast<std::size_t>(b)].clear();
+        }
+        occupied_[w] = 0;
+      }
+    }
+    if (ring_.empty()) grow(0);  // keeps the ring check out of push()
+  }
+
+  [[gnu::noinline]] void grow(std::uint64_t span_needed) {
+    std::size_t capacity = std::max<std::size_t>(mask_ + 1, 64);
+    while (capacity <= span_needed) capacity *= 2;
+    PERIGEE_ASSERT_MSG(capacity <= kMaxBuckets,
+                       "bucket queue span exceeds kMaxBuckets; the caller "
+                       "should have used BucketQueue::plan_fixed");
+    std::vector<std::vector<Entry>> fresh(capacity);
+    const std::uint64_t new_mask = capacity - 1;
+    // Remap live buckets: every entry of a slot shares one absolute bucket
+    // index (pending keys span < old capacity), recoverable from any
+    // entry's qkey.
+    for (auto& bucket : ring_) {
+      if (bucket.empty()) continue;
+      const std::uint64_t abs_bucket =
+          std::uint64_t{bucket.front().qkey} >> shift_;
+      fresh[abs_bucket & new_mask] = std::move(bucket);
+    }
+    ring_ = std::move(fresh);
+    mask_ = new_mask;
+    occupied_.assign(capacity / 64, 0);
+    for (std::uint64_t s = 0; s < capacity; ++s) {
+      if (!ring_[s].empty()) occupied_[s >> 6] |= std::uint64_t{1} << (s & 63);
+    }
+  }
+
   std::vector<std::vector<Entry>> ring_;
-  std::vector<std::uint64_t> occupied_;  ///< per-slot non-empty bitmap
-#ifdef PERIGEE_TELEMETRY
-  std::uint64_t empty_skips_ = 0;  ///< see empty_skips(); plain member — the
-                                   ///< queue is single-threaded by design
-#endif
 };
 
 }  // namespace perigee::sim

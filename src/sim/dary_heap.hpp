@@ -1,12 +1,17 @@
 /// \file
-/// \brief 4-ary min-heap, shared by the delay solver's heap fallback
-/// (sim/batch.cpp) and the egress event queue.
+/// \brief 4-ary min-heap: the fallback of both solvers' bucket queues.
 ///
-/// Ordered lexicographically — the same total order
-/// `std::priority_queue<pair, greater<>>` pops in, so every engine built on
-/// it settles nodes in exactly the test oracle's sequence. d=4 halves
-/// the tree height of a binary heap and keeps each child scan in one cache
-/// line, which pays off at the push-heavy workload of a sparse Dijkstra.
+/// Both solvers normally queue through `BucketQueue` (sim/bucket_queue.hpp).
+/// A batch whose snapshot no fixed-point plan fits takes this heap instead:
+/// the delay solver's `relax_heap` (sim/batch.cpp) on a zero-latency link
+/// or an edgeless graph, and the egress solver (sim/egress.cpp) on a
+/// zero-δ link, a zero-rate sender or a rate so small its finish times
+/// outrun the u32 grid. The heap pops in the item's `operator<` order — the
+/// same total order as the bucket queue (`std::priority_queue<pair,
+/// greater<>>` order for the delay solver, (time, seq) for the egress
+/// solver's `EgressEvent`), so which one ran never changes a byte. d=4
+/// halves the tree height of a binary heap and keeps each child scan in one
+/// cache line.
 #pragma once
 
 #include <algorithm>
@@ -22,8 +27,8 @@ namespace perigee::sim {
 inline constexpr std::size_t kHeapArity = 4;
 
 /// One delay-relaxation element: (arrival-time key, node). The functions
-/// below are templated over the item type so the egress engine can queue
-/// its own event records; the item's `operator<` defines the order.
+/// below are templated over the item type so the egress solver can queue
+/// its `EgressEvent` records; the item's `operator<` defines the order.
 using HeapItem = std::pair<double, net::NodeId>;
 
 /// Sift-up insertion. The item parameter is a non-deduced context so braced

@@ -1,6 +1,8 @@
 #include "sim/egress.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "sim/dary_heap.hpp"
@@ -17,11 +19,111 @@ constexpr std::uint8_t kReady = 1;     // a node starts relaying
 constexpr std::uint8_t kSendDone = 2;  // a sender's uplink frees up
 constexpr std::uint8_t kRunEnd = 3;    // a SendDone closing a control run
 
+// The per-batch event-queue plan: the fixed-point grid of the events'
+// BucketQueue, or nullopt for the 4-ary heap.
+using EventPlan = std::optional<BucketQueueBase::FixedPlan>;
+
+// Derives the event plan from the snapshot and the rates. Event times never
+// run backwards: an Arrival lands δ >= min δ > 0 after the event that
+// scheduled it, a Ready Δv >= 0 after its Arrival, and a SendDone (or a
+// control run's end) at a finish >= its start. The reach — how far past
+// the event being handled one push can land — is therefore the largest of
+// max δ, max Δv and one sender's whole serialization, deg·size/rate (its
+// longest control run, or one payload). A settle chain is at most n hops,
+// each adding at most δ + Δv + the sender's control and payload segments
+// (2·deg·size/rate), which bounds every event time; doubled for slack like
+// the delay plan's. No plan without a positive min δ to size the grid by,
+// nor for inputs that break those bounds: a negative Δv (times run
+// backwards), a negative burst (a send outlasts size/rate), or a sender
+// with a zero or non-finite rate (its finish is +inf).
+EventPlan make_event_plan(const net::CsrTopology& csr,
+                          const EgressConfig& config, const EgressPlan& plan) {
+  const std::size_t n = csr.size();
+  PERIGEE_ASSERT(plan.size() == n);
+  // EgressEvent::seq is 32 bits: a source schedules at most one Ready per
+  // node, one Arrival per delivered payload and one SendDone per message.
+  PERIGEE_ASSERT_MSG(n + 1 + 3 * static_cast<std::uint64_t>(csr.num_links()) <
+                         (std::uint64_t{1} << 32),
+                     "egress event sequence exceeds 32 bits");
+  if (csr.num_links() == 0 || !(config.burst_bytes >= 0.0)) {
+    return std::nullopt;
+  }
+  double size = 0.0;
+  if (!config.unlimited_rate) {
+    if (config.block_bytes > size) size = config.block_bytes;
+    if (config.control_bytes > size) size = config.control_bytes;
+  }
+  const std::size_t* offsets = csr.offsets();
+  const std::size_t* row_ends = csr.row_ends();
+  double serial = 0.0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto u = static_cast<net::NodeId>(v);
+    if (!(csr.validation_ms(u) >= 0.0)) return std::nullopt;
+    const std::size_t deg = row_ends[v] - offsets[v];
+    if (deg == 0 || size == 0.0) continue;
+    const double rate = plan.rate(u);
+    if (!(rate > 0.0) || !std::isfinite(rate)) return std::nullopt;
+    serial = std::max(serial, static_cast<double>(deg) * size / rate);
+  }
+  const double hop = csr.max_delay_ms() + csr.max_validation_ms();
+  const double max_reach = std::max(hop, serial);
+  const double max_key =
+      (static_cast<double>(n) + 1.0) * (hop + 2.0 * serial) * 2.0;
+  return BucketQueueBase::plan_fixed(csr.min_delay_ms(), max_reach, max_key);
+}
+
+// The two homes of the (time, seq) event order behind one interface. Both
+// pop in exactly that order; `next_ties(t)`, asked right after popping an
+// event at time t, says whether another pending event has time t too.
+class BucketEvents {
+ public:
+  BucketEvents(BucketQueue<EgressEvent>& queue,
+               const BucketQueueBase::FixedPlan& plan)
+      : queue_(queue) {
+    queue_.reset(plan);
+  }
+  void push(double time, net::NodeId node, std::uint32_t seq,
+            std::uint8_t kind) {
+    queue_.push(time, node, seq, kind);
+  }
+  EgressEvent pop() { return queue_.pop(); }
+  bool empty() const { return queue_.empty(); }
+  // Equal times share a bucket, and the active bucket drains sorted, so its
+  // back is the smallest pending event whenever one has time t.
+  bool next_ties(double time) const {
+    const EgressEvent* next = queue_.peek_active();
+    return next != nullptr && next->key == time;
+  }
+
+ private:
+  BucketQueue<EgressEvent>& queue_;
+};
+
+class HeapEvents {
+ public:
+  explicit HeapEvents(std::vector<EgressEvent>& heap) : heap_(heap) {
+    heap_.clear();
+  }
+  void push(double time, net::NodeId node, std::uint32_t seq,
+            std::uint8_t kind) {
+    heap_push(heap_, {time, 0, node, seq, kind});
+  }
+  EgressEvent pop() { return heap_pop(heap_); }
+  bool empty() const { return heap_.empty(); }
+  bool next_ties(double time) const {
+    return !heap_.empty() && heap_.front().key == time;
+  }
+
+ private:
+  std::vector<EgressEvent>& heap_;
+};
+
 // One source's discrete-event simulation into caller-provided stripes.
 //
-// The loop is a pure function of (csr, config, plan, src): events pop in
-// (time, seq) order where seq is the monotone schedule counter, so equal
-// times resolve FIFO by schedule order — the deterministic tie-break rule.
+// The loop is a pure function of (csr, config, plan, src): `events` (either
+// home above — they pop alike) yields events in (time, seq) order where seq
+// is the monotone schedule counter, so equal times resolve FIFO by schedule
+// order — the deterministic tie-break rule.
 // In the delay-only configuration (unlimited rate, or every size zero) the
 // send pump delivers each payload inline at its dequeue instant with no
 // rate arithmetic at all, and every candidate is the identical
@@ -41,12 +143,13 @@ constexpr std::uint8_t kRunEnd = 3;    // a SendDone closing a control run
 // an event. That event, a kRunEnd when payloads follow, carries a seq
 // stamped when the run began, earlier than the per-message loop would give
 // it, so it can only overtake events at exactly its own time — and those
-// are still in the heap when it pops. On such a tie the source is abandoned
+// are still pending when it pops. On such a tie the source is abandoned
 // (returns false) and `solve_egress` re-runs it without the collapse.
-template <bool kCollapse, typename Observer>
+template <bool kCollapse, typename Events, typename Observer>
 bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
-                const EgressPlan& plan, SourceLane& lane, net::NodeId src,
-                double* arrival, double* ready, Observer& observer) {
+                const EgressPlan& plan, SourceLane& lane, Events& events,
+                net::NodeId src, double* arrival, double* ready,
+                Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   PERIGEE_ASSERT(plan.size() == n);
@@ -60,8 +163,6 @@ bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
   lane.edge.resize(n);
   lane.tokens.resize(n);
   lane.refill_time.resize(n);
-  std::vector<EgressEvent>& events = lane.events;
-  events.clear();
 
   const std::size_t* offsets = csr.offsets();
   const std::size_t* row_ends = csr.row_ends();
@@ -77,7 +178,7 @@ bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
   const double control_bytes = config.control_bytes;
   const bool unlimited = config.unlimited_rate;
 
-  std::uint64_t seq = 0;
+  std::uint32_t seq = 0;
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_events = 0);
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_sends = 0);
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_suppressed = 0);
@@ -89,7 +190,7 @@ bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
   const auto relax = [&](net::NodeId v, double cand) {
     if (cand < arrival[v]) {
       arrival[v] = cand;
-      heap_push(events, {cand, seq++, v, kArrival});
+      events.push(cand, v, seq++, kArrival);
     }
   };
 
@@ -165,7 +266,7 @@ bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
             if (payload_segment == 1) kind = kRunEnd;
           }
         }
-        heap_push(events, {finish, seq++, u, kind});
+        events.push(finish, u, seq++, kind);
         return;
       }
       PERIGEE_TELEMETRY_ONLY(--backlog;)
@@ -178,51 +279,52 @@ bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
   // validation and ignores its own forwards flag, exactly like solve_one.
   // It settles without an Arrival event, so it is reported here.
   lane.settled[src] = 1;
-  heap_push(events, {0.0, seq++, src, kReady});
+  events.push(0.0, src, seq++, kReady);
   bool done = observer.settle(src, 0.0);
 
   while (!done && !events.empty()) {
-    const EgressEvent ev = heap_pop(events);
+    const EgressEvent ev = events.pop();
+    const double now = ev.key;
     PERIGEE_TELEMETRY_ONLY(++tally_events;)
     const net::NodeId u = ev.node;
     switch (ev.kind) {
       case kArrival: {
         // Stale entries carry a key the node has since improved on
         // (solve_one's rule); the first non-stale pop settles the node.
-        if (lane.settled[u] != 0 || ev.time != arrival[u]) break;
+        if (lane.settled[u] != 0 || now != arrival[u]) break;
         lane.settled[u] = 1;
-        done = observer.settle(u, ev.time);
+        done = observer.settle(u, now);
         // A withholder receives (and counts toward coverage) but never
         // relays.
         if (done || !csr.forwards(u)) break;
-        heap_push(events, {ev.time + csr.validation_ms(u), seq++, u, kReady});
+        events.push(now + csr.validation_ms(u), u, seq++, kReady);
         break;
       }
       case kReady: {
         lane.segment[u] = 0;
         lane.edge[u] = 0;
         lane.tokens[u] = config.burst_bytes;
-        lane.refill_time[u] = ev.time;
+        lane.refill_time[u] = now;
         PERIGEE_TELEMETRY_ONLY(
             backlog +=
             2 * static_cast<std::int64_t>(row_ends[u] - offsets[u]);
             peak_backlog = std::max(peak_backlog, backlog);)
-        pump(u, ev.time);
+        pump(u, now);
         break;
       }
       case kRunEnd:
         // An event at this very time may have been scheduled while the run
         // serialized; the per-message order could pop it first.
-        if (!events.empty() && events.front().time == ev.time) return false;
+        if (events.next_ties(now)) return false;
         [[fallthrough]];
       case kSendDone: {
         const std::size_t e = offsets[u] + lane.edge[u];
         PERIGEE_TELEMETRY_ONLY(--backlog;)
         if (lane.segment[u] == payload_segment) {
-          relax(peers[e], ev.time + delays[e]);
+          relax(peers[e], now + delays[e]);
         }
         ++lane.edge[u];
-        pump(u, ev.time);
+        pump(u, now);
         break;
       }
       default:
@@ -246,18 +348,37 @@ bool run_egress(const net::CsrTopology& csr, const EgressConfig& config,
 
 // One source: the collapsed run, re-run per message (with its settles
 // reported afresh) when the run abandons it at a tie. An abandoned run's
-// tallies are dropped.
+// tallies are dropped. Events go through the lane's bucket queue under the
+// batch's plan, or through its heap when the batch has none.
+template <bool kCollapse, typename Observer>
+bool run_planned(const net::CsrTopology& csr, const EgressConfig& config,
+                 const EgressPlan& plan, const EventPlan& event_plan,
+                 SourceLane& lane, net::NodeId src, double* arrival,
+                 double* ready, Observer& observer) {
+  if (event_plan.has_value()) {
+    BucketEvents events(lane.events, *event_plan);
+    return run_egress<kCollapse>(csr, config, plan, lane, events, src,
+                                 arrival, ready, observer);
+  }
+  HeapEvents events(lane.event_heap);
+  return run_egress<kCollapse>(csr, config, plan, lane, events, src, arrival,
+                               ready, observer);
+}
+
 template <typename Observer>
 void solve_egress(const net::CsrTopology& csr, const EgressConfig& config,
-                  const EgressPlan& plan, SourceLane& lane, net::NodeId src,
-                  double* arrival, double* ready, Observer& observer) {
-  if (run_egress<true>(csr, config, plan, lane, src, arrival, ready,
-                       observer)) {
+                  const EgressPlan& plan, const EventPlan& event_plan,
+                  SourceLane& lane, net::NodeId src, double* arrival,
+                  double* ready, Observer& observer) {
+  PERIGEE_COUNTER_ADD("egress.heap_sources", event_plan.has_value() ? 0 : 1);
+  if (run_planned<true>(csr, config, plan, event_plan, lane, src, arrival,
+                        ready, observer)) {
     return;
   }
   PERIGEE_COUNTER_ADD("egress.reruns", 1);
   observer.restart();
-  run_egress<false>(csr, config, plan, lane, src, arrival, ready, observer);
+  run_planned<false>(csr, config, plan, event_plan, lane, src, arrival, ready,
+                     observer);
 }
 
 }  // namespace
@@ -299,12 +420,13 @@ void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
                                      EgressScratch& scratch,
                                      MultiSourceResult& out,
                                      runner::ThreadPool* pool) {
+  const EventPlan event_plan = make_event_plan(csr, config, plan);
   materialize_batch("egress_batch", csr, sources, scratch, out, pool,
                     [&](SourceLane& lane, net::NodeId src, double* arrival,
                         double* ready) {
                       NoSettleObserver all;
-                      solve_egress(csr, config, plan, lane, src, arrival,
-                                   ready, all);
+                      solve_egress(csr, config, plan, event_plan, lane, src,
+                                   arrival, ready, all);
                     });
 }
 
@@ -314,11 +436,12 @@ void coverage_egress_batch(const net::CsrTopology& csr,
                            EgressScratch& scratch,
                            const CoverageTargets& targets,
                            CoverageTimes& times, runner::ThreadPool* pool) {
+  const EventPlan event_plan = make_event_plan(csr, config, plan);
   observe_batch(csr, sources, scratch, targets, times, pool,
                 [&](SourceLane& lane, net::NodeId src, double* arrival,
                     CoverageObserver& observer) {
-                  solve_egress(csr, config, plan, lane, src, arrival, nullptr,
-                               observer);
+                  solve_egress(csr, config, plan, event_plan, lane, src,
+                               arrival, nullptr, observer);
                 });
 }
 

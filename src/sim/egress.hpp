@@ -26,10 +26,18 @@
 ///    provably lossless because the receiver settled at an earlier event.
 ///
 /// Determinism: the simulation is a single-threaded discrete-event loop per
-/// source over a (time, sequence) min-heap — ties in time break FIFO by
-/// schedule order, so one source's outcome is a pure function of
-/// (snapshot, config, plan, source). A sender's serializing controls run
-/// inline, with one heap event per run instead of one per message; a run
+/// source whose events pop in (time, sequence) order — ties in time break
+/// FIFO by schedule order, so one source's outcome is a pure function of
+/// (snapshot, config, plan, source). Event times never run backwards, so
+/// the events ride the same monotone fixed-point `BucketQueue` as the delay
+/// solver (sim/bucket_queue.hpp), ordered by (qkey, time bits, seq); each
+/// batch derives the queue's plan from the snapshot's δ and Δv bounds and
+/// the plan's rates, and a batch no plan fits (a zero-δ link, a zero-rate
+/// sender whose finish is +inf, a rate so small one payload outruns the
+/// ring budget) keeps the 4-ary heap of sim/dary_heap.hpp (counter
+/// `egress.heap_sources`). Both pop in the same order, so the outcome does
+/// not depend on which one ran. A sender's serializing controls run
+/// inline, with one queued event per run instead of one per message; a run
 /// end that ties another event at its time re-runs the source per message
 /// (counter `egress.reruns`), so the outcome is exactly the per-message
 /// loop's (docs/TRANSMISSION_MODEL.md, "Control runs"). That per-source

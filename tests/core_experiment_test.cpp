@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "metrics/eval.hpp"
 #include "util/stats.hpp"
@@ -18,6 +20,32 @@ ExperimentConfig small_config(Algorithm algorithm) {
   config.blocks_per_round = 20;
   config.seed = 77;
   return config;
+}
+
+// A negative Δv lets event times run backwards, which both relaxation
+// queues rely on never happening: unchecked, a scale of -1 hangs the delay
+// path and -100 aborts it, while the queued egress engine returns λ
+// computed with negative validation. run_experiment must refuse such a
+// config up front, on either engine.
+TEST(Experiment, RejectsNegativeOrNonFiniteValidationScale) {
+  for (const bool queued : {false, true}) {
+    for (const double scale :
+         {-1.0, -100.0, -1e-9, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+      ExperimentConfig config = small_config(Algorithm::PerigeeSubset);
+      config.net.n = 40;
+      config.net.validation_scale = scale;
+      if (queued) {
+        config.scenario.transmission.model = scenario::TransmissionModel::Queue;
+      }
+      EXPECT_THROW(run_experiment(config), std::invalid_argument)
+          << "scale " << scale << (queued ? " (queue)" : " (delay)");
+    }
+  }
+  ExperimentConfig zero = small_config(Algorithm::Random);
+  zero.net.n = 40;
+  zero.net.validation_scale = 0.0;
+  EXPECT_NO_THROW(zero.validate());
 }
 
 TEST(Experiment, StaticBaselineProducesFiniteLambdas) {

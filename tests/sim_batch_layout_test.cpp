@@ -22,7 +22,7 @@ constexpr std::size_t kLine = 64;
 // the runtime alignment of the lane arena is checked below).
 static_assert(alignof(sim::SourceLane) >= kLine,
               "SourceLane must be cache-line aligned");
-static_assert(sizeof(sim::BucketQueue::Entry) == 16,
+static_assert(sizeof(sim::RelaxEntry) == 16,
               "bucket entries are packed to two per load pair");
 
 TEST(BatchLayout, StripeStrideIsCacheLinePadded) {

@@ -1,9 +1,10 @@
-// Property tests for the batched engine's monotone bucket queue: pops are
+// Property tests for the batch driver's monotone bucket queue: pops are
 // globally non-decreasing in (key, node), nothing is lost or duplicated,
 // and — the property the engines' byte-parity rests on — the pop sequence
 // is *exactly* std::priority_queue<pair, greater<>> order for any monotone
 // push/pop interleaving, including boundary keys, duplicates, and spans
-// that force the bucket ring to grow and remap.
+// that force the bucket ring to grow and remap. The egress solver's entry
+// gets the same mirror against a (time, seq) priority queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/batch.hpp"
 #include "sim/bucket_queue.hpp"
 #include "util/rng.hpp"
 
@@ -22,14 +24,15 @@ namespace {
 
 using Item = std::pair<double, net::NodeId>;
 using MinHeap = std::priority_queue<Item, std::vector<Item>, std::greater<>>;
+using Queue = sim::BucketQueue<sim::RelaxEntry>;
 
 // The fixed-point plan for a workload whose steps stay under `max_step` and
 // whose keys stay under `max_key`. plan_fixed starts from the widest
 // power-of-two width <= min_delay / 16, so min_delay = 16 * width yields a
 // bucket width of at most `width` (exactly `width` for powers of two).
-sim::BucketQueue::FixedPlan plan_for(double width, double max_step,
+sim::BucketQueueBase::FixedPlan plan_for(double width, double max_step,
                                      double max_key) {
-  return sim::BucketQueue::plan_fixed(16.0 * width, max_step, max_key)
+  return sim::BucketQueueBase::plan_fixed(16.0 * width, max_step, max_key)
       .value();
 }
 
@@ -37,8 +40,8 @@ sim::BucketQueue::FixedPlan plan_for(double width, double max_step,
 // workload: pushes stay >= the last popped key, interleaving is random.
 // Fills `popped` with the popped sequence; asserts pq equivalence along the
 // way (void so gtest fatal assertions are usable).
-void run_mirrored(sim::BucketQueue& queue, util::Rng& rng,
-                  const sim::BucketQueue::FixedPlan& plan, int ops,
+void run_mirrored(Queue& queue, util::Rng& rng,
+                  const sim::BucketQueueBase::FixedPlan& plan, int ops,
                   double max_step, std::vector<Item>& popped) {
   queue.reset(plan);
   const double width = plan.width();
@@ -63,7 +66,7 @@ void run_mirrored(sim::BucketQueue& queue, util::Rng& rng,
     } else {
       const auto [key, node] = reference.top();
       reference.pop();
-      const sim::BucketQueue::Entry got = queue.pop();
+      const sim::RelaxEntry got = queue.pop();
       ASSERT_EQ(got.key, key) << "op " << i;
       ASSERT_EQ(got.node, node) << "op " << i;
       popped.emplace_back(got.key, got.node);
@@ -74,7 +77,7 @@ void run_mirrored(sim::BucketQueue& queue, util::Rng& rng,
   while (!reference.empty()) {
     const auto [key, node] = reference.top();
     reference.pop();
-    const sim::BucketQueue::Entry got = queue.pop();
+    const sim::RelaxEntry got = queue.pop();
     ASSERT_EQ(got.key, key);
     ASSERT_EQ(got.node, node);
     popped.emplace_back(got.key, got.node);
@@ -84,7 +87,7 @@ void run_mirrored(sim::BucketQueue& queue, util::Rng& rng,
 
 TEST(BucketQueue, EquivalentToPriorityQueueOnRandomMonotoneWorkloads) {
   util::Rng rng(1);
-  sim::BucketQueue queue;  // deliberately reused across widths and seeds
+  Queue queue;  // deliberately reused across widths and seeds
   std::vector<Item> popped;
   for (const double width : {0.5, 1.0, 3.0, 0.01}) {
     // Keys grow by at most one step per pop: 400 ops stay under 400 steps.
@@ -97,7 +100,7 @@ TEST(BucketQueue, EquivalentToPriorityQueueOnRandomMonotoneWorkloads) {
 
 TEST(BucketQueue, PopsAreMonotoneNonDecreasing) {
   util::Rng rng(2);
-  sim::BucketQueue queue;
+  Queue queue;
   std::vector<Item> popped;
   run_mirrored(queue, rng, plan_for(2.0, 25.0, 25.0 * 2400.0), 1200, 25.0,
                popped);
@@ -111,7 +114,7 @@ TEST(BucketQueue, PopsAreMonotoneNonDecreasing) {
 
 TEST(BucketQueue, NoEntryLostOrDuplicated) {
   util::Rng rng(3);
-  sim::BucketQueue queue;
+  Queue queue;
   queue.reset(plan_for(1.0, 10.0, 10.0 * 6000.0));
   std::map<std::pair<double, net::NodeId>, int> pushed;
   double frontier = 0.0;
@@ -139,7 +142,7 @@ TEST(BucketQueue, NoEntryLostOrDuplicated) {
 TEST(BucketQueue, RingGrowthPreservesOrder) {
   // Push a burst, then a key far enough ahead to force several doublings of
   // the ring while earlier entries are still pending.
-  sim::BucketQueue queue;
+  Queue queue;
   queue.reset(plan_for(1.0, 30.0, 1e6));
   util::Rng rng(4);
   MinHeap reference;
@@ -149,7 +152,7 @@ TEST(BucketQueue, RingGrowthPreservesOrder) {
     reference.emplace(key, static_cast<net::NodeId>(i));
   }
   for (const double far : {5000.0, 80000.0, 500000.0}) {
-    queue.push(far, 999);
+    queue.push(far, net::NodeId{999});
     reference.emplace(far, 999);
   }
   while (!reference.empty()) {
@@ -163,7 +166,7 @@ TEST(BucketQueue, RingGrowthPreservesOrder) {
 }
 
 TEST(BucketQueue, ResetDiscardsPendingEntries) {
-  sim::BucketQueue queue;
+  Queue queue;
   queue.reset(plan_for(1.0, 1.0, 200.0));
   for (int i = 0; i < 100; ++i) {
     queue.push(static_cast<double>(i) * 0.7, static_cast<net::NodeId>(i));
@@ -172,7 +175,7 @@ TEST(BucketQueue, ResetDiscardsPendingEntries) {
   queue.reset(plan_for(0.25, 1.0, 200.0));
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.width(), 0.25);
-  queue.push(3.0, 7);
+  queue.push(3.0, net::NodeId{7});
   const auto e = queue.pop();
   EXPECT_EQ(e.key, 3.0);
   EXPECT_EQ(e.node, 7u);
@@ -188,8 +191,8 @@ TEST(BucketQueue, ResetDiscardsPendingEntries) {
 // Same harness as run_mirrored but with tie and 1-ulp-apart keys mixed in:
 // those collide to one qkey, so ordering must come from the exact double
 // compare behind it.
-void run_mirrored_fixed(sim::BucketQueue& queue, util::Rng& rng,
-                        const sim::BucketQueue::FixedPlan& plan, int ops,
+void run_mirrored_fixed(Queue& queue, util::Rng& rng,
+                        const sim::BucketQueueBase::FixedPlan& plan, int ops,
                         double max_step, std::vector<Item>& popped) {
   queue.reset(plan);
   const double gen_width = plan.width();
@@ -226,7 +229,7 @@ void run_mirrored_fixed(sim::BucketQueue& queue, util::Rng& rng,
     } else {
       const auto [key, node] = reference.top();
       reference.pop();
-      const sim::BucketQueue::Entry got = queue.pop();
+      const sim::RelaxEntry got = queue.pop();
       ASSERT_EQ(got.key, key) << "op " << i;
       ASSERT_EQ(got.node, node) << "op " << i;
       popped.emplace_back(got.key, got.node);
@@ -237,7 +240,7 @@ void run_mirrored_fixed(sim::BucketQueue& queue, util::Rng& rng,
   while (!reference.empty()) {
     const auto [key, node] = reference.top();
     reference.pop();
-    const sim::BucketQueue::Entry got = queue.pop();
+    const sim::RelaxEntry got = queue.pop();
     ASSERT_EQ(got.key, key);
     ASSERT_EQ(got.node, node);
     popped.emplace_back(got.key, got.node);
@@ -247,7 +250,7 @@ void run_mirrored_fixed(sim::BucketQueue& queue, util::Rng& rng,
 
 TEST(BucketQueueFixed, MatchesPriorityQueueOnRandomMonotoneWorkloads) {
   util::Rng rng(21);
-  sim::BucketQueue queue;  // reused across plans: reset must fully rewind
+  Queue queue;  // reused across plans: reset must fully rewind
   std::vector<Item> popped;
   // (min_delay, max_reach) pairs spanning fine and coarse grids; max_key
   // mirrors the engines' slack bound (2x reach).
@@ -255,7 +258,7 @@ TEST(BucketQueueFixed, MatchesPriorityQueueOnRandomMonotoneWorkloads) {
       {0.5, 20000.0}, {6.0, 9000.0}, {0.03, 800.0}};
   for (const auto& [min_delay, reach] : ranges) {
     const auto plan =
-        sim::BucketQueue::plan_fixed(min_delay, reach, reach * 2.0);
+        sim::BucketQueueBase::plan_fixed(min_delay, reach, reach * 2.0);
     ASSERT_TRUE(plan.has_value()) << "min_delay " << min_delay;
     for (int round = 0; round < 6; ++round) {
       run_mirrored_fixed(queue, rng, *plan, 500, min_delay * 30.0, popped);
@@ -267,30 +270,132 @@ TEST(BucketQueueFixed, MatchesPriorityQueueOnRandomMonotoneWorkloads) {
 TEST(BucketQueueFixed, PlanRejectsDegenerateRanges) {
   // min-δ = 0 quantizes to 0 -> no power-of-two bucket width exists -> the
   // engine must fall back to the d-ary heap (batch.cpp's plan).
-  EXPECT_FALSE(sim::BucketQueue::plan_fixed(0.0, 100.0, 200.0).has_value());
-  EXPECT_FALSE(sim::BucketQueue::plan_fixed(-1.0, 100.0, 200.0).has_value());
+  EXPECT_FALSE(sim::BucketQueueBase::plan_fixed(0.0, 100.0, 200.0).has_value());
   EXPECT_FALSE(
-      sim::BucketQueue::plan_fixed(std::numeric_limits<double>::infinity(),
+      sim::BucketQueueBase::plan_fixed(-1.0, 100.0, 200.0).has_value());
+  EXPECT_FALSE(
+      sim::BucketQueueBase::plan_fixed(std::numeric_limits<double>::infinity(),
                                    100.0, 200.0)
           .has_value());
-  EXPECT_FALSE(sim::BucketQueue::plan_fixed(
+  EXPECT_FALSE(sim::BucketQueueBase::plan_fixed(
                    1.0, std::numeric_limits<double>::infinity(), 200.0)
                    .has_value());
   // A key span over ~2^31x the min delay cannot both hold max_key in the
   // u32 image and resolve min_delay to the >= 2 grid units a power-of-two
   // width needs.
-  EXPECT_FALSE(sim::BucketQueue::plan_fixed(1e-6, 5e6, 1e7).has_value());
+  EXPECT_FALSE(sim::BucketQueueBase::plan_fixed(1e-6, 5e6, 1e7).has_value());
   // A huge reach/min-delay ratio alone is fine: the plan widens buckets to
   // fit the ring budget (order still exact via the sorted active bucket).
-  EXPECT_TRUE(sim::BucketQueue::plan_fixed(1e-6, 1e3, 2e3).has_value());
+  EXPECT_TRUE(sim::BucketQueueBase::plan_fixed(1e-6, 1e3, 2e3).has_value());
   // Ordinary simulation scales are in, and when no widening is needed the
   // derived width brackets min_delay into [16*width, 32*width) — the
   // occupancy sweet spot, well under the delta-stepping ceiling, so thin
   // buckets keep the active-bucket sort near-free.
-  const auto plan = sim::BucketQueue::plan_fixed(6.0, 2000.0, 4000.0);
+  const auto plan = sim::BucketQueueBase::plan_fixed(6.0, 2000.0, 4000.0);
   ASSERT_TRUE(plan.has_value());
   EXPECT_LE(plan->width() * 16.0, 6.0);
   EXPECT_GT(plan->width() * 32.0, 6.0);
+}
+
+// ---- the egress solver's entry -----------------------------------------
+//
+// sim::EgressEvent orders by (time, seq), seq being the solver's monotone
+// schedule counter. The egress loop pushes many events at exactly the time
+// it is handling (zero validation, lattice delays), which lands them in
+// the active, already-sorted bucket.
+
+struct EventAfter {
+  bool operator()(const sim::EgressEvent& a, const sim::EgressEvent& b) const {
+    return b < a;
+  }
+};
+using EventHeap = std::priority_queue<sim::EgressEvent,
+                                      std::vector<sim::EgressEvent>,
+                                      EventAfter>;
+using EventQueue = sim::BucketQueue<sim::EgressEvent>;
+
+// Mirrors the queue against the (time, seq) heap through `ops` random
+// monotone operations. Times sit on a 0.25 ms lattice, so exact ties are
+// common and only `seq` separates them; `far` > 0 adds pushes that far
+// ahead of the frontier, which force the ring to grow while entries pend.
+// Counts pushes that landed on the frontier's own time right after a pop
+// (the active sorted bucket) in `active_pushes`.
+void run_mirrored_events(EventQueue& queue, util::Rng& rng,
+                         const sim::BucketQueueBase::FixedPlan& plan, int ops,
+                         double far, int& active_pushes) {
+  queue.reset(plan);
+  EventHeap reference;
+  std::uint32_t seq = 0;
+  double last_pop = 0.0;
+  bool just_popped = false;
+  const auto pop_both = [&](int op) {
+    const sim::EgressEvent want = reference.top();
+    reference.pop();
+    const sim::EgressEvent got = queue.pop();
+    ASSERT_EQ(got.key, want.key) << "op " << op;
+    ASSERT_EQ(got.seq, want.seq) << "op " << op;
+    ASSERT_EQ(got.node, want.node) << "op " << op;
+    ASSERT_EQ(got.kind, want.kind) << "op " << op;
+    last_pop = want.key;
+  };
+  for (int i = 0; i < ops; ++i) {
+    const bool do_push = reference.empty() || rng.uniform() < 0.6;
+    if (do_push) {
+      double time =
+          last_pop + 0.25 * static_cast<double>(rng.uniform_index(40));
+      const double r = rng.uniform();
+      if (r < 0.35) time = last_pop;  // an event at the time being handled
+      if (far > 0.0 && r > 0.98) time = last_pop + far * rng.uniform();
+      if (time == last_pop && just_popped) ++active_pushes;
+      const auto node = static_cast<net::NodeId>(rng.uniform_index(32));
+      const auto kind = static_cast<std::uint8_t>(rng.uniform_index(4));
+      queue.push(time, node, seq, kind);
+      reference.push({time, 0, node, seq, kind});
+      ++seq;
+      just_popped = false;
+    } else {
+      pop_both(i);
+      just_popped = true;
+    }
+    ASSERT_EQ(queue.size(), reference.size()) << "op " << i;
+  }
+  while (!reference.empty()) pop_both(ops);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(BucketQueueEgress, MatchesTimeSeqPriorityQueue) {
+  util::Rng rng(31);
+  EventQueue queue;  // reused across plans and rounds
+  int active_pushes = 0;
+  // (min δ, reach) pairs: a fine grid where lattice ties share thin
+  // buckets, and a coarse one where many distinct times share a bucket.
+  const std::pair<double, double> ranges[] = {{1.0, 12.0}, {0.01, 4000.0}};
+  for (const auto& [min_delay, reach] : ranges) {
+    const auto plan =
+        sim::BucketQueueBase::plan_fixed(min_delay, reach, 1e6);
+    ASSERT_TRUE(plan.has_value()) << "min_delay " << min_delay;
+    for (int round = 0; round < 6; ++round) {
+      run_mirrored_events(queue, rng, *plan, 600, 0.0, active_pushes);
+    }
+  }
+  EXPECT_GT(active_pushes, 100);
+}
+
+TEST(BucketQueueEgress, RingGrowthKeepsTimeSeqOrder) {
+  util::Rng rng(32);
+  EventQueue queue;
+  int active_pushes = 0;
+  const auto plan = sim::BucketQueueBase::plan_fixed(1.0, 12.0, 1e6);
+  ASSERT_TRUE(plan.has_value());
+  // Spans of up to 40000 ms against a 1/16 ms bucket width outgrow the
+  // initial 64-slot ring many times over.
+  for (int round = 0; round < 4; ++round) {
+    run_mirrored_events(queue, rng, *plan, 800, 40000.0, active_pushes);
+  }
+  // The ring grew from 64 slots to at least 2^16.
+  EXPECT_GE(queue.memory_bytes(),
+            (std::size_t{1} << 16) * sizeof(std::vector<sim::EgressEvent>));
+  EXPECT_GT(active_pushes, 0);
 }
 
 }  // namespace

@@ -214,6 +214,25 @@ TEST(Egress, RunEndTieReRunsPerMessage) {
   }
 }
 
+// Sources the egress solver ran on its 4-ary heap fallback so far (0 when
+// telemetry is compiled out or disabled).
+std::uint64_t heap_sources() {
+  obs::Registry& registry = obs::Registry::instance();
+  if (!obs::telemetry_compiled() || !registry.enabled()) return 0;
+  return registry.scrape().counter("egress.heap_sources");
+}
+
+// The heap path's tally moved by `want` over `run` (checked only when
+// telemetry is live).
+template <typename Run>
+void expect_heap_sources(std::uint64_t want, const Run& run) {
+  const std::uint64_t before = heap_sources();
+  run();
+  if (obs::telemetry_compiled() && obs::Registry::instance().enabled()) {
+    EXPECT_EQ(heap_sources() - before, want);
+  }
+}
+
 TEST(Egress, RateScaleStretchesSerialization) {
   const Star star = Star::build(2, 8.0);
   EgressConfig config;
@@ -222,9 +241,28 @@ TEST(Egress, RateScaleStretchesSerialization) {
   const EgressPlan plan = EgressPlan::build(star.network, config);
   EXPECT_DOUBLE_EQ(plan.rate(0), 500.0);
 
-  const BroadcastResult result =
-      oracle::egress_batch_of_one(star.csr, config, plan, 0);
+  BroadcastResult result;
+  expect_heap_sources(0, [&] {
+    result = oracle::egress_batch_of_one(star.csr, config, plan, 0);
+  });
   EXPECT_EQ(sorted(result.arrival), (std::vector<double>{0.0, 25.0, 45.0}));
+
+  // A rate so small that one payload serializes for ~10^11 ms: no u32
+  // fixed-point grid both resolves the 5 ms δ and holds such times, so the
+  // event-queue plan refuses the batch and the heap runs it, still byte-
+  // equal to the per-message reference.
+  config.rate_scale = 1e-10;
+  const EgressPlan slow = EgressPlan::build(star.network, config);
+  EXPECT_GT(slow.rate(0), 0.0);
+  expect_heap_sources(1, [&] {
+    result = oracle::egress_batch_of_one(star.csr, config, slow, 0);
+  });
+  const BroadcastResult want =
+      oracle::egress_reference(star.topology, star.network, config, 0);
+  EXPECT_TRUE(bytes_equal(result.arrival, want.arrival));
+  EXPECT_TRUE(bytes_equal(result.ready, want.ready));
+  EXPECT_GT(result.arrival[1], 1e10);
+  EXPECT_TRUE(std::isfinite(result.arrival[2]));
 }
 
 TEST(Egress, ZeroRateSenderStarvesButTerminates) {
@@ -234,11 +272,23 @@ TEST(Egress, ZeroRateSenderStarvesButTerminates) {
   const EgressPlan plan = EgressPlan::build(star.network, config);
   EXPECT_DOUBLE_EQ(plan.rate(0), 0.0);
 
-  const BroadcastResult result =
-      oracle::egress_batch_of_one(star.csr, config, plan, 0);
-  EXPECT_DOUBLE_EQ(result.arrival[0], 0.0);
-  for (net::NodeId v = 1; v < star.csr.size(); ++v) {
-    EXPECT_TRUE(std::isinf(result.arrival[v])) << "node " << v;
+  // The hub's finish is +inf, which no bucket plan holds: the heap runs
+  // every source, byte-equal to the per-message reference.
+  for (net::NodeId src = 0; src < star.csr.size(); ++src) {
+    BroadcastResult result;
+    expect_heap_sources(1, [&] {
+      result = oracle::egress_batch_of_one(star.csr, config, plan, src);
+    });
+    const BroadcastResult want =
+        oracle::egress_reference(star.topology, star.network, config, src);
+    EXPECT_TRUE(bytes_equal(result.arrival, want.arrival)) << "src " << src;
+    EXPECT_TRUE(bytes_equal(result.ready, want.ready)) << "src " << src;
+    EXPECT_DOUBLE_EQ(result.arrival[src], 0.0);
+    if (src == 0) {
+      for (net::NodeId v = 1; v < star.csr.size(); ++v) {
+        EXPECT_TRUE(std::isinf(result.arrival[v])) << "node " << v;
+      }
+    }
   }
 }
 

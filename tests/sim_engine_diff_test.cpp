@@ -35,6 +35,7 @@
 #include "core/perigee.hpp"
 #include "metrics/eval.hpp"
 #include "net/csr.hpp"
+#include "obs/metrics.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/rounds.hpp"
 #include "scenario/driver.hpp"
@@ -497,6 +498,72 @@ TEST(EngineDiff, FiniteRateEgressMatchesPerMessageReference) {
         metrics::eval_all_sources_egress(csr, network, config, plan, 0.90,
                                          &scratch, &pool),
         want_lambda));
+  }
+
+  // Tie-heavy inputs: integer δ on infra links, zero validation and one
+  // rate with 1 ms messages put every event on a 1 ms lattice, so many
+  // events share exact times, Ready events land in the bucket being
+  // drained, and collapsed control runs end on ties (re-run per message).
+  // Every source still matches the reference byte for byte, through the
+  // bucket queue (no heap fallback).
+  obs::Registry& registry = obs::Registry::instance();
+  const bool live = obs::telemetry_compiled() && registry.enabled();
+  const std::uint64_t reruns_before =
+      registry.scrape().counter("egress.reruns");
+  const std::uint64_t heap_before =
+      registry.scrape().counter("egress.heap_sources");
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "lattice seed=" << seed);
+    net::NetworkOptions options;
+    options.n = 30 + 4 * seed;
+    options.latency = net::NetworkOptions::LatencyKind::Euclidean;
+    options.embed_dim = 1;
+    options.validation_spread = 0.0;
+    options.validation_mean_ms = 0.0;
+    options.seed = seed;
+    net::Network network = net::Network::build(options);
+    for (auto& profile : network.mutable_profiles()) {
+      profile.coords = {};
+      profile.bandwidth_mbps = 8.0;  // 1000 bytes/ms
+    }
+    const auto n = static_cast<net::NodeId>(options.n);
+    net::Topology topology(options.n);
+    util::Rng rng(seed * 101);
+    for (net::NodeId u = 0; u < n; ++u) {
+      for (int k = 0; k < 3; ++k) {
+        const auto v = static_cast<net::NodeId>(rng.uniform_index(n));
+        topology.add_infra_edge(
+            u, v, 1.0 + static_cast<double>(rng.uniform_index(4)));
+      }
+    }
+    const auto csr = net::CsrTopology::build(topology, network);
+
+    sim::EgressConfig config;
+    config.block_bytes = 1000.0;
+    config.control_bytes = (seed & 1) != 0 ? 1000.0 : 0.0;
+    if ((seed & 2) != 0) config.band_map = {2, 1, 0};
+    const sim::EgressPlan plan = sim::EgressPlan::build(network, config);
+
+    std::vector<net::NodeId> all(n);
+    for (net::NodeId v = 0; v < n; ++v) all[v] = v;
+    sim::EgressScratch scratch;
+    sim::MultiSourceResult run;
+    sim::simulate_broadcast_egress_batch(csr, config, plan, all, scratch, run);
+    std::vector<double> want_lambda(n);
+    for (net::NodeId v = 0; v < n; ++v) {
+      const sim::BroadcastResult want =
+          oracle::egress_reference(topology, network, config, v);
+      EXPECT_TRUE(bytes_equal(run.arrival_of(v), want.arrival)) << "src " << v;
+      EXPECT_TRUE(bytes_equal(run.ready_of(v), want.ready)) << "src " << v;
+      want_lambda[v] = metrics::lambda_for_broadcast(want, network, 0.90);
+    }
+    EXPECT_TRUE(bytes_equal(
+        metrics::eval_all_sources_egress(csr, network, config, plan, 0.90),
+        want_lambda));
+  }
+  if (live) {
+    EXPECT_GT(registry.scrape().counter("egress.reruns"), reruns_before);
+    EXPECT_EQ(registry.scrape().counter("egress.heap_sources"), heap_before);
   }
 }
 
