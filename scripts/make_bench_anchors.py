@@ -5,10 +5,13 @@ Usage:
     python3 scripts/make_bench_anchors.py --build-dir build-o2 [--out-dir .]
         [--min-time 0.2] [--skip-sweeps]
 
-One micro_bench run (JSON format) of REPETITIONS repetitions feeds every
-anchor's ratios: each recorded entry is google-benchmark's median aggregate
-over the repetitions, under the plain benchmark name the gates read, so one
-noisy repetition cannot move an anchor. The sweep instrument is invoked
+PROCESSES micro_bench runs (JSON format) of REPETITIONS repetitions each
+feed every anchor: a process reports google-benchmark's median aggregate
+over its repetitions, and the anchor keeps the median over processes of
+each entry field and of each speedup ratio, under the plain benchmark name
+the gates read. Repetitions inside one process do not remove the spread
+between processes, which the gates (scripts/check_bench_regression.py)
+likewise take the median over. The sweep instrument is invoked
 separately for the block that is not a google-benchmark entry. The emitted files keep the exact
 `perigee-bench-snapshot-v1` shape the soft gates consume
 (scripts/check_bench_regression.py), including the benchmark `context`:
@@ -44,8 +47,10 @@ CONTEXT_KEYS = ("num_cpus", "mhz_per_cpu", "library_build_type",
 
 SCHEMA = "perigee-bench-snapshot-v1"
 
-# --benchmark_repetitions of the micro_bench run; anchors keep the median.
+# --benchmark_repetitions of each micro_bench run, and how many runs (one
+# process each) an anchor takes the median over.
 REPETITIONS = 5
+PROCESSES = 3
 
 NOTES = {
     "incremental_csr": (
@@ -85,7 +90,8 @@ NOTES = {
         "same way: serializing payloads add one SendDone event each (a "
         "sender's control run is one event), which pushes the event count "
         "per broadcast from O(n) toward O(edges) and is why the congestion "
-        "grid is sized at n=200. Every entry is the median of "
+        "grid is sized at n=200. Every entry and ratio is the median over "
+        f"{PROCESSES} micro_bench processes of each one's median of "
         f"{REPETITIONS} repetitions."),
 }
 
@@ -151,6 +157,18 @@ def entry_map(micro_json):
     return entries
 
 
+def median_entries(maps):
+    """Per benchmark, the median over processes of every numeric field."""
+    entries = {}
+    for name in set.intersection(*(set(m) for m in maps)):
+        first = maps[0][name]
+        entries[name] = {
+            k: (statistics.median(m[name][k] for m in maps)
+                if isinstance(v, (int, float)) else v)
+            for k, v in first.items()}
+    return entries
+
+
 def git_dirty():
     """True when tracked files differ from HEAD. perigee_git_sha is fixed
     when CMake configures, so it cannot show an anchor built from a dirty
@@ -172,10 +190,12 @@ def context_block(micro_json):
     return block
 
 
-def speedup(entries, fast, slow, sizes):
-    return {f"n{s}": round(entries[f"{fast}/{s}"]["items_per_second"] /
-                           entries[f"{slow}/{s}"]["items_per_second"], 3)
-            for s in sizes}
+def speedup(maps, fast, slow, sizes):
+    """Median over processes of each process's fast/slow ratio."""
+    return {f"n{s}": round(statistics.median(
+        m[f"{fast}/{s}"]["items_per_second"] /
+        m[f"{slow}/{s}"]["items_per_second"] for m in maps), 3)
+        for s in sizes}
 
 
 def slice_entries(entries, anchor):
@@ -234,9 +254,11 @@ def main():
                          "micro entries + speedups are refreshed)")
     args = ap.parse_args()
 
-    micro = run_micro_bench(args.build_dir, args.min_time)
-    entries = entry_map(micro)
-    ctx = context_block(micro)
+    micros = [run_micro_bench(args.build_dir, args.min_time)
+              for _ in range(PROCESSES)]
+    maps = [entry_map(micro) for micro in micros]
+    entries = median_entries(maps)
+    ctx = context_block(micros[0])
 
     def previous(stem, key, fallback=None):
         path = os.path.join(args.out_dir, f"BENCH_{stem}.json")
@@ -256,13 +278,13 @@ def main():
             "note": NOTES["incremental_csr"],
             "context": ctx,
             "incremental_csr_speedup": speedup(
-                entries, "BM_CsrChurnRefreshPatch", "BM_CsrChurnRefreshRebuild",
+                maps, "BM_CsrChurnRefreshPatch", "BM_CsrChurnRefreshRebuild",
                 (200, 1000)),
             "full_rewire_refresh_speedup": speedup(
-                entries, "BM_CsrRoundRefreshPatch", "BM_CsrRoundRefreshRebuild",
+                maps, "BM_CsrRoundRefreshPatch", "BM_CsrRoundRefreshRebuild",
                 (200, 1000)),
             "adaptive_round_speedup": speedup(
-                entries, "BM_AdaptiveRoundPatched", "BM_AdaptiveRoundRebuild",
+                maps, "BM_AdaptiveRoundPatched", "BM_AdaptiveRoundRebuild",
                 (200, 1000)),
             "sweep_wallclock": wallclock,
             "micro_bench": slice_entries(entries, "incremental_csr"),
@@ -274,10 +296,10 @@ def main():
             "note": NOTES["queuing"],
             "context": ctx,
             "egress_unlimited_speedup": speedup(
-                entries, "BM_BroadcastEgressUnlimited", "BM_RelaxInnerLoop",
+                maps, "BM_BroadcastEgressUnlimited", "BM_RelaxInnerLoop",
                 (200, 1000, 4000)),
             "egress_queue_speedup": speedup(
-                entries, "BM_BroadcastEgress", "BM_RelaxInnerLoop",
+                maps, "BM_BroadcastEgress", "BM_RelaxInnerLoop",
                 (200, 1000, 4000)),
             "micro_bench": slice_entries(entries, "queuing"),
         })

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/rewire.hpp"
+#include "core/score_scratch.hpp"
 #include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
@@ -12,16 +13,19 @@ namespace perigee::core {
 void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   const auto& obs = ctx.obs;
   const std::size_t blocks = obs.blocks_recorded();
+  ScoreScratch& scratch = score_scratch();
+  auto& keep = scratch.keep;
+  keep.clear();
 
   // Candidate rows: relative timestamps of each outgoing neighbor.
   const auto candidates = obs.out_peers(self);
-  std::vector<std::span<const double>> rows;
-  rows.reserve(candidates.size());
+  auto& rows = scratch.rows;
+  rows.clear();
   for (std::size_t k = 0; k < candidates.size(); ++k) {
     rows.push_back(obs.rel_times(self, k));
   }
   if (candidates.empty()) {
-    retain_and_explore(ctx.topology, self, {}, ctx.rng, ctx.addrman);
+    retain_and_explore(ctx.topology, self, keep, ctx.rng, ctx.addrman);
     return;
   }
 
@@ -31,12 +35,14 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
   // Greedy complement selection (§4.3): best[b] is the group's per-block
   // delivery time so far; a candidate's marginal score is the percentile of
   // min(candidate, best).
-  std::vector<double> best(blocks, util::kInf);
-  std::vector<bool> taken(candidates.size(), false);
-  std::vector<net::NodeId> keep;
-  // Refilled for every candidate, so it is scored in place.
-  std::vector<double> merged(blocks);
-  keep.reserve(keep_n);
+  auto& best = scratch.best;
+  best.assign(blocks, util::kInf);
+  auto& taken = scratch.taken;
+  taken.assign(candidates.size(), false);
+  // Refilled for every candidate; the percentile reads it and selects from
+  // its own filter buffer.
+  auto& merged = scratch.merged;
+  merged.resize(blocks);
   // The score interpolates up from order statistic `lo` of merged, so it is
   // never below it. Once an incumbent exists, a candidate with at most `lo`
   // merged entries under best_score has that statistic >= best_score and
@@ -61,7 +67,7 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
         continue;
       }
       const double score =
-          util::percentile_in_place(merged, params_.percentile);
+          util::percentile(merged, params_.percentile, scratch.select);
       // Strict < keeps the lowest candidate index on ties: deterministic.
       if (score < best_score ||
           (best_idx == candidates.size() && std::isinf(score))) {

@@ -78,6 +78,7 @@ CsrTopology CsrTopology::build(const Topology& topology,
   double min_delay = std::numeric_limits<double>::infinity();
   double max_delay = 0.0;
   double max_validation = 0.0;
+  double min_validation = n == 0 ? 0.0 : std::numeric_limits<double>::infinity();
   std::size_t links = 0;
   for (NodeId v = 0; v < n; ++v) {
     const NodeProfile& profile = network.profile(v);
@@ -85,6 +86,7 @@ CsrTopology CsrTopology::build(const Topology& topology,
     csr.validation_ms_[v] = profile.validation_ms;
     csr.edge_inputs_[v] = edge_inputs_of(profile);
     max_validation = std::max(max_validation, csr.validation_ms_[v]);
+    min_validation = std::min(min_validation, csr.validation_ms_[v]);
     std::size_t e = csr.offsets_[v];
     for (const auto& link : topology.adjacency(v)) {
       csr.peer_[e] = link.peer;
@@ -110,6 +112,7 @@ CsrTopology CsrTopology::build(const Topology& topology,
   csr.min_delay_ms_ = min_delay;
   csr.max_delay_ms_ = max_delay;
   csr.max_validation_ms_ = max_validation;
+  csr.min_validation_ms_ = min_validation;
   // High-water mark so a run's largest snapshot is visible (scale-path
   // memory budgeting).
   PERIGEE_GAUGE_MAX("mem.csr_bytes", csr.memory_bytes());
@@ -245,8 +248,9 @@ bool CsrTopology::refresh_profiles(const Network& network) {
     }
     forwards_[v] = profile.forwards ? 1 : 0;
     validation_ms_[v] = profile.validation_ms;
-    // Conservative upward tighten; exact shrink happens on refresh_bounds.
+    // Conservative widening; the exact bounds return on refresh_bounds.
     max_validation_ms_ = std::max(max_validation_ms_, profile.validation_ms);
+    min_validation_ms_ = std::min(min_validation_ms_, profile.validation_ms);
   }
   profile_version_ = network.profile_version();
   return true;
@@ -264,10 +268,14 @@ void CsrTopology::refresh_bounds() {
   }
   min_delay_ms_ = min_delay;
   max_delay_ms_ = max_delay;
-  max_validation_ms_ =
-      validation_ms_.empty()
-          ? 0.0
-          : *std::max_element(validation_ms_.begin(), validation_ms_.end());
+  if (validation_ms_.empty()) {
+    min_validation_ms_ = max_validation_ms_ = 0.0;
+  } else {
+    const auto [lo, hi] =
+        std::minmax_element(validation_ms_.begin(), validation_ms_.end());
+    min_validation_ms_ = *lo;
+    max_validation_ms_ = *hi;
+  }
   removals_since_refresh_ = 0;
 }
 

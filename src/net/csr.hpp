@@ -121,6 +121,11 @@ class CsrTopology {
   /// graph). Together with `max_delay_ms` this bounds how far one Dijkstra
   /// relaxation can reach past the key being settled.
   double max_validation_ms() const { return max_validation_ms_; }
+  /// Lower bound on the smallest per-node validation delay Δv (0 for an
+  /// empty graph); conservative under profile refreshes like
+  /// `min_delay_ms`. The delay solvers refuse a snapshot whose bound is
+  /// negative: a relay must not become ready before its block arrives.
+  double min_validation_ms() const { return min_validation_ms_; }
 
   /// Raw arrays for the engine hot loop: row `v` spans
   /// `offsets()[v] .. row_ends()[v]` of `peer_data()` / `delay_data()`.
@@ -203,6 +208,7 @@ class CsrTopology {
   double min_delay_ms_ = 0.0;             ///< conservative min block δ
   double max_delay_ms_ = 0.0;             ///< conservative max block δ
   double max_validation_ms_ = 0.0;        ///< conservative max Δv
+  double min_validation_ms_ = 0.0;        ///< conservative min Δv
   std::size_t removals_since_refresh_ = 0;  ///< staleness of the δ bounds
 };
 

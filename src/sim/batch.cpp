@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,13 +27,25 @@ namespace {
 // bounds: the u32 fixed-point bucket grid (`BucketQueue::plan_fixed`), whose
 // width <= min δ / 2 gives every relaxation a >= 2w key increase, so a
 // candidate can never land in the bucket being drained (see
-// bucket_queue.hpp). nullopt — degenerate delays (zero/non-finite, an
-// edgeless graph) or a key span the u32 grid cannot hold — sends the batch
-// to the 4-ary heap.
+// bucket_queue.hpp). nullopt — a zero δ, an edgeless graph, or a key span
+// the u32 grid cannot hold — sends the batch to the 4-ary heap. Both are
+// Dijkstra, exact only when no relaxation lowers a key below the one being
+// settled, so a snapshot with a negative or non-finite δ or Δv bound is
+// refused (std::invalid_argument) rather than relaxed: a negative Δv breaks
+// the bucket grid's reach bound, and a negative δ can loop the heap forever.
 using BatchPlan = std::optional<BucketQueueBase::FixedPlan>;
 
 BatchPlan make_plan(const net::CsrTopology& csr) {
+  if (!(csr.min_validation_ms() >= 0.0) ||
+      !std::isfinite(csr.max_validation_ms())) {
+    throw std::invalid_argument(
+        "delay solver needs finite, nonnegative validation delays");
+  }
   if (csr.num_links() == 0) return std::nullopt;
+  if (!(csr.min_delay_ms() >= 0.0) || !std::isfinite(csr.max_delay_ms())) {
+    throw std::invalid_argument(
+        "delay solver needs finite, nonnegative link delays");
+  }
   const double max_reach = csr.max_delay_ms() + csr.max_validation_ms();
   // Conservative key ceiling: a settled chain is at most n nodes deep and
   // each relaxation adds at most max_reach; doubled for slack.

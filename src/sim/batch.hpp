@@ -245,7 +245,9 @@ void observe_batch(const net::CsrTopology& csr,
 /// snapshot with the delay solver, materializing all stripes (the round
 /// loop's shape: |B| miners, observation recording wants every result at
 /// once). Byte-identical to the test oracle, source by source, at any
-/// worker count; a one-element span is the single-source path.
+/// worker count; a one-element span is the single-source path. Throws
+/// std::invalid_argument, before any work, for a snapshot with a negative or
+/// non-finite δ or Δv bound, which no Dijkstra relaxation can solve.
 void simulate_broadcast_batch(const net::CsrTopology& csr,
                               std::span<const net::NodeId> sources,
                               MultiSourceScratch& scratch,
@@ -255,7 +257,8 @@ void simulate_broadcast_batch(const net::CsrTopology& csr,
 /// λ shape of the delay solver: every entry of `sources` relaxed until the
 /// highest coverage of `targets` is reached (see `observe_batch`). Each λ
 /// is bit-equal to `metrics::lambda_for_broadcast` on the full broadcast,
-/// at any worker count.
+/// at any worker count. Refuses the snapshots `simulate_broadcast_batch`
+/// refuses, with the same exception.
 void coverage_batch(const net::CsrTopology& csr,
                     std::span<const net::NodeId> sources,
                     MultiSourceScratch& scratch,

@@ -42,17 +42,80 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
 }
 
-double percentile_in_place(std::span<double> sample, double q) {
+double percentile(std::span<const double> sample, double q,
+                  std::vector<double>& scratch) {
   PERIGEE_ASSERT(q >= 0.0 && q <= 1.0);
-  if (sample.empty()) return kInf;
-  if (sample.size() == 1) return sample.front();
-  const Rank r = rank_of(sample.size(), q);
-  const auto lo = sample.begin() + static_cast<std::ptrdiff_t>(r.lo);
-  std::nth_element(sample.begin(), lo, sample.end());
-  // Everything after lo is >= *lo, so the next order statistic is the
-  // smallest of that tail.
-  const double b = r.hi == r.lo ? *lo : *std::min_element(lo + 1, sample.end());
-  return interpolate(*lo, b, r.frac);
+  const std::size_t n = sample.size();
+  if (n == 0) return kInf;
+  if (n == 1) return sample.front();
+  const Rank r = rank_of(n, q);
+  // Ranks lo..n-1 are the t largest entries. Laid out as rows of t, every
+  // column holds an entry >= its own maximum >= tau, the least column
+  // maximum: so at least t entries are >= tau, and they are the top ranks.
+  const std::size_t t = n - r.lo;
+  if (scratch.size() < 2 * n) scratch.resize(2 * n);
+  double* a = scratch.data();
+  double* b = a + n;
+  const double* const x = sample.data();
+  std::copy_n(x, t, a);
+  for (std::size_t i = t; i < n; i += t) {
+    const std::size_t row = std::min(t, n - i);
+    for (std::size_t j = 0; j < row; ++j) a[j] = std::max(a[j], x[i + j]);
+  }
+  const double tau = *std::min_element(a, a + t);
+  // Branch-free copy of the survivors over the spent column maxima.
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    a[k] = x[i];
+    k += x[i] >= tau;
+  }
+  // Rank lo of the sample is rank k - t of the k survivors. Quickselect it:
+  // each pass copies the range's entries below and above a median-of-three
+  // pivot to the two ends of the other buffer, again without branching on
+  // the data, and keeps the side holding the rank: std::nth_element's
+  // data-dependent branches mispredict on scoring rows, and these passes
+  // branch once each.
+  std::size_t rank = k - t;
+  double above = kInf;  // least entry ranked above the range
+  while (k > 8) {
+    const double x0 = a[0], x1 = a[k / 2], x2 = a[k - 1];
+    const double pivot =
+        std::max(std::min(x0, x1), std::min(std::max(x0, x1), x2));
+    std::size_t less = 0, greater = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double v = a[i];
+      b[less] = v;
+      less += v < pivot;
+      b[k - 1 - greater] = v;
+      greater += v > pivot;
+    }
+    // At least one entry equals the pivot, which is one of them, so every
+    // pass narrows the range or ends the search.
+    const std::size_t equal = k - less - greater;
+    double* const spent = a;
+    if (rank < less) {
+      above = pivot;
+      a = b;
+      k = less;
+    } else if (rank < less + equal) {
+      double next = pivot;
+      if (rank + 1 == less + equal) {
+        next = greater == 0
+                   ? above
+                   : *std::min_element(b + k - greater, b + k);
+      }
+      return interpolate(pivot, r.hi == r.lo ? pivot : next, r.frac);
+    } else {
+      rank -= less + equal;
+      a = b + k - greater;
+      k = greater;
+    }
+    b = spent;
+  }
+  std::sort(a, a + k);
+  const double lo = a[rank];
+  if (r.hi == r.lo) return lo;
+  return interpolate(lo, rank + 1 < k ? a[rank + 1] : above, r.frac);
 }
 
 double percentile_from_ranks(double lo_value, double hi_value, std::size_t n,
@@ -68,8 +131,8 @@ std::size_t percentile_lower_rank(std::size_t n, double q) {
 }
 
 double percentile(std::span<const double> sample, double q) {
-  std::vector<double> copy(sample.begin(), sample.end());
-  return percentile_in_place(copy, q);
+  std::vector<double> scratch;
+  return percentile(sample, q, scratch);
 }
 
 double mean(std::span<const double> sample) {

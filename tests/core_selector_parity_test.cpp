@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/perigee.hpp"
@@ -379,6 +380,31 @@ TEST(SelectorParity, UcbMedianWithResetsMatchesDequeReference) {
                                   ref_selectors<RefUcb>(params), params, 200,
                                   1, /*reset_every=*/25),
             0);
+}
+
+// Vanilla and Subset score through one scratch set per thread
+// (core/score_scratch.hpp). Runners scoring on three threads at once, two of
+// them Subset so the same buffers are live twice, must each still decide as
+// the sort references do. Under ThreadSanitizer this also shows that no
+// scoring buffer is shared between threads.
+TEST(ScoreScratch, ConcurrentRunnersMatchSortReferences) {
+  const PerigeeParams params;
+  int changed[3] = {-2, -2, -2};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    changed[0] = expect_same_decisions(Algorithm::PerigeeVanilla,
+                                       ref_selectors<RefVanilla>(params),
+                                       params, 5, 100);
+  });
+  for (int i = 1; i < 3; ++i) {
+    threads.emplace_back([&, i] {
+      changed[i] = expect_same_decisions(Algorithm::PerigeeSubset,
+                                         ref_selectors<RefSubset>(params),
+                                         params, 5, 100);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const int rounds : changed) EXPECT_EQ(rounds, 5);
 }
 
 }  // namespace

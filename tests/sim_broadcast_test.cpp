@@ -4,7 +4,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
+#include "sim/batch.hpp"
+#include "sim/coverage.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -210,6 +214,38 @@ TEST(Broadcast, TransmissionTermSlowsRelay) {
     EXPECT_GT(slow.arrival[v], fast.arrival[v]);
   }
 }
+
+// Negative Δv lets a relay forward before its block arrives: no Dijkstra
+// order exists. Both delay solvers must refuse the snapshot up front (the
+// bucket grid once aborted on its span at -100 and spun forever at -1), and
+// must not hand it to the heap, which assumes nonnegative weights as well.
+void expect_refused(double validation_scale) {
+  net::NetworkOptions options;
+  options.n = 40;
+  options.seed = 7;
+  options.validation_scale = validation_scale;
+  const auto network = net::Network::build(options);
+  net::Topology t(40);
+  util::Rng rng(7);
+  topo::build_random(t, rng);
+  const auto csr = net::CsrTopology::build(t, network);
+  ASSERT_LT(csr.min_validation_ms(), 0.0);
+
+  const std::vector<net::NodeId> sources = {0};
+  MultiSourceScratch scratch;
+  MultiSourceResult result;
+  EXPECT_THROW(simulate_broadcast_batch(csr, sources, scratch, result),
+               std::invalid_argument);
+  const std::vector<double> coverages = {0.9};
+  const CoverageTargets targets(network, coverages);
+  CoverageTimes times;
+  EXPECT_THROW(coverage_batch(csr, sources, scratch, targets, times),
+               std::invalid_argument);
+}
+
+TEST(Broadcast, RefusesLargeNegativeValidation) { expect_refused(-100.0); }
+
+TEST(Broadcast, RefusesSmallNegativeValidation) { expect_refused(-1.0); }
 
 }  // namespace
 }  // namespace perigee::sim

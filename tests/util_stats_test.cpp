@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -14,7 +17,8 @@ namespace {
 
 TEST(Percentile, EmptySampleIsInfinite) {
   EXPECT_TRUE(std::isinf(percentile({}, 0.9)));
-  EXPECT_EQ(percentile_in_place({}, 0.9), kInf);
+  std::vector<double> scratch;
+  EXPECT_EQ(percentile({}, 0.9, scratch), kInf);
 }
 
 TEST(Percentile, SingleElement) {
@@ -82,37 +86,128 @@ double sorted_reference(std::span<const double> sample, double q) {
   return percentile_sorted(copy, q);
 }
 
+// Sample layouts for the threshold filter. It views the sample as rows of
+// t = n - floor(q(n-1)) entries and keeps the entries at or above the least
+// column maximum, so these aim at that threshold: sorted runs (the least
+// column maximum sits in the last row or spans it), ties, a single large
+// outlier per column (exactly t survivors), and +inf around t entries.
+enum class Layout {
+  Distinct,
+  FewValues,
+  FewValuesWithInf,
+  Ascending,
+  Descending,
+  AllEqual,
+  OutlierPerColumn,
+  InfTMinus1,
+  InfT,
+  InfTPlus1,
+};
+constexpr Layout kLayouts[] = {
+    Layout::Distinct,   Layout::FewValues,        Layout::FewValuesWithInf,
+    Layout::Ascending,  Layout::Descending,       Layout::AllEqual,
+    Layout::OutlierPerColumn, Layout::InfTMinus1, Layout::InfT,
+    Layout::InfTPlus1};
+
+std::vector<double> make_sample(Layout layout, std::size_t n, std::size_t t,
+                                Rng& rng) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (layout) {
+      case Layout::FewValues:
+      case Layout::FewValuesWithInf:
+        v[i] = static_cast<double>(rng.uniform_index(5)) * 2.5;
+        break;
+      case Layout::Ascending:
+        v[i] = static_cast<double>(i);
+        break;
+      case Layout::Descending:
+        v[i] = static_cast<double>(n - i);
+        break;
+      case Layout::AllEqual:
+        v[i] = 7.25;
+        break;
+      default:
+        v[i] = rng.uniform(0, 100);
+    }
+  }
+  std::size_t infs = 0;
+  switch (layout) {
+    case Layout::FewValuesWithInf:
+      infs = 1 + rng.uniform_index(n);
+      for (std::size_t k = 0; k < infs; ++k) v[rng.uniform_index(n)] = kInf;
+      return v;
+    case Layout::OutlierPerColumn:
+      // Column j is entries j, j + t, j + 2t, ...; one of them, at a random
+      // row, is far above every other entry.
+      for (std::size_t j = 0; j < t; ++j) {
+        const std::size_t rows = (n - j + t - 1) / t;
+        v[j + t * rng.uniform_index(rows)] = 1000.0 + static_cast<double>(j);
+      }
+      return v;
+    case Layout::InfTMinus1:
+      infs = t - 1;
+      break;
+    case Layout::InfT:
+      infs = t;
+      break;
+    case Layout::InfTPlus1:
+      infs = std::min(t + 1, n);
+      break;
+    default:
+      return v;
+  }
+  // Exactly `infs` distinct positions.
+  std::vector<std::size_t> slots(n);
+  for (std::size_t i = 0; i < n; ++i) slots[i] = i;
+  for (std::size_t k = 0; k < infs; ++k) {
+    std::swap(slots[k], slots[k + rng.uniform_index(n - k)]);
+    v[slots[k]] = kInf;
+  }
+  return v;
+}
+
 TEST(Percentile, SelectionMatchesSortBitForBit) {
   Rng rng(2024);
-  for (std::size_t n = 1; n <= 257; ++n) {
-    for (int variant = 0; variant < 3; ++variant) {
-      std::vector<double> v;
-      for (std::size_t i = 0; i < n; ++i) {
-        // Variant 0: distinct values; 1: few repeated values; 2: repeated
-        // values with one or more +inf entries.
-        const double x = variant == 0
-                             ? rng.uniform(0, 100)
-                             : static_cast<double>(rng.uniform_index(5)) * 2.5;
-        v.push_back(x);
+  constexpr double kQs[] = {0.0, 0.1, 0.5, 0.9, 0.95, 1.0};
+  // Per q: samples of whole rows (n = k*t), one spare entry (k*t + 1) and
+  // one entry short of whole rows (k*t - 1), with at least two rows.
+  std::size_t whole[6] = {}, plus_one[6] = {}, minus_one[6] = {};
+  std::vector<double> scratch;
+  for (std::size_t n = 1; n <= 300; ++n) {
+    for (std::size_t qi = 0; qi < 6; ++qi) {
+      const double q = kQs[qi];
+      const std::size_t t = n - percentile_lower_rank(n, q);
+      if (n > t) {
+        whole[qi] += n % t == 0;
+        plus_one[qi] += n % t == 1 % t;
+        minus_one[qi] += (n + 1) % t == 0;
       }
-      if (variant == 2) {
-        const std::size_t infs = 1 + rng.uniform_index(n);
-        for (std::size_t k = 0; k < infs; ++k) v[rng.uniform_index(n)] = kInf;
-      }
-      for (double q : {0.0, 0.1, 0.5, 0.9, 0.95, 1.0}) {
+      for (const Layout layout : kLayouts) {
+        const std::vector<double> v = make_sample(layout, n, t, rng);
+        const std::vector<double> before = v;
         const double expect = sorted_reference(v, q);
-        EXPECT_EQ(percentile(v, q), expect)
-            << "n=" << n << " variant=" << variant << " q=" << q;
-        std::vector<double> scratch = v;
-        EXPECT_EQ(percentile_in_place(scratch, q), expect)
-            << "n=" << n << " variant=" << variant << " q=" << q;
-        // In place only reorders: the multiset is unchanged.
-        std::sort(scratch.begin(), scratch.end());
-        std::vector<double> sorted = v;
-        std::sort(sorted.begin(), sorted.end());
-        EXPECT_EQ(scratch, sorted);
+        const auto where = ::testing::Message()
+                           << "n=" << n << " t=" << t << " layout="
+                           << static_cast<int>(layout) << " q=" << q;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(v, q, scratch)),
+                  std::bit_cast<std::uint64_t>(expect))
+            << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(v, q)),
+                  std::bit_cast<std::uint64_t>(expect))
+            << where;
+        // The sample is read-only: byte-identical after both calls.
+        ASSERT_EQ(std::memcmp(v.data(), before.data(), n * sizeof(double)), 0)
+            << where;
       }
     }
+  }
+  // At q <= 0.5, t > n / 2: the sample is one row plus a partial one, so
+  // the three row shapes are only distinct at the scoring quantiles.
+  for (std::size_t qi = 3; qi < 5; ++qi) {
+    EXPECT_GT(whole[qi], 0u) << "q=" << kQs[qi];
+    EXPECT_GT(plus_one[qi], 0u) << "q=" << kQs[qi];
+    EXPECT_GT(minus_one[qi], 0u) << "q=" << kQs[qi];
   }
 }
 
