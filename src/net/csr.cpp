@@ -78,7 +78,8 @@ CsrTopology CsrTopology::build(const Topology& topology,
   double min_delay = std::numeric_limits<double>::infinity();
   double max_delay = 0.0;
   double max_validation = 0.0;
-  double min_validation = n == 0 ? 0.0 : std::numeric_limits<double>::infinity();
+  double min_validation =
+      n == 0 ? 0.0 : std::numeric_limits<double>::infinity();
   std::size_t links = 0;
   for (NodeId v = 0; v < n; ++v) {
     const NodeProfile& profile = network.profile(v);
