@@ -364,14 +364,7 @@ int main(int argc, char** argv) {
   const std::int64_t seeds = flags.get_int("seeds");
   if (seeds > 0) spec.seeds = static_cast<int>(seeds);
   spec.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  // Checked here, not at the λ evaluation's assert: a CLI typo must be a
-  // clean error, not an abort mid-sweep. The negation also rejects NaN.
-  const double coverage = flags.get_double("coverage");
-  if (!(coverage > 0.0 && coverage <= 1.0)) {
-    std::cerr << "bad --coverage value '" << coverage << "' (want (0, 1])\n";
-    return 1;
-  }
-  spec.base.coverage = coverage;
+  spec.base.coverage = flags.get_double("coverage");
   // Wall-clock A/B switch, not a grid axis: cell results and the JSON are
   // byte-identical at either setting.
   spec.base.incremental_csr = flags.get_bool("incremental-csr");
@@ -379,38 +372,14 @@ int main(int argc, char** argv) {
     spec.name = name;
   }
 
-  if (const std::string error = runner::check_block_budget(spec);
-      !error.empty()) {
-    std::cerr << error << "\n";
+  // The block budget and every cell's config are checked (the validity
+  // table, core::config_error) before any job runs.
+  std::size_t cell_count = 0;
+  try {
+    cell_count = runner::expand_grid(spec).size();
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
     return 1;
-  }
-
-  // Cell combinations that would abort deep inside a job: the relay
-  // overlay picks its members from the network, the message-level gossip
-  // engine has no egress queuing model, and UCB runs rounds x |B|
-  // single-block rounds.
-  constexpr std::int64_t kMaxRounds = std::numeric_limits<int>::max();
-  const std::vector<runner::SweepCell> cells = runner::expand_grid(spec);
-  for (const runner::SweepCell& cell : cells) {
-    const core::ExperimentConfig& config = cell.config;
-    if (config.relay && config.relay_config.members > config.net.n) {
-      std::cerr << "cell '" << cell.label << "': the relay overlay needs n >= "
-                << config.relay_config.members << " (got n=" << config.net.n
-                << ")\n";
-      return 1;
-    }
-    if (config.message_level && config.scenario.transmission.enabled()) {
-      std::cerr << "cell '" << cell.label
-                << "': gossip learning does not support transmission=queue\n";
-      return 1;
-    }
-    if (core::learning_rounds(config) > kMaxRounds) {
-      std::cerr << "cell '" << cell.label
-                << "': UCB runs rounds x |B| = " << config.rounds << " x "
-                << config.blocks_per_round << " single-block rounds (want <= "
-                << kMaxRounds << ")\n";
-      return 1;
-    }
   }
 
   // --merge: fold k shard outputs into the final file. No jobs run; the
@@ -481,7 +450,6 @@ int main(int argc, char** argv) {
 
   const runner::SweepRunner sweep_runner(
       static_cast<int>(flags.get_int("jobs")));
-  const std::size_t cell_count = cells.size();
   std::cerr << "sweep '" << spec.name << "': " << cell_count << " cells x "
             << spec.seeds << " seeds on " << sweep_runner.workers()
             << " workers";

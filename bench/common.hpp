@@ -77,33 +77,32 @@ class TraceSession {
   std::string path_;
 };
 
-// Upper bound for flags the benches narrow to int.
+// Bounds for flags the benches narrow to int.
+inline constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
 inline constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 inline int jobs_from_flags(const util::Flags& flags) {
   return static_cast<int>(flags.get_int("jobs"));
 }
 
-// The experiment the shared flags describe. A value the experiment would
-// abort on deep inside a run prints "bad --<flag> value" and yields
+// The experiment the shared flags describe. A value the validity table
+// (core::config_error) refuses prints "bad --<flag> value" and yields
 // nullopt, so the bench exits 1 before any work starts.
 inline std::optional<core::ExperimentConfig> config_from_flags(
     const util::Flags& flags) {
-  if (!flags.int_in_range("nodes", 2) ||
-      !flags.int_in_range("rounds", 0, kIntMax)) {
-    return std::nullopt;
-  }
-  const double coverage = flags.get_double("coverage");
-  // The negation also rejects NaN.
-  if (!(coverage > 0.0 && coverage <= 1.0)) {
-    std::cerr << "bad --coverage value '" << coverage << "' (want (0, 1])\n";
+  if (!flags.int_in_range("nodes", 0, kIntMax) ||
+      !flags.int_in_range("rounds", kIntMin, kIntMax)) {
     return std::nullopt;
   }
   core::ExperimentConfig config;
   config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
   config.rounds = static_cast<int>(flags.get_int("rounds"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.coverage = coverage;
+  config.coverage = flags.get_double("coverage");
+  if (const std::string error = core::config_error(config); !error.empty()) {
+    std::cerr << error << "\n";
+    return std::nullopt;
+  }
   return config;
 }
 

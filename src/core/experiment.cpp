@@ -1,11 +1,8 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "metrics/edge_hist.hpp"
@@ -172,14 +169,6 @@ std::int64_t learning_rounds(const ExperimentConfig& config) {
              : rounds;
 }
 
-void ExperimentConfig::validate() const {
-  if (!std::isfinite(net.validation_scale) || net.validation_scale < 0.0) {
-    throw std::invalid_argument(
-        "validation_scale must be finite and >= 0, got " +
-        std::to_string(net.validation_scale));
-  }
-}
-
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   config.validate();
   return run_experiment(config, build_scenario(config));
@@ -203,12 +192,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // the final λ evaluations; the relaxer moves into the round runner when
   // a round loop runs, so rounds and λ share its lane arena.
   Relaxation relax = make_relaxation(config);
-  // The message-level gossip engine scores neighbors by INV announcement
-  // times and has no per-message serialization model; the queued regime is
-  // a Fast-engine axis only.
-  PERIGEE_ASSERT_MSG(
-      !(config.message_level && config.scenario.transmission.enabled()),
-      "message_level + transmission=queue is unsupported");
   const auto eval_both = [&](const net::CsrTopology& csr,
                              sim::Relaxer& relaxer) {
     PERIGEE_TRACE_SPAN(final_eval_span, "final_eval");
@@ -227,10 +210,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (is_adaptive(config.algorithm) || config.scenario.churn.enabled()) {
     // UCB is a |B|=1 method: same total block budget, shorter rounds.
     const bool ucb = config.algorithm == Algorithm::PerigeeUcb;
-    const std::int64_t learning = learning_rounds(config);
-    PERIGEE_ASSERT_MSG(learning <= std::numeric_limits<int>::max(),
-                       "UCB round count rounds x |B| exceeds INT_MAX");
-    const auto total_rounds = static_cast<int>(learning);
+    const auto total_rounds = static_cast<int>(learning_rounds(config));
     // Static baselines reach this loop only under churn, and then only the
     // mutations matter: no selector reads the observations and no block
     // hook is installed, so simulate one block per round instead of |B|
@@ -325,19 +305,19 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 }
 
 std::vector<double> run_ideal(const ExperimentConfig& config) {
-  const Scenario scenario = build_scenario(config);
-  // The scenario topology holds only infra (relay) edges at this point;
-  // overlaying them keeps the bound valid when a relay network exists.
-  return metrics::eval_ideal(scenario.network, config.coverage,
-                             &scenario.topology);
+  return run_ideal_both(config).lambda;
 }
 
 IdealResult run_ideal_both(const ExperimentConfig& config) {
+  config.validate();
   return run_ideal_both(config, build_scenario(config));
 }
 
 IdealResult run_ideal_both(const ExperimentConfig& config,
                            const Scenario& scenario) {
+  config.validate();
+  // The scenario topology holds only infra (relay) edges at this point;
+  // overlaying them keeps the bound valid when a relay network exists.
   auto multi = metrics::eval_ideal_multi(
       scenario.network, {config.coverage, 0.50}, &scenario.topology);
   return IdealResult{std::move(multi[0]), std::move(multi[1])};
@@ -345,6 +325,7 @@ IdealResult run_ideal_both(const ExperimentConfig& config,
 
 CellCurves run_cell_curves(const ExperimentConfig& config,
                            const Scenario* prebuilt) {
+  config.validate();
   if (config.algorithm == Algorithm::Ideal) {
     IdealResult r = prebuilt != nullptr ? run_ideal_both(config, *prebuilt)
                                         : run_ideal_both(config);
@@ -391,6 +372,7 @@ void flow_leftover_jobs(ExperimentConfig& config, int num_seeds, int jobs) {
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction) {
   PERIGEE_ASSERT(adopter_fraction >= 0.0 && adopter_fraction <= 1.0);
+  config.validate();
   Scenario scenario = build_scenario(config);
 
   ExperimentConfig random_start = config;
@@ -452,6 +434,7 @@ IncrementalCurves run_incremental_multi_seed(ExperimentConfig config,
                                              double adopter_fraction,
                                              int num_seeds, int jobs) {
   PERIGEE_ASSERT(num_seeds >= 1);
+  config.validate();
   flow_leftover_jobs(config, num_seeds, jobs);
   // Adopter count k = fraction * n is seed-independent, so the per-group
   // vectors have equal length across seeds and aggregate cleanly.

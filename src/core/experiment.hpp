@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/params.hpp"
@@ -53,8 +54,7 @@ struct ExperimentConfig {
   // evaluation runs the queued egress engine (sim/egress.hpp,
   // docs/TRANSMISSION_MODEL.md) instead of the delay-only relaxation.
   // Default-constructed == inert: results are bit-identical to configs that
-  // predate the scenario layer. transmission=queue is incompatible with
-  // message_level (asserted).
+  // predate the scenario layer.
   scenario::ScenarioSpec scenario;
 
   // Partial-view peer discovery (§2.1 addrMan / §6): when enabled, each node
@@ -100,15 +100,19 @@ struct ExperimentConfig {
   // mining and exploration.
   std::uint64_t seed = 1;
 
-  // Rejects configs the library cannot run, with std::invalid_argument:
-  // the clean error the CLI gives per flag, for callers that build configs
-  // in code. run_experiment calls it first. Rules:
-  //  - net.validation_scale is finite and >= 0. Both relaxation queues need
-  //    event times that never run backwards; a negative Δv breaks that (a
-  //    hang, an abort in the bucket queue, or λ from negative validation).
-  // PERIGEE_ASSERT stays for internal invariants.
+  // Throws std::invalid_argument with the text of the first rule of the
+  // validity table (core/validity.cpp) this config breaks. Every run_*
+  // entry point below calls it before any work; the scenario building
+  // blocks (build_scenario, build_initial_topology) do not.
   void validate() const;
 };
+
+// The first rule of the validity table `config` breaks, as the text
+// validate() throws; empty when none. A non-empty `key` (a perigee_sweep
+// flag such as "--explore", or a field path such as "params.keep") checks
+// only the rules with that key.
+std::string config_error(const ExperimentConfig& config,
+                         std::string_view key = {});
 
 struct Checkpoint {
   std::size_t blocks_mined = 0;  // cumulative blocks at this checkpoint

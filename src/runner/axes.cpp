@@ -13,13 +13,14 @@ namespace {
 using Config = core::ExperimentConfig;
 
 // How one axis spells its values: label text, JSON form, and the CSV item
-// parser (nullopt = a bad item, reported together with `want`).
+// parser (nullopt = a misspelled item, reported together with `want`). The
+// domain of a value is its flag's rule in the validity table, not the
+// codec's.
 template <typename T>
 struct Codec {
   std::function<std::string(T)> text;
   std::function<void(JsonWriter&, T)> write;
-  std::function<std::optional<T>(const std::string&, const Config&)>
-      parse;
+  std::function<std::optional<T>(const std::string&)> parse;
   std::string want;
 };
 
@@ -30,9 +31,7 @@ Codec<T> named(std::string_view (*name)(T),
                std::string want) {
   return {[name](T v) { return std::string(name(v)); },
           [name](JsonWriter& w, T v) { w.value(name(v)); },
-          [from_name](const std::string& item, const Config&) {
-            return from_name(item);
-          },
+          [from_name](const std::string& item) { return from_name(item); },
           std::move(want)};
 }
 
@@ -48,8 +47,7 @@ Codec<bool> choice(std::string off, std::string on, bool json_bool) {
               w.value(v ? on : off);
             }
           },
-          [off, on](const std::string& item,
-                    const Config&) -> std::optional<bool> {
+          [off, on](const std::string& item) -> std::optional<bool> {
             if (item == on) return true;
             if (item == off) return false;
             return std::nullopt;
@@ -57,44 +55,38 @@ Codec<bool> choice(std::string off, std::string on, bool json_bool) {
           want};
 }
 
-// Items must satisfy ok(v, base); written as comparisons that fail for NaN.
-using Check = bool (*)(double v, const Config& base);
-
-Codec<double> real(Check ok, std::string want) {
+Codec<double> real() {
   return {[](double v) { return format_double(v); },
-          [](JsonWriter& w, double v) { w.value(v); },
-          [ok](const std::string& item,
-               const Config& base) -> std::optional<double> {
-            const auto v = parse_number(item);
-            if (!v || !ok(*v, base)) return std::nullopt;
-            return v;
-          },
-          std::move(want)};
+          [](JsonWriter& w, double v) { w.value(v); }, parse_number,
+          "a number"};
 }
 
+// An integer that narrows to T: at least T's lowest value and below its
+// maximum + 1 (exact in double for int and std::size_t).
 template <typename T>
-Codec<T> integer(Check ok, std::string want) {
+Codec<T> integer() {
+  using Limits = std::numeric_limits<T>;
+  const std::string bound = "2^" + std::to_string(Limits::digits);
   return {[](T v) { return std::to_string(v); },
           [](JsonWriter& w, T v) { w.value(static_cast<std::int64_t>(v)); },
-          [ok](const std::string& item,
-               const Config& base) -> std::optional<T> {
+          [](const std::string& item) -> std::optional<T> {
             const auto v = parse_number(item);
             if (!v || *v != std::floor(*v) ||
-                !(*v <= static_cast<double>(std::numeric_limits<T>::max())) ||
-                !ok(*v, base)) {
+                !(*v >= static_cast<double>(Limits::lowest()) &&
+                  *v < static_cast<double>(Limits::max()) + 1.0)) {
               return std::nullopt;
             }
             return static_cast<T>(*v);
           },
-          std::move(want)};
+          Limits::is_signed ? "an integer in [-" + bound + ", " + bound + ")"
+                            : "an integer in [0, " + bound + ")"};
 }
 
-// Address-book capacity: "full" (no partial view) or a capacity >= 1.
+// Address-book capacity: "full" (no partial view) or a capacity.
 using Capacity = std::optional<std::size_t>;
 
 Codec<Capacity> address_book() {
-  const Codec<std::size_t> capacity = integer<std::size_t>(
-      [](double v, const Config&) { return v >= 1; }, "");
+  const Codec<std::size_t> capacity = integer<std::size_t>();
   return {[](Capacity k) { return k ? std::to_string(*k) : "full"; },
           [](JsonWriter& w, Capacity k) {
             if (k) {
@@ -103,14 +95,13 @@ Codec<Capacity> address_book() {
               w.value("full");
             }
           },
-          [capacity](const std::string& item, const Config& base)
-              -> std::optional<Capacity> {
+          [capacity](const std::string& item) -> std::optional<Capacity> {
             if (item == "full") return Capacity{};
-            const auto k = capacity.parse(item, base);
+            const auto k = capacity.parse(item);
             if (!k) return std::nullopt;
             return Capacity{*k};
           },
-          "full or an integer capacity >= 1"};
+          "full or " + capacity.want};
 }
 
 // Fills the row's behaviour from its SweepSpec field, the config accessors
@@ -138,16 +129,22 @@ SweepAxis row(SweepAxis names, std::vector<T> SweepSpec::*values, Get get,
                                                const Config& config) {
     write(w, get(config));
   };
-  axis.parse = [values, flag = std::string(axis.flag), codec](
+  axis.parse = [values, set, flag = "--" + std::string(axis.flag), codec](
                    SweepSpec& spec, const std::string& csv) -> std::string {
     const std::vector<std::string> items = split_csv(csv);
-    if (items.empty()) return "bad --" + flag + " value '" + csv + "'";
+    if (items.empty()) return "bad " + flag + " value '" + csv + "'";
     std::vector<T> parsed;
     for (const std::string& item : items) {
-      std::optional<T> value = codec.parse(item, spec.base);
+      std::optional<T> value = codec.parse(item);
       if (!value) {
-        return "bad --" + flag + " value '" + item + "' (want " + codec.want +
+        return "bad " + flag + " value '" + item + "' (want " + codec.want +
                ")";
+      }
+      Config trial = spec.base;
+      set(trial, *value);
+      if (std::string error = core::config_error(trial, flag);
+          !error.empty()) {
+        return error;
       }
       parsed.push_back(std::move(*value));
     }
@@ -183,15 +180,13 @@ std::vector<SweepAxis> make_axes() {
            .fingerprint_key = "nodes", .json_key = "nodes"},
           &SweepSpec::nodes, [](const Config& c) { return c.net.n; },
           [](Config& c, std::size_t v) { c.net.n = v; },
-          integer<std::size_t>([](double v, const Config&) { return v >= 2; },
-                               "an integer >= 2")),
+          integer<std::size_t>()),
       row({.flag = "rounds", .help = "CSV learning-round axis",
            .label = "rounds", .fingerprint_key = "rounds",
            .json_key = "rounds"},
           &SweepSpec::rounds, [](const Config& c) { return c.rounds; },
           [](Config& c, int v) { c.rounds = v; },
-          integer<int>([](double v, const Config&) { return v >= 0; },
-                       "an integer >= 0")),
+          integer<int>()),
       row({.flag = "hash", .help = "CSV hash-model axis: "
            "uniform,exponential,pools", .label = "hash",
            .fingerprint_key = "hash_models", .json_key = "hash_model"},
@@ -205,7 +200,7 @@ std::vector<SweepAxis> make_axes() {
           &SweepSpec::validation_scales,
           [](const Config& c) { return c.net.validation_scale; },
           [](Config& c, double v) { c.net.validation_scale = v; },
-          real([](double v, const Config&) { return v > 0; }, "> 0")),
+          real()),
       row({.flag = "relay", .help = "CSV relay axis: on,off", .label = "relay",
            .fingerprint_key = "relay", .json_key = "relay"},
           &SweepSpec::relay, [](const Config& c) { return c.relay; },
@@ -217,8 +212,7 @@ std::vector<SweepAxis> make_axes() {
           &SweepSpec::churn_rates,
           [](const Config& c) { return c.scenario.churn.rate; },
           [](Config& c, double v) { c.scenario.churn.rate = v; },
-          real([](double v, const Config&) { return v >= 0 && v <= 1; },
-               "[0, 1]")),
+          real()),
       row({.flag = "hetero", .help = "CSV heterogeneity axis: "
            "off,bandwidth,validation,datacenter", .label = "hetero",
            .fingerprint_key = "hetero_profiles", .json_key = "hetero"},
@@ -240,8 +234,7 @@ std::vector<SweepAxis> make_axes() {
           [](Config& c, double v) {
             c.scenario.adversary.withhold_fraction = v;
           },
-          real([](double v, const Config&) { return v >= 0 && v < 1; },
-               "[0, 1)")),
+          real()),
       row({.flag = "transmission", .help = "CSV transmission-model axis: "
            "delay (pure propagation) and/or queue (token-bucket egress "
            "engine)", .label = "transmission",
@@ -259,7 +252,7 @@ std::vector<SweepAxis> make_axes() {
            .json_key = "ucb_c", .swept_only = true},
           &SweepSpec::ucb_cs, [](const Config& c) { return c.params.ucb_c; },
           [](Config& c, double v) { c.params.ucb_c = v; },
-          real([](double v, const Config&) { return v > 0; }, "> 0")),
+          real()),
       row({.flag = "explore", .help = "CSV exploration-slot axis ev; keep = "
            "dout - ev", .label = "explore", .fingerprint_key = "explore",
            .json_key = "explore", .swept_only = true},
@@ -269,11 +262,7 @@ std::vector<SweepAxis> make_axes() {
             c.params.explore = v;
             c.params.keep = c.limits.out_cap - v;
           },
-          integer<int>(
-              [](double v, const Config& base) {
-                return v >= 0 && v <= base.limits.out_cap;
-              },
-              "an integer in [0, dout]")),
+          integer<int>()),
       row({.flag = "blocks", .help = "CSV blocks-per-round axis |B| at a "
            "fixed block budget (rounds x |B| is kept)", .label = "blocks",
            .fingerprint_key = "blocks_per_round",
@@ -282,13 +271,15 @@ std::vector<SweepAxis> make_axes() {
           [](const Config& c) { return c.blocks_per_round; },
           [](Config& c, int v) {
             // 64-bit budget; expand_grid has already refused one past
-            // INT_MAX or one v does not divide (check_block_budget).
+            // INT_MAX or one v does not divide (check_block_budget). A
+            // v < 1 is left for the validity table to refuse.
             const std::int64_t rounds = c.rounds;
-            c.rounds = static_cast<int>(rounds * c.blocks_per_round / v);
+            if (v >= 1) {
+              c.rounds = static_cast<int>(rounds * c.blocks_per_round / v);
+            }
             c.blocks_per_round = v;
           },
-          integer<int>([](double v, const Config&) { return v >= 1; },
-                       "an integer >= 1")),
+          integer<int>()),
       row({.flag = "learning", .help = "CSV learning-observation axis: fast "
            "(engine deliveries) and/or gossip (message-level INV "
            "timestamps)", .label = "learning", .fingerprint_key = "learning",

@@ -46,9 +46,11 @@ struct SweepAxis {
   std::function<void(JsonWriter&, const SweepSpec&)> write_values{};
   // A cell config's value of this axis (the cell-JSON entry).
   std::function<void(JsonWriter&, const core::ExperimentConfig&)> write_cell{};
-  // Replaces the swept values with the items of a CSV flag value, checked
-  // against spec.base. Returns an error message, empty on success; a CSV
-  // with no items is an error, not a silent run of the base value.
+  // Replaces the swept values with the items of a CSV flag value, each
+  // stamped into spec.base and checked against its flag's rules in the
+  // validity table (core::config_error). Returns an error message, empty on
+  // success; a CSV with no items is an error, not a silent run of the base
+  // value.
   std::function<std::string(SweepSpec&, const std::string& csv)> parse{};
 
   // Whether the fingerprint and the cell JSON carry this axis for `spec`.

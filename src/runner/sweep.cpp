@@ -31,8 +31,9 @@ void append_label(std::string& label, std::string_view part) {
   label += part;
 }
 
-}  // namespace
-
+// Why the blocks axis cannot re-cut the budget (empty when it can): a
+// budget past INT_MAX would wrap the int round loop to no learning round,
+// and a |B| that does not divide it would silently drop blocks.
 std::string check_block_budget(const SweepSpec& spec) {
   if (spec.blocks_per_round.empty()) return {};
   constexpr std::int64_t kMaxRounds = std::numeric_limits<int>::max();
@@ -47,7 +48,8 @@ std::string check_block_budget(const SweepSpec& spec) {
              " (want <= " + std::to_string(kMaxRounds) + ")";
     }
     for (const int b : spec.blocks_per_round) {
-      if (budget % b != 0) {
+      // A |B| < 1 is the validity table's to refuse, per cell.
+      if (b >= 1 && budget % b != 0) {
         return "bad --blocks grid: |B| = " + std::to_string(b) +
                " does not divide the block budget rounds x |B| = " + cut;
       }
@@ -55,6 +57,8 @@ std::string check_block_budget(const SweepSpec& spec) {
   }
   return {};
 }
+
+}  // namespace
 
 std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
   if (const std::string error = check_block_budget(spec); !error.empty()) {
@@ -92,6 +96,10 @@ std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
                                    axes[a].value_text(spec, value));
     }
     if (cell.label.empty()) cell.label = "base";
+    if (const std::string error = core::config_error(cell.config);
+        !error.empty()) {
+      throw std::invalid_argument("cell '" + cell.label + "': " + error);
+    }
     cells.push_back(std::move(cell));
   }
   return cells;

@@ -96,18 +96,14 @@ struct SweepCell {
   core::ExperimentConfig config;  // seed = spec.base.seed (jobs add s)
 };
 
-// Why the blocks_per_round axis cannot re-cut the spec's block budget
-// rounds x |B| (for every rounds value) into rounds of each of its |B|, or
-// empty when it can. A budget past INT_MAX would wrap the int round loop to
-// no learning round at all, and a |B| that does not divide the budget would
-// silently drop the remainder blocks.
-std::string check_block_budget(const SweepSpec& spec);
-
 // Cartesian expansion in the axis order declared above. Algorithm::Ideal is
 // a valid axis value: its cells are evaluated analytically via run_ideal.
 // Axes apply in that order too, so --blocks rescales the cell's rounds.
-// Throws std::runtime_error with check_block_budget's text when that check
-// fails.
+// Throws std::runtime_error "bad --blocks grid: ..." when the blocks axis
+// cannot re-cut the block budget rounds x |B| into rounds of each of its
+// |B| (a budget past INT_MAX, or a |B| that does not divide it), and
+// std::invalid_argument "cell '<label>': <rule text>" for the first cell
+// the validity table (core::config_error) refuses.
 std::vector<SweepCell> expand_grid(const SweepSpec& spec);
 
 struct CellResult {

@@ -30,22 +30,14 @@ namespace {
 // bucket_queue.hpp). nullopt — a zero δ, an edgeless graph, or a key span
 // the u32 grid cannot hold — sends the batch to the 4-ary heap. Both are
 // Dijkstra, exact only when no relaxation lowers a key below the one being
-// settled, so a snapshot with a negative or non-finite δ or Δv bound is
-// refused (std::invalid_argument) rather than relaxed: a negative Δv breaks
-// the bucket grid's reach bound, and a negative δ can loop the heap forever.
+// settled, so a snapshot `require_causal_delays` refuses is never relaxed:
+// a negative Δv breaks the bucket grid's reach bound, and a negative δ can
+// loop the heap forever.
 using BatchPlan = std::optional<BucketQueueBase::FixedPlan>;
 
 BatchPlan make_plan(const net::CsrTopology& csr) {
-  if (!(csr.min_validation_ms() >= 0.0) ||
-      !std::isfinite(csr.max_validation_ms())) {
-    throw std::invalid_argument(
-        "delay solver needs finite, nonnegative validation delays");
-  }
+  require_causal_delays(csr);
   if (csr.num_links() == 0) return std::nullopt;
-  if (!(csr.min_delay_ms() >= 0.0) || !std::isfinite(csr.max_delay_ms())) {
-    throw std::invalid_argument(
-        "delay solver needs finite, nonnegative link delays");
-  }
   const double max_reach = csr.max_delay_ms() + csr.max_validation_ms();
   // Conservative key ceiling: a settled chain is at most n nodes deep and
   // each relaxation adds at most max_reach; doubled for slack.
@@ -310,6 +302,19 @@ void observe_batch(const net::CsrTopology& csr,
              solve(lane, sources[s], lane.arrival.data(), observer);
              observer.finish();
            });
+}
+
+void require_causal_delays(const net::CsrTopology& csr) {
+  if (!(csr.min_validation_ms() >= 0.0) ||
+      !std::isfinite(csr.max_validation_ms())) {
+    throw std::invalid_argument(
+        "broadcast solvers need finite, nonnegative validation delays");
+  }
+  if (csr.num_links() > 0 &&
+      (!(csr.min_delay_ms() >= 0.0) || !std::isfinite(csr.max_delay_ms()))) {
+    throw std::invalid_argument(
+        "broadcast solvers need finite, nonnegative link delays");
+  }
 }
 
 void simulate_broadcast_batch(const net::CsrTopology& csr,

@@ -203,6 +203,12 @@ class MultiSourceScratch {
 void fill_ready(const net::CsrTopology& csr, net::NodeId src,
                 const double* arrival, double* ready);
 
+/// Throws std::invalid_argument when the snapshot's cached bounds admit a
+/// negative or non-finite δ or Δv. Both solvers need event times that never
+/// run backwards (a relay must not be ready before its block arrives), so
+/// their batch entry points call this once, before any work.
+void require_causal_delays(const net::CsrTopology& csr);
+
 /// One source's relaxation into caller-provided stripes of `csr.size()`
 /// doubles, using `lane`'s scratch. This is the only engine-specific code
 /// under the materializing body; there are two: the delay solver behind

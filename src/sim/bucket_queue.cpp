@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace perigee::sim {
@@ -51,9 +52,7 @@ void BucketQueueBase::install(const FixedPlan& plan) {
   size_ = 0;
   cur_ = 0;
   cur_sorted_ = false;
-#ifdef PERIGEE_TELEMETRY
   empty_skips_ = 0;
-#endif
   scale_ = plan.grid.scale;
   shift_ = plan.shift;
   width_ = plan.width();
@@ -83,9 +82,7 @@ void BucketQueueBase::advance_to_nonempty() {
   if (delta != 0) {
     cur_ += delta;
     cur_sorted_ = false;
-#ifdef PERIGEE_TELEMETRY
-    empty_skips_ += delta;
-#endif
+    PERIGEE_TELEMETRY_ONLY(empty_skips_ += delta);
   }
 }
 

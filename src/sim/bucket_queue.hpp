@@ -118,13 +118,7 @@ class BucketQueueBase {
   /// Empty buckets skipped by `advance_to_nonempty` since the last `reset`.
   /// Telemetry only (flushed into the obs registry per source by the batch
   /// engine); always 0 when telemetry is compiled out.
-  std::uint64_t empty_skips() const {
-#ifdef PERIGEE_TELEMETRY
-    return empty_skips_;
-#else
-    return 0;
-#endif
-  }
+  std::uint64_t empty_skips() const { return empty_skips_; }
 
  protected:
   void install(const FixedPlan& plan);
@@ -147,10 +141,10 @@ class BucketQueueBase {
   std::size_t size_ = 0;
   std::uint64_t mask_ = 0;  ///< ring capacity - 1 (capacity is a power of 2)
   std::vector<std::uint64_t> occupied_;  ///< per-slot non-empty bitmap
-#ifdef PERIGEE_TELEMETRY
-  std::uint64_t empty_skips_ = 0;  ///< see empty_skips(); plain member — the
-                                   ///< queue is single-threaded by design
-#endif
+  /// See empty_skips(); a plain member (the queue is single-threaded by
+  /// design) kept in every build, so the layout never depends on
+  /// PERIGEE_TELEMETRY.
+  std::uint64_t empty_skips_ = 0;
 };
 
 /// The queue over one entry type (see the file comment for its contract).

@@ -32,12 +32,14 @@ using EventPlan = std::optional<BucketQueueBase::FixedPlan>;
 // longest control run, or one payload). A settle chain is at most n hops,
 // each adding at most δ + Δv + the sender's control and payload segments
 // (2·deg·size/rate), which bounds every event time; doubled for slack like
-// the delay plan's. No plan without a positive min δ to size the grid by,
-// nor for inputs that break those bounds: a negative Δv (times run
-// backwards), a negative burst (a send outlasts size/rate), or a sender
-// with a zero or non-finite rate (its finish is +inf).
+// the delay plan's. A negative or non-finite δ or Δv (times run
+// backwards) is refused outright (`require_causal_delays`). No plan without
+// a positive min δ to size the grid by, nor for inputs that break those
+// bounds: a negative burst (a send outlasts size/rate), or a sender with a
+// zero or non-finite rate (its finish is +inf).
 EventPlan make_event_plan(const net::CsrTopology& csr,
                           const EgressConfig& config, const EgressPlan& plan) {
+  require_causal_delays(csr);
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(plan.size() == n);
   // EgressEvent::seq is 32 bits: a source schedules at most one Ready per
@@ -58,7 +60,6 @@ EventPlan make_event_plan(const net::CsrTopology& csr,
   double serial = 0.0;
   for (std::size_t v = 0; v < n; ++v) {
     const auto u = static_cast<net::NodeId>(v);
-    if (!(csr.validation_ms(u) >= 0.0)) return std::nullopt;
     const std::size_t deg = row_ends[v] - offsets[v];
     if (deg == 0 || size == 0.0) continue;
     const double rate = plan.rate(u);

@@ -97,10 +97,13 @@ bool Flags::parse(int argc, const char* const* argv) {
         e.s = value;
         break;
       case Kind::Bool:
-        if (!has_value) {
+        if (!has_value || value == "true" || value == "1" || value == "yes") {
           e.b = true;
+        } else if (value == "false" || value == "0" || value == "no") {
+          e.b = false;
         } else {
-          e.b = (value == "1" || value == "true" || value == "yes");
+          std::cerr << "flag --" << name << ": bad boolean '" << value << "'\n";
+          return false;
         }
         break;
     }

@@ -1,8 +1,9 @@
 // Minimal CLI flag parser for benches and examples.
 //
 // Flags are registered with defaults before parse(); "--name=value",
-// "--name value" and bare boolean "--name" forms are accepted. An
-// unregistered flag or a positional argument is an error, so a typo never
+// "--name value" and bare boolean "--name" forms are accepted. A boolean
+// value is one of true/false, 1/0, yes/no. An unregistered flag, a
+// positional argument or a misspelled value is an error, so a typo never
 // silently runs the defaults.
 #pragma once
 

@@ -9,6 +9,7 @@
 
 #include "sim/batch.hpp"
 #include "sim/coverage.hpp"
+#include "sim/egress.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -219,6 +220,8 @@ TEST(Broadcast, TransmissionTermSlowsRelay) {
 // order exists. Both delay solvers must refuse the snapshot up front (the
 // bucket grid once aborted on its span at -100 and spun forever at -1), and
 // must not hand it to the heap, which assumes nonnegative weights as well.
+// The egress solver's event loop needs the same order: it once returned
+// negative arrival times (-164,399 ms at -100) instead of refusing.
 void expect_refused(double validation_scale) {
   net::NetworkOptions options;
   options.n = 40;
@@ -240,6 +243,15 @@ void expect_refused(double validation_scale) {
   const CoverageTargets targets(network, coverages);
   CoverageTimes times;
   EXPECT_THROW(coverage_batch(csr, sources, scratch, targets, times),
+               std::invalid_argument);
+
+  const EgressConfig config;
+  const EgressPlan plan = EgressPlan::build(network, config);
+  EXPECT_THROW(simulate_broadcast_egress_batch(csr, config, plan, sources,
+                                               scratch, result),
+               std::invalid_argument);
+  EXPECT_THROW(coverage_egress_batch(csr, config, plan, sources, scratch,
+                                     targets, times),
                std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace perigee::util {
 namespace {
 
@@ -53,6 +55,34 @@ TEST(Flags, BoolExplicitValue) {
   const char* argv[] = {"prog", "--verbose=false"};
   ASSERT_TRUE(f.parse(2, argv));
   EXPECT_FALSE(f.get_bool("verbose"));
+}
+
+// Every accepted spelling sets the value it names; anything else is an
+// error, not a silent false (--resume=on once ran without resuming).
+TEST(Flags, BoolSpellingsAreStrict) {
+  for (const char* yes : {"--verbose=true", "--verbose=1", "--verbose=yes"}) {
+    Flags f = make_flags();
+    const char* argv[] = {"prog", yes};
+    ASSERT_TRUE(f.parse(2, argv)) << yes;
+    EXPECT_TRUE(f.get_bool("verbose")) << yes;
+  }
+  for (const char* no : {"--verbose=false", "--verbose=0", "--verbose=no"}) {
+    Flags f = make_flags();
+    f.add_bool("verbose", true, "verbosity");
+    const char* argv[] = {"prog", no};
+    ASSERT_TRUE(f.parse(2, argv)) << no;
+    EXPECT_FALSE(f.get_bool("verbose")) << no;
+  }
+  for (const char* bad : {"--verbose=on", "--verbose=off", "--verbose=",
+                          "--verbose=True", "--verbose=2"}) {
+    Flags f = make_flags();
+    const char* argv[] = {"prog", bad};
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(f.parse(2, argv)) << bad;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("flag --verbose: bad boolean '"), std::string::npos)
+        << err;
+  }
 }
 
 TEST(Flags, UnknownFlagRejected) {
