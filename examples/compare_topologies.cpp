@@ -4,7 +4,6 @@
 //
 //   ./examples/compare_topologies [--nodes N] [--rounds R] [--seed S]
 #include <iostream>
-#include <string>
 
 #include "core/experiment.hpp"
 #include "util/flags.hpp"
@@ -26,12 +25,6 @@ int main(int argc, char** argv) {
   config.rounds = static_cast<int>(flags.get_int("rounds"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.coverage = flags.get_double("coverage");
-  // Every entry point refuses a config the validity table rejects
-  // (std::invalid_argument); checking first gives a clean exit instead.
-  if (const std::string error = core::config_error(config); !error.empty()) {
-    std::cerr << error << "\n";
-    return 1;
-  }
 
   const core::Algorithm algorithms[] = {
       core::Algorithm::Random,         core::Algorithm::Geographic,

@@ -109,7 +109,7 @@ struct ExperimentConfig {
 
 // The first rule of the validity table `config` breaks, as the text
 // validate() throws; empty when none. A non-empty `key` (a perigee_sweep
-// flag such as "--explore", or a field path such as "params.keep") checks
+// flag such as "--explore", or a field path such as "net.jitter_frac") checks
 // only the rules with that key.
 std::string config_error(const ExperimentConfig& config,
                          std::string_view key = {});

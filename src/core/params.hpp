@@ -6,12 +6,11 @@
 namespace perigee::core {
 
 struct PerigeeParams {
-  // dv: neighbors retained by score at the end of a round.
+  // dv: neighbors retained by score at the end of a round. After retention
+  // a node refills its outgoing slots to the topology's out_cap with random
+  // peers, so the ev exploration slots of Algorithm 1 are out_cap - keep
+  // (8 - 6 = 2 by default).
   int keep = net::kDefaultKeep;  // 6
-  // ev: random connections made for exploration each round. After retention
-  // a node refills its outgoing slots to the topology's out_cap, so with
-  // out_cap = keep + explore this matches Algorithm 1 exactly.
-  int explore = net::kDefaultExplore;  // 2
   // Score quantile: a neighbor is rated by this percentile of its relative
   // delivery times (the paper uses the 90th everywhere).
   double percentile = net::kScorePercentile;  // 0.90

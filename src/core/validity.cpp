@@ -11,11 +11,10 @@
 namespace perigee::core {
 namespace {
 
-std::string spell(double v) {
+std::string spell(auto v) {
   char buf[32];
   return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
-std::string spell(std::integral auto v) { return std::to_string(v); }
 
 // A domain that needs no other field. Comparisons fail for NaN.
 struct Domain {
@@ -73,8 +72,9 @@ std::string config_error(const ExperimentConfig& c, std::string_view only) {
   in("--churn", s.churn.rate, kUnit);
   in("--withhold", s.adversary.withhold_fraction, kBelow1);
   in("--ucb-c", c.params.ucb_c, kPositive);
-  field("--explore", c.params.explore >= 0 && c.params.explore <= dout,
-        c.params.explore, "an integer in [0, dout]");
+  field("--explore", c.params.keep >= 0 && c.params.keep <= dout,
+        std::int64_t{dout} - c.params.keep,
+        "an integer in [0, dout]: params.keep = dout - explore");
   in("--blocks", c.blocks_per_round, kSize);
   rule("--learning", !c.message_level || !s.transmission.enabled(), [] {
     return std::string("gossip learning does not support transmission=queue");
@@ -83,8 +83,6 @@ std::string config_error(const ExperimentConfig& c, std::string_view only) {
         c.addrman_capacity, "full or an integer >= 1");
   in("--coverage", c.coverage, kShare);
 
-  field("params.keep", c.params.keep == dout - c.params.explore, c.params.keep,
-        "dout - explore");
   in("params.percentile", c.params.percentile, kUnit);
   in("params.ucb_window", c.params.ucb_window, kSize);
   in("limits.out_cap", dout, kSize);
@@ -109,7 +107,10 @@ std::string config_error(const ExperimentConfig& c, std::string_view only) {
         std::isfinite(net.access_max_ms) &&
             net.access_max_ms >= net.access_min_ms,
         net.access_max_ms, "finite and >= access_min_ms");
+  in("net.validation_mean_ms", net.validation_mean_ms, kFinite);
   in("net.validation_spread", net.validation_spread, kUnit);
+  in("net.handshake_factor", net.handshake_factor, kFinite);
+  in("net.block_size_kb", net.block_size_kb, kFinite);
   field("net.embed_dim",
         net.embed_dim >= 1 && net.embed_dim <= net::kMaxEmbedDim,
         net.embed_dim, "an integer in [1, net::kMaxEmbedDim]");

@@ -1,6 +1,7 @@
 #include "net/csr.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -27,6 +28,14 @@ std::size_t patch_budget(std::size_t num_links) {
 // the refresh); this just keeps the bucket-queue width derivation close to
 // the true minimum.
 constexpr std::size_t kBoundsRefreshRemovals = 1024;
+
+// Widens the bounds [lo, hi] to cover x. std::min/max skip a NaN x, so a NaN
+// sets hi to NaN instead, and std::max(NaN, y) keeps it there: the solvers'
+// finite-bound check then refuses the snapshot.
+void widen(double& lo, double& hi, double x) {
+  lo = std::min(lo, x);
+  hi = std::isnan(x) ? x : std::max(hi, x);
+}
 
 }  // namespace
 
@@ -86,8 +95,7 @@ CsrTopology CsrTopology::build(const Topology& topology,
     csr.forwards_[v] = profile.forwards ? 1 : 0;
     csr.validation_ms_[v] = profile.validation_ms;
     csr.edge_inputs_[v] = edge_inputs_of(profile);
-    max_validation = std::max(max_validation, csr.validation_ms_[v]);
-    min_validation = std::min(min_validation, csr.validation_ms_[v]);
+    widen(min_validation, max_validation, csr.validation_ms_[v]);
     std::size_t e = csr.offsets_[v];
     for (const auto& link : topology.adjacency(v)) {
       csr.peer_[e] = link.peer;
@@ -102,8 +110,7 @@ CsrTopology CsrTopology::build(const Topology& topology,
             network.edge_delay_from_link_ms(link_ms, v, link.peer);
         csr.control_ms_[e] = link_ms;
       }
-      min_delay = std::min(min_delay, csr.delay_ms_[e]);
-      max_delay = std::max(max_delay, csr.delay_ms_[e]);
+      widen(min_delay, max_delay, csr.delay_ms_[e]);
       ++e;
     }
     csr.row_end_[v] = e;
@@ -207,8 +214,8 @@ bool CsrTopology::apply_deltas(std::span<const Topology::EdgeDelta> deltas,
             !append_entry(d.v, d.u, delay_vu, link_vu)) {
           return false;
         }
-        min_delay_ms_ = std::min(min_delay_ms_, std::min(delay_uv, delay_vu));
-        max_delay_ms_ = std::max(max_delay_ms_, std::max(delay_uv, delay_vu));
+        widen(min_delay_ms_, max_delay_ms_, delay_uv);
+        widen(min_delay_ms_, max_delay_ms_, delay_vu);
         break;
       }
       case Kind::InfraAdd: {
@@ -216,8 +223,7 @@ bool CsrTopology::apply_deltas(std::span<const Topology::EdgeDelta> deltas,
             !append_entry(d.v, d.u, d.infra_ms, d.infra_ms)) {
           return false;
         }
-        min_delay_ms_ = std::min(min_delay_ms_, d.infra_ms);
-        max_delay_ms_ = std::max(max_delay_ms_, d.infra_ms);
+        widen(min_delay_ms_, max_delay_ms_, d.infra_ms);
         break;
       }
       case Kind::Disconnect: {
@@ -250,32 +256,26 @@ bool CsrTopology::refresh_profiles(const Network& network) {
     forwards_[v] = profile.forwards ? 1 : 0;
     validation_ms_[v] = profile.validation_ms;
     // Conservative widening; the exact bounds return on refresh_bounds.
-    max_validation_ms_ = std::max(max_validation_ms_, profile.validation_ms);
-    min_validation_ms_ = std::min(min_validation_ms_, profile.validation_ms);
+    widen(min_validation_ms_, max_validation_ms_, profile.validation_ms);
   }
   profile_version_ = network.profile_version();
   return true;
 }
 
 void CsrTopology::refresh_bounds() {
-  double min_delay = std::numeric_limits<double>::infinity();
-  double max_delay = 0.0;
+  min_delay_ms_ = std::numeric_limits<double>::infinity();
+  max_delay_ms_ = 0.0;
   const std::size_t n = size();
   for (NodeId v = 0; v < n; ++v) {
     for (std::size_t e = offsets_[v]; e < row_end_[v]; ++e) {
-      min_delay = std::min(min_delay, delay_ms_[e]);
-      max_delay = std::max(max_delay, delay_ms_[e]);
+      widen(min_delay_ms_, max_delay_ms_, delay_ms_[e]);
     }
   }
-  min_delay_ms_ = min_delay;
-  max_delay_ms_ = max_delay;
-  if (validation_ms_.empty()) {
-    min_validation_ms_ = max_validation_ms_ = 0.0;
-  } else {
-    const auto [lo, hi] =
-        std::minmax_element(validation_ms_.begin(), validation_ms_.end());
-    min_validation_ms_ = *lo;
-    max_validation_ms_ = *hi;
+  min_validation_ms_ =
+      n == 0 ? 0.0 : std::numeric_limits<double>::infinity();
+  max_validation_ms_ = 0.0;
+  for (const double validation : validation_ms_) {
+    widen(min_validation_ms_, max_validation_ms_, validation);
   }
   removals_since_refresh_ = 0;
 }

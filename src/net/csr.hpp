@@ -115,11 +115,13 @@ class CsrTopology {
   /// infra edge) routes it to the heap fallback instead.
   double min_delay_ms() const { return min_delay_ms_; }
   /// Upper bound on the largest block δ over all live link entries (0 when
-  /// there are none); conservative under patching like `min_delay_ms`.
+  /// there are none); conservative under patching like `min_delay_ms`. NaN
+  /// once any entry's δ is NaN.
   double max_delay_ms() const { return max_delay_ms_; }
   /// Upper bound on the largest per-node validation delay Δv (0 for an empty
-  /// graph). Together with `max_delay_ms` this bounds how far one Dijkstra
-  /// relaxation can reach past the key being settled.
+  /// graph; NaN once any Δv is NaN). Together with `max_delay_ms` this
+  /// bounds how far one Dijkstra relaxation can reach past the key being
+  /// settled.
   double max_validation_ms() const { return max_validation_ms_; }
   /// Lower bound on the smallest per-node validation delay Δv (0 for an
   /// empty graph); conservative under profile refreshes like

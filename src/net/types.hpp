@@ -23,8 +23,6 @@ inline constexpr int kDefaultInCap = 20;      // din: incoming connection cap
 
 /// Perigee round parameter (paper §4, §5.1): dv retained neighbors.
 inline constexpr int kDefaultKeep = 6;
-/// Perigee round parameter (paper §4, §5.1): ev random exploration slots.
-inline constexpr int kDefaultExplore = 2;
 /// Perigee round parameter (paper §4, §5.1): |B| blocks per round for
 /// Vanilla/Subset.
 inline constexpr int kDefaultBlocksPerRound = 100;

@@ -257,10 +257,11 @@ std::vector<SweepAxis> make_axes() {
            "dout - ev", .label = "explore", .fingerprint_key = "explore",
            .json_key = "explore", .swept_only = true},
           &SweepSpec::explore_slots,
-          [](const Config& c) { return c.params.explore; },
+          [](const Config& c) { return c.limits.out_cap - c.params.keep; },
           [](Config& c, int v) {
-            c.params.explore = v;
-            c.params.keep = c.limits.out_cap - v;
+            // 64-bit, so an item near INT_MIN wraps to a refused keep < 0.
+            c.params.keep =
+                static_cast<int>(std::int64_t{c.limits.out_cap} - v);
           },
           integer<int>()),
       row({.flag = "blocks", .help = "CSV blocks-per-round axis |B| at a "

@@ -82,7 +82,8 @@ void write_build_fields(JsonWriter& w, const core::ExperimentConfig& config,
 void write_policy_fields(JsonWriter& w, const core::ExperimentConfig& config) {
   w.field("algorithm", core::algorithm_name(config.algorithm));
   w.field("keep", static_cast<std::int64_t>(config.params.keep));
-  w.field("explore", static_cast<std::int64_t>(config.params.explore));
+  w.field("explore", static_cast<std::int64_t>(config.limits.out_cap -
+                                               config.params.keep));
   w.field("percentile", config.params.percentile);
   w.field("ucb_c", config.params.ucb_c);
   w.field("ucb_window", static_cast<std::int64_t>(config.params.ucb_window));

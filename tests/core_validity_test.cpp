@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,8 +37,9 @@ void queued(ExperimentConfig& c) {
   c.scenario.transmission.model = scenario::TransmissionModel::Queue;
 }
 
+using C = ExperimentConfig&;
+
 std::vector<Case> cases() {
-  using C = ExperimentConfig&;
   return {
       {"coverage 1.5", [](C c) { c.coverage = 1.5; }, "--coverage"},
       {"coverage 0", [](C c) { c.coverage = 0.0; }, "--coverage"},
@@ -84,10 +86,9 @@ std::vector<Case> cases() {
          queued(c);
        },
        "transmission=queue"},
+      // Exploration is dout - keep: explore 9 is keep -1, explore -1 keep 9.
       {"keep -1", [](C c) { c.params.keep = -1; }, "params.keep"},
       {"keep 9", [](C c) { c.params.keep = 9; }, "params.keep"},
-      {"explore -1", [](C c) { c.params.explore = -1; }, "--explore"},
-      {"explore 9", [](C c) { c.params.explore = 9; }, "--explore"},
       {"rounds -1", [](C c) { c.rounds = -1; }, "--rounds"},
       {"checkpoints -1", [](C c) { c.checkpoints = -1; }, "checkpoints"},
       {"ucb_c 0", [](C c) { c.params.ucb_c = 0; }, "--ucb-c"},
@@ -104,6 +105,22 @@ std::vector<Case> cases() {
          queued(c);
        },
        "net.access_min_ms"},
+      {"validation mean NaN",
+       [](C c) {
+         c.net.validation_mean_ms = std::numeric_limits<double>::quiet_NaN();
+       },
+       "net.validation_mean_ms"},
+      {"validation mean inf x scale 0 + queue",
+       [](C c) {
+         c.net.validation_mean_ms = std::numeric_limits<double>::infinity();
+         c.net.validation_scale = 0;
+         queued(c);
+       },
+       "net.validation_mean_ms"},
+      {"handshake -1", [](C c) { c.net.handshake_factor = -1; },
+       "net.handshake_factor"},
+      {"block size -1", [](C c) { c.net.block_size_kb = -1; },
+       "net.block_size_kb"},
   };
 }
 
@@ -141,6 +158,26 @@ TEST(Validity, EveryEntryPointRefuses) {
   }
 }
 
+// The prebuilt-scenario overload checks the config too: a scenario built
+// from a valid config does not let a bad one run (gossip learning without
+// the queue model, or a UCB round count wrapped past INT_MAX).
+TEST(Validity, RunExperimentRefusesWithPrebuiltScenario) {
+  std::vector<Case> rows = cases();
+  rows.push_back({"UCB rounds x |B| past INT_MAX",
+                  [](C c) {
+                    c.algorithm = Algorithm::PerigeeUcb;
+                    c.rounds = std::numeric_limits<int>::max();
+                  },
+                  "single-block rounds"});
+  for (const Case& c : rows) {
+    ExperimentConfig config = small_config();
+    c.set(config);
+    expect_refused(
+        [&] { run_experiment(config, build_scenario(small_config())); },
+        c.mentions, c.name);
+  }
+}
+
 // The ideal bound never reached the λ assert through validate() before:
 // run_cell_curves dispatches Algorithm::Ideal straight to the scenario.
 TEST(Validity, IdealCellRefusesBadCoverageWithPrebuiltScenario) {
@@ -159,17 +196,21 @@ TEST(Validity, DefaultsAndWidenedDomainsPass) {
   ExperimentConfig zero = small_config();
   zero.net.validation_scale = 0.0;  // Δv = 0 is a legal model point
   EXPECT_EQ(config_error(zero), "");
+  ExperimentConfig wide = small_config();
+  wide.params.keep = 4;  // keep fewer, explore more: dout stays 8
+  EXPECT_EQ(config_error(wide), "");
 }
 
 TEST(Validity, KeyLimitsTheCheckToThatKeysRules) {
   ExperimentConfig config = small_config();
-  config.params.explore = 9;
-  config.params.keep = 5;
+  config.params.keep = -1;
+  config.net.jitter_frac = 1;
   EXPECT_EQ(config_error(config, "--explore"),
-            "bad --explore value '9' (want an integer in [0, dout])");
+            "bad --explore value '9' (want an integer in [0, dout]: "
+            "params.keep = dout - explore)");
   EXPECT_EQ(config_error(config, "--nodes"), "");
-  EXPECT_NE(config_error(config, "params.keep").find("params.keep"),
-            std::string::npos);
+  EXPECT_EQ(config_error(config, "net.jitter_frac"),
+            "bad net.jitter_frac value '1' (want [0, 1))");
 }
 
 // A grid built in code is refused cell by cell when it is expanded, so the

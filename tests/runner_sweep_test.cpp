@@ -140,9 +140,7 @@ TEST(AblationAxes, ExploreKeepsTheOutDegree) {
   const auto cells = expand_grid(spec);
   ASSERT_EQ(cells.size(), 6u);
   EXPECT_EQ(cells[1].label, "algorithm=random explore=4");
-  EXPECT_EQ(cells[0].config.params.explore, 0);
   EXPECT_EQ(cells[0].config.params.keep, spec.base.limits.out_cap);
-  EXPECT_EQ(cells[1].config.params.explore, 4);
   EXPECT_EQ(cells[1].config.params.keep, spec.base.limits.out_cap - 4);
   expect_key_only_when_swept(spec, "explore");
 }

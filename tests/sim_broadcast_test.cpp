@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -221,18 +222,19 @@ TEST(Broadcast, TransmissionTermSlowsRelay) {
 // bucket grid once aborted on its span at -100 and spun forever at -1), and
 // must not hand it to the heap, which assumes nonnegative weights as well.
 // The egress solver's event loop needs the same order: it once returned
-// negative arrival times (-164,399 ms at -100) instead of refusing.
-void expect_refused(double validation_scale) {
+// negative arrival times (-164,399 ms at -100) instead of refusing. A NaN Δv
+// has no order either; std::min/max once skipped it in the cached bounds.
+void expect_refused(double validation_mean_ms, double validation_scale) {
   net::NetworkOptions options;
   options.n = 40;
   options.seed = 7;
+  options.validation_mean_ms = validation_mean_ms;
   options.validation_scale = validation_scale;
   const auto network = net::Network::build(options);
   net::Topology t(40);
   util::Rng rng(7);
   topo::build_random(t, rng);
   const auto csr = net::CsrTopology::build(t, network);
-  ASSERT_LT(csr.min_validation_ms(), 0.0);
 
   const std::vector<net::NodeId> sources = {0};
   MultiSourceScratch scratch;
@@ -255,9 +257,20 @@ void expect_refused(double validation_scale) {
                std::invalid_argument);
 }
 
-TEST(Broadcast, RefusesLargeNegativeValidation) { expect_refused(-100.0); }
+TEST(Broadcast, RefusesLargeNegativeValidation) {
+  expect_refused(net::kDefaultValidationMs, -100.0);
+}
 
-TEST(Broadcast, RefusesSmallNegativeValidation) { expect_refused(-1.0); }
+TEST(Broadcast, RefusesSmallNegativeValidation) {
+  expect_refused(net::kDefaultValidationMs, -1.0);
+}
+
+TEST(Broadcast, RefusesNanValidation) {
+  expect_refused(net::kDefaultValidationMs,
+                 std::numeric_limits<double>::quiet_NaN());
+  // inf x 0 is NaN too.
+  expect_refused(std::numeric_limits<double>::infinity(), 0.0);
+}
 
 }  // namespace
 }  // namespace perigee::sim
