@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <queue>
+#include <tuple>
 
 #include "util/assert.hpp"
 #include "util/stats.hpp"
@@ -17,7 +18,13 @@ struct Event {
   net::NodeId from;
   net::NodeId to;
 
-  bool operator>(const Event& other) const { return time > other.time; }
+  // The total order (time, type, to, from): equal-time events never pop in
+  // a heap-dependent order, so of two INVs reaching v at the same instant
+  // the one from the smaller announcer is v's first.
+  bool operator>(const Event& other) const {
+    return std::tie(time, type, to, from) >
+           std::tie(other.time, other.type, other.to, other.from);
+  }
 };
 
 }  // namespace

@@ -168,5 +168,43 @@ TEST(Gossip, MinerAnnouncesWithoutValidation) {
   EXPECT_DOUBLE_EQ(result.arrival[1], 30.0);
 }
 
+// Two INVs reach node 3 at the same instant; it requests from the smaller
+// announcer. On a line, 0 mines at x=0, node 3 sits at x=40, and nodes 1
+// and 2 (each linked to 0 and to 3, Δ = 50) sit at x1 and x2. Node u then
+// holds the block at 3|xu| (INV, GETDATA, BLOCK) and its INV reaches node 3
+// at 3|xu| + 50 + |40 - xu|, which is 110 for both xu = 10 and xu = -5.
+// Node 3's block costs twice the link to its first announcer. One order has
+// the smaller announcer validate first, the other last, so the rule is
+// pinned whichever INV was scheduled first.
+double tied_arrival(double x1, double x2) {
+  net::NetworkOptions options;
+  options.n = 4;
+  options.latency = net::NetworkOptions::LatencyKind::Euclidean;
+  options.embed_dim = 1;
+  options.embed_scale_ms = 1.0;
+  options.handshake_factor = 1.0;
+  options.validation_mean_ms = 50.0;
+  options.validation_spread = 0.0;
+  auto network = net::Network::build(options);
+  auto& profiles = network.mutable_profiles();
+  profiles[0].coords = {0, 0, 0, 0, 0};
+  profiles[1].coords = {x1, 0, 0, 0, 0};
+  profiles[2].coords = {x2, 0, 0, 0, 0};
+  profiles[3].coords = {40, 0, 0, 0, 0};
+  net::Topology t(4);
+  t.connect(0, 1);
+  t.connect(0, 2);
+  t.connect(1, 3);
+  t.connect(2, 3);
+  const auto result = simulate_gossip(t, network, 0);
+  EXPECT_DOUBLE_EQ(result.first_announce[3], 110.0);
+  return result.arrival[3];
+}
+
+TEST(Gossip, EqualTimeInvsGoToSmallerAnnouncer) {
+  EXPECT_DOUBLE_EQ(tied_arrival(10.0, -5.0), 110.0 + 2 * 30.0);
+  EXPECT_DOUBLE_EQ(tied_arrival(-5.0, 10.0), 110.0 + 2 * 45.0);
+}
+
 }  // namespace
 }  // namespace perigee::sim
