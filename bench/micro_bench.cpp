@@ -24,7 +24,6 @@
 #include "scenario/driver.hpp"
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
-#include "sim/gossip.hpp"
 #include "sim/observations.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
@@ -334,12 +333,17 @@ BENCHMARK(BM_AdaptiveRoundPatched)
 
 void BM_GossipInv(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
-  // Hoist the snapshot: this measures the event loop alone, as it did when
-  // the engine walked the Topology directly (BM_CsrBuild prices the compile).
+  // The message-level relay as an announce batch of one. Hoist the
+  // snapshot: this measures the solver alone (BM_CsrBuild prices the
+  // compile).
   const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
+  sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult result;
   net::NodeId miner = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::simulate_gossip(csr, miner));
+    const std::array<net::NodeId, 1> source{miner};
+    sim::simulate_announce_batch(csr, source, scratch, result);
+    benchmark::DoNotOptimize(result.arrival.data());
     miner = (miner + 1) % static_cast<net::NodeId>(csr.size());
   }
   state.SetItemsProcessed(state.iterations());

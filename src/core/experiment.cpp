@@ -1,8 +1,10 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "metrics/edge_hist.hpp"
@@ -42,15 +44,16 @@ sim::EgressConfig egress_config_from(const scn::TransmissionRegime& regime) {
 // The relaxation resources of one experiment: the engine pool
 // (config.engine_jobs; null runs inline) and the relaxer, which runs the
 // queued-transmission engine when the scenario's transmission regime is
-// active and the delay engine otherwise. Byte-identical at any worker
-// count, so sweep grids that parallelize across seeds simply leave
-// engine_jobs at 1.
+// active and the delay engine otherwise, with the rounds on the announce
+// solver under `learning` Announce. Byte-identical at any worker count, so
+// sweep grids that parallelize across seeds simply leave engine_jobs at 1.
 struct Relaxation {
   std::unique_ptr<runner::ThreadPool> pool;
   sim::Relaxer relaxer;
 };
 
-Relaxation make_relaxation(const ExperimentConfig& config) {
+Relaxation make_relaxation(const ExperimentConfig& config,
+                           sim::Relaxer::Learning learning) {
   std::unique_ptr<runner::ThreadPool> pool;
   if (config.engine_jobs != 1) {
     const unsigned workers = runner::resolve_jobs(config.engine_jobs);
@@ -60,7 +63,8 @@ Relaxation make_relaxation(const ExperimentConfig& config) {
   if (config.scenario.transmission.enabled()) {
     egress = egress_config_from(config.scenario.transmission);
   }
-  return Relaxation{std::move(pool), sim::Relaxer(std::move(egress))};
+  return Relaxation{std::move(pool),
+                    sim::Relaxer(std::move(egress), learning)};
 }
 
 // Checkpoint evaluation over an already-compiled snapshot (the round
@@ -86,6 +90,7 @@ Checkpoint make_checkpoint(std::size_t blocks_mined,
 }  // namespace
 
 Scenario build_scenario(const ExperimentConfig& config) {
+  config.validate();
   net::NetworkOptions net_options = config.net;
   net_options.seed = config.seed;
   scn::adjust_network_options(net_options, config.scenario);
@@ -170,7 +175,6 @@ std::int64_t learning_rounds(const ExperimentConfig& config) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  config.validate();
   return run_experiment(config, build_scenario(config));
 }
 
@@ -191,7 +195,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // One pool and one relaxer serve the round loop, every checkpoint, and
   // the final λ evaluations; the relaxer moves into the round runner when
   // a round loop runs, so rounds and λ share its lane arena.
-  Relaxation relax = make_relaxation(config);
+  Relaxation relax = make_relaxation(
+      config, config.message_level ? sim::Relaxer::Learning::Announce
+                                   : sim::Relaxer::Learning::Delivery);
   const auto eval_both = [&](const net::CsrTopology& csr,
                              sim::Relaxer& relaxer) {
     PERIGEE_TRACE_SPAN(final_eval_span, "final_eval");
@@ -227,9 +233,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         scenario.network, scenario.topology,
         make_selectors(scenario.network.size(), config.algorithm,
                        config.params),
-        blocks_per_round, config.seed,
-        config.message_level ? sim::RoundRunner::Engine::Gossip
-                             : sim::RoundRunner::Engine::Fast);
+        blocks_per_round, config.seed);
     runner.set_thread_pool(relax.pool.get());
     runner.set_csr_patching(config.incremental_csr);
     runner.set_relaxer(std::move(relax.relaxer));
@@ -309,7 +313,6 @@ std::vector<double> run_ideal(const ExperimentConfig& config) {
 }
 
 IdealResult run_ideal_both(const ExperimentConfig& config) {
-  config.validate();
   return run_ideal_both(config, build_scenario(config));
 }
 
@@ -355,6 +358,18 @@ void for_each_seed(int num_seeds, int jobs,
   runner::parallel_for(pool, n, fn);
 }
 
+// The adopter share is an argument, not a config field, so the validity
+// table does not cover it.
+void check_adopter_fraction(double adopter_fraction) {
+  if (!(adopter_fraction >= 0.0 && adopter_fraction <= 1.0)) {
+    char buf[32];
+    char* end = std::to_chars(buf, buf + sizeof buf, adopter_fraction).ptr;
+    throw std::invalid_argument("bad adopter_fraction value '" +
+                                std::string(buf, end) +
+                                "' (want a number in [0, 1])");
+  }
+}
+
 // Workers beyond the seed count would idle in the seed pool; hand them to
 // each seed's engine instead (config.engine_jobs), where the batched
 // engine's any-worker-count determinism keeps results byte-identical.
@@ -371,8 +386,7 @@ void flow_leftover_jobs(ExperimentConfig& config, int num_seeds, int jobs) {
 
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction) {
-  PERIGEE_ASSERT(adopter_fraction >= 0.0 && adopter_fraction <= 1.0);
-  config.validate();
+  check_adopter_fraction(adopter_fraction);
   Scenario scenario = build_scenario(config);
 
   ExperimentConfig random_start = config;
@@ -394,7 +408,7 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
                                             config.params)
                             : make_selector(Algorithm::Random));
   }
-  Relaxation relax = make_relaxation(config);
+  Relaxation relax = make_relaxation(config, sim::Relaxer::Learning::Delivery);
   sim::RoundRunner runner(scenario.network, scenario.topology,
                           std::move(selectors), config.blocks_per_round,
                           config.seed);
@@ -433,7 +447,12 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
 IncrementalCurves run_incremental_multi_seed(ExperimentConfig config,
                                              double adopter_fraction,
                                              int num_seeds, int jobs) {
-  PERIGEE_ASSERT(num_seeds >= 1);
+  check_adopter_fraction(adopter_fraction);
+  if (num_seeds < 1) {
+    throw std::invalid_argument("bad num_seeds value '" +
+                                std::to_string(num_seeds) +
+                                "' (want an integer >= 1)");
+  }
   config.validate();
   flow_leftover_jobs(config, num_seeds, jobs);
   // Adopter count k = fraction * n is seed-independent, so the per-group

@@ -66,10 +66,13 @@ struct ExperimentConfig {
   std::size_t addrman_capacity = 100;
   std::size_t addrman_bootstrap = 30;
 
-  // When true, learning runs on the message-level gossip engine: neighbors
-  // are scored by INV announcement timestamps (footnote 3 of the paper)
-  // instead of the fast engine's block delivery times. Roughly 20x slower;
-  // used to validate that the fast abstraction does not change outcomes.
+  // When true, the learning rounds run the message-level relay (the
+  // relaxer's announce solver, sim/batch.hpp): neighbors are scored by INV
+  // announcement timestamps (footnote 3 of the paper) instead of block
+  // delivery times. λ is evaluated the same way either way. About 1.15x the
+  // wall-clock of delivery learning (one n=1000, 10-round Subset run on a
+  // 4-CPU Xeon: 0.54 vs 0.47 s); used to validate that the fast abstraction
+  // does not change outcomes. run_incremental does not read it.
   bool message_level = false;
 
   double coverage = 0.90;
@@ -102,8 +105,8 @@ struct ExperimentConfig {
 
   // Throws std::invalid_argument with the text of the first rule of the
   // validity table (core/validity.cpp) this config breaks. Every run_*
-  // entry point below calls it before any work; the scenario building
-  // blocks (build_scenario, build_initial_topology) do not.
+  // entry point below and build_scenario call it before any work;
+  // build_initial_topology, which takes a built scenario, does not.
   void validate() const;
 };
 
@@ -139,7 +142,8 @@ struct Scenario {
 };
 
 // Builds the scenario: network, hash power, latency decorators, infra
-// overlay. The topology contains only infra edges on return.
+// overlay. The topology contains only infra edges on return. Validates
+// `config` first.
 Scenario build_scenario(const ExperimentConfig& config);
 
 // Deep copy of a built scenario: the network is cloned (fresh profile
@@ -206,7 +210,8 @@ CellCurves run_cell_curves(const ExperimentConfig& config,
 
 // Incremental-deployment ablation (§1.2): `adopter_fraction` of nodes run
 // Perigee-Subset while the rest keep their random neighbors. λ is reported
-// separately for the two groups.
+// separately for the two groups. Throws std::invalid_argument for an
+// `adopter_fraction` outside [0, 1] (NaN included), before any work.
 struct IncrementalResult {
   std::vector<double> lambda_adopters;
   std::vector<double> lambda_others;
@@ -218,7 +223,8 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
 // sorted per-group curves. `jobs` > 1 fans the seeds out across a
 // runner::ThreadPool; each seed lands in a pre-assigned slot aggregated in
 // seed order, so any jobs value gives bit-identical curves (jobs <= 0 = all
-// hardware threads).
+// hardware threads). Throws std::invalid_argument, before any work, for
+// what run_incremental refuses and for `num_seeds` < 1.
 struct IncrementalCurves {
   metrics::Curve adopters;  // sorted-λ curve over adopter nodes
   metrics::Curve others;    // sorted-λ curve over holdout nodes

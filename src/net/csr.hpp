@@ -96,7 +96,7 @@ class CsrTopology {
   }
   /// Control-message delay per neighbor of `v`: infra override or pure
   /// propagation latency (no handshake factor, no transmission term). Used by
-  /// the INV/GETDATA gossip engine.
+  /// the INV/GETDATA announce solver (sim/batch.hpp).
   std::span<const double> control_delays(NodeId v) const {
     return {control_ms_.data() + offsets_[v], row_end_[v] - offsets_[v]};
   }

@@ -54,7 +54,7 @@ struct NetworkOptions {
   /// INV -> GETDATA -> BLOCK round trips, i.e. about three one-way link
   /// traversals. edge_delay_ms multiplies the propagation latency by this
   /// factor; link_ms stays the pure one-way latency (used by the theory
-  /// experiments and the explicit-handshake gossip engine).
+  /// experiments and the explicit-handshake announce solver).
   double handshake_factor = 3.0;
 
   /// Transmission model. The paper's default assumes blocks are small

@@ -203,7 +203,94 @@ void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
   if (ready != nullptr) fill_ready(csr, src, arrival, ready);
 }
 
-// The one source fan-out, for both solvers and both bodies: `count`
+// The announce solver's plan: the bucket grid of its INV keys, sized by the
+// control δ bounds, which the snapshot does not cache (one pass over its
+// rows, once per batch). An INV lands at least one control δ after the pop
+// that sends it (the miner's own INVs) and at most control + δ + Δv +
+// control after it (a node's GETDATA, its block, its validation and its
+// INV onward); the key ceiling doubles n such reaches, like make_plan's.
+// nullopt — a zero control δ, an edgeless graph, a span the u32 grid cannot
+// hold — sends the batch to the heap. A negative or non-finite control δ is
+// refused like the bounds `require_causal_delays` checks.
+BatchPlan make_announce_plan(const net::CsrTopology& csr) {
+  require_causal_delays(csr);
+  double lo = util::kInf;
+  double hi = 0.0;
+  for (net::NodeId v = 0; v < csr.size(); ++v) {
+    for (const double control : csr.control_delays(v)) {
+      if (!(control >= 0.0 && control < util::kInf)) {
+        throw std::invalid_argument(
+            "broadcast solvers need finite, nonnegative control delays");
+      }
+      lo = std::min(lo, control);
+      hi = std::max(hi, control);
+    }
+  }
+  if (csr.num_links() == 0) return std::nullopt;
+  const double max_reach =
+      2.0 * hi + csr.max_delay_ms() + csr.max_validation_ms();
+  const double max_key =
+      (static_cast<double>(csr.size()) + 1.0) * max_reach * 2.0;
+  return BucketQueueBase::plan_fixed(lo, max_reach, max_key);
+}
+
+// The announce solver's heap fallback behind the bucket queue's interface.
+class InvHeap {
+ public:
+  explicit InvHeap(std::vector<AnnounceEntry>& heap) : heap_(heap) {
+    heap_.clear();
+  }
+  void push(double key, net::NodeId node, net::NodeId announcer) {
+    heap_push(heap_, {key, 0, node, announcer});
+  }
+  AnnounceEntry pop() { return heap_pop(heap_); }
+  bool empty() const { return heap_.empty(); }
+
+ private:
+  std::vector<AnnounceEntry>& heap_;
+};
+
+// One source of the announce solver (see simulate_announce_batch) over
+// `invs`, a bucket queue or the heap: both pop INVs in (time, to, from)
+// order, so a node's first pop is its first INV and every later one is
+// stale. `first` holds F, the earliest INV known per node; an INV later than
+// that can never be a node's first and is not queued. Every INV is queued
+// at or after the pop that sends it (R(v) >= F(v)), so the queue is
+// monotone. The two sums per settle are the reference's, in its order.
+template <typename Invs>
+void relax_announces(const net::CsrTopology& csr, Invs& invs,
+                     net::NodeId src, double* arrival, double* first) {
+  const std::size_t n = csr.size();
+  PERIGEE_ASSERT(src < n);
+  std::fill_n(arrival, n, util::kInf);
+  std::fill_n(first, n, util::kInf);
+  const auto announce = [&](net::NodeId u, double relay) {
+    const auto peers = csr.peers(u);
+    const auto controls = csr.control_delays(u);
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const double t = relay + controls[i];
+      if (t <= first[peers[i]]) {
+        first[peers[i]] = t;
+        invs.push(t, peers[i], u);
+      }
+    }
+  };
+  // The miner holds its block at 0 and announces at once, withholding or
+  // not.
+  arrival[src] = 0.0;
+  first[src] = 0.0;
+  announce(src, 0.0);
+  while (!invs.empty()) {
+    const AnnounceEntry inv = invs.pop();
+    const net::NodeId v = inv.node;
+    if (!std::isinf(arrival[v])) continue;  // v already requested the block
+    const net::NodeId u = inv.announcer;
+    arrival[v] = inv.key + csr.control_delay(v, u) + csr.block_delay(u, v);
+    if (csr.forwards(v)) announce(v, arrival[v] + csr.validation_ms(v));
+  }
+}
+
+// The one source fan-out, for every solver and both bodies: `count`
 // sources across the pool as contiguous per-worker ranges; work(lane, s)
 // must write only s-indexed output. Worker count never affects results — it
 // only changes which lane's scratch a source borrows.
@@ -261,7 +348,8 @@ void MultiSourceResult::extract(std::size_t s, BroadcastResult& out) const {
 std::size_t SourceLane::memory_bytes() const {
   return queue.memory_bytes() + heap.capacity() * sizeof(HeapItem) +
          events.memory_bytes() +
-         event_heap.capacity() * sizeof(EgressEvent) + settled.capacity() +
+         event_heap.capacity() * sizeof(EgressEvent) + invs.memory_bytes() +
+         inv_heap.capacity() * sizeof(AnnounceEntry) + settled.capacity() +
          segment.capacity() + edge.capacity() * sizeof(std::uint32_t) +
          (tokens.capacity() + refill_time.capacity() + arrival.capacity() +
           group.capacity()) *
@@ -342,6 +430,27 @@ void coverage_batch(const net::CsrTopology& csr,
                     CoverageObserver& observer) {
                   solve_one(csr, plan, lane, src, arrival, nullptr, observer);
                 });
+}
+
+void simulate_announce_batch(const net::CsrTopology& csr,
+                             std::span<const net::NodeId> sources,
+                             MultiSourceScratch& scratch,
+                             MultiSourceResult& out,
+                             runner::ThreadPool* pool) {
+  const BatchPlan plan = make_announce_plan(csr);
+  materialize_batch("announce_batch", csr, sources, scratch, out, pool,
+                    [&](SourceLane& lane, net::NodeId src, double* arrival,
+                        double* ready) {
+                      // `ready` holds F until fill_ready replaces it.
+                      if (plan.has_value()) {
+                        lane.invs.reset(*plan);
+                        relax_announces(csr, lane.invs, src, arrival, ready);
+                      } else {
+                        InvHeap heap(lane.inv_heap);
+                        relax_announces(csr, heap, src, arrival, ready);
+                      }
+                      fill_ready(csr, src, arrival, ready);
+                    });
 }
 
 }  // namespace perigee::sim

@@ -1,6 +1,6 @@
 /// \file
 /// \brief The batch driver: broadcasts from every source of a batch over
-/// one compiled snapshot, with the delay solver or the egress solver.
+/// one compiled snapshot, with the delay, the egress or the announce solver.
 ///
 /// The round loop broadcasts |B| blocks over one `net::CsrTopology`
 /// snapshot and the λ metric broadcasts from every node: both are batches.
@@ -10,9 +10,11 @@
 /// (`observe_batch`, the λ shape: each source's settles feed a
 /// `CoverageObserver`, sim/coverage.hpp, and the relaxation stops at the
 /// highest requested coverage, so its pop and event counters stay below a
-/// full drain's) — plus the delay solver. The egress solver
-/// lives in sim/egress.hpp, and `sim::Relaxer` (sim/relaxer.hpp) picks
-/// between the two. One source is a batch of one (a one-element span, then
+/// full drain's) — plus two of the three solvers: the delay solver and the
+/// announce solver (`simulate_announce_batch`, the INV→GETDATA→BLOCK relay
+/// of the paper's footnote 3, round shape only). The egress solver lives in
+/// sim/egress.hpp, and `sim::Relaxer` (sim/relaxer.hpp) picks between the
+/// three. One source is a batch of one (a one-element span, then
 /// `MultiSourceResult::extract` for a `BroadcastResult`). What makes the
 /// delay path fast:
 ///
@@ -34,9 +36,9 @@
 ///    results are therefore byte-identical at any worker count — the same
 ///    determinism contract as the sweep runner.
 ///
-/// Outputs are byte-for-byte identical to the Topology-walking test oracle
+/// Outputs are byte-for-byte identical to the test oracles
 /// (`tests/broadcast_oracle.hpp`); `tests/sim_engine_diff_test.cpp` holds
-/// both solvers, pooled or inline, to that across every scenario regime.
+/// every solver, pooled or inline, to them across every scenario regime.
 #pragma once
 
 #include <cstddef>
@@ -132,11 +134,30 @@ struct EgressEvent {
   }
 };
 
-/// Per-worker scratch of the batch driver, one type for both solvers: each
+/// One INV of the announce solver, an entry of its `BucketQueue` (or of the
+/// 4-ary heap fallback, which ignores `qkey`): `announcer` tells `node` at
+/// time `key` that it holds the block. INVs pop in (time, to, from) order,
+/// the message-level reference's, so the first INV a node pops is its
+/// earliest, from the smaller announcer on a tie.
+struct AnnounceEntry {
+  double key = 0.0;           ///< INV arrival time, ms
+  std::uint32_t qkey = 0;     ///< fixed-point image of `key` (bucket queue)
+  net::NodeId node = 0;       ///< the node told
+  net::NodeId announcer = 0;  ///< the node telling
+  std::uint64_t tie() const {
+    return std::uint64_t{node} << 32 | announcer;
+  }
+  bool operator<(const AnnounceEntry& other) const {
+    if (key != other.key) return key < other.key;
+    return tie() < other.tie();
+  }
+};
+
+/// Per-worker scratch of the batch driver, one type for all solvers: each
 /// solver's bucket queue and 4-ary heap fallback, the egress solver's
 /// per-sender scheduler state, and the observing body's arrival stripe and
 /// coverage group. Each field is sized by the solver that uses it, so a
-/// delay-only run never grows the egress fields. (No settled array for the
+/// delay-only run never grows the egress or announce fields. (No settled array for the
 /// delay solver: it detects stale queue entries by comparing the popped key
 /// against the node's current arrival instead.)
 ///
@@ -155,6 +176,8 @@ struct alignas(64) SourceLane {
   std::vector<std::uint32_t> edge;    ///< egress: per-sender CSR row index
   std::vector<double> tokens;         ///< egress: per-sender bucket fill
   std::vector<double> refill_time;    ///< egress: per-sender last refill, ms
+  BucketQueue<AnnounceEntry> invs;    ///< announce: (time, to, from) INVs
+  std::vector<AnnounceEntry> inv_heap;  ///< announce: fallback 4-ary heap
   std::vector<double> arrival;        ///< λ: the observed source's stripe
   std::vector<double> group;          ///< λ: `CoverageObserver`'s open group
 
@@ -162,7 +185,7 @@ struct alignas(64) SourceLane {
   std::size_t memory_bytes() const;
 };
 
-/// The batch driver's lane arena, shared by both solvers: one `SourceLane`
+/// The batch driver's lane arena, shared by all solvers: one `SourceLane`
 /// per worker. Lanes are grown on demand and survive across batches, so a
 /// sweep cell running thousands of rounds performs no steady-state
 /// allocation; each lane is its own heap block, so a lane reference stays
@@ -204,15 +227,16 @@ void fill_ready(const net::CsrTopology& csr, net::NodeId src,
                 const double* arrival, double* ready);
 
 /// Throws std::invalid_argument when the snapshot's cached bounds admit a
-/// negative or non-finite δ or Δv. Both solvers need event times that never
+/// negative or non-finite δ or Δv. Every solver needs event times that never
 /// run backwards (a relay must not be ready before its block arrives), so
 /// their batch entry points call this once, before any work.
 void require_causal_delays(const net::CsrTopology& csr);
 
 /// One source's relaxation into caller-provided stripes of `csr.size()`
 /// doubles, using `lane`'s scratch. This is the only engine-specific code
-/// under the materializing body; there are two: the delay solver behind
-/// `simulate_broadcast_batch` and the egress solver behind
+/// under the materializing body; there are three: the delay solver behind
+/// `simulate_broadcast_batch`, the announce solver behind
+/// `simulate_announce_batch` and the egress solver behind
 /// `simulate_broadcast_egress_batch` (sim/egress.hpp).
 using SourceSolver = std::function<void(SourceLane& lane, net::NodeId src,
                                         double* arrival, double* ready)>;
@@ -270,5 +294,29 @@ void coverage_batch(const net::CsrTopology& csr,
                     MultiSourceScratch& scratch,
                     const CoverageTargets& targets, CoverageTimes& times,
                     runner::ThreadPool* pool = nullptr);
+
+/// The announce solver: the message-level relay (paper §1.1.2, footnote 3)
+/// from every entry of `sources`, in the round shape. A holder announces
+/// the block to every neighbor (an INV, one control δ); a node requests it
+/// from its first announcer u* (a GETDATA back, one control δ) and gets it
+/// one block δ later. Under unlimited bandwidth that is a settle order:
+///
+///   F(v)       = min over announcers u of R(u) + control(u, v)
+///   arrival(v) = F(v) + control(v, u*) + block(u*, v)
+///   R(v)       = arrival(v) + Δv,   R(miner) = 0
+///
+/// where u* is the smallest announcer whose INV lands at F(v); a withholder
+/// announces nothing, a withholding miner its own block. The stripes are the
+/// round shape's: `arrival`, and `ready` as `fill_ready` defines it, which is
+/// R for every node that announces. Byte-identical to the message-level
+/// reference (`oracle::gossip_reference`, tests/broadcast_oracle.hpp)
+/// whenever no zero-Δv node has a zero-control link, at any worker count.
+/// Refuses what `simulate_broadcast_batch` refuses, and a negative or
+/// non-finite control δ, with the same exception.
+void simulate_announce_batch(const net::CsrTopology& csr,
+                             std::span<const net::NodeId> sources,
+                             MultiSourceScratch& scratch,
+                             MultiSourceResult& out,
+                             runner::ThreadPool* pool = nullptr);
 
 }  // namespace perigee::sim

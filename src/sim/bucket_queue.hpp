@@ -1,7 +1,7 @@
 /// \file
-/// \brief Monotone bucket queue (delta-stepping style) for both solvers of
-/// the batch driver: the delay solver's Dijkstra relaxation and the egress
-/// solver's discrete events.
+/// \brief Monotone bucket queue (delta-stepping style) for the solvers of
+/// the batch driver: the delay solver's Dijkstra relaxation, the egress
+/// solver's discrete events and the announce solver's INVs.
 ///
 /// A Dijkstra pass over a graph whose edge weights are all >= some δmin only
 /// ever inserts keys >= the key it last popped (each candidate is
@@ -16,11 +16,12 @@
 /// are small, so the sort is cheap, and it buys the property the engines'
 /// byte-parity contract is easiest to reason about with: **pop order is
 /// exactly the entry's total order** — (key, node) for the delay solver's
-/// `RelaxEntry`, i.e. `std::priority_queue<pair, greater<>>` order, and
-/// (time, seq) for the egress solver's `EgressEvent` — for any monotone
-/// push sequence. `tests/sim_bucketq_test.cpp` asserts this equivalence
-/// directly for both entries, so each engine settles nodes in exactly its
-/// test oracle's sequence.
+/// `RelaxEntry`, i.e. `std::priority_queue<pair, greater<>>` order,
+/// (time, seq) for the egress solver's `EgressEvent` and (time, to, from)
+/// for the announce solver's `AnnounceEntry` — for any monotone push
+/// sequence. `tests/sim_bucketq_test.cpp` asserts this equivalence directly
+/// for every entry, so each engine settles nodes in exactly its test
+/// oracle's sequence.
 ///
 /// The queue is generic over its entry. An entry is an aggregate whose
 /// first members are `double key` (finite, >= 0, never -0.0),

@@ -1,15 +1,18 @@
 /// \file
-/// \brief 4-ary min-heap: the fallback of both solvers' bucket queues.
+/// \brief 4-ary min-heap: the fallback of the solvers' bucket queues.
 ///
-/// Both solvers normally queue through `BucketQueue` (sim/bucket_queue.hpp).
-/// A batch whose snapshot no fixed-point plan fits takes this heap instead:
-/// the delay solver's `relax_heap` (sim/batch.cpp) on a zero-latency link
-/// or an edgeless graph, and the egress solver (sim/egress.cpp) on a
-/// zero-δ link, a zero-rate sender or a rate so small its finish times
-/// outrun the u32 grid. The heap pops in the item's `operator<` order — the
-/// same total order as the bucket queue (`std::priority_queue<pair,
-/// greater<>>` order for the delay solver, (time, seq) for the egress
-/// solver's `EgressEvent`), so which one ran never changes a byte. d=4
+/// Every solver normally queues through `BucketQueue`
+/// (sim/bucket_queue.hpp). A batch whose snapshot no fixed-point plan fits
+/// takes this heap instead: the delay solver's `relax_heap` (sim/batch.cpp)
+/// on a zero-latency link or an edgeless graph, the announce solver on a
+/// zero-control link or an edgeless graph, and the egress solver
+/// (sim/egress.cpp) on a zero-δ link, a zero-rate sender or a rate so small
+/// its finish times outrun the u32 grid. The heap pops in the item's
+/// `operator<` order — the same total order as the bucket queue
+/// (`std::priority_queue<pair, greater<>>` order for the delay solver,
+/// (time, seq) for the egress solver's `EgressEvent`, (time, to, from) for
+/// the announce solver's `AnnounceEntry`), so which one ran never changes a
+/// byte. d=4
 /// halves the tree height of a binary heap and keeps each child scan in one
 /// cache line.
 #pragma once
@@ -27,8 +30,9 @@ namespace perigee::sim {
 inline constexpr std::size_t kHeapArity = 4;
 
 /// One delay-relaxation element: (arrival-time key, node). The functions
-/// below are templated over the item type so the egress solver can queue
-/// its `EgressEvent` records; the item's `operator<` defines the order.
+/// below are templated over the item type so the egress and announce
+/// solvers can queue their own entries; the item's `operator<` defines the
+/// order.
 using HeapItem = std::pair<double, net::NodeId>;
 
 /// Sift-up insertion. The item parameter is a non-deduced context so braced

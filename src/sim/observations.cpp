@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "sim/gossip.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 
@@ -80,33 +79,16 @@ void ObservationTable::capture_delays(const net::CsrTopology& csr,
 
 void ObservationTable::record_block(const net::CsrTopology& csr,
                                     net::NodeId miner,
-                                    std::span<const double> ready_times) {
+                                    std::span<const double> ready_times,
+                                    bool announce) {
   PERIGEE_ASSERT(blocks_recorded_ < blocks_per_round_);
-  if (blocks_recorded_ == 0) capture_delays(csr, /*control=*/false);
+  if (blocks_recorded_ == 0) capture_delays(csr, /*control=*/announce);
   const std::size_t n = adj_off_.size() - 1;
   PERIGEE_ASSERT(ready_times.size() == n);
   double* relay = relay_.data() + blocks_recorded_;
   for (net::NodeId u = 0; u < n; ++u) {
     relay[u * blocks_per_round_] =
         csr.forwards(u) || u == miner ? ready_times[u] : util::kInf;
-  }
-  ++blocks_recorded_;
-  rows_node_ = net::kInvalidNode;
-}
-
-void ObservationTable::record_gossip_block(const net::CsrTopology& csr,
-                                           const GossipResult& result) {
-  PERIGEE_ASSERT(blocks_recorded_ < blocks_per_round_);
-  if (blocks_recorded_ == 0) capture_delays(csr, /*control=*/true);
-  const std::size_t n = adj_off_.size() - 1;
-  PERIGEE_ASSERT(result.arrival.size() == n);
-  double* relay = relay_.data() + blocks_recorded_;
-  for (net::NodeId u = 0; u < n; ++u) {
-    // The gossip engine's own sum: a holder announces at arrival + Δ.
-    relay[u * blocks_per_round_] =
-        u == result.miner  ? 0.0
-        : csr.forwards(u) ? result.arrival[u] + csr.validation_ms(u)
-                          : util::kInf;
   }
   ++blocks_recorded_;
   rows_node_ = net::kInvalidNode;

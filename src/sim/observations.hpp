@@ -53,18 +53,16 @@ class ObservationTable {
   /// forwards or mined the block. δ(v, neighbor i) is the pre-resolved entry
   /// i of the snapshot's row v — valid because the snapshot preserves
   /// `Topology::adjacency` order and the topology is static within a round.
-  /// The snapshot must be built from the same topology captured by
-  /// begin_round. Nothing of `csr` or `ready_times` is kept.
+  /// With `announce` (a stripe of the announce solver) the times are those
+  /// of block advertisements, as the paper's footnote 3 allows: the miner
+  /// announces at 0 and a forwarding holder at arrival + Δ, and entry (v, u)
+  /// takes the control δ of u's row, the one u's INV to v paid. The first
+  /// record of a round fixes which δ the round reads. The snapshot must be
+  /// built from the same topology captured by begin_round. Nothing of `csr`
+  /// or `ready_times` is kept.
   void record_block(const net::CsrTopology& csr, net::NodeId miner,
-                    std::span<const double> ready_times);
-
-  /// Message-level variant (INV/GETDATA mode): the times block
-  /// advertisements reached v, as the paper's footnote 3 allows. The miner
-  /// announces at 0 and a forwarding holder at arrival + Δ; entry (v, u)
-  /// takes the control δ of u's row, the one u's INV to v paid. A round
-  /// records through one of the two variants only.
-  void record_gossip_block(const net::CsrTopology& csr,
-                           const struct GossipResult& result);
+                    std::span<const double> ready_times,
+                    bool announce = false);
 
   /// Blocks recorded so far this round.
   std::size_t blocks_recorded() const { return blocks_recorded_; }

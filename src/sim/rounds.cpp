@@ -3,21 +3,17 @@
 #include <numeric>
 
 #include "obs/trace.hpp"
-#include "sim/broadcast.hpp"
-#include "sim/gossip.hpp"
 #include "util/assert.hpp"
 
 namespace perigee::sim {
 
 RoundRunner::RoundRunner(const net::Network& network, net::Topology& topology,
                          std::vector<std::unique_ptr<NeighborSelector>> selectors,
-                         int blocks_per_round, std::uint64_t seed,
-                         Engine engine)
+                         int blocks_per_round, std::uint64_t seed)
     : network_(&network),
       topology_(&topology),
       selectors_(std::move(selectors)),
       blocks_per_round_(blocks_per_round),
-      engine_(engine),
       sampler_(mining::AliasSampler::from_hash_power(network)),
       miner_rng_(util::Rng(seed).split(0xB10C)),
       update_rng_(util::Rng(seed).split(0x5E1E)) {
@@ -46,46 +42,23 @@ void RoundRunner::run_round() {
   // journal onto the standing snapshot (a full recompile only on mass churn
   // or journal truncation) and is free when nothing rewired at all.
   const net::CsrTopology& csr = csr_cache_.get(*topology_, *network_);
-  if (engine_ == Engine::Fast) {
-    // Miner sampling is independent of the block simulations, so the whole
-    // round's miners are drawn up front (same draw sequence as the old
-    // per-block loop) and dispatched as one multi-source batch. Hooks and
-    // observation recording then replay the stripes in block order, which
-    // keeps every downstream byte identical at any worker count.
-    miners_.resize(static_cast<std::size_t>(blocks_per_round_));
-    for (auto& miner : miners_) {
-      miner = static_cast<net::NodeId>(sampler_.sample(miner_rng_));
+  // Miner sampling is independent of the block simulations, so the whole
+  // round's miners are drawn up front (same draw sequence as a per-block
+  // loop) and dispatched as one multi-source batch. Hooks and observation
+  // recording then replay the stripes in block order, which keeps every
+  // downstream byte identical at any worker count.
+  miners_.resize(static_cast<std::size_t>(blocks_per_round_));
+  for (auto& miner : miners_) {
+    miner = static_cast<net::NodeId>(sampler_.sample(miner_rng_));
+  }
+  relaxer_.batch(csr, *network_, miners_, batch_result_, pool_);
+  const bool announce = relaxer_.announces();
+  for (std::size_t b = 0; b < miners_.size(); ++b) {
+    if (block_hook_) {
+      batch_result_.extract(b, block_result_);
+      block_hook_(block_result_);
     }
-    relaxer_.batch(csr, *network_, miners_, batch_result_, pool_);
-    for (std::size_t b = 0; b < miners_.size(); ++b) {
-      if (block_hook_) {
-        batch_result_.extract(b, block_result_);
-        block_hook_(block_result_);
-      }
-      obs_.record_block(csr, miners_[b], batch_result_.ready_of(b));
-    }
-  } else {
-    for (int b = 0; b < blocks_per_round_; ++b) {
-      const auto miner = static_cast<net::NodeId>(sampler_.sample(miner_rng_));
-      GossipConfig config;
-      config.mode = GossipConfig::Mode::InvGetdata;
-      const GossipResult result = simulate_gossip(csr, miner, config);
-      if (block_hook_) {
-        // Present the gossip outcome through the fast engine's result shape
-        // so hooks (convergence tracking, tests) work with either engine.
-        BroadcastResult shim;
-        shim.miner = miner;
-        shim.arrival = result.arrival;
-        shim.ready = result.arrival;
-        for (net::NodeId v = 0; v < network_->size(); ++v) {
-          if (v != miner && std::isfinite(shim.ready[v])) {
-            shim.ready[v] += network_->validation_ms(v);
-          }
-        }
-        block_hook_(shim);
-      }
-      obs_.record_gossip_block(csr, result);
-    }
+    obs_.record_block(csr, miners_[b], batch_result_.ready_of(b), announce);
   }
 
   order_.resize(topology_->size());

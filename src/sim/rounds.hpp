@@ -12,8 +12,8 @@
 /// so a round's rewiring costs O(changed edges), not O(n + m)), samples the
 /// round's miners up front, and
 /// dispatches all K blocks as one batch through its `sim::Relaxer`
-/// (sim/relaxer.hpp), which alone decides between the delay and the egress
-/// engine — the runner never branches on it. The batch runs over reusable
+/// (sim/relaxer.hpp), which alone decides between the delay, the egress
+/// and the announce solver — the runner never branches on it. The batch runs over reusable
 /// arena scratch: the steady state performs no allocation and no per-edge
 /// latency-model calls, and an optional `runner::ThreadPool` fans the
 /// round's blocks across workers without changing a single output byte.
@@ -42,19 +42,13 @@ namespace perigee::sim {
 /// Drives learning rounds: mine, observe, update.
 class RoundRunner {
  public:
-  /// Which simulation backs the observations: the fast analytic engine
-  /// (default; δ(u,v) folds the handshake in) or the message-level gossip
-  /// engine, where neighbors are scored by INV announcement times.
-  enum class Engine { Fast, Gossip };
-
   /// `selectors` holds one policy instance per node (index == NodeId), letting
   /// policies carry per-node state (UCB history) and letting experiments mix
   /// policies (incremental-deployment ablation). Selector and topology are
   /// borrowed; the caller keeps them alive.
   RoundRunner(const net::Network& network, net::Topology& topology,
               std::vector<std::unique_ptr<NeighborSelector>> selectors,
-              int blocks_per_round, std::uint64_t seed,
-              Engine engine = Engine::Fast);
+              int blocks_per_round, std::uint64_t seed);
 
   /// Mines one round of blocks and runs the update at every node.
   void run_round();
@@ -85,10 +79,10 @@ class RoundRunner {
   /// count, so this only changes wall-clock.
   void set_thread_pool(runner::ThreadPool* pool) { pool_ = pool; }
 
-  /// Installs the relaxation seam the Fast engine's block batches run
-  /// through (default: delay-only). The relaxer alone decides between the
-  /// delay and the egress engine; a queued-transmission config is a
-  /// *result* axis.
+  /// Installs the relaxation seam the round's block batches run through
+  /// (default: delay-only). The relaxer alone decides between the delay,
+  /// the egress and the announce solver; a queued-transmission config is a
+  /// *result* axis, announce learning a *learning* axis.
   void set_relaxer(Relaxer relaxer) { relaxer_ = std::move(relaxer); }
   /// The installed relaxer. Checkpoint and final λ evaluations between
   /// rounds run through it, so rounds and λ share one lane arena and one
@@ -133,7 +127,6 @@ class RoundRunner {
   net::Topology* topology_;
   std::vector<std::unique_ptr<NeighborSelector>> selectors_;
   int blocks_per_round_;
-  Engine engine_;
   mining::AliasSampler sampler_;
   util::Rng miner_rng_;
   util::Rng update_rng_;

@@ -9,7 +9,6 @@
 #include "broadcast_oracle.hpp"
 #include "core/perigee.hpp"
 #include "metrics/eval.hpp"
-#include "sim/gossip.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -57,10 +56,13 @@ TEST(Withholding, GossipEngineAgrees) {
   t.connect(0, 1);
   t.connect(1, 2);
   t.connect(2, 3);
-  const auto result = sim::simulate_gossip(t, network, 0);
-  EXPECT_TRUE(std::isfinite(result.arrival[1]));
-  EXPECT_TRUE(std::isinf(result.arrival[2]));
-  EXPECT_TRUE(std::isinf(result.arrival[3]));
+  const auto csr = net::CsrTopology::build(t, network);
+  for (const auto& result : {oracle::announce_batch_of_one(csr, 0),
+                             oracle::gossip_reference(csr, 0).result}) {
+    EXPECT_TRUE(std::isfinite(result.arrival[1]));
+    EXPECT_TRUE(std::isinf(result.arrival[2]));
+    EXPECT_TRUE(std::isinf(result.arrival[3]));
+  }
 }
 
 TEST(Incentives, PerigeeDisconnectsWithholdingNeighbor) {

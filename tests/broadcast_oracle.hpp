@@ -17,6 +17,11 @@
 // `egress_reference` is the egress solver's oracle at finite rates: the
 // rules of docs/TRANSMISSION_MODEL.md as a plain event loop, with
 // materialized send queues and one SendDone per serialized message.
+//
+// `gossip_reference` is the announce solver's oracle: the message-level
+// INV -> GETDATA -> BLOCK relay as an event loop over every message, on
+// the compiled snapshot's control and block δ (`announce_batch_of_one` is
+// the production side).
 #pragma once
 
 #include <algorithm>
@@ -251,6 +256,114 @@ inline sim::BroadcastResult egress_reference(const net::Topology& topology,
   return result;
 }
 
+/// One INV as received: `to` heard from `from` at `time_ms`.
+struct Announcement {
+  net::NodeId to;
+  net::NodeId from;
+  double time_ms;
+};
+
+/// What `gossip_reference` saw of one block.
+struct GossipTrace {
+  /// `arrival`: the block in hand, +inf if never. `ready`: the relay stripe
+  /// as `sim::fill_ready` defines it, the miner's 0 and every other node's
+  /// arrival + Δv, which is when a forwarding holder announces.
+  sim::BroadcastResult result;
+  std::vector<double> first_announce;  ///< first INV heard; +inf if none
+  std::vector<Announcement> announcements;  ///< every INV, in pop order
+  std::size_t messages_processed = 0;       ///< events drained
+};
+
+/// One message-level broadcast from `miner`: a node that has validated a
+/// block announces it (INV, control δ) to every neighbor; a neighbor lacking
+/// it requests it (GETDATA, control δ) from its first announcer only, and
+/// the block follows (block δ). Events pop in the total order (time, type,
+/// to, from), so of two INVs reaching v at one instant the smaller
+/// announcer's is v's first. Honest senders always deliver, so no
+/// re-request timeout is modeled.
+inline GossipTrace gossip_reference(const net::CsrTopology& csr,
+                                    net::NodeId miner) {
+  const std::size_t n = csr.size();
+  PERIGEE_ASSERT(miner < n);
+
+  enum class MsgType : std::uint8_t { Inv, Getdata, Block };
+  struct Event {
+    double time;
+    MsgType type;
+    net::NodeId from;
+    net::NodeId to;
+    bool operator>(const Event& other) const {
+      return std::tie(time, type, to, from) >
+             std::tie(other.time, other.type, other.to, other.from);
+    }
+  };
+
+  GossipTrace trace;
+  sim::BroadcastResult& result = trace.result;
+  result.miner = miner;
+  result.arrival.assign(n, util::kInf);
+  trace.first_announce.assign(n, util::kInf);
+  std::vector<bool> has_block(n, false);
+  std::vector<bool> requested(n, false);
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+
+  const auto on_validated = [&](net::NodeId u, double t_ready) {
+    const auto peers = csr.peers(u);
+    const auto costs = csr.control_delays(u);
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      queue.push(Event{t_ready + costs[i], MsgType::Inv, u, peers[i]});
+    }
+  };
+  const auto accept_block = [&](net::NodeId v, double t) {
+    if (has_block[v]) return;
+    has_block[v] = true;
+    result.arrival[v] = t;
+    if (!csr.forwards(v)) return;  // withholding node
+    on_validated(v, t + csr.validation_ms(v));
+  };
+
+  // The miner holds its freshly mined block at t=0 and relays immediately
+  // (no validation of its own block).
+  has_block[miner] = true;
+  result.arrival[miner] = 0.0;
+  trace.first_announce[miner] = 0.0;
+  on_validated(miner, 0.0);
+
+  while (!queue.empty()) {
+    const Event ev = queue.top();
+    queue.pop();
+    ++trace.messages_processed;
+    switch (ev.type) {
+      case MsgType::Inv:
+        trace.first_announce[ev.to] =
+            std::min(trace.first_announce[ev.to], ev.time);
+        trace.announcements.push_back({ev.to, ev.from, ev.time});
+        if (!has_block[ev.to] && !requested[ev.to]) {
+          requested[ev.to] = true;
+          queue.push(Event{ev.time + csr.control_delay(ev.to, ev.from),
+                           MsgType::Getdata, ev.to, ev.from});
+        }
+        break;
+      case MsgType::Getdata:
+        // ev.to is the node holding the block (it sent the INV).
+        PERIGEE_ASSERT(has_block[ev.to]);
+        queue.push(Event{ev.time + csr.block_delay(ev.to, ev.from),
+                         MsgType::Block, ev.to, ev.from});
+        break;
+      case MsgType::Block:
+        accept_block(ev.to, ev.time);
+        break;
+    }
+  }
+
+  result.ready.resize(n);
+  for (net::NodeId v = 0; v < n; ++v) {
+    result.ready[v] = result.arrival[v] + csr.validation_ms(v);
+  }
+  result.ready[miner] = 0.0;
+  return trace;
+}
+
 /// The production single-source path: `sim::simulate_broadcast_batch` over a
 /// one-element span, extracted into the single-source result shape.
 inline sim::BroadcastResult batch_of_one(const net::CsrTopology& csr,
@@ -275,6 +388,19 @@ inline sim::BroadcastResult egress_batch_of_one(
   sim::MultiSourceResult batch;
   sim::simulate_broadcast_egress_batch(csr, config, plan, source, scratch,
                                        batch);
+  sim::BroadcastResult result;
+  batch.extract(0, result);
+  return result;
+}
+
+/// The announce solver's single-source path: `sim::simulate_announce_batch`
+/// over a one-element span, extracted into the single-source result shape.
+inline sim::BroadcastResult announce_batch_of_one(const net::CsrTopology& csr,
+                                                  net::NodeId miner) {
+  const std::array<net::NodeId, 1> source{miner};
+  sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult batch;
+  sim::simulate_announce_batch(csr, source, scratch, batch);
   sim::BroadcastResult result;
   batch.extract(0, result);
   return result;

@@ -158,6 +158,37 @@ TEST(Validity, EveryEntryPointRefuses) {
   }
 }
 
+// build_scenario is an entry point too: the sweep runner's shared builds
+// and perfbench's replay call it directly.
+TEST(Validity, BuildScenarioRefusesEveryTableRow) {
+  for (const Case& c : cases()) {
+    ExperimentConfig config = small_config();
+    c.set(config);
+    expect_refused([&] { build_scenario(config); }, c.mentions, c.name);
+  }
+}
+
+// The incremental ablation's own arguments are not config fields, so the
+// table does not cover them.
+TEST(Validity, RunIncrementalRefusesAdopterFractionOutsideUnit) {
+  for (const double fraction :
+       {1.5, -0.25, std::numeric_limits<double>::quiet_NaN()}) {
+    expect_refused([&] { run_incremental(small_config(), fraction); },
+                   "adopter_fraction", "run_incremental");
+    expect_refused(
+        [&] { run_incremental_multi_seed(small_config(), fraction, 2); },
+        "adopter_fraction", "run_incremental_multi_seed");
+  }
+}
+
+TEST(Validity, RunIncrementalMultiSeedRefusesNoSeeds) {
+  for (const int seeds : {0, -3}) {
+    expect_refused(
+        [&] { run_incremental_multi_seed(small_config(), 0.5, seeds); },
+        "num_seeds", "run_incremental_multi_seed");
+  }
+}
+
 // The prebuilt-scenario overload checks the config too: a scenario built
 // from a valid config does not let a bad one run (gossip learning without
 // the queue model, or a UCB round count wrapped past INT_MAX).

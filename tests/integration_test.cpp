@@ -9,7 +9,7 @@
 #include "metrics/edge_hist.hpp"
 #include "metrics/eval.hpp"
 #include "net/geo.hpp"
-#include "sim/gossip.hpp"
+#include "sim/batch.hpp"
 #include "sim/rounds.hpp"
 #include "util/stats.hpp"
 
@@ -182,12 +182,16 @@ TEST(GossipVsFast, RankingRobustToEngine) {
   runner.run_rounds(config.rounds);
 
   auto gossip_mean = [](const core::Scenario& scenario) {
+    const std::vector<net::NodeId> miners = {1, 50, 99};
+    sim::MultiSourceScratch scratch;
+    sim::MultiSourceResult result;
+    sim::simulate_announce_batch(
+        net::CsrTopology::build(scenario.topology, scenario.network), miners,
+        scratch, result);
     double total = 0;
     int count = 0;
-    for (net::NodeId miner : {net::NodeId{1}, net::NodeId{50}, net::NodeId{99}}) {
-      const auto result =
-          sim::simulate_gossip(scenario.topology, scenario.network, miner);
-      for (double a : result.arrival) {
+    for (std::size_t s = 0; s < miners.size(); ++s) {
+      for (double a : result.arrival_of(s)) {
         total += a;
         ++count;
       }

@@ -224,6 +224,7 @@ TEST(Broadcast, TransmissionTermSlowsRelay) {
 // The egress solver's event loop needs the same order: it once returned
 // negative arrival times (-164,399 ms at -100) instead of refusing. A NaN Δv
 // has no order either; std::min/max once skipped it in the cached bounds.
+// The announce solver relays at arrival + Δv too and refuses alike.
 void expect_refused(double validation_mean_ms, double validation_scale) {
   net::NetworkOptions options;
   options.n = 40;
@@ -240,6 +241,8 @@ void expect_refused(double validation_mean_ms, double validation_scale) {
   MultiSourceScratch scratch;
   MultiSourceResult result;
   EXPECT_THROW(simulate_broadcast_batch(csr, sources, scratch, result),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_announce_batch(csr, sources, scratch, result),
                std::invalid_argument);
   const std::vector<double> coverages = {0.9};
   const CoverageTargets targets(network, coverages);

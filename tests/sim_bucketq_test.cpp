@@ -398,5 +398,56 @@ TEST(BucketQueueEgress, RingGrowthKeepsTimeSeqOrder) {
   EXPECT_GT(active_pushes, 0);
 }
 
+// ---- the announce solver's entry ---------------------------------------
+//
+// sim::AnnounceEntry orders by (time, to, from), node and announcer packed
+// into one u64 tie. Lattice times and eight ids make exact key ties, and
+// ties down to the node, common; the bucket queue and the solver's 4-ary
+// heap fallback must both pop in std::priority_queue order.
+
+struct AnnounceAfter {
+  bool operator()(const sim::AnnounceEntry& a,
+                  const sim::AnnounceEntry& b) const {
+    return b < a;
+  }
+};
+
+TEST(BucketQueueAnnounce, BucketsAndHeapMatchTimeToFromPriorityQueue) {
+  util::Rng rng(33);
+  sim::BucketQueue<sim::AnnounceEntry> queue;
+  const auto plan = sim::BucketQueueBase::plan_fixed(1.0, 12.0, 1e6);
+  ASSERT_TRUE(plan.has_value());
+  const auto same = [](const sim::AnnounceEntry& a,
+                       const sim::AnnounceEntry& b) {
+    return a.key == b.key && a.node == b.node && a.announcer == b.announcer;
+  };
+  for (int round = 0; round < 6; ++round) {
+    queue.reset(*plan);
+    std::priority_queue<sim::AnnounceEntry, std::vector<sim::AnnounceEntry>,
+                        AnnounceAfter>
+        reference;
+    std::vector<sim::AnnounceEntry> heap;
+    double last_pop = 0.0;
+    for (int op = 0; op < 600 || !reference.empty(); ++op) {
+      if (op < 600 && (reference.empty() || rng.uniform() < 0.6)) {
+        const double time =
+            last_pop + 0.25 * static_cast<double>(rng.uniform_index(40));
+        const auto node = static_cast<net::NodeId>(rng.uniform_index(8));
+        const auto from = static_cast<net::NodeId>(rng.uniform_index(8));
+        queue.push(time, node, from);
+        reference.push({time, 0, node, from});
+        sim::heap_push(heap, {time, 0, node, from});
+      } else {
+        const sim::AnnounceEntry want = reference.top();
+        reference.pop();
+        ASSERT_TRUE(same(queue.pop(), want)) << "op " << op;
+        ASSERT_TRUE(same(sim::heap_pop(heap), want)) << "op " << op;
+        last_pop = want.key;
+      }
+    }
+    EXPECT_TRUE(queue.empty());
+  }
+}
+
 }  // namespace
 }  // namespace perigee

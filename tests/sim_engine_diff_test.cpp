@@ -19,6 +19,11 @@
 // delay-only model: single-source and batched (inline + pooled), all held
 // byte-equal to the oracle across all regimes. At finite rates it is held
 // to the per-message reference (`oracle::egress_reference`) instead.
+// The announce solver (the INV -> GETDATA -> BLOCK relay) is held, inline
+// and pooled, byte-equal to its event-loop reference
+// (`oracle::gossip_reference`) in every case, from the same miners plus a
+// withholding one where the regime has one; the zero-latency infra edge
+// sends it to its heap fallback.
 //
 // Each regime additionally drives the incremental compile path: a CsrCache
 // snapshot is patched from the topology's mutation journal after a rewiring
@@ -80,6 +85,14 @@ void expect_engine_parity(const net::Topology& topology,
   for (net::NodeId m = 0; m < n; m += std::max<net::NodeId>(1, n / 5)) {
     miners.push_back(m);
   }
+  // A withholding miner, where the regime has one: it still relays (and
+  // announces) its own block.
+  for (net::NodeId m = 0; m < n; ++m) {
+    if (!csr.forwards(m)) {
+      miners.push_back(m);
+      break;
+    }
+  }
 
   sim::MultiSourceScratch scratch;
   sim::MultiSourceResult batched;
@@ -112,6 +125,16 @@ void expect_engine_parity(const net::Topology& topology,
                                          &pool);
   }
 
+  // The announce solver (the message-level relay) against its event-loop
+  // reference, inline and pooled.
+  sim::MultiSourceResult announce_batched, announce_pooled;
+  sim::simulate_announce_batch(csr, miners, scratch, announce_batched);
+  {
+    runner::ThreadPool pool(3);
+    sim::simulate_announce_batch(csr, miners, scratch, announce_pooled,
+                                 &pool);
+  }
+
   for (std::size_t s = 0; s < miners.size(); ++s) {
     const sim::BroadcastResult want =
         oracle::simulate_broadcast(topology, network, miners[s]);
@@ -131,6 +154,13 @@ void expect_engine_parity(const net::Topology& topology,
     EXPECT_TRUE(bytes_equal(egress_batched.ready_of(s), want.ready));
     EXPECT_TRUE(bytes_equal(egress_pooled.arrival_of(s), want.arrival));
     EXPECT_TRUE(bytes_equal(egress_pooled.ready_of(s), want.ready));
+
+    const sim::BroadcastResult gossip =
+        oracle::gossip_reference(csr, miners[s]).result;
+    EXPECT_TRUE(bytes_equal(announce_batched.arrival_of(s), gossip.arrival));
+    EXPECT_TRUE(bytes_equal(announce_batched.ready_of(s), gossip.ready));
+    EXPECT_TRUE(bytes_equal(announce_pooled.arrival_of(s), gossip.arrival));
+    EXPECT_TRUE(bytes_equal(announce_pooled.ready_of(s), gossip.ready));
   }
 }
 

@@ -1,7 +1,8 @@
-// End-to-end parity between the fast analytic engine and the message-level
-// gossip engine as *learning substrates*: Perigee trained on INV timestamps
-// must reach conclusions equivalent to Perigee trained on the fast engine's
-// delivery times.
+// End-to-end parity between delivery learning and message-level learning
+// (the announce solver, sim/batch.hpp) as *learning substrates*: Perigee
+// trained on INV timestamps must reach conclusions equivalent to Perigee
+// trained on the delay solver's delivery times. Message-level rounds run in
+// lanes on the experiment's pool, byte-identical at any worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +12,9 @@
 #include <utility>
 #include <vector>
 
+#include "broadcast_oracle.hpp"
 #include "core/experiment.hpp"
-#include "sim/gossip.hpp"
+#include "sim/batch.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -23,7 +25,8 @@ namespace {
 // Bitwise oracle of the message-level record path: each out row equals the
 // earliest announcement on that edge minus the earliest announcement over
 // every neighbor of v (incoming and infra included), both read straight
-// from GossipResult::edge_times; +inf where either is missing.
+// from the reference's INVs; +inf where either is missing. The rows are
+// recorded from the announce solver's stripes.
 TEST(EngineParity, GossipObservationsMatchEdgeTimeOracle) {
   net::NetworkOptions options;
   options.n = 80;
@@ -38,24 +41,26 @@ TEST(EngineParity, GossipObservationsMatchEdgeTimeOracle) {
   topo::build_random(t, rng);
   t.add_infra_edge(7, 61, 0.5);
 
-  sim::GossipConfig config;
-  config.record_edge_times = true;
-  const std::vector<sim::GossipResult> results = {
-      sim::simulate_gossip(t, network, 5, config),
-      sim::simulate_gossip(t, network, 50, config)};
+  const auto csr = net::CsrTopology::build(t, network);
+  const std::vector<net::NodeId> miners = {5, 50};
+  sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult batch;
+  sim::simulate_announce_batch(csr, miners, scratch, batch);
   sim::ObservationTable obs;
-  obs.begin_round(t, results.size());
-  for (const auto& result : results) {
-    obs.record_gossip_block(net::CsrTopology::build(t, network), result);
+  obs.begin_round(t, miners.size());
+  for (std::size_t b = 0; b < miners.size(); ++b) {
+    obs.record_block(csr, miners[b], batch.ready_of(b), /*announce=*/true);
   }
 
   std::size_t finite_above_zero = 0;
-  for (std::size_t b = 0; b < results.size(); ++b) {
+  for (std::size_t b = 0; b < miners.size(); ++b) {
     // first[(to, from)]: the earliest announcement from `from` at `to`.
     std::map<std::pair<net::NodeId, net::NodeId>, double> first;
-    for (const auto& et : results[b].edge_times) {
-      auto [it, fresh] = first.emplace(std::pair{et.to, et.from}, et.time_ms);
-      if (!fresh) it->second = std::min(it->second, et.time_ms);
+    for (const auto& inv :
+         oracle::gossip_reference(csr, miners[b]).announcements) {
+      auto [it, fresh] = first.emplace(std::pair{inv.to, inv.from},
+                                       inv.time_ms);
+      if (!fresh) it->second = std::min(it->second, inv.time_ms);
     }
     const auto heard = [&](net::NodeId v, net::NodeId u) {
       const auto it = first.find({v, u});
@@ -122,7 +127,48 @@ TEST(EngineParity, EnginesAgreeOnLearnedQuality) {
   EXPECT_NEAR(gossip / fast, 1.0, 0.12);
 }
 
-TEST(EngineParity, BlockHookShimReportsFiniteArrivals) {
+// Message-level rounds run on the experiment's pool: λ and every checkpoint
+// are byte-identical at any engine worker count.
+TEST(EngineParity, PooledGossipLearningIsByteIdentical) {
+  core::ExperimentConfig config;
+  config.net.n = 120;
+  config.rounds = 4;
+  config.blocks_per_round = 20;
+  config.checkpoints = 2;
+  config.seed = 7;
+  config.message_level = true;
+  const auto run = [&](int jobs) {
+    config.engine_jobs = jobs;
+    return core::run_experiment(config);
+  };
+  const core::ExperimentResult inline_run = run(1);
+  ASSERT_EQ(inline_run.checkpoints.size(), 3u);
+  for (const int jobs : {2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "engine_jobs=" << jobs);
+    const core::ExperimentResult pooled = run(jobs);
+    ASSERT_EQ(pooled.lambda.size(), inline_run.lambda.size());
+    EXPECT_EQ(std::memcmp(pooled.lambda.data(), inline_run.lambda.data(),
+                          pooled.lambda.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(pooled.lambda50.data(), inline_run.lambda50.data(),
+                          pooled.lambda50.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(pooled.checkpoints.size(), inline_run.checkpoints.size());
+    for (std::size_t i = 0; i < pooled.checkpoints.size(); ++i) {
+      const auto& a = pooled.checkpoints[i];
+      const auto& b = inline_run.checkpoints[i];
+      EXPECT_EQ(a.blocks_mined, b.blocks_mined);
+      EXPECT_EQ(std::memcmp(&a.mean_lambda, &b.mean_lambda, sizeof(double)),
+                0);
+      EXPECT_EQ(
+          std::memcmp(&a.median_lambda, &b.median_lambda, sizeof(double)), 0);
+    }
+  }
+}
+
+// Block hooks see the announce solver's stripes: the reference's arrivals
+// and relay times, extracted per block.
+TEST(EngineParity, BlockHookSeesAnnounceStripes) {
   net::NetworkOptions options;
   options.n = 60;
   options.seed = 6;
@@ -134,15 +180,23 @@ TEST(EngineParity, BlockHookShimReportsFiniteArrivals) {
   for (int i = 0; i < 60; ++i) {
     selectors.push_back(std::make_unique<sim::StaticSelector>());
   }
-  sim::RoundRunner runner(network, t, std::move(selectors), 5, 6,
-                          sim::RoundRunner::Engine::Gossip);
+  sim::RoundRunner runner(network, t, std::move(selectors), 5, 6);
+  runner.set_relaxer(
+      sim::Relaxer(std::nullopt, sim::Relaxer::Learning::Announce));
+  const auto csr = net::CsrTopology::build(t, network);
   int blocks = 0;
   runner.set_block_hook([&](const sim::BroadcastResult& result) {
     ++blocks;
-    EXPECT_DOUBLE_EQ(result.arrival[result.miner], 0.0);
+    const auto want = oracle::gossip_reference(csr, result.miner).result;
+    ASSERT_EQ(result.arrival.size(), want.arrival.size());
+    EXPECT_EQ(std::memcmp(result.arrival.data(), want.arrival.data(),
+                          want.arrival.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(result.ready.data(), want.ready.data(),
+                          want.ready.size() * sizeof(double)),
+              0);
     for (net::NodeId v = 0; v < 60; ++v) {
       EXPECT_TRUE(std::isfinite(result.arrival[v]));
-      EXPECT_GE(result.ready[v], result.arrival[v]);
     }
   });
   runner.run_round();

@@ -1,10 +1,14 @@
-#include "sim/gossip.hpp"
-
+// The message-level relay (paper §1.1.2): the announce solver of the batch
+// driver (sim/batch.hpp) and its event-loop reference,
+// `oracle::gossip_reference` (tests/broadcast_oracle.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "broadcast_oracle.hpp"
+#include "sim/batch.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -20,37 +24,35 @@ net::Network make_network(std::size_t n, std::uint64_t seed,
   return net::Network::build(options);
 }
 
-TEST(Gossip, PushModeMatchesFastEngineExactly) {
-  // With direct pushes and handshake_factor = 1 the event-driven engine and
-  // the Dijkstra engine are the same model; arrival times must agree.
-  const auto network = make_network(150, 9, 1.0);
-  net::Topology t(150);
-  util::Rng rng(9);
-  topo::build_random(t, rng);
-
-  GossipConfig config;
-  config.mode = GossipConfig::Mode::Push;
-  for (net::NodeId miner : {net::NodeId{0}, net::NodeId{37}, net::NodeId{149}}) {
-    const auto fast = oracle::simulate_broadcast(t, network, miner);
-    const auto gossip = simulate_gossip(t, network, miner, config);
-    for (net::NodeId v = 0; v < t.size(); ++v) {
-      EXPECT_NEAR(gossip.arrival[v], fast.arrival[v], 1e-6)
-          << "miner " << miner << " node " << v;
+// v's first INV from the announce solver's stripes: the earliest over v's
+// neighbors that announce (forwarders and the miner), each at its relay
+// time over its control δ to v; the miner's is 0, +inf when none announces.
+double first_inv(const net::CsrTopology& csr, const BroadcastResult& result,
+                 net::NodeId v) {
+  if (v == result.miner) return 0.0;
+  double first = util::kInf;
+  for (const net::NodeId u : csr.peers(v)) {
+    if (csr.forwards(u) || u == result.miner) {
+      first = std::min(first, result.ready[u] + csr.control_delay(u, v));
     }
   }
+  return first;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 TEST(Gossip, HandshakeIsSlowerThanPush) {
+  // At handshake_factor 1 the delay solver pushes each block over one link
+  // delay; the handshake pays three legs per hop.
   const auto network = make_network(100, 10, 1.0);
   net::Topology t(100);
   util::Rng rng(10);
   topo::build_random(t, rng);
-  GossipConfig push;
-  push.mode = GossipConfig::Mode::Push;
-  GossipConfig inv;
-  inv.mode = GossipConfig::Mode::InvGetdata;
-  const auto a = simulate_gossip(t, network, 0, push);
-  const auto b = simulate_gossip(t, network, 0, inv);
+  const auto csr = net::CsrTopology::build(t, network);
+  const auto a = oracle::batch_of_one(csr, 0);
+  const auto b = oracle::announce_batch_of_one(csr, 0);
   for (net::NodeId v = 1; v < t.size(); ++v) {
     EXPECT_GE(b.arrival[v], a.arrival[v] - 1e-9);
   }
@@ -63,17 +65,16 @@ TEST(Gossip, HandshakeIsSlowerThanPush) {
 }
 
 TEST(Gossip, HandshakeApproximatesHandshakeFactorThree) {
-  // The fast engine's handshake_factor = 3 abstraction should approximate
+  // The delay solver's handshake_factor = 3 abstraction should approximate
   // the explicit INV/GETDATA/BLOCK exchange: compare mean arrival times.
-  const auto net1 = make_network(120, 11, 1.0);  // gossip: explicit handshake
-  const auto net3 = make_network(120, 11, 3.0);  // fast: 3x abstraction
+  const auto net1 = make_network(120, 11, 1.0);  // explicit handshake
+  const auto net3 = make_network(120, 11, 3.0);  // 3x abstraction
   net::Topology t(120);
   util::Rng rng(11);
   topo::build_random(t, rng);
 
-  GossipConfig inv;
-  inv.mode = GossipConfig::Mode::InvGetdata;
-  const auto gossip = simulate_gossip(t, net1, 5, inv);
+  const auto gossip =
+      oracle::announce_batch_of_one(net::CsrTopology::build(t, net1), 5);
   const auto fast = oracle::simulate_broadcast(t, net3, 5);
   double gossip_mean = 0, fast_mean = 0;
   for (net::NodeId v = 0; v < t.size(); ++v) {
@@ -92,33 +93,36 @@ TEST(Gossip, EveryoneReachedOnConnectedGraph) {
   net::Topology t(200);
   util::Rng rng(12);
   topo::build_random(t, rng);
-  const auto result = simulate_gossip(t, network, 3);
+  const auto csr = net::CsrTopology::build(t, network);
+  const auto result = oracle::announce_batch_of_one(csr, 3);
+  const auto reference = oracle::gossip_reference(csr, 3);
   for (net::NodeId v = 0; v < t.size(); ++v) {
     EXPECT_TRUE(std::isfinite(result.arrival[v]));
-    EXPECT_TRUE(std::isfinite(result.first_announce[v]));
-    EXPECT_LE(result.first_announce[v], result.arrival[v] + 1e-9);
+    const double first = first_inv(csr, result, v);
+    EXPECT_TRUE(std::isfinite(first));
+    EXPECT_LE(first, result.arrival[v]);
+    // The stripes give the reference's first INV to the bit.
+    EXPECT_TRUE(same_bits(first, reference.first_announce[v])) << "node " << v;
   }
 }
 
-TEST(Gossip, EdgeTimesRecordedWhenRequested) {
+TEST(Gossip, EveryNeighborAnnounces) {
   const auto network = make_network(50, 13, 1.0);
   net::Topology t(50);
   util::Rng rng(13);
   topo::build_random(t, rng);
-  GossipConfig config;
-  config.record_edge_times = true;
-  const auto result = simulate_gossip(t, network, 0, config);
-  EXPECT_FALSE(result.edge_times.empty());
-  // Every recorded edge time belongs to an actual adjacency.
-  for (const auto& et : result.edge_times) {
-    EXPECT_TRUE(t.are_adjacent(et.to, et.from));
-    EXPECT_GE(et.time_ms, 0.0);
+  const auto trace =
+      oracle::gossip_reference(net::CsrTopology::build(t, network), 0);
+  EXPECT_FALSE(trace.announcements.empty());
+  // Every INV travels an actual adjacency.
+  for (const auto& inv : trace.announcements) {
+    EXPECT_TRUE(t.are_adjacent(inv.to, inv.from));
+    EXPECT_GE(inv.time_ms, 0.0);
   }
-  // Each node should eventually hear an announcement from every neighbor.
+  // Each node eventually hears an announcement from every neighbor.
   std::vector<std::size_t> announce_count(t.size(), 0);
-  for (const auto& et : result.edge_times) ++announce_count[et.to];
-  for (net::NodeId v = 0; v < t.size(); ++v) {
-    if (v == 0) continue;
+  for (const auto& inv : trace.announcements) ++announce_count[inv.to];
+  for (net::NodeId v = 1; v < t.size(); ++v) {
     EXPECT_EQ(announce_count[v], t.adjacency(v).size());
   }
 }
@@ -127,24 +131,27 @@ TEST(Gossip, IsolatedNodeNeverArrives) {
   const auto network = make_network(10, 14, 1.0);
   net::Topology t(10);
   t.connect(0, 1);  // nodes 2..9 isolated
-  const auto result = simulate_gossip(t, network, 0);
+  const auto result =
+      oracle::announce_batch_of_one(net::CsrTopology::build(t, network), 0);
   EXPECT_TRUE(std::isfinite(result.arrival[1]));
   for (net::NodeId v = 2; v < 10; ++v) {
     EXPECT_TRUE(std::isinf(result.arrival[v]));
+    EXPECT_TRUE(std::isinf(result.ready[v]));
   }
 }
 
 TEST(Gossip, MessageCountBounded) {
-  // Handshake mode: each directed adjacency pair carries at most one INV per
-  // holder, plus one GETDATA and one BLOCK per node: O(E + V).
+  // Each directed adjacency pair carries at most one INV per holder, plus
+  // one GETDATA and one BLOCK per node: O(E + V).
   const auto network = make_network(100, 15, 1.0);
   net::Topology t(100);
   util::Rng rng(15);
   topo::build_random(t, rng);
-  const auto result = simulate_gossip(t, network, 0);
+  const auto trace =
+      oracle::gossip_reference(net::CsrTopology::build(t, network), 0);
   const std::size_t edges = t.num_p2p_edges();
-  EXPECT_LE(result.messages_processed, 2 * edges + 2 * t.size() + 2 * edges);
-  EXPECT_GE(result.messages_processed, edges);
+  EXPECT_LE(trace.messages_processed, 2 * edges + 2 * t.size() + 2 * edges);
+  EXPECT_GE(trace.messages_processed, edges);
 }
 
 TEST(Gossip, MinerAnnouncesWithoutValidation) {
@@ -161,11 +168,13 @@ TEST(Gossip, MinerAnnouncesWithoutValidation) {
   network.mutable_profiles()[1].coords = {10, 0, 0, 0, 0};
   net::Topology t(2);
   t.connect(0, 1);
-  const auto result = simulate_gossip(t, network, 0);
+  const auto csr = net::CsrTopology::build(t, network);
+  const auto result = oracle::announce_batch_of_one(csr, 0);
   // INV at 10, GETDATA back at 20, BLOCK at 30 — miner validation never
   // enters; receiver validation delays only onward relay (none here).
-  EXPECT_DOUBLE_EQ(result.first_announce[1], 10.0);
+  EXPECT_DOUBLE_EQ(first_inv(csr, result, 1), 10.0);
   EXPECT_DOUBLE_EQ(result.arrival[1], 30.0);
+  EXPECT_DOUBLE_EQ(oracle::gossip_reference(csr, 0).result.arrival[1], 30.0);
 }
 
 // Two INVs reach node 3 at the same instant; it requests from the smaller
@@ -175,7 +184,8 @@ TEST(Gossip, MinerAnnouncesWithoutValidation) {
 // at 3|xu| + 50 + |40 - xu|, which is 110 for both xu = 10 and xu = -5.
 // Node 3's block costs twice the link to its first announcer. One order has
 // the smaller announcer validate first, the other last, so the rule is
-// pinned whichever INV was scheduled first.
+// pinned whichever INV was scheduled first. The reference and the solver
+// must agree.
 double tied_arrival(double x1, double x2) {
   net::NetworkOptions options;
   options.n = 4;
@@ -196,8 +206,12 @@ double tied_arrival(double x1, double x2) {
   t.connect(0, 2);
   t.connect(1, 3);
   t.connect(2, 3);
-  const auto result = simulate_gossip(t, network, 0);
-  EXPECT_DOUBLE_EQ(result.first_announce[3], 110.0);
+  const auto csr = net::CsrTopology::build(t, network);
+  const auto reference = oracle::gossip_reference(csr, 0);
+  const auto result = oracle::announce_batch_of_one(csr, 0);
+  EXPECT_DOUBLE_EQ(reference.first_announce[3], 110.0);
+  EXPECT_DOUBLE_EQ(first_inv(csr, result, 3), 110.0);
+  EXPECT_TRUE(same_bits(result.arrival[3], reference.result.arrival[3]));
   return result.arrival[3];
 }
 
