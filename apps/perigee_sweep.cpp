@@ -267,6 +267,37 @@ constexpr Figure kFigures[] = {
      abl_bandwidth},
 };
 
+// Closes the run's telemetry on every successful exit, sharded and merged
+// runs included: writes the --trace file and prints the --metrics table to
+// stderr. Returns the exit code: 1 when the trace cannot be written.
+int finish_telemetry(const util::Flags& flags) {
+  const std::string& trace_path = flags.get_string("trace");
+  if (!trace_path.empty()) {
+    if (!obs::Tracer::instance().finish()) {
+      std::cerr << "cannot write " << trace_path << "\n";
+      return 1;
+    }
+    std::cerr << "wrote " << trace_path << "\n";
+  }
+  if (flags.get_bool("metrics")) {
+    const obs::MetricsSnapshot snapshot = obs::Registry::instance().scrape();
+    std::cerr << "telemetry counters"
+              << (obs::telemetry_compiled() ? ":" : " (compiled out):")
+              << "\n";
+    for (const auto& [name, value] : snapshot.counters) {
+      std::cerr << "  " << name << " = " << value << "\n";
+    }
+    for (const auto& [name, value] : snapshot.gauges) {
+      std::cerr << "  " << name << " = " << value << "\n";
+    }
+    for (const auto& [name, hist] : snapshot.histograms) {
+      std::cerr << "  " << name << " count=" << hist.count
+                << " sum=" << hist.sum << "\n";
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -405,7 +436,7 @@ int main(int argc, char** argv) {
     std::cerr << "merged " << shard_paths.size() << " shards into " << path
               << "\n";
     runner::print_tables(std::cout, spec, merged);
-    return 0;
+    return finish_telemetry(flags);
   }
 
   int shard_index = 0;
@@ -498,7 +529,7 @@ int main(int argc, char** argv) {
     if (!options.checkpoint_dir.empty()) {
       runner::CheckpointStore(options.checkpoint_dir, "").remove_all();
     }
-    return 0;
+    return finish_telemetry(flags);
   }
 
   runner::print_tables(std::cout, spec, result);
@@ -525,29 +556,5 @@ int main(int argc, char** argv) {
   if (!options.checkpoint_dir.empty()) {
     runner::CheckpointStore(options.checkpoint_dir, "").remove_all();
   }
-
-  if (!trace_path.empty()) {
-    if (!obs::Tracer::instance().finish()) {
-      std::cerr << "cannot write " << trace_path << "\n";
-      return 1;
-    }
-    std::cerr << "wrote " << trace_path << "\n";
-  }
-  if (flags.get_bool("metrics")) {
-    const obs::MetricsSnapshot snapshot = obs::Registry::instance().scrape();
-    std::cerr << "telemetry counters"
-              << (obs::telemetry_compiled() ? ":" : " (compiled out):")
-              << "\n";
-    for (const auto& [name, value] : snapshot.counters) {
-      std::cerr << "  " << name << " = " << value << "\n";
-    }
-    for (const auto& [name, value] : snapshot.gauges) {
-      std::cerr << "  " << name << " = " << value << "\n";
-    }
-    for (const auto& [name, hist] : snapshot.histograms) {
-      std::cerr << "  " << name << " count=" << hist.count
-                << " sum=" << hist.sum << "\n";
-    }
-  }
-  return 0;
+  return finish_telemetry(flags);
 }

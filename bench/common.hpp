@@ -77,9 +77,8 @@ class TraceSession {
   std::string path_;
 };
 
-// Bounds for flags the benches narrow to int.
-inline constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
-inline constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+using util::kIntMax;
+using util::kIntMin;
 
 inline int jobs_from_flags(const util::Flags& flags) {
   return static_cast<int>(flags.get_int("jobs"));

@@ -1,9 +1,10 @@
 // Node churn walkthrough (§6 future work): a running Perigee network loses
-// 20% of its nodes at once, keeps operating, and recovers its learned
+// a share of its nodes (20% by default) at once, keeps operating, and recovers its learned
 // performance within a few rounds.
 //
 //   ./examples/churn [--nodes N]
 #include <iostream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "metrics/eval.hpp"
@@ -12,7 +13,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace perigee;
 
   util::Flags flags;
@@ -22,6 +23,14 @@ int main(int argc, char** argv) {
   flags.add_double("leave_fraction", 0.2, "fraction of nodes that leave");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("nodes", 2, util::kIntMax) ||
+      !flags.int_in_range("warmup_rounds", 0, util::kIntMax) ||
+      !flags.int_in_range("recovery_rounds", 0, util::kIntMax) ||
+      // Someone must stay: at least one node keeps mining.
+      !flags.double_in_range("leave_fraction", 0.0, 0.99)) {
+    return 1;
+  }
+  const double leave_fraction = flags.get_double("leave_fraction");
 
   core::ExperimentConfig config;
   config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
@@ -58,8 +67,8 @@ int main(int argc, char** argv) {
 
   // Churn event: leavers drop all their connections and stop mining.
   util::Rng churn_rng(config.seed + 99);
-  const auto leave_count = static_cast<std::size_t>(
-      flags.get_double("leave_fraction") * static_cast<double>(n));
+  const auto leave_count =
+      static_cast<std::size_t>(leave_fraction * static_cast<double>(n));
   for (std::size_t idx : churn_rng.sample_indices(n, leave_count)) {
     const auto v = static_cast<net::NodeId>(idx);
     alive[v] = false;
@@ -73,7 +82,8 @@ int main(int argc, char** argv) {
   // round below.
   runner.refresh_hash_power();
 
-  table.add_row({"right after 20% leave",
+  table.add_row({"right after " + util::fmt(100.0 * leave_fraction, 0) +
+                     "% leave",
                  std::to_string(n - leave_count),
                  util::fmt(mean_lambda_alive())});
 
@@ -90,4 +100,9 @@ int main(int argc, char** argv) {
   std::cout << "\nSurviving nodes re-learn routes around the hole the "
                "leavers left; no coordinator or topology reset is needed.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config the library's validity table refuses: a clean error, not an
+  // abort.
+  std::cerr << e.what() << "\n";
+  return 1;
 }

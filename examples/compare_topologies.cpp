@@ -4,13 +4,14 @@
 //
 //   ./examples/compare_topologies [--nodes N] [--rounds R] [--seed S]
 #include <iostream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace perigee;
 
   util::Flags flags;
@@ -19,6 +20,10 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 1, "master seed");
   flags.add_double("coverage", 0.90, "hash-power coverage target");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("nodes", 2, util::kIntMax) ||
+      !flags.int_in_range("rounds", 0, util::kIntMax)) {
+    return 1;
+  }
 
   core::ExperimentConfig config;
   config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
@@ -51,4 +56,9 @@ int main(int argc, char** argv) {
                  util::fmt(100.0 * (1.0 - ideal.mean / random_mean), 1) + "%"});
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config the library's validity table refuses: a clean error, not an
+  // abort.
+  std::cerr << e.what() << "\n";
+  return 1;
 }

@@ -6,6 +6,7 @@
 //
 //   ./examples/eclipse_attack [--nodes N] [--adversaries K]
 #include <iostream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "metrics/eval.hpp"
@@ -14,7 +15,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace perigee;
 
   util::Flags flags;
@@ -24,6 +25,12 @@ int main(int argc, char** argv) {
   flags.add_int("attack_rounds", 6, "rounds of withholding");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("nodes", 2, util::kIntMax) ||
+      !flags.int_in_range("adversaries", 0, flags.get_int("nodes") - 1) ||
+      !flags.int_in_range("grooming_rounds", 0, util::kIntMax) ||
+      !flags.int_in_range("attack_rounds", 0, util::kIntMax)) {
+    return 1;
+  }
 
   core::ExperimentConfig config;
   config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
@@ -91,4 +98,9 @@ int main(int argc, char** argv) {
          "keep the network connected throughout. Residual links are the "
          "current round's random explorers.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config the library's validity table refuses: a clean error, not an
+  // abort.
+  std::cerr << e.what() << "\n";
+  return 1;
 }

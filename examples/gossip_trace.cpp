@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <iostream>
+#include <stdexcept>
 
 #include "net/csr.hpp"
 #include "sim/batch.hpp"
@@ -15,7 +16,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace perigee;
 
   util::Flags flags;
@@ -23,6 +24,10 @@ int main(int argc, char** argv) {
   flags.add_int("miner", 0, "block origin");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("nodes", 2, util::kIntMax) ||
+      !flags.int_in_range("miner", 0, flags.get_int("nodes") - 1)) {
+    return 1;
+  }
 
   net::NetworkOptions options;
   options.n = static_cast<std::size_t>(flags.get_int("nodes"));
@@ -85,4 +90,9 @@ int main(int argc, char** argv) {
   }
   detail.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config the library's validity table refuses: a clean error, not an
+  // abort.
+  std::cerr << e.what() << "\n";
+  return 1;
 }

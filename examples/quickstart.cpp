@@ -5,13 +5,14 @@
 //
 //   ./examples/quickstart [--nodes N] [--rounds R] [--seed S]
 #include <iostream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace perigee;
 
   util::Flags flags;
@@ -19,6 +20,10 @@ int main(int argc, char** argv) {
   flags.add_int("rounds", 30, "Perigee learning rounds (100 blocks each)");
   flags.add_int("seed", 1, "master seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("nodes", 2, util::kIntMax) ||
+      !flags.int_in_range("rounds", 0, util::kIntMax)) {
+    return 1;
+  }
 
   core::ExperimentConfig config;
   config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
@@ -56,4 +61,9 @@ int main(int argc, char** argv) {
   std::cout << "\nPerigee-Subset cuts mean broadcast delay by "
             << util::fmt(100.0 * (1.0 - p.mean / r.mean)) << "% vs random.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config the library's validity table refuses: a clean error, not an
+  // abort.
+  std::cerr << e.what() << "\n";
+  return 1;
 }

@@ -6,6 +6,7 @@
 //   ./examples/relay_adaptation [--nodes N] [--rounds R]
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "metrics/eval.hpp"
@@ -14,7 +15,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace perigee;
 
   util::Flags flags;
@@ -23,6 +24,11 @@ int main(int argc, char** argv) {
   flags.add_int("relay_members", 60, "relay overlay size");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("nodes", 2, util::kIntMax) ||
+      !flags.int_in_range("rounds", 0, util::kIntMax) ||
+      !flags.int_in_range("relay_members", 2, util::kIntMax)) {
+    return 1;
+  }
 
   core::ExperimentConfig config;
   config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
@@ -82,4 +88,9 @@ int main(int argc, char** argv) {
             << util::fmt(100.0 * (1.0 - after_lambda / before_lambda), 1)
             << "% - without any knowledge that a relay network exists.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config the library's validity table refuses: a clean error, not an
+  // abort.
+  std::cerr << e.what() << "\n";
+  return 1;
 }

@@ -7,13 +7,14 @@
 //
 //   ./examples/tx_optimization [--nodes N] [--rounds R]
 #include <iostream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace perigee;
 
   util::Flags flags;
@@ -21,6 +22,10 @@ int main(int argc, char** argv) {
   flags.add_int("rounds", 30, "learning rounds (100 txs each)");
   flags.add_int("seed", 1, "seed");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.int_in_range("nodes", 2, util::kIntMax) ||
+      !flags.int_in_range("rounds", 0, util::kIntMax)) {
+    return 1;
+  }
 
   core::ExperimentConfig config;
   config.net.n = static_cast<std::size_t>(flags.get_int("nodes"));
@@ -60,4 +65,9 @@ int main(int argc, char** argv) {
             << "% lower mean delay than random (cf. the 0.1x point of "
                "Figure 4(a)).\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A config the library's validity table refuses: a clean error, not an
+  // abort.
+  std::cerr << e.what() << "\n";
+  return 1;
 }

@@ -4,12 +4,13 @@
 Usage:
     python3 scripts/strip_meta.py in.json out.json
 
-`perigee_sweep` stamps every JSON it writes with a `meta` block (git sha,
-peak RSS, wall clock) that legitimately differs between two otherwise
-byte-identical runs. CI's determinism gates compare curves with `cmp`, so
-both sides are passed through this script first. The body outside `meta` is
-copied through byte-for-byte — the writer emits `meta` as a self-contained
-two-space-indented block between "spec" and "cells", and
+`perigee_sweep` and the benches on bench/common.hpp stamp every JSON they
+write with a `meta` block (git sha, peak RSS, wall clock) that legitimately
+differs between two otherwise byte-identical runs. CI's determinism gates
+compare curves with `cmp`, so both sides are passed through this script
+first. The body outside `meta` is copied through byte-for-byte — the writers
+emit `meta` as a self-contained two-space-indented block (between "spec" and
+"cells" in a sweep, between "title" and "curves" in a bench), and
 ObsDeterminism.MetaMemberDoesNotDisturbCurveBytes pins that textual shape —
 so stripped outputs from runs with and without meta compare equal.
 """

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -45,8 +44,9 @@ sim::EgressConfig egress_config_from(const scn::TransmissionRegime& regime) {
 // (config.engine_jobs; null runs inline) and the relaxer, which runs the
 // queued-transmission engine when the scenario's transmission regime is
 // active and the delay engine otherwise, with the rounds on the announce
-// solver under `learning` Announce. Byte-identical at any worker count, so
-// sweep grids that parallelize across seeds simply leave engine_jobs at 1.
+// solver under `learning` Announce. Byte-identical at any worker count;
+// every front end parallelizes across jobs instead and leaves engine_jobs
+// at 1.
 struct Relaxation {
   std::unique_ptr<runner::ThreadPool> pool;
   sim::Relaxer relaxer;
@@ -69,7 +69,9 @@ Relaxation make_relaxation(const ExperimentConfig& config,
 
 // Checkpoint evaluation over an already-compiled snapshot (the round
 // runner's cache), through the runner's relaxer and the experiment's pool:
-// no per-checkpoint compile, no per-checkpoint arena.
+// no per-checkpoint compile, no per-checkpoint arena. One pass per source
+// serves both coverages and stops at the higher one, so λ at `coverage` is
+// bit-equal to a single-coverage pass.
 Checkpoint make_checkpoint(std::size_t blocks_mined,
                            const net::CsrTopology& csr,
                            const net::Network& network, double coverage,
@@ -79,11 +81,11 @@ Checkpoint make_checkpoint(std::size_t blocks_mined,
   PERIGEE_TRACE_SPAN_ARGS(
       checkpoint_span, "checkpoint_eval",
       obs::TraceArgs().arg("blocks_mined", blocks_mined).json());
-  const auto lambda = std::move(
-      metrics::eval_all_sources_multi(csr, network, {coverage}, relaxer, pool)
-          .front());
-  cp.mean_lambda = util::mean(lambda);
-  cp.median_lambda = util::percentile(lambda, 0.5);
+  const auto lambdas = metrics::eval_all_sources_multi(
+      csr, network, {coverage, 0.50}, relaxer, pool);
+  cp.mean_lambda = util::mean(lambdas[0]);
+  cp.median_lambda = util::percentile(lambdas[0], 0.5);
+  cp.mean_lambda50 = util::mean(lambdas[1]);
   return cp;
 }
 
@@ -174,23 +176,19 @@ std::int64_t learning_rounds(const ExperimentConfig& config) {
              : rounds;
 }
 
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  return run_experiment(config, build_scenario(config));
-}
+namespace {
 
-ExperimentResult run_experiment(const ExperimentConfig& config,
-                                Scenario scenario) {
-  config.validate();
-  PERIGEE_TRACE_SPAN_ARGS(experiment_span, "experiment",
-                          obs::TraceArgs()
-                              .arg("algorithm", algorithm_name(config.algorithm))
-                              .arg("nodes", config.net.n)
-                              .arg("seed", config.seed)
-                              .json());
-  build_initial_topology(config, scenario);
-
+// The learning phase of one experiment, run by both run_experiment and
+// run_incremental: relaxation setup, the round loop with its address book
+// and churn hook, the checkpoints, the final λ at {coverage, 0.50} and the
+// final edge latencies. `scenario` carries the initial topology;
+// `selectors` holds one selector per node. `config.algorithm` fixes the
+// schedule (UCB's single-block rounds, static baselines' churn-only loop),
+// not the selectors. `algorithm` is left empty in the result.
+ExperimentResult learn(
+    const ExperimentConfig& config, Scenario& scenario,
+    std::vector<std::unique_ptr<sim::NeighborSelector>> selectors) {
   ExperimentResult result;
-  result.algorithm = std::string(algorithm_name(config.algorithm));
 
   // One pool and one relaxer serve the round loop, every checkpoint, and
   // the final λ evaluations; the relaxer moves into the round runner when
@@ -229,11 +227,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     // their convergence curves comparable to adaptive runs.
     const int budget_per_round = ucb ? 1 : config.blocks_per_round;
 
-    sim::RoundRunner runner(
-        scenario.network, scenario.topology,
-        make_selectors(scenario.network.size(), config.algorithm,
-                       config.params),
-        blocks_per_round, config.seed);
+    sim::RoundRunner runner(scenario.network, scenario.topology,
+                            std::move(selectors), blocks_per_round,
+                            config.seed);
     runner.set_thread_pool(relax.pool.get());
     runner.set_csr_patching(config.incremental_csr);
     runner.set_relaxer(std::move(relax.relaxer));
@@ -308,6 +304,29 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   return result;
 }
 
+}  // namespace
+
+ExperimentResult run_experiment(const ExperimentConfig& config) {
+  return run_experiment(config, build_scenario(config));
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& config,
+                                Scenario scenario) {
+  config.validate();
+  PERIGEE_TRACE_SPAN_ARGS(experiment_span, "experiment",
+                          obs::TraceArgs()
+                              .arg("algorithm", algorithm_name(config.algorithm))
+                              .arg("nodes", config.net.n)
+                              .arg("seed", config.seed)
+                              .json());
+  build_initial_topology(config, scenario);
+  const std::size_t n = scenario.network.size();
+  ExperimentResult result = learn(
+      config, scenario, make_selectors(n, config.algorithm, config.params));
+  result.algorithm = std::string(algorithm_name(config.algorithm));
+  return result;
+}
+
 std::vector<double> run_ideal(const ExperimentConfig& config) {
   return run_ideal_both(config).lambda;
 }
@@ -342,22 +361,6 @@ CellCurves run_cell_curves(const ExperimentConfig& config,
 
 namespace {
 
-// Runs fn(seed_index) for every seed, sequentially when at most one worker
-// is useful, else on a pool. fn writes into a pre-assigned slot, which keeps
-// the aggregate a pure function of the config at any worker count.
-void for_each_seed(int num_seeds, int jobs,
-                   const std::function<void(std::size_t)>& fn) {
-  const auto n = static_cast<std::size_t>(num_seeds);
-  const unsigned workers =
-      std::min<unsigned>(runner::resolve_jobs(jobs), static_cast<unsigned>(n));
-  if (workers <= 1) {
-    for (std::size_t s = 0; s < n; ++s) fn(s);
-    return;
-  }
-  runner::ThreadPool pool(workers);
-  runner::parallel_for(pool, n, fn);
-}
-
 // The adopter share is an argument, not a config field, so the validity
 // table does not cover it.
 void check_adopter_fraction(double adopter_fraction) {
@@ -370,28 +373,17 @@ void check_adopter_fraction(double adopter_fraction) {
   }
 }
 
-// Workers beyond the seed count would idle in the seed pool; hand them to
-// each seed's engine instead (config.engine_jobs), where the batched
-// engine's any-worker-count determinism keeps results byte-identical.
-void flow_leftover_jobs(ExperimentConfig& config, int num_seeds, int jobs) {
-  const unsigned resolved = runner::resolve_jobs(jobs);
-  if (config.engine_jobs == 1 &&
-      resolved > static_cast<unsigned>(num_seeds)) {
-    config.engine_jobs =
-        static_cast<int>(resolved / static_cast<unsigned>(num_seeds));
-  }
-}
-
 }  // namespace
 
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction) {
   check_adopter_fraction(adopter_fraction);
-  Scenario scenario = build_scenario(config);
-
-  ExperimentConfig random_start = config;
-  random_start.algorithm = Algorithm::Random;
-  build_initial_topology(random_start, scenario);
+  // Everyone lives through the adopters' schedule: Perigee-Subset's rounds
+  // of |B| blocks from a random start.
+  ExperimentConfig subset = config;
+  subset.algorithm = Algorithm::PerigeeSubset;
+  Scenario scenario = build_scenario(subset);
+  build_initial_topology(subset, scenario);
 
   const std::size_t n = scenario.network.size();
   util::Rng adopt_rng = util::Rng(config.seed).split(0xAD07);
@@ -408,69 +400,15 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
                                             config.params)
                             : make_selector(Algorithm::Random));
   }
-  Relaxation relax = make_relaxation(config, sim::Relaxer::Learning::Delivery);
-  sim::RoundRunner runner(scenario.network, scenario.topology,
-                          std::move(selectors), config.blocks_per_round,
-                          config.seed);
-  runner.set_thread_pool(relax.pool.get());
-  runner.set_csr_patching(config.incremental_csr);
-  runner.set_relaxer(std::move(relax.relaxer));
-  std::unique_ptr<scn::ChurnDriver> churn;
-  if (config.scenario.churn.enabled()) {
-    churn = std::make_unique<scn::ChurnDriver>(config.scenario.churn,
-                                               scenario.topology,
-                                               scenario.network, config.seed);
-    runner.set_pre_round_hook([&runner, driver = churn.get()](std::size_t r) {
-      if (driver->before_round(r)) runner.refresh_hash_power();
-      for (const net::NodeId v : driver->last_rejoined()) {
-        runner.reset_selector(v);
-      }
-    });
-  }
-  runner.run_rounds(config.rounds);
+  const ExperimentResult learned =
+      learn(subset, scenario, std::move(selectors));
 
-  // The final evaluation reuses the runner's cached compile of the final
-  // topology instead of building a second snapshot.
-  const auto lambda = std::move(
-      metrics::eval_all_sources_multi(runner.current_csr(), scenario.network,
-                                      {config.coverage}, runner.relaxer(),
-                                      relax.pool.get())
-          .front());
   IncrementalResult result;
   for (std::size_t v = 0; v < n; ++v) {
     (adopter[v] ? result.lambda_adopters : result.lambda_others)
-        .push_back(lambda[v]);
+        .push_back(learned.lambda[v]);
   }
   return result;
-}
-
-IncrementalCurves run_incremental_multi_seed(ExperimentConfig config,
-                                             double adopter_fraction,
-                                             int num_seeds, int jobs) {
-  check_adopter_fraction(adopter_fraction);
-  if (num_seeds < 1) {
-    throw std::invalid_argument("bad num_seeds value '" +
-                                std::to_string(num_seeds) +
-                                "' (want an integer >= 1)");
-  }
-  config.validate();
-  flow_leftover_jobs(config, num_seeds, jobs);
-  // Adopter count k = fraction * n is seed-independent, so the per-group
-  // vectors have equal length across seeds and aggregate cleanly.
-  std::vector<std::vector<double>> adopters(
-      static_cast<std::size_t>(num_seeds));
-  std::vector<std::vector<double>> others(static_cast<std::size_t>(num_seeds));
-  const std::uint64_t base_seed = config.seed;
-  for_each_seed(num_seeds, jobs, [&](std::size_t s) {
-    ExperimentConfig seeded = config;
-    seeded.seed = base_seed + static_cast<std::uint64_t>(s);
-    IncrementalResult r = run_incremental(seeded, adopter_fraction);
-    adopters[s] = std::move(r.lambda_adopters);
-    others[s] = std::move(r.lambda_others);
-  });
-  return IncrementalCurves{
-      metrics::aggregate_sorted_curves(std::move(adopters)),
-      metrics::aggregate_sorted_curves(std::move(others))};
 }
 
 }  // namespace perigee::core

@@ -13,7 +13,6 @@
 
 #include "core/params.hpp"
 #include "core/perigee.hpp"
-#include "metrics/curves.hpp"
 #include "mining/hashpower.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
@@ -72,7 +71,7 @@ struct ExperimentConfig {
   // delivery times. λ is evaluated the same way either way. About 1.15x the
   // wall-clock of delivery learning (one n=1000, 10-round Subset run on a
   // 4-CPU Xeon: 0.54 vs 0.47 s); used to validate that the fast abstraction
-  // does not change outcomes. run_incremental does not read it.
+  // does not change outcomes. run_incremental reads it too.
   bool message_level = false;
 
   double coverage = 0.90;
@@ -83,8 +82,9 @@ struct ExperimentConfig {
   // block batch and every λ evaluation across a runner::ThreadPool of this
   // many workers (0 = all hardware threads). Results are byte-identical at
   // any value — the batched engine writes per-source slots — so this only
-  // changes wall-clock. run_incremental_multi_seed raises it automatically
-  // when it has more workers than seeds.
+  // changes wall-clock. No front end sets it: the sweep runner and the
+  // benches parallelize across jobs instead. Kept for perfbench/replay.cpp,
+  // which reads it; it goes with ROADMAP item 2.
   int engine_jobs = 1;
 
   // Incremental CSR maintenance across the round loop: the runner's snapshot
@@ -121,6 +121,7 @@ struct Checkpoint {
   std::size_t blocks_mined = 0;  // cumulative blocks at this checkpoint
   double mean_lambda = 0;        // mean λ (at config.coverage) across nodes
   double median_lambda = 0;
+  double mean_lambda50 = 0;      // mean λ at 50% coverage across nodes
 };
 
 struct ExperimentResult {
@@ -210,27 +211,20 @@ CellCurves run_cell_curves(const ExperimentConfig& config,
 
 // Incremental-deployment ablation (§1.2): `adopter_fraction` of nodes run
 // Perigee-Subset while the rest keep their random neighbors. λ is reported
-// separately for the two groups. Throws std::invalid_argument for an
-// `adopter_fraction` outside [0, 1] (NaN included), before any work.
+// separately for the two groups. Everyone lives through the config's
+// schedule taken as Perigee-Subset (`rounds` rounds of `blocks_per_round`
+// blocks from a random start; `algorithm` is ignored) on run_experiment's
+// learning loop, so `partial_view`, `message_level`, `checkpoints` and the
+// churn regime act exactly as they do there (checkpoints are evaluated but
+// not reported). No front end sets `partial_view`, `message_level` or
+// `checkpoints` for it today. Throws
+// std::invalid_argument for an `adopter_fraction` outside [0, 1] (NaN
+// included), before any work.
 struct IncrementalResult {
   std::vector<double> lambda_adopters;
   std::vector<double> lambda_others;
 };
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction);
-
-// Repeats run_incremental with seeds seed, seed+1, ... and aggregates the
-// sorted per-group curves. `jobs` > 1 fans the seeds out across a
-// runner::ThreadPool; each seed lands in a pre-assigned slot aggregated in
-// seed order, so any jobs value gives bit-identical curves (jobs <= 0 = all
-// hardware threads). Throws std::invalid_argument, before any work, for
-// what run_incremental refuses and for `num_seeds` < 1.
-struct IncrementalCurves {
-  metrics::Curve adopters;  // sorted-λ curve over adopter nodes
-  metrics::Curve others;    // sorted-λ curve over holdout nodes
-};
-IncrementalCurves run_incremental_multi_seed(ExperimentConfig config,
-                                             double adopter_fraction,
-                                             int num_seeds, int jobs = 1);
 
 }  // namespace perigee::core

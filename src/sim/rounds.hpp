@@ -116,8 +116,8 @@ class RoundRunner {
   /// The AddrMan is borrowed and must outlive the runner.
   void set_addrman(net::AddrMan* addrman) { addrman_ = addrman; }
 
-  /// Per-block hook (miner id, broadcast result); used by convergence
-  /// tracking and tests. Called before observations are recorded.
+  /// Per-block hook (miner id, broadcast result); only tests install one.
+  /// Called before observations are recorded.
   using BlockHook = std::function<void(const BroadcastResult&)>;
   /// Installs (or clears) the per-block hook.
   void set_block_hook(BlockHook hook) { block_hook_ = std::move(hook); }

@@ -125,6 +125,15 @@ bool Flags::int_in_range(const std::string& name, std::int64_t lo,
   return false;
 }
 
+bool Flags::double_in_range(const std::string& name, double lo,
+                            double hi) const {
+  const double value = get_double(name);
+  if (value >= lo && value <= hi) return true;
+  std::cerr << "bad --" << name << " value '" << value << "' (want " << lo
+            << ".." << hi << ")\n";
+  return false;
+}
+
 const Flags::Entry& Flags::lookup(const std::string& name, Kind kind) const {
   auto it = entries_.find(name);
   PERIGEE_ASSERT_MSG(it != entries_.end(), "unregistered flag");

@@ -15,6 +15,10 @@
 
 namespace perigee::util {
 
+// Bounds for int_in_range on flags a program narrows to int.
+inline constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+inline constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
 class Flags {
  public:
   void add_int(const std::string& name, std::int64_t def,
@@ -41,6 +45,8 @@ class Flags {
   bool int_in_range(
       const std::string& name, std::int64_t lo,
       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+  // The same for a double flag; NaN lies outside every range.
+  bool double_in_range(const std::string& name, double lo, double hi) const;
 
   void print_usage(std::ostream& os) const;
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
+#include "metrics/curves.hpp"
 #include "metrics/eval.hpp"
 #include "util/stats.hpp"
 
@@ -122,6 +124,9 @@ TEST(Experiment, LastCheckpointMatchesFinalLambda) {
     EXPECT_EQ(result.checkpoints.back().mean_lambda,
               util::mean(result.lambda))
         << scenario::transmission_model_name(model);
+    EXPECT_EQ(result.checkpoints.back().mean_lambda50,
+              util::mean(result.lambda50))
+        << scenario::transmission_model_name(model);
   }
 }
 
@@ -218,6 +223,35 @@ TEST(Experiment, IncrementalAdoptersBeatHoldouts) {
   // §1.2: peers following Perigee see improvements over those that do not.
   EXPECT_LT(util::mean(result.lambda_adopters),
             util::mean(result.lambda_others));
+}
+
+// run_incremental runs run_experiment's learning loop on the Subset
+// schedule: with every node adopting it is Perigee-Subset, and with none it
+// is the random topology living through the same rounds, bit for bit, with
+// and without churn.
+TEST(Experiment, IncrementalAtFullOrNoAdoptionIsRunExperiment) {
+  for (const double churn : {0.0, 0.05}) {
+    ExperimentConfig config = small_config(Algorithm::PerigeeSubset);
+    config.scenario.churn.rate = churn;
+    for (const auto& [fraction, algorithm] :
+         {std::pair{1.0, Algorithm::PerigeeSubset},
+          std::pair{0.0, Algorithm::Random}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "churn " << churn << ", adoption " << fraction);
+      const IncrementalResult mixed = run_incremental(config, fraction);
+      config.algorithm = algorithm;
+      const ExperimentResult whole = run_experiment(config);
+      const std::vector<double>& group =
+          fraction == 1.0 ? mixed.lambda_adopters : mixed.lambda_others;
+      EXPECT_TRUE((fraction == 1.0 ? mixed.lambda_others
+                                   : mixed.lambda_adopters)
+                      .empty());
+      ASSERT_EQ(group.size(), whole.lambda.size());
+      EXPECT_EQ(std::memcmp(group.data(), whole.lambda.data(),
+                            group.size() * sizeof(double)),
+                0);
+    }
+  }
 }
 
 TEST(Experiment, AlgorithmNamesRoundTrip) {

@@ -150,8 +150,6 @@ TEST(Validity, EveryEntryPointRefuses) {
     expect_refused([&] { run_ideal(config); }, c.mentions, c.name);
     expect_refused([&] { run_ideal_both(config); }, c.mentions, c.name);
     expect_refused([&] { run_incremental(config, 0.5); }, c.mentions, c.name);
-    expect_refused([&] { run_incremental_multi_seed(config, 0.5, 2); },
-                   c.mentions, c.name);
     ExperimentConfig ideal = config;
     ideal.algorithm = Algorithm::Ideal;
     expect_refused([&] { run_cell_curves(ideal); }, c.mentions, c.name);
@@ -175,17 +173,6 @@ TEST(Validity, RunIncrementalRefusesAdopterFractionOutsideUnit) {
        {1.5, -0.25, std::numeric_limits<double>::quiet_NaN()}) {
     expect_refused([&] { run_incremental(small_config(), fraction); },
                    "adopter_fraction", "run_incremental");
-    expect_refused(
-        [&] { run_incremental_multi_seed(small_config(), fraction, 2); },
-        "adopter_fraction", "run_incremental_multi_seed");
-  }
-}
-
-TEST(Validity, RunIncrementalMultiSeedRefusesNoSeeds) {
-  for (const int seeds : {0, -3}) {
-    expect_refused(
-        [&] { run_incremental_multi_seed(small_config(), 0.5, seeds); },
-        "num_seeds", "run_incremental_multi_seed");
   }
 }
 

@@ -162,6 +162,8 @@ TEST(EngineParity, PooledGossipLearningIsByteIdentical) {
                 0);
       EXPECT_EQ(
           std::memcmp(&a.median_lambda, &b.median_lambda, sizeof(double)), 0);
+      EXPECT_EQ(
+          std::memcmp(&a.mean_lambda50, &b.mean_lambda50, sizeof(double)), 0);
     }
   }
 }

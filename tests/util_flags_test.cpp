@@ -121,5 +121,20 @@ TEST(Flags, MissingValueAtEnd) {
   EXPECT_FALSE(f.parse(2, argv));
 }
 
+TEST(Flags, RangeChecks) {
+  Flags f = make_flags();
+  const char* argv[] = {"prog", "--nodes=5", "--coverage=1.5"};
+  ASSERT_TRUE(f.parse(3, argv));
+  EXPECT_TRUE(f.int_in_range("nodes", 2));
+  EXPECT_TRUE(f.int_in_range("nodes", 5, 5));
+  EXPECT_FALSE(f.int_in_range("nodes", 6));
+  EXPECT_TRUE(f.double_in_range("coverage", 0.0, 2.0));
+  EXPECT_FALSE(f.double_in_range("coverage", 0.0, 1.0));
+  Flags nan = make_flags();
+  const char* nan_argv[] = {"prog", "--coverage=nan"};
+  ASSERT_TRUE(nan.parse(2, nan_argv));
+  EXPECT_FALSE(nan.double_in_range("coverage", 0.0, 1.0));
+}
+
 }  // namespace
 }  // namespace perigee::util
