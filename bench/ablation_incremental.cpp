@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   if (!base || !flags.int_in_range("seeds", 1, bench::kIntMax)) return 1;
   const auto seeds = static_cast<std::size_t>(flags.get_int("seeds"));
   const bench::TraceSession trace_session(flags);
+  // Column names follow --coverage: "lambda90" at the default 0.90.
+  const std::string lambda_q = "lambda" + util::fmt(100.0 * base->coverage, 0);
 
   const std::array fractions = {0.10, 0.25, 0.50, 0.75, 0.90};
   // Job j runs fraction j / seeds with seed base + j % seeds into slot j,
@@ -37,8 +39,8 @@ int main(int argc, char** argv) {
 
   util::print_banner(std::cout,
                      "Ablation - incremental deployment of perigee-subset");
-  util::Table table({"adopters", "adopter mean lambda90",
-                     "holdout mean lambda90", "adopter advantage"});
+  util::Table table({"adopters", "adopter mean " + lambda_q,
+                     "holdout mean " + lambda_q, "adopter advantage"});
   std::vector<bench::NamedCurve> json_curves;
   for (std::size_t f = 0; f < fractions.size(); ++f) {
     // The adopter count k = fraction * n does not depend on the seed, so

@@ -47,8 +47,8 @@ struct Fixture {
 };
 
 // The single-source delay path: one source through the batched engine as a
-// batch of one (u32 fixed-point bucket keys, next-row prefetch, branchless
-// settle) over a prebuilt CSR — no λ accumulation, no compile, no pool, so
+// batch of one (u32 fixed-point bucket keys, whole-bucket drain, branch-free
+// row scan) over a prebuilt CSR — no λ accumulation, no compile, no pool, so
 // iterations price the relaxation hot loop and nothing else. It is the
 // denominator of the engine ratios anchored in BENCH_queuing.json.
 void BM_RelaxInnerLoop(benchmark::State& state) {

@@ -67,22 +67,11 @@ Relaxation make_relaxation(const ExperimentConfig& config,
                     sim::Relaxer(std::move(egress), learning)};
 }
 
-// Checkpoint evaluation over an already-compiled snapshot (the round
-// runner's cache), through the runner's relaxer and the experiment's pool:
-// no per-checkpoint compile, no per-checkpoint arena. One pass per source
-// serves both coverages and stops at the higher one, so λ at `coverage` is
-// bit-equal to a single-coverage pass.
+// One checkpoint's statistics from its λ vectors at {coverage, 0.50}.
 Checkpoint make_checkpoint(std::size_t blocks_mined,
-                           const net::CsrTopology& csr,
-                           const net::Network& network, double coverage,
-                           sim::Relaxer& relaxer, runner::ThreadPool* pool) {
+                           const std::vector<std::vector<double>>& lambdas) {
   Checkpoint cp;
   cp.blocks_mined = blocks_mined;
-  PERIGEE_TRACE_SPAN_ARGS(
-      checkpoint_span, "checkpoint_eval",
-      obs::TraceArgs().arg("blocks_mined", blocks_mined).json());
-  const auto lambdas = metrics::eval_all_sources_multi(
-      csr, network, {coverage, 0.50}, relaxer, pool);
   cp.mean_lambda = util::mean(lambdas[0]);
   cp.median_lambda = util::percentile(lambdas[0], 0.5);
   cp.mean_lambda50 = util::mean(lambdas[1]);
@@ -196,14 +185,23 @@ ExperimentResult learn(
   Relaxation relax = make_relaxation(
       config, config.message_level ? sim::Relaxer::Learning::Announce
                                    : sim::Relaxer::Learning::Delivery);
+  // λ at {coverage, 0.50} over an already-compiled snapshot: one pass per
+  // source serves both coverages and stops at the higher one, so λ at
+  // `coverage` is bit-equal to a single-coverage pass.
   const auto eval_both = [&](const net::CsrTopology& csr,
                              sim::Relaxer& relaxer) {
-    PERIGEE_TRACE_SPAN(final_eval_span, "final_eval");
-    auto lambdas = metrics::eval_all_sources_multi(
+    return metrics::eval_all_sources_multi(
         csr, scenario.network, {config.coverage, 0.50}, relaxer,
         relax.pool.get());
+  };
+  const auto keep_final = [&](std::vector<std::vector<double>> lambdas) {
     result.lambda = std::move(lambdas[0]);
     result.lambda50 = std::move(lambdas[1]);
+  };
+  const auto final_eval = [&](const net::CsrTopology& csr,
+                              sim::Relaxer& relaxer) {
+    PERIGEE_TRACE_SPAN(final_eval_span, "final_eval");
+    keep_final(eval_both(csr, relaxer));
   };
 
   // Static baselines normally skip the round loop (their selectors never
@@ -266,12 +264,18 @@ ExperimentResult learn(
 
     // Checkpoints evaluate runner.current_csr(): the compile is served from
     // the runner's cache, so the next round (same topology version) reuses
-    // it instead of compiling the same graph a second time.
-    if (config.checkpoints > 0) {
-      result.checkpoints.push_back(make_checkpoint(
-          0, runner.current_csr(), scenario.network, config.coverage,
-          runner.relaxer(), relax.pool.get()));
-    }
+    // it instead of compiling the same graph a second time. The last one
+    // evaluates the final snapshot, so its pass is the final λ.
+    std::vector<std::vector<double>> last_lambdas;
+    const auto checkpoint = [&](std::size_t blocks_mined) {
+      PERIGEE_TRACE_SPAN_ARGS(
+          checkpoint_span, "checkpoint_eval",
+          obs::TraceArgs().arg("blocks_mined", blocks_mined).json());
+      last_lambdas = eval_both(runner.current_csr(), runner.relaxer());
+      result.checkpoints.push_back(
+          make_checkpoint(blocks_mined, last_lambdas));
+    };
+    if (config.checkpoints > 0) checkpoint(0);
     const int interval =
         config.checkpoints > 0
             ? std::max(1, total_rounds / config.checkpoints)
@@ -282,21 +286,22 @@ ExperimentResult learn(
       runner.run_rounds(step);
       done += step;
       if (config.checkpoints > 0) {
-        result.checkpoints.push_back(make_checkpoint(
-            static_cast<std::size_t>(done) *
-                static_cast<std::size_t>(budget_per_round),
-            runner.current_csr(), scenario.network, config.coverage,
-            runner.relaxer(), relax.pool.get()));
+        checkpoint(static_cast<std::size_t>(done) *
+                   static_cast<std::size_t>(budget_per_round));
       }
     }
-    // The final evaluation (one pass, both coverages) rides on the runner's
-    // cached compile and its relaxer.
-    eval_both(runner.current_csr(), runner.relaxer());
+    if (config.checkpoints > 0) {
+      keep_final(std::move(last_lambdas));
+    } else {
+      // The final evaluation rides on the runner's cached compile and its
+      // relaxer.
+      final_eval(runner.current_csr(), runner.relaxer());
+    }
   } else {
     // No round loop ran: one flat-graph compile serves the final
     // evaluation of the static topology.
-    eval_both(net::CsrTopology::build(scenario.topology, scenario.network),
-              relax.relaxer);
+    final_eval(net::CsrTopology::build(scenario.topology, scenario.network),
+               relax.relaxer);
   }
 
   result.edge_latencies =

@@ -11,7 +11,6 @@
 #include "runner/thread_pool.hpp"
 #include "sim/dary_heap.hpp"
 #include "util/assert.hpp"
-#include "util/prefetch.hpp"
 #include "util/stats.hpp"
 
 namespace perigee::sim {
@@ -24,15 +23,17 @@ static_assert(alignof(SourceLane) >= 64,
 namespace {
 
 // Per-batch relaxation plan, derived once from the snapshot's cached delay
-// bounds: the u32 fixed-point bucket grid (`BucketQueue::plan_fixed`), whose
-// width <= min δ / 2 gives every relaxation a >= 2w key increase, so a
-// candidate can never land in the bucket being drained (see
-// bucket_queue.hpp). nullopt — a zero δ, an edgeless graph, or a key span
-// the u32 grid cannot hold — sends the batch to the 4-ary heap. Both are
-// Dijkstra, exact only when no relaxation lowers a key below the one being
-// settled, so a snapshot `require_causal_delays` refuses is never relaxed:
-// a negative Δv breaks the bucket grid's reach bound, and a negative δ can
-// loop the heap forever.
+// bounds: the u32 fixed-point bucket grid (`BucketQueue::plan_fixed`). Its
+// width must stay within the delta-stepping ceiling (<= min δ / 2): then
+// every relaxation lands at least one bucket past the one being drained,
+// which is what lets `relax_buckets` settle a bucket as a whole. nullopt —
+// a zero δ, an edgeless graph, a key span the u32 grid cannot hold, or a
+// δ span so wide the ring budget pushed the width past the ceiling — sends
+// the batch to the 4-ary heap. Both are Dijkstra, exact only when no
+// relaxation lowers a key below the one being settled, so a snapshot
+// `require_causal_delays` refuses is never relaxed: a negative Δv breaks
+// the bucket grid's reach bound, and a negative δ can loop the heap
+// forever.
 using BatchPlan = std::optional<BucketQueueBase::FixedPlan>;
 
 BatchPlan make_plan(const net::CsrTopology& csr) {
@@ -43,97 +44,132 @@ BatchPlan make_plan(const net::CsrTopology& csr) {
   // each relaxation adds at most max_reach; doubled for slack.
   const double max_key =
       (static_cast<double>(csr.size()) + 1.0) * max_reach * 2.0;
-  return BucketQueueBase::plan_fixed(csr.min_delay_ms(), max_reach,
-                                     max_key);
+  BatchPlan plan = BucketQueueBase::plan_fixed(csr.min_delay_ms(), max_reach,
+                                               max_key);
+  if (plan.has_value() && !plan->within_ceiling()) return std::nullopt;
+  return plan;
 }
 
-// Branchless settled/stale gate: a pop is live iff its key still equals the
-// node's arrival (bit compare — both doubles share provenance, and neither
-// is NaN) and the node forwards (or mined the block). Collapsing the row to
-// empty instead of branching turns the two unpredictable per-pop branches
-// into a select the compiler lowers to cmov.
-inline bool pop_is_fresh(double t, double arrival_u) {
-  return std::bit_cast<std::uint64_t>(t) ==
-         std::bit_cast<std::uint64_t>(arrival_u);
+// A queue entry is current iff its key still equals the node's arrival (bit
+// compare — both doubles share provenance, and neither is NaN). A node's
+// entries carry strictly decreasing keys (each push strictly improved its
+// arrival), so only its last entry can be current, and once it settles no
+// later relaxation improves it: the current entry is the settling one, and
+// every other entry is stale.
+inline bool is_current(double key, double arrival_v) {
+  return std::bit_cast<std::uint64_t>(key) ==
+         std::bit_cast<std::uint64_t>(arrival_v);
 }
 
-// One source's bucket-queue Dijkstra relaxation into a caller-provided
-// arrival stripe. The inner loop matches the test oracle's heap walk
-// (tests/broadcast_oracle.hpp) except for three proven-equal
-// transformations:
+// Relaxes the row of `u`, ready at `ready_u`, into `arrival`, then calls
+// push(cand, v) for every neighbour it improved, in row order. The scan has
+// no data-dependent branch: each edge stores min(cand, arrival[v]) and
+// appends its index to `improved`, whose end advances only when the
+// candidate won. A row holds each neighbour once, so these are exactly the
+// pushes of the textbook `if (cand < arrival[v])` loop, in its order, and
+// the recomputed candidate is the same sum. `improved` grows to the longest
+// row once per lane.
+template <typename Push>
+inline void relax_row(const net::CsrTopology& csr, net::NodeId u,
+                      double ready_u, double* arrival,
+                      std::vector<std::uint32_t>& improved, Push&& push) {
+  const std::size_t begin = csr.offsets()[u];
+  const std::size_t len = csr.row_ends()[u] - begin;
+  const net::NodeId* peers = csr.peer_data() + begin;
+  const double* delays = csr.delay_data() + begin;
+  if (improved.size() < len) improved.resize(len);
+  std::uint32_t* out = improved.data();
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const net::NodeId v = peers[i];
+    const double cand = ready_u + delays[i];
+    const double cur = arrival[v];
+    const bool better = cand < cur;
+    arrival[v] = better ? cand : cur;
+    out[count] = static_cast<std::uint32_t>(i);
+    count += better ? 1 : 0;
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t i = out[k];
+    push(ready_u + delays[i], peers[i]);
+  }
+}
+
+// Whether a settled node relays the block: a withholder relays only what
+// it mined. And the time it relays from: the miner skips validation.
+inline bool relays(const net::CsrTopology& csr, net::NodeId u,
+                   net::NodeId src) {
+  return csr.forwards(u) || u == src;
+}
+inline double ready_of(const net::CsrTopology& csr, net::NodeId u,
+                       net::NodeId src, double arrival_u) {
+  return u == src ? 0.0 : arrival_u + csr.validation_ms(u);
+}
+
+// One source's bucket-synchronous Dijkstra relaxation into a caller-provided
+// arrival stripe. It settles nodes in exactly the test oracle's heap order
+// (tests/broadcast_oracle.hpp), with these proven-equal transformations:
 //  - the per-edge `settled[v]` skip is dropped — a settled v has
 //    arrival <= the key being drained, so `cand < arrival[v]` is already
 //    false;
-//  - the settled flag array itself is dropped — a node's queue entries
-//    carry strictly decreasing keys (each push strictly improved arrival),
-//    so an entry is the settling one iff its key equals the node's current
-//    arrival, and no later entry can match again (post-settle relaxations
-//    never improve a settled node);
+//  - the settled flag array is dropped — an entry settles iff it is
+//    current (`is_current`);
+//  - the queue buckets by u32 fixed-point keys, and the walk takes one
+//    whole bucket at a time (`take_bucket`). Under the plan's ceiling no
+//    relaxation from an entry lands in its own bucket, so an entry's
+//    current/stale state cannot change while its bucket is drained: the
+//    stale ones are dropped at once, and the current ones, sorted into
+//    (qkey, key bits, node) order, are the per-pop settle sequence;
+//  - rows are scanned branch-free (`relax_row`);
 //  - ready is filled in one pass afterwards (`fill_ready`).
-// The Release-mode micro-pass adds three more, all order-preserving (no
-// comparison outcome and no store sequence changes, so the byte-parity
-// argument is untouched): the stale/forwards gate is evaluated branchlessly
-// by collapsing the row to empty, the next pop's row metadata is software-
-// prefetched during the current row scan, and the queue buckets by u32
-// fixed-point keys (pop order is still exact (key, node) order — see
-// bucket_queue.hpp).
-// Every fresh pop is a settle, reported to `observer` in pop order; the
-// drain stops when the observer asks to. The round shape's
-// NoSettleObserver folds the report away, so its loop is unchanged.
+// Every settle is reported to `observer` in that order; the drain stops
+// when the observer asks to. The round shape's NoSettleObserver folds the
+// report away.
 template <typename Observer>
 void relax_buckets(const net::CsrTopology& csr,
-                   const BucketQueueBase::FixedPlan& plan,
-                   BucketQueue<RelaxEntry>& queue,
+                   const BucketQueueBase::FixedPlan& plan, SourceLane& lane,
                    net::NodeId src, double* arrival, Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   std::fill_n(arrival, n, util::kInf);
   arrival[src] = 0.0;
 
-  const std::size_t* offsets = csr.offsets();
-  const std::size_t* row_ends = csr.row_ends();
-  const net::NodeId* peers = csr.peer_data();
-  const double* delays = csr.delay_data();
-
   // Telemetry tallies stay in registers inside the drain loop and flush to
-  // the registry once per source — the per-pop cost in telemetry builds is
-  // a local increment, and OFF builds compile all of this away.
+  // the registry once per source — the per-bucket cost in telemetry builds
+  // is a local add, and OFF builds compile all of this away.
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
 
+  BucketQueue<RelaxEntry>& queue = lane.queue;
+  std::vector<RelaxEntry>& taken = lane.taken;
+  const auto push = [&queue](double key, net::NodeId v) {
+    queue.push(key, v);
+  };
   queue.reset(plan);
   queue.push(0.0, src);
-  while (!queue.empty()) {
-    const RelaxEntry top = queue.pop();
-    const double t = top.key;
-    const net::NodeId u = top.node;
-    // Overlap the next pop's data-dependent loads (its row bounds and
-    // arrival slot) with this row's scan; on a bucket boundary peek_next
-    // degrades to re-hinting u, which costs nothing.
-    const net::NodeId nxt = queue.peek_next(u);
-    PERIGEE_PREFETCH(&offsets[nxt]);
-    PERIGEE_PREFETCH(&arrival[nxt]);
-    PERIGEE_TELEMETRY_ONLY(++tally_pops;)
-    // Branchless settle: stale or non-forwarding pops scan an empty row
-    // (row_end collapsed onto row_begin) instead of taking a branch the
-    // predictor can't learn.
-    const bool fresh = pop_is_fresh(t, arrival[u]);
-    if (fresh && observer.settle(u, t)) break;
-    const bool live = fresh & (csr.forwards(u) | (u == src));
-    PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
-    const std::size_t row_begin = offsets[u];
-    const std::size_t row_end = live ? row_ends[u] : row_begin;
-    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
-    for (std::size_t e = row_begin; e < row_end; ++e) {
-      if (e + util::kEdgePrefetchDistance < row_end) {
-        PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
+  bool stop = false;
+  while (!stop && !queue.empty()) {
+    queue.take_bucket(taken);
+    RelaxEntry* entries = taken.data();
+    std::size_t fresh = 0;
+    for (std::size_t i = 0; i < taken.size(); ++i) {
+      const RelaxEntry e = entries[i];
+      entries[fresh] = e;
+      fresh += is_current(e.key, arrival[e.node]) ? 1 : 0;
+    }
+    PERIGEE_TELEMETRY_ONLY(tally_pops += taken.size();)
+    PERIGEE_TELEMETRY_ONLY(tally_stale += taken.size() - fresh;)
+    BucketQueue<RelaxEntry>::sort_pop_order(entries, fresh);
+    for (std::size_t i = 0; i < fresh; ++i) {
+      const double t = entries[i].key;
+      const net::NodeId u = entries[i].node;
+      if (observer.settle(u, t)) {
+        stop = true;
+        break;
       }
-      const net::NodeId v = peers[e];
-      const double cand = ready_u + delays[e];
-      if (cand < arrival[v]) {
-        arrival[v] = cand;
-        queue.push(cand, v);
-      }
+      if (!relays(csr, u, src)) continue;
+      relax_row(csr, u, ready_of(csr, u, src, t), arrival, lane.improved,
+                push);
     }
   }
   PERIGEE_COUNTER_ADD("engine.bucket.sources", 1);
@@ -142,46 +178,34 @@ void relax_buckets(const net::CsrTopology& csr,
   PERIGEE_COUNTER_ADD("engine.bucket.empty_skips", queue.empty_skips());
 }
 
-// The heap fallback for snapshots no fixed-point bucket plan admits,
-// reporting settles like relax_buckets.
+// The heap fallback for snapshots no bucket plan within the ceiling admits:
+// one pop at a time, the same row scan, settles reported like
+// relax_buckets.
 template <typename Observer>
 void relax_heap(const net::CsrTopology& csr, net::NodeId src,
-                std::vector<HeapItem>& heap, double* arrival,
-                Observer& observer) {
+                SourceLane& lane, double* arrival, Observer& observer) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
   std::fill_n(arrival, n, util::kInf);
   arrival[src] = 0.0;
-  const std::size_t* offsets = csr.offsets();
-  const std::size_t* row_ends = csr.row_ends();
-  const net::NodeId* peers = csr.peer_data();
-  const double* delays = csr.delay_data();
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
   PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
+  std::vector<HeapItem>& heap = lane.heap;
+  const auto push = [&heap](double key, net::NodeId v) {
+    heap_push(heap, {key, v});
+  };
   heap.clear();
   heap_push(heap, {0.0, src});
   while (!heap.empty()) {
     const auto [t, u] = heap_pop(heap);
     PERIGEE_TELEMETRY_ONLY(++tally_pops;)
-    // Same branchless settle as the bucket path in solve_one.
-    const bool fresh = pop_is_fresh(t, arrival[u]);
-    if (fresh && observer.settle(u, t)) break;
-    const bool live = fresh & (csr.forwards(u) | (u == src));
-    PERIGEE_TELEMETRY_ONLY(tally_stale += fresh ? 0 : 1;)
-    const std::size_t row_begin = offsets[u];
-    const std::size_t row_end = live ? row_ends[u] : row_begin;
-    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
-    for (std::size_t e = row_begin; e < row_end; ++e) {
-      if (e + util::kEdgePrefetchDistance < row_end) {
-        PERIGEE_PREFETCH(&arrival[peers[e + util::kEdgePrefetchDistance]]);
-      }
-      const net::NodeId v = peers[e];
-      const double cand = ready_u + delays[e];
-      if (cand < arrival[v]) {
-        arrival[v] = cand;
-        heap_push(heap, {cand, v});
-      }
+    if (!is_current(t, arrival[u])) {
+      PERIGEE_TELEMETRY_ONLY(++tally_stale;)
+      continue;
     }
+    if (observer.settle(u, t)) break;
+    if (!relays(csr, u, src)) continue;
+    relax_row(csr, u, ready_of(csr, u, src, t), arrival, lane.improved, push);
   }
   PERIGEE_COUNTER_ADD("engine.heap.sources", 1);
   PERIGEE_COUNTER_ADD("engine.heap.pops", tally_pops);
@@ -196,9 +220,9 @@ void solve_one(const net::CsrTopology& csr, const BatchPlan& plan,
                SourceLane& lane, net::NodeId src, double* arrival,
                double* ready, Observer& observer) {
   if (plan.has_value()) {
-    relax_buckets(csr, *plan, lane.queue, src, arrival, observer);
+    relax_buckets(csr, *plan, lane, src, arrival, observer);
   } else {
-    relax_heap(csr, src, lane.heap, arrival, observer);
+    relax_heap(csr, src, lane, arrival, observer);
   }
   if (ready != nullptr) fill_ready(csr, src, arrival, ready);
 }
@@ -346,8 +370,9 @@ void MultiSourceResult::extract(std::size_t s, BroadcastResult& out) const {
 }
 
 std::size_t SourceLane::memory_bytes() const {
-  return queue.memory_bytes() + heap.capacity() * sizeof(HeapItem) +
-         events.memory_bytes() +
+  return queue.memory_bytes() + taken.capacity() * sizeof(RelaxEntry) +
+         improved.capacity() * sizeof(std::uint32_t) +
+         heap.capacity() * sizeof(HeapItem) + events.memory_bytes() +
          event_heap.capacity() * sizeof(EgressEvent) + invs.memory_bytes() +
          inv_heap.capacity() * sizeof(AnnounceEntry) + settled.capacity() +
          segment.capacity() + edge.capacity() * sizeof(std::uint32_t) +

@@ -23,10 +23,18 @@
 ///    allocations total instead of 2·|sources|;
 ///  - the per-source relaxation runs a monotone `BucketQueue` over u32
 ///    fixed-point keys, its grid derived from the snapshot's delay bounds
-///    (`BucketQueue::plan_fixed`); snapshots no grid fits — a zero-latency
-///    infra edge, an edgeless topology, a key span too wide for u32 — take
-///    the batch to a 4-ary heap fallback (`relax_heap`, private to
-///    batch.cpp);
+///    (`BucketQueue::plan_fixed`), and drains it a whole bucket at a time
+///    (`BucketQueue::take_bucket`): the bucket width stays <= min δ / 2, so
+///    no relaxation lands in the bucket being drained, its stale entries
+///    are dropped before the sort, and the rest settle in exact (key, node)
+///    order; snapshots no such grid fits — a zero-latency infra edge, an
+///    edgeless topology, a key span too wide for u32, a δ span that widens
+///    the bucket past the ceiling — take the batch to a 4-ary heap fallback
+///    (`relax_heap`, private to batch.cpp);
+///  - rows are scanned without a per-edge branch: each edge stores
+///    min(candidate, arrival) and appends its index to a lane buffer whose
+///    end advances only on an improvement, and the improved edges are
+///    pushed afterwards in row order;
 ///  - the ready vector is filled in one vectorizable pass after the
 ///    relaxation (`ready[v] = arrival[v] + Δv`), which is bit-identical to
 ///    the test oracle's per-relaxation stores because the last value it
@@ -158,7 +166,7 @@ struct AnnounceEntry {
 /// per-sender scheduler state, and the observing body's arrival stripe and
 /// coverage group. Each field is sized by the solver that uses it, so a
 /// delay-only run never grows the egress or announce fields. (No settled array for the
-/// delay solver: it detects stale queue entries by comparing the popped key
+/// delay solver: it detects stale queue entries by comparing an entry's key
 /// against the node's current arrival instead.)
 ///
 /// alignas(64): each lane object starts on its own cache line, so the hot
@@ -168,6 +176,8 @@ struct AnnounceEntry {
 /// padding above against regression.
 struct alignas(64) SourceLane {
   BucketQueue<RelaxEntry> queue;      ///< delay: fast-path relaxation queue
+  std::vector<RelaxEntry> taken;      ///< delay: the bucket being settled
+  std::vector<std::uint32_t> improved;  ///< delay: a row's improved edges
   std::vector<HeapItem> heap;         ///< delay: fallback 4-ary heap storage
   BucketQueue<EgressEvent> events;    ///< egress: (time, seq) event queue
   std::vector<EgressEvent> event_heap;  ///< egress: fallback 4-ary heap

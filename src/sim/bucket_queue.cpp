@@ -33,10 +33,10 @@ std::optional<BucketQueueBase::FixedPlan> BucketQueueBase::plan_fixed(
   // ceiling (<= min-delay / 2). Thin buckets keep the active-bucket
   // insertion sort near-free; starting at the ceiling measurably slows the
   // batched all-sources eval. Then widen until one relaxation reach of
-  // pending buckets fits the kPreferredBuckets ring budget. Wider buckets
-  // stay order-correct here:
-  // the sequential queue drains its active bucket sorted, so width only
-  // trades scan cost against in-bucket insert cost.
+  // pending buckets fits the kPreferredBuckets ring budget. Widening past
+  // the ceiling keeps `pop` order-correct (it drains its active bucket
+  // sorted and inserts into it in place) but not `take_bucket`, so the
+  // plan records the ceiling and the delay solver checks it.
   int shift = *ceiling >= 3 ? *ceiling - 3 : 0;
   const std::uint64_t reach_q = grid.quantize(max_reach);
   while (shift < 40 && (reach_q >> shift) + 4 >= kPreferredBuckets) ++shift;
@@ -44,6 +44,7 @@ std::optional<BucketQueueBase::FixedPlan> BucketQueueBase::plan_fixed(
   FixedPlan plan;
   plan.grid = grid;
   plan.shift = shift;
+  plan.ceiling = *ceiling;
   return plan;
 }
 

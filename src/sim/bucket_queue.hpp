@@ -15,13 +15,22 @@
 /// is drained, and a push into it is inserted in sorted position. Buckets
 /// are small, so the sort is cheap, and it buys the property the engines'
 /// byte-parity contract is easiest to reason about with: **pop order is
-/// exactly the entry's total order** — (key, node) for the delay solver's
-/// `RelaxEntry`, i.e. `std::priority_queue<pair, greater<>>` order,
-/// (time, seq) for the egress solver's `EgressEvent` and (time, to, from)
-/// for the announce solver's `AnnounceEntry` — for any monotone push
-/// sequence. `tests/sim_bucketq_test.cpp` asserts this equivalence directly
-/// for every entry, so each engine settles nodes in exactly its test
-/// oracle's sequence.
+/// exactly the entry's total order** — (time, seq) for the egress solver's
+/// `EgressEvent` and (time, to, from) for the announce solver's
+/// `AnnounceEntry` — for any monotone push sequence.
+///
+/// The delay solver drains a whole bucket at a time instead (`take_bucket`):
+/// it hands over the smallest pending bucket unsorted, and the caller drops
+/// stale entries and sorts the rest with `sort_pop_order` before settling
+/// them. That is the same sequence `pop` would give only while no push can
+/// land in the bucket being drained, which the delta-stepping ceiling
+/// guarantees: a plan with `FixedPlan::within_ceiling()` has width <= min
+/// delay / 2, so a relaxation from any key of a bucket lands at least two
+/// widths later. The delay solver therefore takes the 4-ary heap
+/// (sim/dary_heap.hpp) for a snapshot whose plan had to widen past the
+/// ceiling. `tests/sim_bucketq_test.cpp` asserts both shapes against
+/// `std::priority_queue` order, so each engine settles nodes in exactly its
+/// test oracle's sequence.
 ///
 /// The queue is generic over its entry. An entry is an aggregate whose
 /// first members are `double key` (finite, >= 0, never -0.0),
@@ -65,8 +74,8 @@
 namespace perigee::sim {
 
 /// The delay solver's entry: (arrival-time key, fixed-point image, node).
-/// `qkey` is `floor(key * scale)`, the primary sort key; exact key ties pop
-/// in node order.
+/// `qkey` is `floor(key * scale)`, the primary sort key; exact key ties
+/// settle in node order, i.e. `std::priority_queue<pair, greater<>>` order.
 struct RelaxEntry {
   double key;
   std::uint32_t qkey;
@@ -90,9 +99,16 @@ class BucketQueueBase {
   struct FixedPlan {
     util::FixedPointScale grid;
     int shift = 0;
+    /// The widest shift whose width is <= min delay / 2 on this grid (the
+    /// delta-stepping ceiling).
+    int ceiling = 0;
     /// Bucket width in key units (milliseconds) — exact, both factors are
     /// powers of two.
     double width() const { return std::ldexp(1.0, shift - grid.exponent); }
+    /// True when no push can land in the bucket being drained: every key
+    /// pushed is at least min delay >= 2 widths past the one it relaxes
+    /// from. Bucket-at-a-time draining (`take_bucket`) needs it.
+    bool within_ceiling() const { return shift <= ceiling; }
   };
 
   /// Derives the fixed-point plan for keys that never exceed `max_key`
@@ -103,7 +119,8 @@ class BucketQueueBase {
   /// the bucket width starts at the occupancy sweet spot (<= min_delay / 16:
   /// several buckets per smallest edge delay keep buckets thin, ~1–3
   /// entries) and widens until one reach fits the `kPreferredBuckets` ring
-  /// budget. nullopt when no grid works — degenerate delays, or a key span
+  /// budget, past the ceiling if it must (`FixedPlan::within_ceiling`).
+  /// nullopt when no grid works — degenerate delays, or a key span
   /// over ~2^31x the min delay, where the u32 image cannot both hold
   /// `max_key` and resolve `min_delay` to the >= 2 units a bucket width
   /// needs — and callers fall back to the heap.
@@ -187,10 +204,10 @@ class BucketQueue : public BucketQueueBase {
     if (vec.empty()) mark_occupied(bucket);
     const Entry entry{key, qkey, fields...};
     if (bucket == cur_ && cur_sorted_) {
-      // Keep the active bucket's descending order intact. Rare for the
-      // delay solver (its width margin makes it impossible there, see
-      // sim/batch.cpp); the egress solver lands here for every event it
-      // schedules at the time it is handling.
+      // Keep the active bucket's descending order intact. Never the delay
+      // solver (it takes whole buckets, leaving none sorted); the egress
+      // solver lands here for every event it schedules at the time it is
+      // handling.
       push_sorted(vec, entry);
     } else {
       vec.push_back(entry);
@@ -207,27 +224,9 @@ class BucketQueue : public BucketQueueBase {
       vec = &slot(cur_);
     }
     if (!cur_sorted_) {
-      // Thin buckets are the norm (width is a fraction of the smallest
-      // edge delay): single-entry buckets skip sorting entirely, small
-      // ones insertion-sort inline (descending, so pops drain ascending
-      // from the back), the rest go out of line.
-      const std::size_t count = vec->size();
-      if (count > 1) {
-        if (count <= 16) {
-          Entry* data = vec->data();
-          for (std::size_t i = 1; i < count; ++i) {
-            const Entry e = data[i];
-            std::size_t j = i;
-            while (j > 0 && greater(e, data[j - 1])) {
-              data[j] = data[j - 1];
-              --j;
-            }
-            data[j] = e;
-          }
-        } else {
-          sort_bucket(*vec);
-        }
-      }
+      // Descending, so pops drain ascending from the back.
+      sort_entries(vec->data(), vec->size(),
+                   [](const Entry& a, const Entry& b) { return greater(a, b); });
       cur_sorted_ = true;
     }
     const Entry e = vec->back();
@@ -248,20 +247,30 @@ class BucketQueue : public BucketQueueBase {
     return (cur_sorted_ && !vec.empty()) ? &vec.back() : nullptr;
   }
 
-  /// Node id the next `pop` would return *if* it sits in the bucket being
-  /// drained, else `fallback`. O(1): the active bucket drains sorted from
-  /// the back, so `back()` right after a pop *is* the next pop unless a
-  /// later push overtakes it. The delay solver feeds this to a software
-  /// prefetch of the next CSR row while the current one is scanned — a
-  /// wrong-but-harmless `fallback` on bucket boundaries costs one redundant
-  /// prefetch hint, nothing more.
-  net::NodeId peek_next(net::NodeId fallback) const {
-    const Entry* next = peek_active();
-    return next != nullptr ? next->node : fallback;
+  /// Moves every entry of the smallest pending bucket into `out`, unsorted,
+  /// dropping what `out` held: the two swap storage, so once both have
+  /// grown nothing allocates. The caller puts them in pop order
+  /// (`sort_pop_order`). Exact only under a plan `within_ceiling()`, whose
+  /// pushes never land in the taken bucket. Precondition: `!empty()`.
+  void take_bucket(std::vector<Entry>& out) {
+    advance_to_nonempty();
+    std::vector<Entry>& vec = slot(cur_);
+    out.clear();
+    out.swap(vec);
+    size_ -= out.size();
+    mark_empty(cur_);
+    cur_sorted_ = false;
+  }
+
+  /// Sorts `count` entries from `data` into ascending pop order, (qkey, key
+  /// bits, tie()) — the order `pop` returns them in.
+  static void sort_pop_order(Entry* data, std::size_t count) {
+    sort_entries(data, count,
+                 [](const Entry& a, const Entry& b) { return greater(b, a); });
   }
 
  private:
-  /// Descending (key, tie) order — the drain-from-back sort order. The u32
+  /// Descending (key, tie) order — `pop`'s drain-from-back order. The u32
   /// qkey image decides first; a qkey tie falls through to the exact key
   /// via its IEEE bit pattern — for finite nonnegative doubles the unsigned
   /// bit-pattern order equals the numeric order, so ties and 1-ulp-apart
@@ -276,11 +285,33 @@ class BucketQueue : public BucketQueueBase {
     return ring_[bucket & mask_];
   }
 
+  // Thin buckets are the norm (width is a fraction of the smallest edge
+  // delay): single entries need no sort, small buckets insertion-sort
+  // inline, the rest go out of line.
+  template <typename Less>
+  static void sort_entries(Entry* data, std::size_t count, Less less) {
+    if (count <= 1) return;
+    if (count > 16) {
+      sort_range(data, count, less);
+      return;
+    }
+    for (std::size_t i = 1; i < count; ++i) {
+      const Entry e = data[i];
+      std::size_t j = i;
+      while (j > 0 && less(e, data[j - 1])) {
+        data[j] = data[j - 1];
+        --j;
+      }
+      data[j] = e;
+    }
+  }
+
   // The cold paths stay out of line, as they were before the queue became
-  // a template: inlining them would bloat the delay solver's hot loop.
-  [[gnu::noinline]] static void sort_bucket(std::vector<Entry>& bucket) {
-    // Only reached for buckets too large for pop()'s inline insertion sort.
-    std::sort(bucket.begin(), bucket.end(), greater);
+  // a template: inlining them would bloat the solvers' hot loops.
+  template <typename Less>
+  [[gnu::noinline]] static void sort_range(Entry* data, std::size_t count,
+                                           Less less) {
+    std::sort(data, data + count, less);
   }
 
   [[gnu::noinline]] static void push_sorted(std::vector<Entry>& bucket,

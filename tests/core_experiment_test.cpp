@@ -9,6 +9,7 @@
 
 #include "metrics/curves.hpp"
 #include "metrics/eval.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace perigee::core {
@@ -128,6 +129,34 @@ TEST(Experiment, LastCheckpointMatchesFinalLambda) {
               util::mean(result.lambda50))
         << scenario::transmission_model_name(model);
   }
+}
+
+// The last checkpoint evaluates the final snapshot, so its pass is the
+// final λ: a checkpoints = 1 run relaxes n sources at round 0, rounds·|B|
+// in the round loop and n at the end — not a third all-source pass for the
+// final λ.
+TEST(Experiment, FinalLambdaReusesLastCheckpointPass) {
+  obs::Registry& registry = obs::Registry::instance();
+  if (!obs::telemetry_compiled() || !registry.enabled()) {
+    GTEST_SKIP() << "counts relaxations through telemetry counters";
+  }
+  auto config = small_config(Algorithm::PerigeeSubset);
+  config.rounds = 3;
+  config.checkpoints = 1;
+  const auto sources = [&registry](const char* name) {
+    return registry.scrape().counter(name);
+  };
+  const std::uint64_t bucket_before = sources("engine.bucket.sources");
+  const std::uint64_t heap_before = sources("engine.heap.sources");
+  const auto result = run_experiment(config);
+  ASSERT_EQ(result.checkpoints.size(), 2u);
+  const std::uint64_t n = config.net.n;
+  const std::uint64_t round_sources =
+      static_cast<std::uint64_t>(config.rounds) *
+      static_cast<std::uint64_t>(config.blocks_per_round);
+  EXPECT_EQ(sources("engine.heap.sources"), heap_before);
+  EXPECT_EQ(sources("engine.bucket.sources") - bucket_before,
+            2 * n + round_sources);
 }
 
 TEST(Experiment, StaticAlgorithmsSkipLearning) {

@@ -3,8 +3,10 @@
 // and — the property the engines' byte-parity rests on — the pop sequence
 // is *exactly* std::priority_queue<pair, greater<>> order for any monotone
 // push/pop interleaving, including boundary keys, duplicates, and spans
-// that force the bucket ring to grow and remap. The egress solver's entry
-// gets the same mirror against a (time, seq) priority queue.
+// that force the bucket ring to grow and remap. Whole-bucket takes, the
+// delay solver's drain, must hand over exactly the next run of those pops.
+// The egress solver's entry gets the same mirror against a (time, seq)
+// priority queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -285,8 +287,11 @@ TEST(BucketQueueFixed, PlanRejectsDegenerateRanges) {
   // width needs.
   EXPECT_FALSE(sim::BucketQueueBase::plan_fixed(1e-6, 5e6, 1e7).has_value());
   // A huge reach/min-delay ratio alone is fine: the plan widens buckets to
-  // fit the ring budget (order still exact via the sorted active bucket).
-  EXPECT_TRUE(sim::BucketQueueBase::plan_fixed(1e-6, 1e3, 2e3).has_value());
+  // fit the ring budget (pop order still exact via the sorted active
+  // bucket), past the ceiling whole-bucket takes need.
+  const auto wide = sim::BucketQueueBase::plan_fixed(1e-6, 1e3, 2e3);
+  ASSERT_TRUE(wide.has_value());
+  EXPECT_FALSE(wide->within_ceiling());
   // Ordinary simulation scales are in, and when no widening is needed the
   // derived width brackets min_delay into [16*width, 32*width) — the
   // occupancy sweet spot, well under the delta-stepping ceiling, so thin
@@ -295,6 +300,156 @@ TEST(BucketQueueFixed, PlanRejectsDegenerateRanges) {
   ASSERT_TRUE(plan.has_value());
   EXPECT_LE(plan->width() * 16.0, 6.0);
   EXPECT_GT(plan->width() * 32.0, 6.0);
+}
+
+// ---- whole-bucket draining (the delay solver) --------------------------
+//
+// take_bucket hands over the smallest pending bucket unsorted, and
+// sort_pop_order puts it in pop order. Under the delay solver's ceiling no
+// push lands in a bucket already taken, so every take, sorted, must be
+// exactly the reference heap's next pops, and what stays pending must lie
+// in later buckets.
+
+std::uint64_t bucket_of(const sim::BucketQueueBase::FixedPlan& plan,
+                        double key) {
+  return static_cast<std::uint32_t>(key * plan.grid.scale) >> plan.shift;
+}
+
+// Bytes behind the queue and the caller's take buffer together.
+std::size_t drain_bytes(const Queue& queue,
+                        const std::vector<sim::RelaxEntry>& taken) {
+  return queue.memory_bytes() + taken.capacity() * sizeof(sim::RelaxEntry);
+}
+
+// Takes buckets until the queue is empty. After each take, every taken
+// entry spawns up to three pushes at least two bucket widths past its key
+// (the ceiling's guarantee), with exact ties and 1-ulp neighbors mixed in,
+// until `budget` pushes were made. Checks each take against the reference
+// heap, and that a take never allocates (it swaps storage).
+void run_taken(Queue& queue, util::Rng& rng,
+               const sim::BucketQueueBase::FixedPlan& plan, int budget,
+               std::vector<sim::RelaxEntry>& taken, int& multi_takes) {
+  queue.reset(plan);
+  MinHeap reference;
+  const double width = plan.width();
+  const auto push_both = [&](double key, net::NodeId node) {
+    queue.push(key, node);
+    reference.emplace(key, node);
+    --budget;
+  };
+  for (int i = 0; i < 6; ++i) {
+    push_both(rng.uniform() * 40.0 * width,
+              static_cast<net::NodeId>(rng.uniform_index(64)));
+  }
+  while (!queue.empty()) {
+    const std::size_t bytes = drain_bytes(queue, taken);
+    queue.take_bucket(taken);
+    ASSERT_EQ(drain_bytes(queue, taken), bytes);
+    ASSERT_FALSE(taken.empty());
+    if (taken.size() > 1) ++multi_takes;
+    Queue::sort_pop_order(taken.data(), taken.size());
+    const std::uint64_t bucket = bucket_of(plan, taken.front().key);
+    for (const sim::RelaxEntry& e : taken) {
+      ASSERT_EQ(std::uint64_t{e.qkey} >> plan.shift, bucket);
+      const auto [key, node] = reference.top();
+      reference.pop();
+      ASSERT_EQ(e.key, key);
+      ASSERT_EQ(e.node, node);
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+    if (!reference.empty()) {
+      ASSERT_GT(bucket_of(plan, reference.top().first), bucket);
+    }
+    for (const sim::RelaxEntry& e : taken) {
+      const auto spawn = rng.uniform_index(4);
+      for (std::uint64_t k = 0; k < spawn && budget > 0; ++k) {
+        const double key = e.key + 2.0 * width + rng.uniform() * 30.0 * width;
+        const auto node = static_cast<net::NodeId>(rng.uniform_index(64));
+        push_both(key, node);
+        const double r = rng.uniform();
+        if (r < 0.2) {
+          push_both(key, static_cast<net::NodeId>(rng.uniform_index(64)));
+        } else if (r < 0.35) {
+          push_both(
+              std::nextafter(key, std::numeric_limits<double>::infinity()),
+              static_cast<net::NodeId>(rng.uniform_index(64)));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(reference.empty());
+}
+
+TEST(BucketQueueTake, TakesAreTheSmallestBucketInPopOrder) {
+  util::Rng rng(41);
+  Queue queue;  // reused across plans and rounds
+  std::vector<sim::RelaxEntry> taken;
+  int multi_takes = 0;
+  // The delay solver's plans: no widening (3 shifts under the ceiling) and
+  // a reach wide enough to push the width up to the ceiling itself.
+  for (const double reach : {40.0, 2.0e4}) {
+    const auto plan = sim::BucketQueueBase::plan_fixed(1.0, reach, 1e7);
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_TRUE(plan->within_ceiling());
+    for (int round = 0; round < 8; ++round) {
+      run_taken(queue, rng, *plan, 800, taken, multi_takes);
+    }
+  }
+  EXPECT_GT(multi_takes, 50);
+}
+
+TEST(BucketQueueTake, InterleavesWithPopAndReset) {
+  // A take after pops resumes at the smallest pending bucket, and a reset
+  // drops what is pending, taken buffer untouched.
+  Queue queue;
+  const auto plan = plan_for(1.0, 10.0, 1e4);
+  queue.reset(plan);
+  for (const double key : {0.5, 0.25, 3.5, 3.25, 3.5, 9.0}) {
+    queue.push(key, static_cast<net::NodeId>(key * 4.0));
+  }
+  EXPECT_EQ(queue.pop().key, 0.25);
+  std::vector<sim::RelaxEntry> taken;
+  queue.take_bucket(taken);
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].key, 0.5);
+  queue.take_bucket(taken);
+  Queue::sort_pop_order(taken.data(), taken.size());
+  ASSERT_EQ(taken.size(), 3u);
+  EXPECT_EQ(taken[0].key, 3.25);
+  EXPECT_EQ(taken[1].key, 3.5);
+  EXPECT_EQ(taken[2].key, 3.5);
+  queue.push(5.0, net::NodeId{1});
+  EXPECT_EQ(queue.pop().key, 5.0);
+  EXPECT_EQ(queue.size(), 1u);
+  queue.reset(plan);
+  EXPECT_TRUE(queue.empty());
+  queue.push(2.0, net::NodeId{4});
+  queue.take_bucket(taken);
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].node, 4u);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(BucketQueueTake, RepeatedWorkloadStopsAllocating) {
+  // A take swaps storage with the ring (run_taken checks that it never
+  // allocates), so buffers migrate between slots and only grow until each
+  // holds the largest bucket it meets: replaying one workload settles on a
+  // fixed footprint instead of growing with every pass.
+  Queue queue;
+  std::vector<sim::RelaxEntry> taken;
+  const auto plan = sim::BucketQueueBase::plan_fixed(1.0, 40.0, 1e7);
+  ASSERT_TRUE(plan.has_value());
+  int multi_takes = 0;
+  std::vector<std::size_t> footprint;
+  for (int pass = 0; pass < 40; ++pass) {
+    util::Rng rng(42);
+    run_taken(queue, rng, *plan, 600, taken, multi_takes);
+    footprint.push_back(drain_bytes(queue, taken));
+  }
+  for (std::size_t pass = 30; pass < footprint.size(); ++pass) {
+    EXPECT_EQ(footprint[pass], footprint.back()) << "pass " << pass;
+  }
+  EXPECT_LE(footprint.back(), 4 * footprint.front());
 }
 
 // ---- the egress solver's entry -----------------------------------------
